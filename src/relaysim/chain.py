@@ -11,14 +11,23 @@ slotted in later.
 The dump format is one JSON object per block per line, digests
 hex-encoded lowercase. Each line carries the block's own digest so a
 mutation of the tip is as detectable as one in the middle.
+
+One codec, derived from the dataclasses below, gives both the hash input
+and the dump form of a block. A field's name is its dump key and the
+order of declaration is the order it is hashed in, so renaming or
+reordering a field of ``BlockHeader`` or of a payload class changes the
+format, and every digest, and must be versioned.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
+import typing
 from dataclasses import dataclass, field
-from typing import Sequence
+from operator import attrgetter, itemgetter
+from typing import Any, Callable, Sequence
 
 from .serialize import DIGEST_SIZE, ZERO_DIGEST, digest as canonical_digest
 
@@ -63,8 +72,10 @@ class BlockHeader:
             raise ChainError(f"unknown block kind {self.kind!r}")
         if len(self.prev_digest) != DIGEST_SIZE:
             raise ChainError(f"prev_digest must be {DIGEST_SIZE} bytes")
-        if self.height < 0 or self.round < 0:
-            raise ChainError("height and round must be non-negative")
+        for name in ("height", "round", "nonce", "timestamp"):
+            value = getattr(self, name)
+            if not 0 <= value < 2**64:
+                raise ChainError(f"{name} must be in [0, 2**64), got {value}")
 
 
 @dataclass(frozen=True)
@@ -156,42 +167,103 @@ class Block:
             )
 
 
-def _payload_structure(payload: Payload) -> list:
-    if isinstance(payload, DepositPayload):
+# --- block codec ---------------------------------------------------------
+#
+# Built once per dataclass at import from its fields and type hints. The
+# JSON encoder and decoder work column-wise: a sequence of records is
+# converted one field at a time.
+
+_Converter = Callable[[list], list]
+
+
+def _mapped(fn: Callable) -> _Converter:
+    return lambda column: list(map(fn, column))
+
+
+def _field_codec(hint: Any) -> tuple[Callable | None, _Converter | None, _Converter | None]:
+    """(structure, encode, decode) for values annotated ``hint``.
+
+    ``structure`` maps one value to its hash form; ``encode`` and
+    ``decode`` map a list of values to a list of JSON values and back.
+    None stands for values that pass unchanged.
+    """
+    if hint is str:
+        return None, None, None
+    if hint is int or hint is float:
+        return None, None, _mapped(hint)
+    if hint is bytes:
+        return None, _mapped(bytes.hex), _mapped(bytes.fromhex)
+    if dataclasses.is_dataclass(hint):
+        codec = _Codec(hint)
+        return codec.structure, codec.encode, codec.decode
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is not tuple or len(args) != 2 or args[1] is not Ellipsis:
+        raise TypeError(f"no block codec for field type {hint!r}")
+    structure, encode, decode = _field_codec(args[0])
+    return (
+        None if structure is None else _mapped(structure),
+        None if encode is None else _mapped(encode),
+        _mapped(tuple) if decode is None else _mapped(lambda values: tuple(decode(values))),
+    )
+
+
+def _columns(items: Sequence, getters: Sequence[Callable],
+             converters: Sequence[_Converter | None]) -> list[list]:
+    """One list per field: the field's value in each item, converted."""
+    columns = []
+    for get, convert in zip(getters, converters):
+        column = list(map(get, items))
+        columns.append(column if convert is None else convert(column))
+    return columns
+
+
+class _Codec:
+    """Hash structure, JSON encoder and JSON decoder of one block dataclass."""
+
+    def __init__(self, cls: type) -> None:
+        hints = typing.get_type_hints(cls)
+        self.cls = cls
+        self.names = tuple(f.name for f in dataclasses.fields(cls))
+        self.structures, self.encoders, self.decoders = zip(
+            *(_field_codec(hints[name]) for name in self.names)
+        )
+        self.attrgetters = tuple(map(attrgetter, self.names))
+        self.itemgetters = tuple(map(itemgetter, self.names))
+        # The field values in declaration order, as a tuple.
+        self.row = attrgetter(*self.names)
+        if len(self.names) == 1:
+            self.row = lambda obj: (getattr(obj, self.names[0]),)
+        # One instance -> its field values in declaration order, each in its
+        # hash form. A record whose fields all hash as they are is its row.
+        self.structure = self._nested_structure if any(self.structures) else self.row
+
+    def _nested_structure(self, obj: Any) -> list:
         return [
-            "DB",
-            [[c.mo_id, c.trainer_id, c.mo_amount, c.t_amount] for c in payload.contracts],
-            [payload.coinbase.miner_id, payload.coinbase.amount],
+            value if structure is None else structure(value)
+            for structure, value in zip(self.structures, self.row(obj))
         ]
-    if isinstance(payload, EncryptionPayload):
-        return [
-            "EB",
-            payload.pk,
-            [[r.prev_owner_id, r.trainer_id, r.model_digest] for r in payload.records],
-        ]
-    if isinstance(payload, TestingPayload):
-        return [
-            "TB",
-            [[d.trainer_id, d.digest] for d in payload.encrypted_model_digests],
-            [list(v) for v in payload.testing_inputs],
-            [list(v) for v in payload.testing_truths],
-        ]
-    return [
-        "SB",
-        [[r.prev_owner_id, r.trainer_id, r.performance] for r in payload.verified],
-        list(payload.top_set),
-    ]
+
+    def encode(self, objs: Sequence) -> list[dict]:
+        """One JSON object per instance, keyed by field name."""
+        columns = _columns(objs, self.attrgetters, self.encoders)
+        return [dict(zip(self.names, row)) for row in zip(*columns)]
+
+    def decode(self, items: Sequence) -> list:
+        """Instances rebuilt from JSON objects; raises on a malformed one."""
+        return list(map(self.cls, *_columns(items, self.itemgetters, self.decoders)))
+
+
+_HEADER_CODEC = _Codec(BlockHeader)
+_PAYLOAD_CODECS = {kind: _Codec(cls) for cls, kind in _PAYLOAD_KIND.items()}
 
 
 def block_digest(block: Block) -> bytes:
     """Deterministic 32-byte digest over the canonical header + payload."""
-    h = block.header
-    return canonical_digest(
-        [
-            "block", h.height, h.round, h.kind, h.prev_digest, h.nonce, h.timestamp,
-            _payload_structure(block.payload),
-        ]
-    )
+    kind = block.header.kind
+    return canonical_digest([
+        "block", *_HEADER_CODEC.structure(block.header),
+        [kind, *_PAYLOAD_CODECS[kind].structure(block.payload)],
+    ])
 
 
 def expected_kind(height: int) -> str:
@@ -215,10 +287,6 @@ class Chain:
     @property
     def tip(self) -> Block:
         return self.blocks[-1]
-
-    @property
-    def tip_digest(self) -> bytes:
-        return block_digest(self.tip)
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -319,123 +387,30 @@ def kind_cycle_ok(chain: Chain) -> bool:
 
 # --- dump format ---------------------------------------------------------
 
-def _payload_to_json(payload: Payload) -> dict:
-    if isinstance(payload, DepositPayload):
-        return {
-            "contracts": [
-                {"mo_id": c.mo_id, "trainer_id": c.trainer_id,
-                 "mo_amount": c.mo_amount, "t_amount": c.t_amount}
-                for c in payload.contracts
-            ],
-            "coinbase": {"miner_id": payload.coinbase.miner_id,
-                         "amount": payload.coinbase.amount},
-        }
-    if isinstance(payload, EncryptionPayload):
-        return {
-            "pk": payload.pk.hex(),
-            "records": [
-                {"prev_owner_id": r.prev_owner_id, "trainer_id": r.trainer_id,
-                 "model_digest": r.model_digest.hex()}
-                for r in payload.records
-            ],
-        }
-    if isinstance(payload, TestingPayload):
-        return {
-            "encrypted_model_digests": [
-                {"trainer_id": d.trainer_id, "digest": d.digest.hex()}
-                for d in payload.encrypted_model_digests
-            ],
-            "testing_inputs": [list(v) for v in payload.testing_inputs],
-            "testing_truths": [list(v) for v in payload.testing_truths],
-        }
-    return {
-        "verified": [
-            {"prev_owner_id": r.prev_owner_id, "trainer_id": r.trainer_id,
-             "performance": r.performance}
-            for r in payload.verified
-        ],
-        "top_set": list(payload.top_set),
-    }
-
-
-def _payload_from_json(kind: str, data: dict) -> Payload:
-    if kind == "DB":
-        return DepositPayload(
-            contracts=tuple(
-                ContractRecord(c["mo_id"], c["trainer_id"],
-                               float(c["mo_amount"]), float(c["t_amount"]))
-                for c in data["contracts"]
-            ),
-            coinbase=Coinbase(data["coinbase"]["miner_id"],
-                              float(data["coinbase"]["amount"])),
-        )
-    if kind == "EB":
-        return EncryptionPayload(
-            pk=bytes.fromhex(data["pk"]),
-            records=tuple(
-                TrainingRecord(r["prev_owner_id"], r["trainer_id"],
-                               bytes.fromhex(r["model_digest"]))
-                for r in data["records"]
-            ),
-        )
-    if kind == "TB":
-        return TestingPayload(
-            encrypted_model_digests=tuple(
-                EncryptedModelDigest(d["trainer_id"], bytes.fromhex(d["digest"]))
-                for d in data["encrypted_model_digests"]
-            ),
-            testing_inputs=tuple(tuple(float(x) for x in v) for v in data["testing_inputs"]),
-            testing_truths=tuple(tuple(float(x) for x in v) for v in data["testing_truths"]),
-        )
-    if kind == "SB":
-        return SettlementPayload(
-            verified=tuple(
-                VerifiedRecord(r["prev_owner_id"], r["trainer_id"],
-                               float(r["performance"]))
-                for r in data["verified"]
-            ),
-            top_set=tuple(data["top_set"]),
-        )
-    raise ChainError(f"unknown block kind {kind!r}")
-
-
 def chain_to_jsonl(chain: Chain) -> str:
     """One JSON object per block per line, digests hex lowercase."""
     lines = []
     for block in chain.blocks:
-        h = block.header
+        data = _HEADER_CODEC.encode((block.header,))[0]
+        data["payload"] = _PAYLOAD_CODECS[block.header.kind].encode((block.payload,))[0]
+        data["digest"] = block_digest(block).hex()
         # Compact separators: with no whitespace in a line, every byte is
         # semantic, so any single-byte mutation is detectable.
-        lines.append(json.dumps({
-            "height": h.height,
-            "round": h.round,
-            "kind": h.kind,
-            "prev_digest": h.prev_digest.hex(),
-            "nonce": h.nonce,
-            "timestamp": h.timestamp,
-            "payload": _payload_to_json(block.payload),
-            "digest": block_digest(block).hex(),
-        }, sort_keys=True, separators=(",", ":")))
+        lines.append(json.dumps(data, sort_keys=True, separators=(",", ":")))
     return "\n".join(lines) + "\n"
+
+
+def _parse_line(line: str) -> tuple[Block, dict]:
+    """The block on one dump line, and the line's JSON object."""
+    data = json.loads(line)
+    header = _HEADER_CODEC.decode((data,))[0]
+    payload = _PAYLOAD_CODECS[header.kind].decode((data["payload"],))[0]
+    return Block(header, payload), data
 
 
 def chain_from_jsonl(text: str) -> Chain:
     """Parse a dump without integrity checking (see ``verify_chain_dump``)."""
-    blocks = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        data = json.loads(line)
-        header = BlockHeader(
-            height=int(data["height"]),
-            round=int(data["round"]),
-            kind=data["kind"],
-            prev_digest=bytes.fromhex(data["prev_digest"]),
-            nonce=int(data["nonce"]),
-            timestamp=int(data["timestamp"]),
-        )
-        blocks.append(Block(header, _payload_from_json(data["kind"], data["payload"])))
-    return Chain(blocks=blocks)
+    return Chain(blocks=[_parse_line(line)[0] for line in text.splitlines() if line.strip()])
 
 
 def verify_chain_dump(text: str) -> list[str]:
@@ -451,28 +426,20 @@ def verify_chain_dump(text: str) -> list[str]:
         if not line.strip():
             continue
         try:
-            data = json.loads(line)
-            header = BlockHeader(
-                height=int(data["height"]),
-                round=int(data["round"]),
-                kind=data["kind"],
-                prev_digest=bytes.fromhex(data["prev_digest"]),
-                nonce=int(data["nonce"]),
-                timestamp=int(data["timestamp"]),
-            )
-            block = Block(header, _payload_from_json(data["kind"], data["payload"]))
+            block, data = _parse_line(line)
             recorded = bytes.fromhex(data["digest"])
-        except (ValueError, KeyError, TypeError) as exc:
+            # A string that is not valid UTF-8 (a lone surrogate) fails here.
+            actual = block_digest(block)
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             violations.append(f"Unparseable: line {lineno}: {exc}")
             continue
-        entries.append((lineno, block, recorded))
+        entries.append((lineno, block, recorded, actual))
     if not entries:
         violations.append("EmptyChain: no blocks")
         return violations
     partial = Chain(blocks=[])
     prev_digest = ZERO_DIGEST
-    for index, (lineno, block, recorded) in enumerate(entries):
-        actual = block_digest(block)
+    for index, (lineno, block, recorded, actual) in enumerate(entries):
         if actual != recorded:
             violations.append(f"DigestMismatch: line {lineno}")
         if block.header.height != index:

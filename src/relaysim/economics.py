@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Callable
+
+from . import configio
 
 ROLES = ("MO", "T", "DBM", "EBM", "TBM", "SBM")
 
@@ -108,8 +110,10 @@ class EconomicParams:
             raise DivergentSeries(f"beta must be < 1, got {self.beta}")
         if not 0.0 < self.s < 1.0:
             raise InvalidEconomicParams(f"s must be in (0, 1), got {self.s}")
-        if self.k_expand < 1.0:
-            raise InvalidEconomicParams(f"k_expand must be >= 1, got {self.k_expand}")
+        if not 1.0 <= self.k_expand < math.inf:
+            raise InvalidEconomicParams(
+                f"k_expand must be finite and >= 1, got {self.k_expand}"
+            )
         for name in (
             "b_mo", "b_t", "k_transmit", "k_encrypt", "model_size", "p_comp",
             "data_volume", "train_time", "c_mine", "c_gen_fhe_key",
@@ -120,8 +124,9 @@ class EconomicParams:
             "coin_unit", "r_cited", "r_deposit", "r_hash_m", "r_encrypted_m",
             "r_case", "r_verified_m", "r_verify",
         ):
-            if getattr(self, name) < 0:
-                raise InvalidEconomicParams(f"{name} must be >= 0, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise InvalidEconomicParams(f"{name} must be finite and >= 0, got {value}")
         if self.v_rec_m < self.v_now_t:
             raise InvalidEconomicParams(
                 f"v_rec_m ({self.v_rec_m}) cannot be older than v_now_t ({self.v_now_t})"
@@ -635,25 +640,7 @@ def minimal_rewards(p: EconomicParams, margin: float = 0.0) -> EconomicParams:
     )
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(EconomicParams)}
-
-
 def params_from_mapping(mapping: dict[str, str]) -> EconomicParams:
     """Build parameters from string key=value pairs (snake_case field names)."""
-    kwargs: dict[str, float | int] = {}
-    for key, raw in mapping.items():
-        if key not in _FIELD_TYPES:
-            raise InvalidEconomicParams(f"unknown economic parameter {key!r}")
-        try:
-            value = float(raw)
-        except ValueError as exc:
-            raise InvalidEconomicParams(f"{key}: cannot parse {raw!r} as a number") from exc
-        if _FIELD_TYPES[key] in ("int", int):
-            if not float(value).is_integer():
-                raise InvalidEconomicParams(f"{key}: expected an integer, got {raw!r}")
-            kwargs[key] = int(value)
-        else:
-            if not math.isfinite(value):
-                raise InvalidEconomicParams(f"{key}: value must be finite, got {raw!r}")
-            kwargs[key] = value
+    kwargs = configio.coerce_fields(EconomicParams, mapping, InvalidEconomicParams)
     return EconomicParams(**kwargs)

@@ -24,9 +24,6 @@ from typing import Sequence
 from . import auction, chain as chainmod, crypto
 from .serialize import digest as canonical_digest
 
-POOL_MINER = "miner"
-POOL_TRAINING = "training"
-
 CONTRACT_ACTIVE = "Active"
 CONTRACT_RETURNED = "Returned"
 CONTRACT_FORFEITED = "Forfeited"
@@ -60,8 +57,6 @@ class Participant:
     coins: float = 0.0
     model_version: int = 0
     model: crypto.ModelWeights | None = None
-    pool: str = POOL_TRAINING
-    last_round_rank: int | None = None
 
 
 @dataclass
@@ -270,8 +265,6 @@ def allocate_roles(state: SimState, config, rng: random.Random) -> RoleAssignmen
     rng.shuffle(shuffled)
     miners = shuffled[:config.q_miners]
     candidates = shuffled[config.q_miners:]
-    for pid, participant in state.participants.items():
-        participant.pool = POOL_MINER if pid in set(miners) else POOL_TRAINING
     return RoleAssignment(tuple(mos), tuple(miners), tuple(candidates))
 
 
@@ -645,9 +638,6 @@ def run_round(
             ebm.model_version = best.model_version
             if config.mode == "concrete":
                 ebm.model = best.model
-
-    for rank, trainer_id in enumerate(top_set):
-        participants[trainer_id].last_round_rank = rank
 
     state.prev_top = list(top_set)
     state.prev_mos = list(assignment.mos)

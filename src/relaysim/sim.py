@@ -18,13 +18,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import random
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
-from . import protocol
+from . import configio, protocol
 from .economics import EconomicParams
 
 BUCKET_LABELS = tuple(
@@ -88,8 +89,10 @@ class SimConfig:
             raise InvalidSimConfig("q_cases must be >= 1")
         if self.rounds < 0:
             raise InvalidSimConfig("rounds must be >= 0")
-        if self.budget_mo < 0 or self.reward_base < 0 or self.coin_unit < 0:
-            raise InvalidSimConfig("budget_mo, reward_base, coin_unit must be >= 0")
+        for name in ("budget_mo", "reward_base", "coin_unit"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise InvalidSimConfig(f"{name} must be finite and >= 0, got {value}")
         if self.mode not in ("abstract", "concrete"):
             raise InvalidSimConfig(f"mode must be abstract or concrete, got {self.mode!r}")
         if self.q_total_participants < 1:
@@ -406,37 +409,7 @@ def summary_json(run: SimRun, indent: int | None = 2) -> str:
     return json.dumps(payload, indent=indent)
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(SimConfig)}
-
-
-def _coerce(name: str, raw: str):
-    kind = _FIELD_TYPES[name]
-    if kind in ("bool", bool):
-        lowered = raw.strip().lower()
-        if lowered in ("true", "1", "yes"):
-            return True
-        if lowered in ("false", "0", "no"):
-            return False
-        raise InvalidSimConfig(f"{name}: cannot parse {raw!r} as a boolean")
-    if kind in ("int", int):
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise InvalidSimConfig(f"{name}: cannot parse {raw!r} as an integer") from exc
-    if kind in ("float", float):
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise InvalidSimConfig(f"{name}: cannot parse {raw!r} as a number") from exc
-    return raw.strip()
-
-
 def config_from_mapping(mapping: dict[str, str], base: SimConfig | None = None) -> SimConfig:
     """Layer string key=value pairs over ``base`` (defaults when omitted)."""
     current = base if base is not None else SimConfig()
-    kwargs = {}
-    for key, raw in mapping.items():
-        if key not in _FIELD_TYPES:
-            raise InvalidSimConfig(f"unknown simulation parameter {key!r}")
-        kwargs[key] = _coerce(key, raw)
-    return replace(current, **kwargs)
+    return replace(current, **configio.coerce_fields(SimConfig, mapping, InvalidSimConfig))

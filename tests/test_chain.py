@@ -8,6 +8,7 @@ from relaysim.chain import (
     Block,
     BlockHeader,
     BrokenLinkage,
+    ChainError,
     Coinbase,
     ContractRecord,
     DepositPayload,
@@ -199,6 +200,17 @@ class TestDumpFormat:
         )))
         return chain
 
+    def test_golden_block_digests(self):
+        # Declaration order of the block dataclasses is hash order: these
+        # pin it for every kind with non-empty payload fields.
+        digests = {b.header.kind: block_digest(b).hex() for b in self._sample_chain().blocks[1:]}
+        assert digests == {
+            "DB": "a47fa986347d2948ed21f25b1fd3ee254e179249d19f10c63043fd898eae1cc5",
+            "EB": "f7a5e3608b208fe7f500940967162f5737f7a43878fb4a8d4b95dce412261b7e",
+            "TB": "2063999a9fb28e4dfc4377b60bb1f5c5517b4b9e5d4522867bee1b2e652043ab",
+            "SB": "ceb270bfff81a740efbf7c00d61644ba76dea3e432820449c1ffa4945af42573",
+        }
+
     def test_round_trip_preserves_digests(self):
         chain = self._sample_chain()
         text = chain_to_jsonl(chain)
@@ -227,3 +239,34 @@ class TestDumpFormat:
             except UnicodeDecodeError:
                 continue  # detected before parsing
             assert violations, f"undetected mutation at byte {pos}"
+
+
+class TestTamperedValues:
+    """Values a tampered dump can carry are reported, never raised."""
+
+    def _dump(self):
+        chain = new_chain()
+        header = dataclasses.replace(_next_header(chain, "DB"), nonce=7342, timestamp=15)
+        append_block(chain, Block(header, _empty_payload("DB")))
+        return chain_to_jsonl(chain)
+
+    @pytest.mark.parametrize("old, new", [
+        ('"nonce":7342', '"nonce":-342'),
+        ('"timestamp":15', '"timestamp":-5'),
+        ('"nonce":7342', '"nonce":Infinity'),
+        ('"height":1,', '"height":1e999,'),
+        ('"nonce":7342', '"nonce":73420000000000000000'),
+        ('"miner_id":"m0"', '"miner_id":"\\ud800"'),
+    ])
+    def test_reported_as_violation(self, old, new):
+        text = self._dump()
+        assert text.count(old) == 1
+        assert verify_chain_dump(text.replace(old, new))
+
+    @pytest.mark.parametrize("name", ["height", "round", "nonce", "timestamp"])
+    def test_header_ints_are_unsigned_64_bit(self, name):
+        header = _next_header(new_chain(), "DB")
+        dataclasses.replace(header, **{name: 2**64 - 1})
+        for value in (-1, 2**64):
+            with pytest.raises(ChainError):
+                dataclasses.replace(header, **{name: value})

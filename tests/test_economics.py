@@ -89,6 +89,11 @@ class TestParamsInvariants:
         with pytest.raises(InvalidEconomicParams):
             EconomicParams(k_expand=0.5)
 
+    @pytest.mark.parametrize("field", ["b_t", "k_expand"])
+    def test_nan_rejected(self, field):
+        with pytest.raises(InvalidEconomicParams):
+            EconomicParams(**{field: math.nan})
+
     def test_cross_role_strategy_rejected(self):
         with pytest.raises(InvalidStrategyForRole):
             RoleStrategy("MO", "NTr")
@@ -390,3 +395,5 @@ class TestParamsFromMapping:
     def test_non_integer_count_rejected(self):
         with pytest.raises(InvalidEconomicParams):
             params_from_mapping({"q_deposit": "1.5"})
+        with pytest.raises(InvalidEconomicParams):
+            params_from_mapping({"q_deposit": "16.0"})

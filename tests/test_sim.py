@@ -1,7 +1,9 @@
+import hashlib
 import math
 
 import pytest
 
+from relaysim.chain import chain_to_jsonl
 from relaysim.sim import (
     BUCKET_LABELS,
     InsufficientData,
@@ -48,6 +50,15 @@ class TestConfig:
             SimConfig(pr_training=1.5)
         with pytest.raises(InvalidSimConfig):
             SimConfig(s=1.0)
+
+    @pytest.mark.parametrize("field, value", [("budget_mo", math.nan), ("reward_base", math.inf)])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(InvalidSimConfig):
+            SimConfig(**{field: value})
+
+    def test_non_finite_mapping_rejected(self):
+        with pytest.raises(InvalidSimConfig):
+            config_from_mapping({"coin_unit": "nan"})
 
     def test_mapping_layering(self):
         base = config_from_mapping({"rounds": "7", "seed": "3"})
@@ -231,3 +242,21 @@ class TestBuckets:
     def test_older_than_nine(self):
         shares = bucket_shares([20, 5])
         assert shares["older"] == pytest.approx(0.5)
+
+
+class TestGoldenOutputs:
+    """Fixed-seed outputs stay byte-identical across refactors."""
+
+    @pytest.mark.parametrize("mode, rounds, chain_sha, csv_sha", [
+        ("abstract", 20,
+         "a1f0518a9a64934068e0c58e2c1ce2311d2aaf52d3e2fc8ffc8c67441e5d3752",
+         "b2a8f59364173e6907a174b691ed4b0e5445087c16f1d9bda224e9559efdff2c"),
+        ("concrete", 4,
+         "968ba15587a743dc5cc3677c294f02ceb8147531a4124aceae2956d3ea0afb34",
+         "767159e21f7aaa19798c020652e675f6b50133b9974b36623631053cc045eda6"),
+    ])
+    def test_seed_7_digests(self, mode, rounds, chain_sha, csv_sha):
+        run = simulate_run(SimConfig(seed=7, rounds=rounds, mode=mode))
+        dump = chain_to_jsonl(run.state.chain)
+        assert hashlib.sha256(dump.encode("utf-8")).hexdigest() == chain_sha
+        assert hashlib.sha256(run.metrics.to_csv().encode("utf-8")).hexdigest() == csv_sha
