@@ -132,13 +132,16 @@ def match_round(
     trainer_bids: Sequence[Bid],
     selection_limit: int,
     per_mo_deposit: Mapping[str, float] | float,
+    second_price: bool = False,
 ) -> MatchResult:
     """Greedy owner-trainer matching over bid-ranked trainers.
 
     The first owner takes the ``selection_limit`` highest bidders, the
     second the next block, and so on until owners or trainers run out.
-    Each matched trainer deposits its own bid; the owner side deposits
-    ``per_mo_deposit`` (a single value or a per-owner mapping).
+    Each matched trainer deposits its own bid; with ``second_price`` it
+    deposits the next bid down in its owner's block and the block's last
+    trainer its own bid, as ``select_trainers`` on that block. The owner
+    side deposits ``per_mo_deposit`` (a single value or a per-owner mapping).
     """
     if selection_limit < 1:
         raise ZeroLimit(f"selection_limit must be >= 1, got {selection_limit}")
@@ -153,8 +156,10 @@ def match_round(
             if isinstance(per_mo_deposit, Mapping)
             else per_mo_deposit
         )
-        for bid in ranked[cursor:cursor + selection_limit]:
-            pairs.append(MatchPair(mo_id, bid.trainer_id, deposit, bid.amount))
+        block = ranked[cursor:cursor + selection_limit]
+        payers = block[1:] + block[-1:] if second_price else block
+        for bid, payer in zip(block, payers):
+            pairs.append(MatchPair(mo_id, bid.trainer_id, deposit, payer.amount))
         cursor += selection_limit
     unmatched = tuple(b.trainer_id for b in ranked[cursor:])
     return MatchResult(tuple(pairs), unmatched)

@@ -97,8 +97,10 @@ def parse_invocation(argv: list[str]) -> Command:
             i += 2
         elif flag == "--mode":
             value = take_value()
-            if value not in ("abstract", "concrete"):
-                raise BadOverride(f"--mode expects abstract or concrete, got {value!r}")
+            if value not in protocol.MODELS:
+                raise BadOverride(
+                    f"--mode expects one of {', '.join(protocol.MODELS)}, got {value!r}"
+                )
             cmd.overrides["mode"] = value
             i += 2
         elif flag == "--set":

@@ -9,6 +9,13 @@ computation, and (11) the settlement block: verification, ranking,
 deposit return or forfeit, the citation cascade up each winner's
 lineage, and minted miner rewards.
 
+What a model is comes from one of two backends in ``MODELS``, chosen by
+``config.mode``: ``AbstractModels`` stands for a model by its owner and
+version label and draws each verified performance from the round's
+generator; ``ConcreteModels`` trains real weights toward a hidden target
+and verifies each submission under the mock FHE scheme. The eleven steps
+are the same for both.
+
 Money rules: deposits are escrowed (debited on contract creation,
 credited back only on return); forfeited deposits are destroyed; all
 reward coins (citation plus miner) are minted by the protocol.
@@ -18,7 +25,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 from . import auction, chain as chainmod, crypto
@@ -146,45 +153,7 @@ class RoundLog:
     citation_coins: float
 
     def to_json(self, indent: int | None = None) -> str:
-        return json.dumps({
-            "round": self.round,
-            "mos": list(self.assignment.mos),
-            "miner_pool_size": len(self.assignment.miners),
-            "candidate_count": len(self.assignment.candidates),
-            "matches": [
-                {"mo_id": p.mo_id, "trainer_id": p.trainer_id,
-                 "mo_deposit": p.mo_deposit, "t_deposit": p.t_deposit}
-                for p in self.matches.pairs
-            ],
-            "contracts": [
-                {"mo_id": c.mo_id, "trainer_id": c.trainer_id,
-                 "mo_amount": c.mo_amount, "t_amount": c.t_amount,
-                 "status": c.status}
-                for c in self.contracts
-            ],
-            "block_digests": self.block_digests,
-            "miners": self.miners,
-            "training": [
-                {"trainer_id": t.trainer_id, "mo_id": t.mo_id,
-                 "received_version": t.received_version,
-                 "success": t.success, "new_version": t.new_version}
-                for t in self.training
-            ],
-            "verified": [
-                {"prev_owner_id": v.prev_owner_id, "trainer_id": v.trainer_id,
-                 "performance": v.performance}
-                for v in self.verified
-            ],
-            "top_set": self.top_set,
-            "transfers": [
-                {"participant_id": t.participant_id, "amount": t.amount,
-                 "reason": t.reason}
-                for t in self.transfers
-            ],
-            "minted": self.minted,
-            "forfeited": self.forfeited,
-            "citation_coins": self.citation_coins,
-        }, indent=indent)
+        return json.dumps(asdict(self), indent=indent)
 
 
 @dataclass
@@ -215,17 +184,7 @@ def init_state(config, rng: random.Random) -> SimState:
     ids = participant_ids(config.q_total_participants)
     participants = {pid: Participant(id=pid) for pid in ids}
     genesis_id = ids[0]
-    target = None
-    if config.mode == "concrete":
-        dim = config.model_dim
-        target = crypto.ModelWeights(
-            version=0,
-            weights=tuple(rng.uniform(-1.0, 1.0) for _ in range(dim + 1)),
-        )
-        genesis_weights = tuple(rng.uniform(-1.0, 1.0) for _ in range(dim + 1))
-        participants[genesis_id].model = crypto.ModelWeights(
-            version=GENESIS_VERSION, weights=genesis_weights
-        )
+    target, participants[genesis_id].model = MODELS[config.mode].start(config, rng)
     participants[genesis_id].model_version = GENESIS_VERSION
     return SimState(
         participants=participants,
@@ -311,12 +270,88 @@ def collect_verified(
     return verified
 
 
-def _abstract_model_digest(owner_id: str, version: int) -> bytes:
-    return canonical_digest(["abstract-model", owner_id, version])
+class AbstractModels:
+    """Label models: a model is its (owner, version) pair, digests hash
+    that label, and each verified performance is a uniform draw."""
+
+    def start(self, config, rng: random.Random):
+        return None, None
+
+    def train(self, trainer: Participant, mo: Participant, version: int,
+              target, config, rng: random.Random) -> tuple[bytes, bytes]:
+        trainer.model_version = version
+        return (canonical_digest(["abstract-model", trainer.id, version]),
+                canonical_digest(["abstract-model", mo.id, version - 1]))
+
+    def encrypt(self, pk: bytes, trainer: Participant) -> tuple[None, bytes]:
+        return None, canonical_digest(
+            ["abstract-encrypted-model", trainer.id, trainer.model_version]
+        )
+
+    def testing_cases(self, target, config, rng: random.Random):
+        inputs = tuple((rng.random(),) for _ in range(config.q_cases))
+        truths = tuple((rng.random(),) for _ in range(config.q_cases))
+        return inputs, truths
+
+    def verify(self, sealed: Sequence[tuple], participants, pk: bytes,
+               inputs, truths, rng: random.Random) -> list[chainmod.VerifiedRecord]:
+        return [
+            chainmod.VerifiedRecord(record.prev_owner_id, record.trainer_id, rng.random())
+            for record, _, _ in sealed
+        ]
 
 
-def _abstract_enc_digest(owner_id: str, version: int) -> bytes:
-    return canonical_digest(["abstract-encrypted-model", owner_id, version])
+class ConcreteModels:
+    """Linear models with real weights: training contracts toward a hidden
+    target, and settlement verifies each submission under the mock FHE."""
+
+    def start(self, config, rng: random.Random):
+        """(target model, genesis model), both drawn in [-1, 1]."""
+        dim = config.model_dim
+        target = crypto.ModelWeights(
+            version=0,
+            weights=tuple(rng.uniform(-1.0, 1.0) for _ in range(dim + 1)),
+        )
+        genesis_weights = tuple(rng.uniform(-1.0, 1.0) for _ in range(dim + 1))
+        return target, crypto.ModelWeights(
+            version=GENESIS_VERSION, weights=genesis_weights
+        )
+
+    def train(self, trainer: Participant, mo: Participant, version: int,
+              target, config, rng: random.Random) -> tuple[bytes, bytes]:
+        # per-trainer jitter stays below the configured rate, so any
+        # rate in (0, 1) remains a valid contraction
+        rate = config.training_rate * (0.5 + 0.5 * rng.random())
+        trainer.model = crypto.train_toward(trainer.model, target, rate, mo.id)
+        trainer.model_version = trainer.model.version
+        return crypto.model_digest(trainer.model), crypto.model_digest(mo.model)
+
+    def encrypt(self, pk: bytes, trainer: Participant) -> tuple[crypto.Ciphertext, bytes]:
+        ct = crypto.fhe_encrypt(pk, trainer.model)
+        return ct, crypto.ciphertext_digest(ct)
+
+    def testing_cases(self, target, config, rng: random.Random):
+        inputs = tuple(
+            tuple(rng.uniform(-1.0, 1.0) for _ in range(target.input_dim))
+            for _ in range(config.q_cases)
+        )
+        return inputs, tuple(crypto.evaluate(target, x) for x in inputs)
+
+    def verify(self, sealed: Sequence[tuple], participants, pk: bytes,
+               inputs, truths, rng: random.Random) -> list[chainmod.VerifiedRecord]:
+        """Step (10), each trainer's claimed outputs, then the SB check."""
+        submissions = [
+            Submission(
+                record.prev_owner_id, record.trainer_id, digest, ct,
+                tuple(crypto.evaluate(participants[record.trainer_id].model, x)
+                      for x in inputs),
+            )
+            for record, ct, digest in sealed
+        ]
+        return collect_verified(submissions, pk, inputs, truths)
+
+
+MODELS = {"abstract": AbstractModels(), "concrete": ConcreteModels()}
 
 
 def _debit(p: Participant, amount: float, reason: str, transfers: list[Transfer]) -> None:
@@ -407,6 +442,7 @@ def run_round(
 ) -> tuple[SimState, RoundLog]:
     """Execute one complete round, mutating and returning the state."""
     round_index = state.round_index + 1
+    models = MODELS[config.mode]
     assignment = allocate_roles(state, config, rng)
     participants = state.participants
     v_latest = state.head_version()
@@ -424,30 +460,10 @@ def run_round(
         ))
         for pid in assignment.candidates
     ]
-    if config.second_price_deposits:
-        pairs: list[auction.MatchPair] = []
-        remaining = sorted(bids, key=lambda b: (-b.amount, b.trainer_id))
-        for mo in assignment.mos:
-            if not remaining:
-                break
-            # Affordability is baked into the per-trainer deposit, so the
-            # owner's capacity is exactly the selection limit.
-            selection = auction.select_trainers(
-                remaining, b_mo=1.0, budget=float(config.q_selection_limit)
-            )
-            taken = set(selection.selected)
-            pairs.extend(
-                auction.MatchPair(mo, t, mo_deposits[mo], d)
-                for t, d in zip(selection.selected, selection.deposits)
-            )
-            remaining = [b for b in remaining if b.trainer_id not in taken]
-        matches = auction.MatchResult(
-            tuple(pairs), tuple(b.trainer_id for b in remaining)
-        )
-    else:
-        matches = auction.match_round(
-            list(assignment.mos), bids, config.q_selection_limit, mo_deposits
-        )
+    matches = auction.match_round(
+        list(assignment.mos), bids, config.q_selection_limit, mo_deposits,
+        second_price=config.second_price_deposits,
+    )
 
     # (2) contracts with escrow
     transfers: list[Transfer] = []
@@ -507,32 +523,15 @@ def run_round(
     new_digests: dict[str, bytes] = {}
     prev_digests: dict[str, bytes] = {}
     for pair in matches.pairs:
-        trainer = participants[pair.trainer_id]
-        mo = participants[pair.mo_id]
         success = rng.random() < config.pr_training
         v_rec = received[pair.trainer_id]
         new_version = None
         if success:
             new_version = v_rec + 1
-            if config.mode == "concrete":
-                # per-trainer jitter stays below the configured rate, so any
-                # rate in (0, 1) remains a valid contraction
-                rate = config.training_rate * (0.5 + 0.5 * rng.random())
-                trained = crypto.train_toward(
-                    trainer.model, state.target_model, rate, pair.mo_id
-                )
-                trainer.model = trained
-                trainer.model_version = trained.version
-                new_digests[pair.trainer_id] = crypto.model_digest(trained)
-                prev_digests[pair.trainer_id] = crypto.model_digest(mo.model)
-            else:
-                trainer.model_version = new_version
-                new_digests[pair.trainer_id] = _abstract_model_digest(
-                    pair.trainer_id, new_version
-                )
-                prev_digests[pair.trainer_id] = _abstract_model_digest(
-                    pair.mo_id, v_rec
-                )
+            new_digests[pair.trainer_id], prev_digests[pair.trainer_id] = models.train(
+                participants[pair.trainer_id], participants[pair.mo_id], new_version,
+                state.target_model, config, rng,
+            )
             state.lineage.record(pair.trainer_id, new_version, pair.mo_id)
         outcomes.append(TrainingOutcome(
             pair.trainer_id, pair.mo_id, v_rec, success, new_version
@@ -548,71 +547,29 @@ def run_round(
     )
     mine("EB", chainmod.EncryptionPayload(pk=keypair.pk, records=eb_records))
 
-    # (8-9) encryption and the testing block
-    ciphertexts: dict[str, crypto.Ciphertext] = {}
-    enc_digests = []
-    for record in eb_records:
-        trainer = participants[record.trainer_id]
-        if config.mode == "concrete":
-            ct = crypto.fhe_encrypt(keypair.pk, trainer.model)
-            ciphertexts[record.trainer_id] = ct
-            enc_digests.append(chainmod.EncryptedModelDigest(
-                record.trainer_id, crypto.ciphertext_digest(ct)
-            ))
-        else:
-            enc_digests.append(chainmod.EncryptedModelDigest(
-                record.trainer_id,
-                _abstract_enc_digest(record.trainer_id, trainer.model_version),
-            ))
+    # (8-9) encryption and the testing block; a sealed entry is
+    # (EB record, ciphertext or None, committed encrypted-model digest)
+    sealed = [
+        (record, *models.encrypt(keypair.pk, participants[record.trainer_id]))
+        for record in eb_records
+    ]
+    enc_digests = tuple(
+        chainmod.EncryptedModelDigest(record.trainer_id, digest)
+        for record, _, digest in sealed
+    )
     miners["TB"] = _draw_miner(miner_pool, rng, config.distinct_miners_per_round)
-    if config.mode == "concrete":
-        dim = state.target_model.input_dim
-        testing_inputs = tuple(
-            tuple(rng.uniform(-1.0, 1.0) for _ in range(dim))
-            for _ in range(config.q_cases)
-        )
-        testing_truths = tuple(
-            crypto.evaluate(state.target_model, x) for x in testing_inputs
-        )
-    else:
-        testing_inputs = tuple((rng.random(),) for _ in range(config.q_cases))
-        testing_truths = tuple((rng.random(),) for _ in range(config.q_cases))
+    testing_inputs, testing_truths = models.testing_cases(state.target_model, config, rng)
     mine("TB", chainmod.TestingPayload(
-        encrypted_model_digests=tuple(enc_digests),
+        encrypted_model_digests=enc_digests,
         testing_inputs=testing_inputs,
         testing_truths=testing_truths,
     ))
 
-    # (10) trainers compute and broadcast outputs
-    claimed: dict[str, list[crypto.Vector]] = {}
-    if config.mode == "concrete":
-        for record in eb_records:
-            model = participants[record.trainer_id].model
-            claimed[record.trainer_id] = [
-                crypto.evaluate(model, x) for x in testing_inputs
-            ]
-
-    # (11) settlement block: verify, rank, settle
+    # (10-11) outputs, then the settlement block: verify, rank, settle
     miners["SB"] = _draw_miner(miner_pool, rng, config.distinct_miners_per_round)
-    committed = {d.trainer_id: d.digest for d in enc_digests}
-    if config.mode == "concrete":
-        submissions = [
-            Submission(
-                record.prev_owner_id, record.trainer_id,
-                committed[record.trainer_id],
-                ciphertexts[record.trainer_id],
-                tuple(claimed[record.trainer_id]),
-            )
-            for record in eb_records
-        ]
-        verified = collect_verified(
-            submissions, keypair.pk, testing_inputs, testing_truths
-        )
-    else:
-        verified = [
-            chainmod.VerifiedRecord(record.prev_owner_id, record.trainer_id, rng.random())
-            for record in eb_records
-        ]
+    verified = models.verify(
+        sealed, participants, keypair.pk, testing_inputs, testing_truths, rng
+    )
     top_set = rank_and_select(verified, config.s)
     mine("SB", chainmod.SettlementPayload(
         verified=tuple(verified), top_set=tuple(top_set)
@@ -636,8 +593,7 @@ def run_round(
         ebm = participants[miners["EB"]]
         if best.model_version > ebm.model_version:
             ebm.model_version = best.model_version
-            if config.mode == "concrete":
-                ebm.model = best.model
+            ebm.model = best.model
 
     state.prev_top = list(top_set)
     state.prev_mos = list(assignment.mos)

@@ -20,7 +20,7 @@ import io
 import json
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -77,6 +77,16 @@ class SimConfig:
                 f"q_total_participants ({self.q_total_participants}) must equal "
                 f"q_miners + q_mo_and_t ({self.q_miners} + {self.q_mo_and_t})"
             )
+        # the full protocol needs a miner to mine each block and the
+        # genesis owner in the owner-and-trainer pool
+        least = 0 if self.round_robin_variant else 1
+        if min(self.q_miners, self.q_mo_and_t) < least:
+            raise InvalidSimConfig(
+                f"q_miners and q_mo_and_t must be >= {least}, got "
+                f"{self.q_miners} and {self.q_mo_and_t}"
+            )
+        if not 0 <= self.seed < 2**64:
+            raise InvalidSimConfig(f"seed must be in [0, 2**64), got {self.seed}")
         if not 0.0 < self.s < 1.0:
             raise InvalidSimConfig(f"s must be in (0, 1), got {self.s}")
         if not 0.0 <= self.pr_training <= 1.0:
@@ -93,8 +103,10 @@ class SimConfig:
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:
                 raise InvalidSimConfig(f"{name} must be finite and >= 0, got {value}")
-        if self.mode not in ("abstract", "concrete"):
-            raise InvalidSimConfig(f"mode must be abstract or concrete, got {self.mode!r}")
+        if self.mode not in protocol.MODELS:
+            raise InvalidSimConfig(
+                f"mode must be one of {', '.join(protocol.MODELS)}, got {self.mode!r}"
+            )
         if self.q_total_participants < 1:
             raise InvalidSimConfig("q_total_participants must be >= 1")
         if self.model_dim < 1:
@@ -297,12 +309,7 @@ class SustainabilityReport:
     closed_form_exact: bool | None
 
     def to_dict(self) -> dict:
-        return {
-            "mean_second_difference": self.mean_second_difference,
-            "accelerating": self.accelerating,
-            "per_participant_quadratic_coeff": self.per_participant_quadratic_coeff,
-            "closed_form_exact": self.closed_form_exact,
-        }
+        return asdict(self)
 
 
 def analyze_sustainability(metrics: Metrics) -> SustainabilityReport:

@@ -161,6 +161,27 @@ class TestMatchRound:
         assert result.pairs[0].mo_deposit == 0.5
         assert result.pairs[1].mo_deposit == 0.125
 
+    def test_second_price_blocks_match_select_trainers(self):
+        for size in range(0, 7):
+            for combo in itertools.combinations_with_replacement(range(6), size):
+                bids = [Bid(f"t{i}", float(v)) for i, v in enumerate(combo)]
+                by_id = {b.trainer_id: b for b in bids}
+                for mo_count, limit in itertools.product(range(0, 4), range(1, 4)):
+                    mos = [f"m{i}" for i in range(mo_count)]
+                    first = match_round(mos, bids, limit, 0.5)
+                    second = match_round(mos, bids, limit, 0.5, second_price=True)
+                    assert second.unmatched_trainers == first.unmatched_trainers
+                    assert [(p.mo_id, p.trainer_id, p.mo_deposit) for p in second.pairs] == [
+                        (p.mo_id, p.trainer_id, p.mo_deposit) for p in first.pairs
+                    ]
+                    for mo in mos:
+                        block = [p for p in second.pairs if p.mo_id == mo]
+                        want = select_trainers(
+                            [by_id[p.trainer_id] for p in block], 1.0, float(len(block))
+                        )
+                        assert tuple(p.trainer_id for p in block) == want.selected
+                        assert tuple(p.t_deposit for p in block) == want.deposits
+
     @given(
         amounts=st.lists(st.floats(0.0, 9.0), max_size=12),
         mo_count=st.integers(0, 5),

@@ -185,7 +185,7 @@ class TestTraceRoundVerb:
         log_path = tmp_path / "round.json"
         assert main(["trace-round", "--config", str(cfg), "--out", str(log_path)]) == 0
         data = json.loads(log_path.read_text())
-        assert data["round"] == 1 and data["mos"] == ["p000"]
+        assert data["round"] == 1 and data["assignment"]["mos"] == ["p000"]
 
 
 class TestExportVerb:
@@ -222,3 +222,11 @@ class TestExitCodes:
     def test_unknown_verb_exit_two(self, capsys):
         assert main(["frobnicate"]) == 2
         assert "unknown verb" in capsys.readouterr().err
+
+    def test_negative_seed_exit_two_before_any_output(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(SMALL_SIM_CFG)
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg), "--seed", "-7", "--out", str(out)]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()

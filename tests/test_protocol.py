@@ -4,6 +4,7 @@ import random
 import pytest
 
 from relaysim import crypto
+from relaysim.auction import trainer_bid
 from relaysim.chain import EncryptionPayload, VerifiedRecord
 from relaysim.economics import EconomicParams
 from relaysim.protocol import (
@@ -159,11 +160,22 @@ class TestRunRound:
             second_price_deposits=True,
         )
         state, rng = fresh(config, seed=5)
-        for _ in range(4):
+        below_own_bid = 0
+        for _ in range(6):
+            v_latest = state.head_version()
+            bid = {
+                pid: trainer_bid(p.coins, v_latest, p.model_version)
+                for pid, p in state.participants.items()
+            }
             state, log = run_round(state, params_for_simulation(config), config, rng)
-        bids = {p.trainer_id: p for p in log.matches.pairs}
-        assert bids  # matching happened under the second-price rule
-        assert len({p.trainer_id for p in log.matches.pairs}) == len(log.matches.pairs)
+            assert log.matches.pairs  # matching happened under the second-price rule
+            assert len({p.trainer_id for p in log.matches.pairs}) == len(log.matches.pairs)
+            for mo in log.assignment.mos:
+                block = [p.trainer_id for p in log.matches.pairs if p.mo_id == mo]
+                paid = [p.t_deposit for p in log.matches.pairs if p.mo_id == mo]
+                assert paid == [bid[t] for t in block[1:] + block[-1:]]
+                below_own_bid += sum(d < bid[t] for t, d in zip(block, paid))
+        assert below_own_bid > 0
 
 
 class TestSettle:

@@ -45,6 +45,22 @@ class TestConfig:
         with pytest.raises(InvalidSimConfig):
             SimConfig(q_total_participants=256, q_miners=100, q_mo_and_t=100)
 
+    @pytest.mark.parametrize("seed", [-7, 2**64])
+    def test_seed_outside_u64_rejected(self, seed):
+        with pytest.raises(InvalidSimConfig):
+            SimConfig(seed=seed)
+
+    @pytest.mark.parametrize("q_miners, q_mo_and_t", [(-1, 9), (0, 8), (8, 0)])
+    def test_empty_or_negative_pool_rejected(self, q_miners, q_mo_and_t):
+        with pytest.raises(InvalidSimConfig):
+            SimConfig(q_total_participants=8, q_miners=q_miners, q_mo_and_t=q_mo_and_t)
+
+    def test_round_robin_pools_may_be_empty_not_negative(self):
+        SimConfig(q_total_participants=8, q_miners=8, q_mo_and_t=0, round_robin_variant=True)
+        with pytest.raises(InvalidSimConfig):
+            SimConfig(q_total_participants=8, q_miners=-1, q_mo_and_t=9,
+                      round_robin_variant=True)
+
     def test_probability_bounds(self):
         with pytest.raises(InvalidSimConfig):
             SimConfig(pr_training=1.5)
@@ -256,7 +272,25 @@ class TestGoldenOutputs:
          "767159e21f7aaa19798c020652e675f6b50133b9974b36623631053cc045eda6"),
     ])
     def test_seed_7_digests(self, mode, rounds, chain_sha, csv_sha):
-        run = simulate_run(SimConfig(seed=7, rounds=rounds, mode=mode))
+        self._check(SimConfig(seed=7, rounds=rounds, mode=mode), chain_sha, csv_sha)
+
+    @pytest.mark.parametrize("mode, rounds, toggle, chain_sha, csv_sha", [
+        ("abstract", 20, dict(second_price_deposits=True),
+         "50c1c0e34da26046b2de17f78ae7c5b307265fa860cc8d04b48e2d78607bf82e",
+         "18a65a440a8d219fdd4c93a620c702a58c5e10d864f5504a092bf64aebe8099d"),
+        ("abstract", 20, dict(distinct_miners_per_round=False),
+         "a065b5c7826a28b329b6b8eea55231cde1d5272443160ae7ad3e37c33622376e",
+         "215c9959a7530c720835586337cc9c5dfc2574a2804aba7f279a98484844a6e9"),
+        ("concrete", 4, dict(second_price_deposits=True),
+         "d6de8c6b5181275082d842925273ba8ac32c184c1c35702ac2931cc212d8c7c8",
+         "b4975f773aff5d0639049929f13227c64c6e3a9f3429ab0ed044306b46032823"),
+    ], ids=["abstract-second-price", "abstract-shared-miners", "concrete-second-price"])
+    def test_seed_7_toggle_digests(self, mode, rounds, toggle, chain_sha, csv_sha):
+        self._check(SimConfig(seed=7, rounds=rounds, mode=mode, **toggle), chain_sha, csv_sha)
+
+    @staticmethod
+    def _check(config, chain_sha, csv_sha):
+        run = simulate_run(config)
         dump = chain_to_jsonl(run.state.chain)
         assert hashlib.sha256(dump.encode("utf-8")).hexdigest() == chain_sha
         assert hashlib.sha256(run.metrics.to_csv().encode("utf-8")).hexdigest() == csv_sha
