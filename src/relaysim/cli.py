@@ -166,38 +166,26 @@ def _run_simulate(cmd: Command) -> int:
 def _run_check_incentives(cmd: Command) -> int:
     params = _econ_params(cmd)
     ir, ic = economics.evaluate_conditions(params)
-    entries = list(ir.entries) + list(ic.conditions.entries)
-    satisfied = all(e.satisfied for e in entries) and all(
-        row.normal_dominates for row in ic.dominance
-    )
+    satisfied = ir.all_satisfied and ic.all_satisfied
     print(json.dumps({
-        "conditions": [e.to_dict() for e in entries],
+        "conditions": [e.to_dict() for e in ir.entries + ic.conditions.entries],
         "dominance": [row.to_dict() for row in ic.dominance],
         "all_satisfied": satisfied,
     }, indent=2))
     if satisfied:
         return 0
-    failed = [e.condition for e in entries if not e.satisfied]
-    failed += [
-        f"{row.role} vs {row.alternative}"
-        for row in ic.dominance if not row.normal_dominates
-    ]
-    print(f"relaysim: unsatisfied: {', '.join(failed)}", file=sys.stderr)
+    print(f"relaysim: unsatisfied: {', '.join(ir.failed() + ic.failed())}", file=sys.stderr)
     return 1
 
 
 def _run_min_rewards(cmd: Command) -> int:
     params = _econ_params(cmd)
     miner = economics.minimal_miner_rewards(params)
-    report = {
+    print(json.dumps({
         "r_cited_min": economics.minimal_citation_reward(params),
         "citation_bounds": economics.citation_reward_bounds(params),
-        "r_deposit_min": miner.r_deposit_min,
-        "r_hash_m_min": miner.r_hash_m_min,
-        "T5": miner.tbm_constraint.to_dict(),
-        "T6": miner.sbm_constraint.to_dict(),
-    }
-    print(json.dumps(report, indent=2))
+        **miner.to_dict(),
+    }, indent=2))
     return 0
 
 

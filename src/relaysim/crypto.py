@@ -65,7 +65,6 @@ class ModelWeights:
 
     version: int
     weights: Vector
-    lineage_parent: str | None = None
 
     def __post_init__(self) -> None:
         if self.version < 0:
@@ -99,9 +98,7 @@ def evaluate(m: ModelWeights, x: Sequence[float]) -> Vector:
     return (acc,)
 
 
-def train_toward(
-    m: ModelWeights, target: ModelWeights, rate: float, lineage_parent: str | None
-) -> ModelWeights:
+def train_toward(m: ModelWeights, target: ModelWeights, rate: float) -> ModelWeights:
     """One honest training step: contract all weights toward the target.
 
     With 0 < rate < 1 the output error on any test set shrinks by the
@@ -115,19 +112,17 @@ def train_toward(
     new_weights = tuple(
         w + rate * (t - w) for w, t in zip(m.weights, target.weights)
     )
-    return ModelWeights(m.version + 1, new_weights, lineage_parent)
+    return ModelWeights(m.version + 1, new_weights)
 
 
-def perturb_with_noise(
-    m: ModelWeights, rng: random.Random, scale: float, lineage_parent: str | None
-) -> ModelWeights:
+def perturb_with_noise(m: ModelWeights, rng: random.Random, scale: float) -> ModelWeights:
     """A lazy worker's move: add white noise so the digest changes.
 
     Produces a model that passes the hash-difference filter while its
     test error stays at the predecessor's level instead of improving.
     """
     new_weights = tuple(w + rng.gauss(0.0, scale) for w in m.weights)
-    return ModelWeights(m.version + 1, new_weights, lineage_parent)
+    return ModelWeights(m.version + 1, new_weights)
 
 
 # --- mock homomorphic scheme ---------------------------------------------
@@ -196,16 +191,19 @@ def _encode_plaintext(value: ModelWeights | Sequence[float]) -> bytes:
 
 
 def _decode_plaintext(raw: bytes) -> ModelWeights | Vector:
+    """Parse an opened payload; the tag is forgeable, so any bytes may arrive."""
     if not raw:
         raise InvalidCiphertext("empty plaintext encoding")
     kind, body = raw[:1], raw[1:]
-    if kind == b"M":
-        version, count = struct.unpack_from("<QQ", body)
-        weights = struct.unpack_from(f"<{count}d", body, 16)
-        return ModelWeights(version, weights)
-    if kind == b"V":
-        (count,) = struct.unpack_from("<Q", body)
-        return struct.unpack_from(f"<{count}d", body, 8)
+    try:
+        if kind == b"M":
+            version, count = struct.unpack_from("<QQ", body)
+            return ModelWeights(version, struct.unpack_from(f"<{count}d", body, 16))
+        if kind == b"V":
+            (count,) = struct.unpack_from("<Q", body)
+            return struct.unpack_from(f"<{count}d", body, 8)
+    except (struct.error, CryptoError) as exc:
+        raise InvalidCiphertext(f"undecodable plaintext: {exc}") from exc
     raise InvalidCiphertext(f"unknown plaintext kind {kind!r}")
 
 
@@ -308,7 +306,8 @@ def verify_submission(
     Part 1 binds the submitted ciphertext to the digest committed in the
     testing block. Part 2 re-derives every claimed output under
     encryption and compares it against evaluating the encrypted model on
-    the encrypted input, case by case.
+    the encrypted input, case by case. A non-finite claimed output is
+    rejected: it has no place in the ranking by mean squared error.
     """
     try:
         key_id = _parse_key(pk, _PK_MAGIC)
@@ -321,6 +320,8 @@ def verify_submission(
     if len(claimed_outputs) != len(testing_inputs):
         return Verdict.reject(VERDICT_OUTPUT_MISMATCH)
     for claimed, x in zip(claimed_outputs, testing_inputs):
+        if not all(map(math.isfinite, claimed)):
+            return Verdict.reject(VERDICT_OUTPUT_MISMATCH)
         try:
             actual = fhe_eval(enc_model, fhe_encrypt(pk, x))
         except (InvalidCiphertext, LengthMismatch):

@@ -9,6 +9,13 @@ way. This module evaluates the closed-form utility of every
 for trainers), and solves for the smallest reward rates that keep the
 whole condition set satisfiable.
 
+T1-T6 are the roles' "Normal utility >= 0" in cross-multiplied form
+(times 1 - beta where citations are discounted, no count divided out),
+so each cost is written once and shared by a utility and its condition,
+and the DBM/TBM/SBM Normal utilities are lhs - bound of T3/T5/T6. T1,
+T2 and T8 are linear in r_cited: the rate-form citation bounds are
+derived as each condition's bound over its r_cited coefficient.
+
 All monetary quantities are expressed in a single real-valued "coins"
 unit. The value of one model-version increment is `coin_unit` coins
 (default 1.0); rewards can never be negative, so solved lower bounds
@@ -19,12 +26,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 from . import configio
-
-ROLES = ("MO", "T", "DBM", "EBM", "TBM", "SBM")
 
 ROLE_STRATEGIES: dict[str, tuple[str, ...]] = {
     "MO": ("N", "NTm"),
@@ -114,16 +119,7 @@ class EconomicParams:
             raise InvalidEconomicParams(
                 f"k_expand must be finite and >= 1, got {self.k_expand}"
             )
-        for name in (
-            "b_mo", "b_t", "k_transmit", "k_encrypt", "model_size", "p_comp",
-            "data_volume", "train_time", "c_mine", "c_gen_fhe_key",
-            "c_gen_td_case_unit", "c_verify_unit", "q_selected",
-            "q_selected_mo_avg", "q_selected_t_avg", "q_broadcast", "q_deposit",
-            "q_deposit_less", "q_hash_m", "q_encrypted_m", "q_cases",
-            "q_verified_m", "v_rec_m", "v_now_t", "v_fhem", "v_now_ebm",
-            "coin_unit", "r_cited", "r_deposit", "r_hash_m", "r_encrypted_m",
-            "r_case", "r_verified_m", "r_verify",
-        ):
+        for name in _NON_NEGATIVE_FIELDS:
             value = getattr(self, name)
             if not 0 <= value < math.inf:
                 raise InvalidEconomicParams(f"{name} must be finite and >= 0, got {value}")
@@ -135,6 +131,12 @@ class EconomicParams:
             raise InvalidEconomicParams(
                 f"v_fhem ({self.v_fhem}) cannot be older than v_now_ebm ({self.v_now_ebm})"
             )
+
+
+# Every field but the three range-checked above must be finite and >= 0.
+_NON_NEGATIVE_FIELDS = tuple(
+    f.name for f in fields(EconomicParams) if f.name not in ("beta", "s", "k_expand")
+)
 
 
 @dataclass(frozen=True)
@@ -155,8 +157,6 @@ class RoleStrategy:
 
 
 def _future_factor(p: EconomicParams) -> float:
-    if p.beta >= 1.0:
-        raise DivergentSeries(f"beta must be < 1, got {p.beta}")
     return 1.0 / (1.0 - p.beta)
 
 
@@ -164,14 +164,83 @@ def _training_cost(p: EconomicParams) -> float:
     return p.p_comp * p.data_volume * p.train_time * p.model_size
 
 
+def _transmit_cost(p: EconomicParams) -> float:
+    return p.k_transmit * p.model_size
+
+
+def _encrypt_cost(p: EconomicParams) -> float:
+    return p.k_encrypt * p.model_size
+
+
 def _broadcast_cost(p: EconomicParams) -> float:
     return p.q_broadcast * p.k_transmit * p.k_expand * p.model_size
 
 
+def _mo_cost(p: EconomicParams) -> float:
+    return p.q_selected * (1.0 - p.s) * p.b_mo + _transmit_cost(p)
+
+
+def _t_cost(p: EconomicParams) -> float:
+    return (
+        _training_cost(p)
+        + (1.0 - p.s) * p.b_t
+        + _transmit_cost(p)
+        + _encrypt_cost(p)
+        + _broadcast_cost(p)
+    )
+
+
+def _ebm_cost(p: EconomicParams) -> float:
+    return p.c_mine + p.k_transmit * p.k_expand * p.model_size + p.c_gen_fhe_key
+
+
+def _t1_sides(p: EconomicParams) -> tuple[float, float]:
+    return p.q_selected_mo_avg * p.r_cited, (1.0 - p.beta) * _mo_cost(p)
+
+
+def _t2_sides(p: EconomicParams) -> tuple[float, float]:
+    lhs = p.q_selected_t_avg * p.beta * p.r_cited
+    version_gain = (p.v_rec_m - p.v_now_t + 1) * p.coin_unit
+    return lhs, (1.0 - p.beta) * (_t_cost(p) - version_gain)
+
+
+def _t3_sides(p: EconomicParams) -> tuple[float, float]:
+    return p.q_deposit * p.r_deposit, p.c_mine
+
+
+def _t4_sides(p: EconomicParams) -> tuple[float, float]:
+    version_gain = (p.v_fhem - p.v_now_ebm) * p.coin_unit
+    return p.q_hash_m * p.r_hash_m, _ebm_cost(p) - version_gain
+
+
+def _t5_sides(p: EconomicParams) -> tuple[float, float]:
+    lhs = p.q_encrypted_m * p.r_encrypted_m + p.q_cases * p.r_case
+    bound = p.c_mine + p.q_cases * p.c_gen_td_case_unit
+    return lhs, bound
+
+
+def _t6_sides(p: EconomicParams) -> tuple[float, float]:
+    lhs = p.q_verified_m * p.r_verified_m + p.q_verified_m * p.q_cases * p.r_verify
+    bound = (
+        p.c_mine
+        + p.q_verified_m * p.k_transmit * p.k_expand * p.model_size
+        + p.q_verified_m * p.q_cases * p.c_verify_unit
+    )
+    return lhs, bound
+
+
+def _t7_sides(p: EconomicParams) -> tuple[float, float]:
+    return p.b_t, (p.v_rec_m - p.v_now_t) * p.coin_unit
+
+
+def _t8_sides(p: EconomicParams) -> tuple[float, float]:
+    lhs = p.q_selected_t_avg * p.beta * p.r_cited
+    bound = (1.0 - p.beta) * ((-p.s) * p.b_t + _encrypt_cost(p) + _broadcast_cost(p))
+    return lhs, bound
+
+
 def _u_mo_normal(p: EconomicParams) -> float:
-    revenue = p.q_selected_mo_avg * p.r_cited * _future_factor(p)
-    cost = p.q_selected * (1.0 - p.s) * p.b_mo + p.k_transmit * p.model_size
-    return revenue - cost
+    return p.q_selected_mo_avg * p.r_cited * _future_factor(p) - _mo_cost(p)
 
 
 def _u_mo_not_transmitting(p: EconomicParams) -> float:
@@ -179,31 +248,17 @@ def _u_mo_not_transmitting(p: EconomicParams) -> float:
 
 
 def _u_t_normal(p: EconomicParams) -> float:
-    version_gain = (p.v_rec_m - p.v_now_t + 1) * p.coin_unit
     future = p.q_selected_t_avg * p.beta * p.r_cited * _future_factor(p)
-    cost = (
-        _training_cost(p)
-        + (1.0 - p.s) * p.b_t
-        + p.k_transmit * p.model_size
-        + p.k_encrypt * p.model_size
-        + _broadcast_cost(p)
-    )
-    return version_gain + future - cost
+    return (p.v_rec_m - p.v_now_t + 1) * p.coin_unit + future - _t_cost(p)
 
 
 def _u_t_not_training(p: EconomicParams) -> float:
-    version_gain = (p.v_rec_m - p.v_now_t) * p.coin_unit
-    return version_gain - p.b_t - p.k_transmit * p.model_size
+    return (p.v_rec_m - p.v_now_t) * p.coin_unit - p.b_t - _transmit_cost(p)
 
 
 def _u_t_not_broadcasting(p: EconomicParams) -> float:
-    version_gain = (p.v_rec_m - p.v_now_t + 1) * p.coin_unit
-    cost = _training_cost(p) + p.b_t + p.k_transmit * p.model_size
-    return version_gain - cost
-
-
-def _u_dbm_normal(p: EconomicParams) -> float:
-    return p.q_deposit * p.r_deposit - p.c_mine
+    cost = _training_cost(p) + p.b_t + _transmit_cost(p)
+    return (p.v_rec_m - p.v_now_t + 1) * p.coin_unit - cost
 
 
 def _u_dbm_not_packing_all(p: EconomicParams) -> float:
@@ -215,42 +270,24 @@ def _u_dbm_not_packing_all(p: EconomicParams) -> float:
     return p.q_deposit_less * p.r_deposit - p.c_mine
 
 
-def _u_dbm_packing_improper(p: EconomicParams) -> float:
-    return -p.c_mine
-
-
 def _u_ebm_normal(p: EconomicParams) -> float:
     revenue = p.q_hash_m * p.r_hash_m + (p.v_fhem - p.v_now_ebm) * p.coin_unit
-    cost = p.c_mine + p.k_transmit * p.k_expand * p.model_size + p.c_gen_fhe_key
-    return revenue - cost
+    return revenue - _ebm_cost(p)
 
 
-def _u_ebm_not_generating(p: EconomicParams) -> float:
+def _u_mining_loss(p: EconomicParams) -> float:
+    """A miner who deviates pays for the block and earns nothing."""
     return -p.c_mine
 
 
-def _u_tbm_normal(p: EconomicParams) -> float:
-    revenue = p.q_encrypted_m * p.r_encrypted_m + p.q_cases * p.r_case
-    cost = p.c_mine + p.q_cases * p.c_gen_td_case_unit
-    return revenue - cost
-
-
-def _u_tbm_improper_testing(p: EconomicParams) -> float:
-    return -p.c_mine
-
-
-def _u_sbm_normal(p: EconomicParams) -> float:
-    revenue = p.q_verified_m * p.r_verified_m + p.q_verified_m * p.q_cases * p.r_verify
-    cost = (
-        p.c_mine
-        + p.q_verified_m * p.k_transmit * p.k_expand * p.model_size
-        + p.q_verified_m * p.q_cases * p.c_verify_unit
-    )
-    return revenue - cost
-
-
-def _u_sbm_improper_rank(p: EconomicParams) -> float:
-    return -p.c_mine
+def _slack_of(
+    sides: Callable[[EconomicParams], tuple[float, float]],
+) -> Callable[[EconomicParams], float]:
+    """Normal utility of a miner whose condition is its utility >= 0 as is."""
+    def utility(p: EconomicParams) -> float:
+        lhs, bound = sides(p)
+        return lhs - bound
+    return utility
 
 
 _UTILITY_TABLE: dict[tuple[str, str], Callable[[EconomicParams], float]] = {
@@ -259,15 +296,15 @@ _UTILITY_TABLE: dict[tuple[str, str], Callable[[EconomicParams], float]] = {
     ("T", "N"): _u_t_normal,
     ("T", "NTr"): _u_t_not_training,
     ("T", "NBr"): _u_t_not_broadcasting,
-    ("DBM", "N"): _u_dbm_normal,
+    ("DBM", "N"): _slack_of(_t3_sides),
     ("DBM", "NPA"): _u_dbm_not_packing_all,
-    ("DBM", "PI"): _u_dbm_packing_improper,
+    ("DBM", "PI"): _u_mining_loss,
     ("EBM", "N"): _u_ebm_normal,
-    ("EBM", "NG"): _u_ebm_not_generating,
-    ("TBM", "N"): _u_tbm_normal,
-    ("TBM", "IT"): _u_tbm_improper_testing,
-    ("SBM", "N"): _u_sbm_normal,
-    ("SBM", "IRa"): _u_sbm_improper_rank,
+    ("EBM", "NG"): _u_mining_loss,
+    ("TBM", "N"): _slack_of(_t5_sides),
+    ("TBM", "IT"): _u_mining_loss,
+    ("SBM", "N"): _slack_of(_t6_sides),
+    ("SBM", "IRa"): _u_mining_loss,
 }
 
 
@@ -363,82 +400,26 @@ class IncentiveReport:
             row.normal_dominates for row in self.dominance
         )
 
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(
-            {
-                "conditions": [e.to_dict() for e in self.conditions.entries],
-                "dominance": [row.to_dict() for row in self.dominance],
-            },
-            indent=indent,
-        )
+    def failed(self) -> list[str]:
+        return self.conditions.failed() + [
+            f"{row.role} vs {row.alternative}"
+            for row in self.dominance if not row.normal_dominates
+        ]
 
 
-# The six IR conditions compare linear coin totals. Each is the penultimate
-# (cross-multiplied) form of the corresponding rate bound: equivalent in sign
-# whenever the dividing count is positive, and well-defined when it is zero.
-
-def _t1_sides(p: EconomicParams) -> tuple[float, float]:
-    lhs = p.q_selected_mo_avg * p.r_cited
-    bound = (1.0 - p.beta) * (
-        p.q_selected * (1.0 - p.s) * p.b_mo + p.k_transmit * p.model_size
-    )
-    return lhs, bound
+_IR_SIDES = (
+    ("T1", _t1_sides), ("T2", _t2_sides), ("T3", _t3_sides),
+    ("T4", _t4_sides), ("T5", _t5_sides), ("T6", _t6_sides),
+)
+_IC_SIDES = (("T7", _t7_sides), ("T8", _t8_sides))
 
 
-def _t2_sides(p: EconomicParams) -> tuple[float, float]:
-    lhs = p.q_selected_t_avg * p.beta * p.r_cited
-    bound = (1.0 - p.beta) * (
-        _training_cost(p)
-        + (1.0 - p.s) * p.b_t
-        + p.k_transmit * p.model_size
-        + p.k_encrypt * p.model_size
-        + _broadcast_cost(p)
-        - (p.v_rec_m - p.v_now_t + 1) * p.coin_unit
-    )
-    return lhs, bound
-
-
-def _t3_sides(p: EconomicParams) -> tuple[float, float]:
-    return p.q_deposit * p.r_deposit, p.c_mine
-
-
-def _t4_sides(p: EconomicParams) -> tuple[float, float]:
-    lhs = p.q_hash_m * p.r_hash_m
-    bound = (
-        p.c_mine
-        + p.k_transmit * p.k_expand * p.model_size
-        + p.c_gen_fhe_key
-        - (p.v_fhem - p.v_now_ebm) * p.coin_unit
-    )
-    return lhs, bound
-
-
-def _t5_sides(p: EconomicParams) -> tuple[float, float]:
-    lhs = p.q_encrypted_m * p.r_encrypted_m + p.q_cases * p.r_case
-    bound = p.c_mine + p.q_cases * p.c_gen_td_case_unit
-    return lhs, bound
-
-
-def _t6_sides(p: EconomicParams) -> tuple[float, float]:
-    lhs = p.q_verified_m * p.r_verified_m + p.q_verified_m * p.q_cases * p.r_verify
-    bound = (
-        p.c_mine
-        + p.q_verified_m * p.k_transmit * p.k_expand * p.model_size
-        + p.q_verified_m * p.q_cases * p.c_verify_unit
-    )
-    return lhs, bound
-
-
-def _t7_sides(p: EconomicParams) -> tuple[float, float]:
-    return p.b_t, (p.v_rec_m - p.v_now_t) * p.coin_unit
-
-
-def _t8_sides(p: EconomicParams) -> tuple[float, float]:
-    lhs = p.q_selected_t_avg * p.beta * p.r_cited
-    bound = (1.0 - p.beta) * (
-        (-p.s) * p.b_t + p.k_encrypt * p.model_size + _broadcast_cost(p)
-    )
-    return lhs, bound
+def _report(p: EconomicParams, named_sides, strict: bool) -> ConditionReport:
+    entries = []
+    for name, sides in named_sides:
+        lhs, bound = sides(p)
+        entries.append(ConditionEntry(name, lhs, bound, strict))
+    return ConditionReport(tuple(entries))
 
 
 def check_ir(p: EconomicParams) -> ConditionReport:
@@ -447,14 +428,7 @@ def check_ir(p: EconomicParams) -> ConditionReport:
     T5 and T6 involve two free reward rates each and are checked as
     joint linear constraints on the pair.
     """
-    entries = []
-    for name, sides in (
-        ("T1", _t1_sides), ("T2", _t2_sides), ("T3", _t3_sides),
-        ("T4", _t4_sides), ("T5", _t5_sides), ("T6", _t6_sides),
-    ):
-        lhs, bound = sides(p)
-        entries.append(ConditionEntry(name, lhs, bound, strict=False))
-    return ConditionReport(tuple(entries))
+    return _report(p, _IR_SIDES, strict=False)
 
 
 def check_ic(p: EconomicParams) -> IncentiveReport:
@@ -466,10 +440,6 @@ def check_ic(p: EconomicParams) -> IncentiveReport:
     utility(N) - utility(alt) for every alternative strategy of every
     role and flags any non-positive gap.
     """
-    entries = []
-    for name, sides in (("T7", _t7_sides), ("T8", _t8_sides)):
-        lhs, bound = sides(p)
-        entries.append(ConditionEntry(name, lhs, bound, strict=True))
     rows = []
     for role, strategies in ROLE_STRATEGIES.items():
         u_normal = strategy_utility(RoleStrategy(role, "N"), p)
@@ -478,7 +448,7 @@ def check_ic(p: EconomicParams) -> IncentiveReport:
                 continue
             gap = u_normal - strategy_utility(RoleStrategy(role, alt), p)
             rows.append(DominanceRow(role, alt, gap))
-    return IncentiveReport(ConditionReport(tuple(entries)), tuple(rows))
+    return IncentiveReport(_report(p, _IC_SIDES, strict=True), tuple(rows))
 
 
 def evaluate_conditions(p: EconomicParams) -> tuple[ConditionReport, IncentiveReport]:
@@ -487,28 +457,23 @@ def evaluate_conditions(p: EconomicParams) -> tuple[ConditionReport, IncentiveRe
 
 
 def citation_reward_bounds(p: EconomicParams) -> dict[str, float]:
-    """The three rate-form lower bounds on the citation reward (T1/T2/T8)."""
+    """The three rate-form lower bounds on the citation reward (T1/T2/T8).
+
+    Each is its condition's bound divided by the condition's r_cited
+    coefficient.
+    """
     if p.q_selected_mo_avg <= 0:
         raise DegenerateDenominator("T1 bound requires q_selected_mo_avg > 0")
     if p.q_selected_t_avg <= 0:
         raise DegenerateDenominator("T2/T8 bounds require q_selected_t_avg > 0")
     if p.beta <= 0:
         raise DegenerateDenominator("T2/T8 bounds require beta > 0")
-    t1 = (1.0 - p.beta) * (
-        p.q_selected * (1.0 - p.s) * p.b_mo + p.k_transmit * p.model_size
-    ) / p.q_selected_mo_avg
-    t2 = (1.0 - p.beta) / (p.q_selected_t_avg * p.beta) * (
-        _training_cost(p)
-        + (1.0 - p.s) * p.b_t
-        + p.k_transmit * p.model_size
-        + p.k_encrypt * p.model_size
-        + _broadcast_cost(p)
-        - (p.v_rec_m - p.v_now_t + 1) * p.coin_unit
-    )
-    t8 = (1.0 - p.beta) / (p.q_selected_t_avg * p.beta) * (
-        (-p.s) * p.b_t + p.k_encrypt * p.model_size + _broadcast_cost(p)
-    )
-    return {"T1": t1, "T2": t2, "T8": t8}
+    weight = p.q_selected_t_avg * p.beta
+    return {
+        "T1": _t1_sides(p)[1] / p.q_selected_mo_avg,
+        "T2": _t2_sides(p)[1] / weight,
+        "T8": _t8_sides(p)[1] / weight,
+    }
 
 
 def minimal_citation_reward(p: EconomicParams) -> float:
@@ -518,8 +483,7 @@ def minimal_citation_reward(p: EconomicParams) -> float:
     itself may sit on the open boundary; any positive margin above it
     satisfies all three conditions.
     """
-    bounds = citation_reward_bounds(p)
-    return max(0.0, bounds["T1"], bounds["T2"], bounds["T8"])
+    return max(0.0, *citation_reward_bounds(p).values())
 
 
 @dataclass(frozen=True)
@@ -575,16 +539,13 @@ class MinerRewardBounds:
     tbm_constraint: HalfPlane
     sbm_constraint: HalfPlane
 
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(
-            {
-                "r_deposit_min": self.r_deposit_min,
-                "r_hash_m_min": self.r_hash_m_min,
-                "T5": self.tbm_constraint.to_dict(),
-                "T6": self.sbm_constraint.to_dict(),
-            },
-            indent=indent,
-        )
+    def to_dict(self) -> dict:
+        return {
+            "r_deposit_min": self.r_deposit_min,
+            "r_hash_m_min": self.r_hash_m_min,
+            "T5": self.tbm_constraint.to_dict(),
+            "T6": self.sbm_constraint.to_dict(),
+        }
 
 
 def minimal_miner_rewards(p: EconomicParams) -> MinerRewardBounds:
@@ -603,15 +564,12 @@ def minimal_miner_rewards(p: EconomicParams) -> MinerRewardBounds:
         raise DegenerateDenominator("T5 requires q_encrypted_m > 0 or q_cases > 0")
     if p.q_verified_m <= 0:
         raise DegenerateDenominator("T6 requires q_verified_m > 0")
-    r_deposit_min = max(0.0, p.c_mine / p.q_deposit)
-    _, t4_bound = _t4_sides(p)
-    r_hash_m_min = max(0.0, t4_bound / p.q_hash_m)
-    _, t5_c = _t5_sides(p)
-    _, t6_c = _t6_sides(p)
-    t5 = HalfPlane(float(p.q_encrypted_m), float(p.q_cases), t5_c,
+    r_deposit_min = max(0.0, _t3_sides(p)[1] / p.q_deposit)
+    r_hash_m_min = max(0.0, _t4_sides(p)[1] / p.q_hash_m)
+    t5 = HalfPlane(float(p.q_encrypted_m), float(p.q_cases), _t5_sides(p)[1],
                    "r_encrypted_m", "r_case")
-    t6 = HalfPlane(float(p.q_verified_m), float(p.q_verified_m * p.q_cases), t6_c,
-                   "r_verified_m", "r_verify")
+    t6 = HalfPlane(float(p.q_verified_m), float(p.q_verified_m * p.q_cases),
+                   _t6_sides(p)[1], "r_verified_m", "r_verify")
     return MinerRewardBounds(r_deposit_min, r_hash_m_min, t5, t6)
 
 

@@ -322,7 +322,7 @@ class ConcreteModels:
         # per-trainer jitter stays below the configured rate, so any
         # rate in (0, 1) remains a valid contraction
         rate = config.training_rate * (0.5 + 0.5 * rng.random())
-        trainer.model = crypto.train_toward(trainer.model, target, rate, mo.id)
+        trainer.model = crypto.train_toward(trainer.model, target, rate)
         trainer.model_version = trainer.model.version
         return crypto.model_digest(trainer.model), crypto.model_digest(mo.model)
 

@@ -271,7 +271,7 @@ def test_criterion_7_settlement_verification_concrete():
         inputs = [tuple(rng.uniform(-1, 1) for _ in range(dim)) for _ in range(10)]
         truths = [crypto.evaluate(target, x) for x in inputs]
 
-        honest = crypto.train_toward(start, target, 0.5, "mo")
+        honest = crypto.train_toward(start, target, 0.5)
         honest_ct = crypto.fhe_encrypt(pair.pk, honest)
         honest_committed = crypto.ciphertext_digest(honest_ct)
         honest_outputs = [crypto.evaluate(honest, x) for x in inputs]
@@ -300,7 +300,7 @@ def test_criterion_7_settlement_verification_concrete():
 
         # white-noise lazy worker: passes the hash-difference filter but
         # ranks strictly below the improved honest trainer
-        lazy = crypto.perturb_with_noise(start, rng, scale=1e-3, lineage_parent="mo")
+        lazy = crypto.perturb_with_noise(start, rng, scale=1e-3)
         assert crypto.model_digest(lazy) != crypto.model_digest(start)
         lazy_ct = crypto.fhe_encrypt(pair.pk, lazy)
         lazy_outputs = [crypto.evaluate(lazy, x) for x in inputs]

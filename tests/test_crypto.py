@@ -1,9 +1,12 @@
+import math
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relaysim import crypto
 from relaysim.crypto import (
     Ciphertext,
     EmptyCases,
@@ -43,7 +46,7 @@ class TestModelDigest:
 
     def test_white_noise_still_changes_digest(self):
         m = ModelWeights(1, (0.5, 0.5, 0.0))
-        lazy = perturb_with_noise(m, random.Random(4), scale=1e-6, lineage_parent=None)
+        lazy = perturb_with_noise(m, random.Random(4), scale=1e-6)
         assert model_digest(lazy) != model_digest(m)
 
     def test_non_finite_weight(self):
@@ -148,9 +151,8 @@ class TestTraining:
     def test_training_contracts_error_exactly(self):
         model = ModelWeights(1, (0.0, 0.0, 0.0))
         target = ModelWeights(0, (1.0, -1.0, 0.5))
-        trained = train_toward(model, target, 0.25, "parent")
+        trained = train_toward(model, target, 0.25)
         assert trained.version == 2
-        assert trained.lineage_parent == "parent"
         inputs = [(0.5, 2.0), (-1.0, 1.0), (3.0, 0.0)]
         truths = [evaluate(target, x) for x in inputs]
         before = performance_index([evaluate(model, x) for x in inputs], truths)
@@ -164,7 +166,7 @@ class TestVerifySubmission:
         pair = fhe_keygen(rng)
         target = ModelWeights(0, tuple(rng.uniform(-1, 1) for _ in range(4)))
         start = ModelWeights(5, tuple(rng.uniform(-1, 1) for _ in range(4)))
-        model = train_toward(start, target, 0.3, "mo")
+        model = train_toward(start, target, 0.3)
         inputs = [tuple(rng.uniform(-1, 1) for _ in range(3)) for _ in range(10)]
         ct = fhe_encrypt(pair.pk, model)
         committed = ciphertext_digest(ct)
@@ -229,6 +231,49 @@ class TestVerifySubmission:
             tampered = Ciphertext(ct.key_id, flipped, ct.tag)
             verdict = verify_submission(committed, tampered, outputs, pair.pk, inputs)
             assert not verdict.accepted
+
+
+def _forged(pair, plaintext: bytes) -> Ciphertext:
+    """An authentic ciphertext over arbitrary plaintext bytes: the mock tag
+    hashes only the key id and payload, so anyone can compute it."""
+    payload = crypto._xor_stream(plaintext, pair.key_id)
+    return Ciphertext(pair.key_id, payload, crypto._tag(pair.key_id, payload))
+
+
+class TestUndecodablePlaintext:
+    PAYLOADS = {
+        "zero_weights": b"M" + struct.pack("<QQ", 1, 0),
+        "count_past_buffer": b"M" + struct.pack("<QQ", 1, 5) + struct.pack("<2d", 1.0, 2.0),
+        "truncated_body": b"M" + struct.pack("<Q", 1),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PAYLOADS))
+    def test_verdict_is_output_mismatch(self, name):
+        pair = fhe_keygen(random.Random(5))
+        ct = _forged(pair, self.PAYLOADS[name])
+        assert ciphertext_ok(ct)
+        verdict = verify_submission(
+            ciphertext_digest(ct), ct, [(0.0,)], pair.pk, [(1.0, 2.0)]
+        )
+        assert not verdict.accepted and verdict.reason == VERDICT_OUTPUT_MISMATCH
+        with pytest.raises(InvalidCiphertext):
+            fhe_decrypt_model(pair.sk, ct)
+
+
+class TestNonFiniteOutputs:
+    @pytest.mark.parametrize("weights", [
+        (math.nan, math.nan, math.nan),  # NaN outputs would rank arbitrarily
+        (1e308, 1e308, 0.0),             # finite weights, output overflows to inf
+    ])
+    def test_model_with_its_own_outputs_rejected(self, weights):
+        pair = fhe_keygen(random.Random(6))
+        model = ModelWeights(2, weights)
+        inputs = [(10.0, 10.0), (0.5, -1.0)]
+        ct = fhe_encrypt(pair.pk, model)
+        outputs = [evaluate(model, x) for x in inputs]
+        assert not math.isfinite(outputs[0][0])
+        verdict = verify_submission(ciphertext_digest(ct), ct, outputs, pair.pk, inputs)
+        assert not verdict.accepted and verdict.reason == VERDICT_OUTPUT_MISMATCH
 
 
 class TestPerformanceIndex:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import random
@@ -397,3 +398,111 @@ class TestParamsFromMapping:
             params_from_mapping({"q_deposit": "1.5"})
         with pytest.raises(InvalidEconomicParams):
             params_from_mapping({"q_deposit": "16.0"})
+
+
+def _golden_params(rng: random.Random) -> EconomicParams:
+    """A seeded parameter set with explicit reward rates (not solved ones)."""
+    q_deposit = rng.randint(2, 64)
+    gap = rng.randint(0, 5)
+    return EconomicParams(
+        beta=rng.choice([0.0, rng.uniform(0.0, 0.95)]),
+        s=rng.uniform(0.05, 0.95),
+        b_mo=rng.uniform(0.0, 1.0),
+        b_t=rng.uniform(0.0, 6.0),
+        k_transmit=rng.uniform(0.0, 1e-4),
+        k_encrypt=rng.uniform(0.0, 1e-4),
+        k_expand=rng.uniform(1.0, 4.0),
+        model_size=rng.uniform(0.0, 1e5),
+        p_comp=rng.uniform(0.0, 1e-8),
+        data_volume=rng.uniform(0.0, 1e3),
+        train_time=rng.uniform(0.0, 10.0),
+        c_mine=rng.uniform(0.0, 0.1),
+        c_gen_fhe_key=rng.uniform(0.0, 0.1),
+        c_gen_td_case_unit=rng.uniform(0.0, 1e-3),
+        c_verify_unit=rng.uniform(0.0, 1e-4),
+        q_selected=rng.randint(0, 8),
+        q_selected_mo_avg=rng.uniform(0.0, 8.0),
+        q_selected_t_avg=rng.uniform(0.0, 8.0),
+        q_broadcast=rng.randint(0, 16),
+        q_deposit=q_deposit,
+        q_deposit_less=rng.randint(1, q_deposit - 1),
+        q_hash_m=rng.randint(1, 64),
+        q_encrypted_m=rng.randint(0, 64),
+        q_cases=rng.randint(1, 200),
+        q_verified_m=rng.randint(1, 64),
+        v_rec_m=10 + gap,
+        v_now_t=10,
+        v_fhem=rng.randint(5, 10),
+        v_now_ebm=5,
+        coin_unit=rng.uniform(0.0, 2.0),
+        r_cited=rng.uniform(0.0, 1.0),
+        r_deposit=rng.uniform(0.0, 0.01),
+        r_hash_m=rng.uniform(0.0, 0.01),
+        r_encrypted_m=rng.uniform(0.0, 0.01),
+        r_case=rng.uniform(0.0, 0.01),
+        r_verified_m=rng.uniform(0.0, 0.01),
+        r_verify=rng.uniform(0.0, 1e-3),
+    )
+
+
+def _golden_record(p: EconomicParams) -> dict:
+    ir, ic = check_ir(p), check_ic(p)
+    return {
+        "utilities": [
+            strategy_utility(rs(role, strategy), p)
+            for role, strategies in ROLE_STRATEGIES.items()
+            for strategy in strategies
+        ],
+        "conditions": [
+            [e.condition, e.lhs, e.bound]
+            for e in ir.entries + ic.conditions.entries
+        ],
+        "gaps": [row.utility_gap for row in ic.dominance],
+        "miner": minimal_miner_rewards(p).to_dict(),
+    }
+
+
+def _closed_form_citation_bounds(p: EconomicParams) -> dict[str, float]:
+    """T1/T2/T8 rate bounds written out in closed form (the reference)."""
+    t1 = (1.0 - p.beta) * (
+        p.q_selected * (1.0 - p.s) * p.b_mo + p.k_transmit * p.model_size
+    ) / p.q_selected_mo_avg
+    t2 = (1.0 - p.beta) / (p.q_selected_t_avg * p.beta) * (
+        p.p_comp * p.data_volume * p.train_time * p.model_size
+        + (1.0 - p.s) * p.b_t
+        + p.k_transmit * p.model_size
+        + p.k_encrypt * p.model_size
+        + p.q_broadcast * p.k_transmit * p.k_expand * p.model_size
+        - (p.v_rec_m - p.v_now_t + 1) * p.coin_unit
+    )
+    t8 = (1.0 - p.beta) / (p.q_selected_t_avg * p.beta) * (
+        (-p.s) * p.b_t
+        + p.k_encrypt * p.model_size
+        + p.q_broadcast * p.k_transmit * p.k_expand * p.model_size
+    )
+    return {"T1": t1, "T2": t2, "T8": t8}
+
+
+class TestGoldenEconomics:
+    # SHA-256 of the JSON of every utility, condition side, dominance gap
+    # and minimal miner bound over 302 seeded parameter sets, pinned so
+    # that rewriting a formula cannot change a single bit of any value.
+    GOLDEN = "1499bc198e75ab475079d7a3398010f8d60cd7634f41359a9c459c43470ef35d"
+
+    def test_seeded_values_are_pinned(self):
+        rng = random.Random(20261018)
+        sets = [BASE, dataclasses.replace(BASE, r_cited=0.4, r_deposit=1e-3)]
+        sets += [_golden_params(rng) for _ in range(300)]
+        blob = json.dumps([_golden_record(p) for p in sets]).encode()
+        assert hashlib.sha256(blob).hexdigest() == self.GOLDEN
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_citation_bounds_match_closed_forms(self, data):
+        p = _random_base(data)
+        bounds = citation_reward_bounds(p)
+        reference = _closed_form_citation_bounds(p)
+        assert bounds["T1"] == reference["T1"]
+        for name in ("T2", "T8"):
+            tolerance = 4 * max(math.ulp(bounds[name]), math.ulp(reference[name]))
+            assert abs(bounds[name] - reference[name]) <= tolerance

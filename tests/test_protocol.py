@@ -352,7 +352,7 @@ class TestDishonestExclusion:
         submissions = []
         for i in range(4):
             start = crypto.ModelWeights(3, tuple(rng.uniform(-1, 1) for _ in range(3)))
-            model = crypto.train_toward(start, target, 0.4, "mo")
+            model = crypto.train_toward(start, target, 0.4)
             ct = crypto.fhe_encrypt(pair.pk, model)
             outputs = [crypto.evaluate(model, x) for x in inputs]
             if i == 0:  # output-substitution attacker
