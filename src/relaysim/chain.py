@@ -8,6 +8,12 @@ simulated: the winner of each block is a uniform seeded draw from the
 candidate miners, with a nonce field retained so a real puzzle could be
 slotted in later.
 
+``_violations`` is the one list of rules for the next block: kind
+cycle, height tip+1, back link to the tip's digest, round
+``(height + 3) // 4``, timestamp greater than the tip's, then the payload
+rules of ``validate_block``. ``append_block`` raises on them and
+``verify_chain_dump`` reports them; ``next_header`` builds a linked header.
+
 The dump format is one JSON object per block per line, digests
 hex-encoded lowercase. Each line carries the block's own digest so a
 mutation of the tip is as detectable as one in the middle.
@@ -33,10 +39,6 @@ from .serialize import DIGEST_SIZE, ZERO_DIGEST, digest as canonical_digest
 
 KINDS = ("DB", "EB", "TB", "SB")
 
-# Kind expected at each height: genesis occupies the SB slot of cycle 0,
-# then DB, EB, TB, SB repeat.
-_CYCLE = {1: "DB", 2: "EB", 3: "TB", 0: "SB"}
-
 
 class ChainError(ValueError):
     """Base class for chain construction errors."""
@@ -47,7 +49,7 @@ class KindOrderViolation(ChainError):
 
 
 class BrokenLinkage(ChainError):
-    """Previous-digest or height does not match the current tip."""
+    """Height, round, timestamp or back link does not follow the current tip."""
 
 
 class PayloadInvariantViolation(ChainError):
@@ -267,15 +269,17 @@ def block_digest(block: Block) -> bytes:
 
 
 def expected_kind(height: int) -> str:
-    return _CYCLE[height % 4]
+    """Genesis holds the SB slot of round 0, then DB, EB, TB, SB repeat."""
+    return KINDS[(height - 1) % 4]
+
+
+def expected_round(height: int) -> int:
+    return (height + 3) // 4
 
 
 def genesis_block() -> Block:
     """The fixed genesis block: an empty settlement at height 0."""
-    header = BlockHeader(
-        height=0, round=0, kind="SB", prev_digest=ZERO_DIGEST, nonce=0, timestamp=0
-    )
-    return Block(header, SettlementPayload(verified=(), top_set=()))
+    return Block(BlockHeader(0, 0, "SB", ZERO_DIGEST, 0, 0), SettlementPayload((), ()))
 
 
 @dataclass
@@ -296,14 +300,13 @@ def new_chain() -> Chain:
     return Chain(blocks=[genesis_block()])
 
 
-def validate_block(chain: Chain, block: Block, selection_rate: float | None = None) -> list[str]:
+def validate_block(chain: Chain, block: Block) -> list[str]:
     """Kind-specific payload checks; an empty list means valid.
 
     EB records must differ from the predecessor model's digest recorded
     in the previous round's EB; TB input/truth case counts must match;
-    SB top-set members must be verified and, when ``selection_rate`` is
-    given, the top-set size must equal floor(rate * verified) clamped
-    to at least one.
+    SB top-set members must be verified, and there are 1 to all of them
+    (none without verified records).
     """
     violations: list[str] = []
     payload = block.payload
@@ -332,13 +335,7 @@ def validate_block(chain: Chain, block: Block, selection_rate: float | None = No
             if trainer_id not in verified_ids:
                 violations.append(f"UnverifiedInTopSet: {trainer_id}")
         if payload.verified:
-            if selection_rate is not None:
-                expected = max(1, int(selection_rate * len(payload.verified)))
-                if len(payload.top_set) != expected:
-                    violations.append(
-                        f"TopSetSizeInvalid: {len(payload.top_set)} != {expected}"
-                    )
-            elif not 1 <= len(payload.top_set) <= len(payload.verified):
+            if not 1 <= len(payload.top_set) <= len(payload.verified):
                 violations.append(
                     f"TopSetSizeInvalid: {len(payload.top_set)} of "
                     f"{len(payload.verified)} verified"
@@ -348,26 +345,46 @@ def validate_block(chain: Chain, block: Block, selection_rate: float | None = No
     return violations
 
 
+def _violations(chain: Chain, tip_digest: bytes, block: Block) -> list[tuple[type, str]]:
+    """(error class, message) per rule ``block`` breaks after ``chain``, whose
+    tip hashes to ``tip_digest``. An empty chain has a virtual tip at height -1."""
+    tip = chain.blocks[-1].header if chain.blocks else None
+    height, header = tip.height + 1 if tip else 0, block.header
+    found = []
+    if header.kind != expected_kind(height):
+        found.append((KindOrderViolation,
+                      f"height {height} expects kind {expected_kind(height)}, got {header.kind}"))
+    if header.height != height:
+        found.append((BrokenLinkage, f"expected height {height}, got {header.height}"))
+    if header.prev_digest != tip_digest:
+        found.append((BrokenLinkage, "prev_digest does not match the current tip"))
+    if header.round != expected_round(header.height):
+        found.append((BrokenLinkage, f"height {header.height} is in round "
+                      f"{expected_round(header.height)}, got {header.round}"))
+    if tip and header.timestamp <= tip.timestamp:
+        found.append((BrokenLinkage,
+                      f"timestamp {header.timestamp} is not after the tip's {tip.timestamp}"))
+    found.extend((PayloadInvariantViolation, v) for v in validate_block(chain, block))
+    return found
+
+
 def append_block(chain: Chain, block: Block) -> Chain:
-    """Extend the chain by one block after linkage, cycle and payload checks."""
-    tip = chain.tip
-    want_kind = expected_kind(tip.header.height + 1)
-    if block.header.kind != want_kind:
-        raise KindOrderViolation(
-            f"height {tip.header.height + 1} expects kind {want_kind}, "
-            f"got {block.header.kind}"
-        )
-    if block.header.height != tip.header.height + 1:
-        raise BrokenLinkage(
-            f"expected height {tip.header.height + 1}, got {block.header.height}"
-        )
-    if block.header.prev_digest != block_digest(tip):
-        raise BrokenLinkage("prev_digest does not match the current tip")
-    violations = validate_block(chain, block)
-    if violations:
-        raise PayloadInvariantViolation("; ".join(violations))
+    """Extend the chain by one block; raises the class of the first broken
+    rule of ``_violations`` with every message of that class."""
+    found = _violations(chain, block_digest(chain.tip), block)
+    if found:
+        error = found[0][0]
+        raise error("; ".join(message for cls, message in found if cls is error))
     chain.blocks.append(block)
     return chain
+
+
+def next_header(chain: Chain, nonce: int) -> BlockHeader:
+    """The header that links a block with ``nonce`` onto ``chain``'s tip."""
+    tip = chain.tip.header
+    height = tip.height + 1
+    return BlockHeader(height, expected_round(height), expected_kind(height),
+                       block_digest(chain.tip), nonce, tip.timestamp + 1)
 
 
 def mine_winner(candidates: Sequence[str], rng: random.Random) -> str:
@@ -416,12 +433,13 @@ def chain_from_jsonl(text: str) -> Chain:
 def verify_chain_dump(text: str) -> list[str]:
     """Revalidate a serialized chain; an empty list means intact.
 
-    Detects any single-byte mutation: unparseable lines, recorded
-    digests that no longer match the recomputed block digest, broken
-    back links, kind-cycle violations and payload violations.
+    Detects any single-byte mutation: unparseable lines, recorded digests
+    that differ from the recomputed one, and every broken rule of
+    ``_violations`` as ``<error class>: line N: <message>``.
     """
     violations: list[str] = []
-    entries = []
+    partial = Chain(blocks=[])
+    prev_digest = ZERO_DIGEST
     for lineno, line in enumerate(text.splitlines()):
         if not line.strip():
             continue
@@ -433,24 +451,14 @@ def verify_chain_dump(text: str) -> list[str]:
         except (ValueError, KeyError, TypeError, OverflowError) as exc:
             violations.append(f"Unparseable: line {lineno}: {exc}")
             continue
-        entries.append((lineno, block, recorded, actual))
-    if not entries:
-        violations.append("EmptyChain: no blocks")
-        return violations
-    partial = Chain(blocks=[])
-    prev_digest = ZERO_DIGEST
-    for index, (lineno, block, recorded, actual) in enumerate(entries):
         if actual != recorded:
             violations.append(f"DigestMismatch: line {lineno}")
-        if block.header.height != index:
-            violations.append(f"HeightGap: line {lineno}")
-        if block.header.kind != expected_kind(index):
-            violations.append(f"KindOrderViolation: line {lineno}")
-        if block.header.prev_digest != prev_digest:
-            violations.append(f"BrokenLinkage: line {lineno}")
         violations.extend(
-            f"{v}: line {lineno}" for v in validate_block(partial, block)
+            f"{cls.__name__}: line {lineno}: {message}"
+            for cls, message in _violations(partial, prev_digest, block)
         )
         partial.blocks.append(block)
         prev_digest = actual
+    if not partial.blocks:
+        violations.append("EmptyChain: no blocks")
     return violations

@@ -11,8 +11,11 @@ Verbs:
     export            revalidate a stored chain dump and re-serialize it
 
 Flags: --config PATH, --out PATH, --seed U64, --rounds N,
---mode abstract|concrete, --set key=value (repeatable). Override
-precedence: command line > config file > built-in defaults.
+--mode abstract|concrete, --set key=value (repeatable); ``VERBS`` lists
+the flags each verb takes, and any other flag is an error. Override
+precedence: command line > config file > built-in defaults. A bad
+invocation or an unusable --config or --out path exits 2 before any
+work is done.
 """
 
 from __future__ import annotations
@@ -22,11 +25,10 @@ import random
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from . import configio, economics, protocol, sim
 from .chain import chain_from_jsonl, chain_to_jsonl, verify_chain_dump
-
-VERBS = ("simulate", "check-incentives", "min-rewards", "trace-round", "export")
 
 
 class CliError(ValueError):
@@ -53,77 +55,89 @@ class Command:
     overrides: dict[str, str] = field(default_factory=dict)
 
 
+def _is_integer(value: str) -> bool:
+    try:
+        int(value)
+    except ValueError:
+        return False
+    return True
+
+
+def _override(key: str, valid: Callable[[str], bool], expects: str) -> Callable:
+    """Handler of a flag that sets the override ``key`` to a valid value."""
+    def store(cmd: Command, flag: str, value: str) -> None:
+        if not valid(value):
+            raise BadOverride(f"{flag} expects {expects}, got {value!r}")
+        cmd.overrides[key] = value
+    return store
+
+
+def _set_override(cmd: Command, flag: str, value: str) -> None:
+    key, eq, raw = value.partition("=")
+    if not eq or not key.strip():
+        raise BadOverride(f"{flag} expects key=value, got {value!r}")
+    cmd.overrides[key.strip()] = raw.strip()
+
+
+# flag -> handler that checks the flag's one value and stores it
+FLAGS: dict[str, Callable[[Command, str, str], None]] = {
+    "--config": lambda cmd, flag, value: setattr(cmd, "config_path", value),
+    "--out": lambda cmd, flag, value: setattr(cmd, "output_path", value),
+    "--seed": _override("seed", _is_integer, "an integer"),
+    "--rounds": _override("rounds", _is_integer, "an integer"),
+    "--mode": _override("mode", protocol.MODELS.__contains__,
+                        f"one of {', '.join(protocol.MODELS)}"),
+    "--set": _set_override,
+}
+
+
 def parse_invocation(argv: list[str]) -> Command:
     """Parse a verb plus flags into a command; overrides keep CLI order."""
     if not argv:
         raise UnknownVerb(f"missing verb; expected one of {', '.join(VERBS)}")
-    verb = argv[0]
+    verb, args = argv[0], argv[1:]
     if verb in ("-h", "--help"):
         print(__doc__)
+        for name, (_, flags) in VERBS.items():
+            print(f"{name} takes {' '.join(flags)}")
         raise SystemExit(0)
     if verb not in VERBS:
         raise UnknownVerb(f"unknown verb {verb!r}; expected one of {', '.join(VERBS)}")
     cmd = Command(verb=verb)
-    i = 1
-    while i < len(argv):
-        flag = argv[i]
-
-        def take_value() -> str:
-            if i + 1 >= len(argv):
-                raise BadOverride(f"flag {flag} needs a value")
-            return argv[i + 1]
-
-        if flag == "--config":
-            cmd.config_path = take_value()
-            i += 2
-        elif flag == "--out":
-            cmd.output_path = take_value()
-            i += 2
-        elif flag == "--seed":
-            value = take_value()
-            try:
-                int(value)
-            except ValueError:
-                raise BadOverride(f"--seed expects an integer, got {value!r}") from None
-            cmd.overrides["seed"] = value
-            i += 2
-        elif flag == "--rounds":
-            value = take_value()
-            try:
-                int(value)
-            except ValueError:
-                raise BadOverride(f"--rounds expects an integer, got {value!r}") from None
-            cmd.overrides["rounds"] = value
-            i += 2
-        elif flag == "--mode":
-            value = take_value()
-            if value not in protocol.MODELS:
-                raise BadOverride(
-                    f"--mode expects one of {', '.join(protocol.MODELS)}, got {value!r}"
-                )
-            cmd.overrides["mode"] = value
-            i += 2
-        elif flag == "--set":
-            value = take_value()
-            if "=" not in value:
-                raise BadOverride(f"--set expects key=value, got {value!r}")
-            key, _, raw = value.partition("=")
-            if not key.strip():
-                raise BadOverride(f"--set expects key=value, got {value!r}")
-            cmd.overrides[key.strip()] = raw.strip()
-            i += 2
-        else:
+    _, takes = VERBS[verb]
+    for i in range(0, len(args), 2):
+        flag = args[i]
+        if flag not in FLAGS:
             raise BadOverride(f"unknown flag {flag!r}")
+        if flag not in takes:
+            raise BadOverride(f"{verb} does not take {flag}")
+        if i + 1 >= len(args):
+            raise BadOverride(f"flag {flag} needs a value")
+        FLAGS[flag](cmd, flag, args[i + 1])
     return cmd
+
+
+def _input_file(cmd: Command, what: str) -> Path:
+    path = Path(cmd.config_path)
+    if not path.exists():
+        raise MissingConfig(f"{what} not found: {path}")
+    return path
+
+
+def _output_file(cmd: Command) -> Path | None:
+    """The --out file, checked before any work so a bad path costs none."""
+    if cmd.output_path is None:
+        return None
+    path = Path(cmd.output_path)
+    if path.is_dir() or not path.parent.is_dir():
+        raise BadOverride(f"--out must name a file in an existing directory, got {path}")
+    return path
 
 
 def _merged_mapping(cmd: Command) -> dict[str, str]:
     mapping: dict[str, str] = {}
     if cmd.config_path is not None:
-        path = Path(cmd.config_path)
-        if not path.exists():
-            raise MissingConfig(f"config file not found: {path}")
-        mapping.update(configio.load_kv_file(path))
+        mapping.update(configio.load_kv_file(_input_file(cmd, "config file")))
     mapping.update(cmd.overrides)
     return mapping
 
@@ -146,20 +160,15 @@ def _econ_params(cmd: Command) -> economics.EconomicParams:
 
 def _run_simulate(cmd: Command) -> int:
     config = _sim_config(cmd)
-    run = sim.simulate_run(config)
     out_dir = Path(cmd.output_path or "out")
     out_dir.mkdir(parents=True, exist_ok=True)
+    run = sim.simulate_run(config)
     (out_dir / "metrics.csv").write_text(run.metrics.to_csv(), encoding="utf-8")
     (out_dir / "summary.json").write_text(sim.summary_json(run) + "\n", encoding="utf-8")
     if run.state is not None:
-        (out_dir / "chain.jsonl").write_text(
-            chain_to_jsonl(run.state.chain), encoding="utf-8"
-        )
-    print(
-        f"simulated {run.metrics.rounds} rounds "
-        f"({len(run.metrics.participant_ids)} participants, seed {config.seed}); "
-        f"outputs in {out_dir}"
-    )
+        (out_dir / "chain.jsonl").write_text(chain_to_jsonl(run.state.chain), encoding="utf-8")
+    print(f"simulated {run.metrics.rounds} rounds ({len(run.metrics.participant_ids)} "
+          f"participants, seed {config.seed}); outputs in {out_dir}")
     return 0
 
 
@@ -193,6 +202,7 @@ def _run_trace_round(cmd: Command) -> int:
     config = _sim_config(cmd)
     if config.round_robin_variant:
         raise BadOverride("trace-round traces the full protocol, not the round-robin variant")
+    out = _output_file(cmd)
     rng = random.Random(config.seed)
     state = protocol.init_state(config, rng)
     params = sim.params_for_simulation(config)
@@ -200,8 +210,8 @@ def _run_trace_round(cmd: Command) -> int:
     state, log = protocol.run_round(state, params, config, rng)
     after = state.balances()
     _print_trace(log, before, after, config)
-    if cmd.output_path is not None:
-        Path(cmd.output_path).write_text(log.to_json(indent=2) + "\n", encoding="utf-8")
+    if out is not None:
+        out.write_text(log.to_json(indent=2) + "\n", encoding="utf-8")
     return 0
 
 
@@ -217,10 +227,9 @@ def _print_trace(log, before: dict[str, float], after: dict[str, float], config)
     print(f" (4) transmission: {len(log.matches.pairs)} trainer(s) received a model")
     print(f" (5) training: {successes}/{len(log.training)} succeeded")
     print(f" (6) hash broadcast: {successes} digest(s)")
-    eb_records = sum(1 for t in log.training if t.success)
     print(f" (7) encryption block mined by {log.miners['EB']}: "
-          f"{eb_records} record(s), digest {log.block_digests['EB'][:16]}...")
-    print(f" (8) encryption: {eb_records} model(s) encrypted")
+          f"{successes} record(s), digest {log.block_digests['EB'][:16]}...")
+    print(f" (8) encryption: {successes} model(s) encrypted")
     print(f" (9) testing block mined by {log.miners['TB']}: "
           f"{config.q_cases} case(s), digest {log.block_digests['TB'][:16]}...")
     print(f"(10) outputs: {len(log.verified)} submission(s)")
@@ -240,45 +249,40 @@ def _run_export(cmd: Command) -> int:
         raise MissingConfig("export requires --config with the chain dump to read")
     if cmd.output_path is None:
         raise MissingConfig("export requires --out for the re-serialized dump")
-    path = Path(cmd.config_path)
-    if not path.exists():
-        raise MissingConfig(f"chain dump not found: {path}")
-    text = path.read_text(encoding="utf-8")
+    text = _input_file(cmd, "chain dump").read_text(encoding="utf-8")
+    out = _output_file(cmd)
     violations = verify_chain_dump(text)
     if violations:
         for violation in violations:
             print(f"export: {violation}", file=sys.stderr)
         return 1
     chain = chain_from_jsonl(text)
-    Path(cmd.output_path).write_text(chain_to_jsonl(chain), encoding="utf-8")
-    print(f"exported {len(chain.blocks)} block(s) to {cmd.output_path}")
+    out.write_text(chain_to_jsonl(chain), encoding="utf-8")
+    print(f"exported {len(chain.blocks)} block(s) to {out}")
     return 0
 
 
+_SIM_FLAGS = ("--config", "--out", "--seed", "--mode", "--set")
+
+# verb -> (handler, the flags it takes)
+VERBS: dict[str, tuple[Callable[[Command], int], tuple[str, ...]]] = {
+    "simulate": (_run_simulate, _SIM_FLAGS + ("--rounds",)),
+    "check-incentives": (_run_check_incentives, ("--config", "--set")),
+    "min-rewards": (_run_min_rewards, ("--config", "--set")),
+    "trace-round": (_run_trace_round, _SIM_FLAGS),
+    "export": (_run_export, ("--config", "--out")),
+}
+
+
 def execute(cmd: Command) -> int:
-    if cmd.verb == "simulate":
-        return _run_simulate(cmd)
-    if cmd.verb == "check-incentives":
-        return _run_check_incentives(cmd)
-    if cmd.verb == "min-rewards":
-        return _run_min_rewards(cmd)
-    if cmd.verb == "trace-round":
-        return _run_trace_round(cmd)
-    if cmd.verb == "export":
-        return _run_export(cmd)
-    raise UnknownVerb(f"unknown verb {cmd.verb!r}")
+    return VERBS[cmd.verb][0](cmd)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = list(sys.argv[1:] if argv is None else argv)
     try:
-        cmd = parse_invocation(args)
-    except CliError as exc:
-        print(f"relaysim: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return execute(cmd)
-    except CliError as exc:
+        return execute(parse_invocation(args))
+    except (CliError, OSError) as exc:
         print(f"relaysim: {exc}", file=sys.stderr)
         return 2
     except (economics.EconomicsError, sim.SimError, configio.ConfigFormatError,

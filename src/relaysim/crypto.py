@@ -191,17 +191,18 @@ def _encode_plaintext(value: ModelWeights | Sequence[float]) -> bytes:
 
 
 def _decode_plaintext(raw: bytes) -> ModelWeights | Vector:
-    """Parse an opened payload; the tag is forgeable, so any bytes may arrive."""
+    """Parse an opened payload; the tag is forgeable, so any bytes may arrive.
+    Only the canonical encoding, with no bytes after the weights, decodes."""
     if not raw:
         raise InvalidCiphertext("empty plaintext encoding")
     kind, body = raw[:1], raw[1:]
     try:
         if kind == b"M":
             version, count = struct.unpack_from("<QQ", body)
-            return ModelWeights(version, struct.unpack_from(f"<{count}d", body, 16))
+            return ModelWeights(version, struct.unpack(f"<{count}d", body[16:]))
         if kind == b"V":
             (count,) = struct.unpack_from("<Q", body)
-            return struct.unpack_from(f"<{count}d", body, 8)
+            return struct.unpack(f"<{count}d", body[8:])
     except (struct.error, CryptoError) as exc:
         raise InvalidCiphertext(f"undecodable plaintext: {exc}") from exc
     raise InvalidCiphertext(f"unknown plaintext kind {kind!r}")

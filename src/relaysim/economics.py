@@ -31,16 +31,6 @@ from typing import Callable
 
 from . import configio
 
-ROLE_STRATEGIES: dict[str, tuple[str, ...]] = {
-    "MO": ("N", "NTm"),
-    "T": ("N", "NTr", "NBr"),
-    "DBM": ("N", "NPA", "PI"),
-    "EBM": ("N", "NG"),
-    "TBM": ("N", "IT"),
-    "SBM": ("N", "IRa"),
-}
-
-
 class EconomicsError(ValueError):
     """Base class for economic-parameter and evaluation errors."""
 
@@ -307,6 +297,12 @@ _UTILITY_TABLE: dict[tuple[str, str], Callable[[EconomicParams], float]] = {
     ("SBM", "IRa"): _u_mining_loss,
 }
 
+# Each role's strategies in table order, Normal ("N") first.
+ROLE_STRATEGIES: dict[str, tuple[str, ...]] = {
+    role: tuple(s for r, s in _UTILITY_TABLE if r == role)
+    for role in dict.fromkeys(r for r, _ in _UTILITY_TABLE)
+}
+
 
 def strategy_utility(rs: RoleStrategy, p: EconomicParams) -> float:
     """Utility in coins of playing ``rs.strategy`` in role ``rs.role``.
@@ -441,13 +437,11 @@ def check_ic(p: EconomicParams) -> IncentiveReport:
     role and flags any non-positive gap.
     """
     rows = []
-    for role, strategies in ROLE_STRATEGIES.items():
-        u_normal = strategy_utility(RoleStrategy(role, "N"), p)
-        for alt in strategies:
-            if alt == "N":
-                continue
-            gap = u_normal - strategy_utility(RoleStrategy(role, alt), p)
-            rows.append(DominanceRow(role, alt, gap))
+    for (role, strategy), utility in _UTILITY_TABLE.items():
+        if strategy == "N":  # listed first for each role
+            u_normal = utility(p)
+        else:
+            rows.append(DominanceRow(role, strategy, u_normal - utility(p)))
     return IncentiveReport(_report(p, _IC_SIDES, strict=True), tuple(rows))
 
 

@@ -482,23 +482,14 @@ def run_round(
     miners: dict[str, str] = {}
     block_digests: dict[str, str] = {}
 
-    def mine(kind: str, payload: chainmod.Payload) -> None:
-        tip = state.chain.tip
-        header = chainmod.BlockHeader(
-            height=tip.header.height + 1,
-            round=round_index,
-            kind=kind,
-            prev_digest=chainmod.block_digest(tip),
-            nonce=rng.getrandbits(64),
-            timestamp=tip.header.timestamp + 1,
-        )
-        block = chainmod.Block(header, payload)
+    def mine(payload: chainmod.Payload) -> None:
+        block = chainmod.Block(chainmod.next_header(state.chain, rng.getrandbits(64)), payload)
         chainmod.append_block(state.chain, block)
-        block_digests[kind] = chainmod.block_digest(block).hex()
+        block_digests[block.header.kind] = chainmod.block_digest(block).hex()
 
     # (3) deposit block
     miners["DB"] = _draw_miner(miner_pool, rng, config.distinct_miners_per_round)
-    mine("DB", chainmod.DepositPayload(
+    mine(chainmod.DepositPayload(
         contracts=tuple(
             chainmod.ContractRecord(c.mo_id, c.trainer_id, c.mo_amount, c.t_amount)
             for c in contracts
@@ -545,7 +536,7 @@ def run_round(
         for o in outcomes
         if o.success and new_digests[o.trainer_id] != prev_digests[o.trainer_id]
     )
-    mine("EB", chainmod.EncryptionPayload(pk=keypair.pk, records=eb_records))
+    mine(chainmod.EncryptionPayload(pk=keypair.pk, records=eb_records))
 
     # (8-9) encryption and the testing block; a sealed entry is
     # (EB record, ciphertext or None, committed encrypted-model digest)
@@ -559,7 +550,7 @@ def run_round(
     )
     miners["TB"] = _draw_miner(miner_pool, rng, config.distinct_miners_per_round)
     testing_inputs, testing_truths = models.testing_cases(state.target_model, config, rng)
-    mine("TB", chainmod.TestingPayload(
+    mine(chainmod.TestingPayload(
         encrypted_model_digests=enc_digests,
         testing_inputs=testing_inputs,
         testing_truths=testing_truths,
@@ -571,7 +562,7 @@ def run_round(
         sealed, participants, keypair.pk, testing_inputs, testing_truths, rng
     )
     top_set = rank_and_select(verified, config.s)
-    mine("SB", chainmod.SettlementPayload(
+    mine(chainmod.SettlementPayload(
         verified=tuple(verified), top_set=tuple(top_set)
     ))
 

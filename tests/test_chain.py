@@ -8,6 +8,7 @@ from relaysim.chain import (
     Block,
     BlockHeader,
     BrokenLinkage,
+    Chain,
     ChainError,
     Coinbase,
     ContractRecord,
@@ -157,6 +158,59 @@ class TestValidate:
         )
         with pytest.raises(PayloadInvariantViolation, match="UnverifiedInTopSet"):
             append_block(chain, Block(_next_header(chain, "SB"), bad))
+
+
+class TestRuleList:
+    """append_block and verify_chain_dump enforce one list of rules."""
+
+    # A TB candidate at height 3, broken in exactly one rule each.
+    BROKEN = {
+        "kind": (KindOrderViolation, lambda h, tip: (
+            dataclasses.replace(h, kind="SB"), SettlementPayload((), ()))),
+        "height": (BrokenLinkage, lambda h, tip: (
+            dataclasses.replace(h, height=4), _empty_payload("TB"))),
+        "back_link": (BrokenLinkage, lambda h, tip: (
+            dataclasses.replace(h, prev_digest=b"\x01" * 32), _empty_payload("TB"))),
+        "round": (BrokenLinkage, lambda h, tip: (
+            dataclasses.replace(h, round=2), _empty_payload("TB"))),
+        "timestamp": (BrokenLinkage, lambda h, tip: (
+            dataclasses.replace(h, timestamp=tip.header.timestamp), _empty_payload("TB"))),
+        "payload": (PayloadInvariantViolation, lambda h, tip: (
+            h, TestingPayload((), ((1.0,),), ()))),
+    }
+
+    def _two_blocks(self):
+        chain = new_chain()
+        for k in ("DB", "EB"):
+            append_block(chain, Block(_next_header(chain, k), _empty_payload(k)))
+        return chain
+
+    def test_valid_candidate_appends_and_verifies(self):
+        chain = self._two_blocks()
+        append_block(chain, Block(_next_header(chain, "TB"), _empty_payload("TB")))
+        assert verify_chain_dump(chain_to_jsonl(chain)) == []
+
+    @pytest.mark.parametrize("rule", sorted(BROKEN))
+    def test_append_raises_exactly_when_dump_flags_the_line(self, rule):
+        error, breaks = self.BROKEN[rule]
+        chain = self._two_blocks()
+        block = Block(*breaks(_next_header(chain, "TB"), chain.tip))
+        with pytest.raises(ChainError) as raised:
+            append_block(chain, block)
+        assert type(raised.value) is error
+        assert len(chain) == 3
+        # The same block in a chain built without append_block.
+        dump = chain_to_jsonl(Chain(blocks=[*chain.blocks, block]))
+        assert verify_chain_dump(dump) == [f"{error.__name__}: line 3: {raised.value}"]
+
+    def test_every_broken_rule_of_a_line_is_reported(self):
+        chain = new_chain()
+        header = dataclasses.replace(_next_header(chain, "DB"), round=2, timestamp=0)
+        block = Block(header, _empty_payload("DB"))
+        with pytest.raises(BrokenLinkage, match="round 1, got 2.*not after"):
+            append_block(chain, block)
+        violations = verify_chain_dump(chain_to_jsonl(Chain(blocks=[*chain.blocks, block])))
+        assert [v.split(":")[0] for v in violations] == ["BrokenLinkage"] * 2
 
 
 class TestMineWinner:

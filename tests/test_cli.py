@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from relaysim import cli, protocol, sim
 from relaysim.cli import (
     BadOverride,
     MissingConfig,
@@ -230,3 +231,53 @@ class TestExitCodes:
         assert main(["simulate", "--config", str(cfg), "--seed", "-7", "--out", str(out)]) == 2
         assert "seed" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestBoundaries:
+    """Bad paths and flags exit 2 with a one-line message, before any work."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def work(*args, **kwargs):
+            raise AssertionError("work started")
+        for module, name in ((sim, "simulate_run"), (protocol, "run_round"),
+                             (cli, "verify_chain_dump")):
+            monkeypatch.setattr(module, name, work)
+
+    def _exit_two(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("relaysim: ") and err.count("\n") == 1
+        return err
+
+    def test_simulate_out_is_an_existing_file(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("x")
+        self._exit_two(["simulate", "--out", str(out)], capsys)
+
+    @pytest.mark.parametrize("verb", ["trace-round", "export"])
+    def test_out_in_a_missing_directory(self, verb, tmp_path, capsys):
+        dump = tmp_path / "chain.jsonl"
+        dump.write_text("{}\n")
+        config = ["--config", str(dump)] if verb == "export" else []
+        out = tmp_path / "missing" / "out.json"
+        self._exit_two([verb, *config, "--out", str(out)], capsys)
+        assert not out.parent.exists()
+
+    def test_trace_round_out_is_a_directory(self, tmp_path, capsys):
+        self._exit_two(["trace-round", "--out", str(tmp_path)], capsys)
+
+    @pytest.mark.parametrize("verb", ["simulate", "trace-round", "min-rewards", "export"])
+    def test_config_is_a_directory(self, verb, tmp_path, capsys):
+        out = [] if verb == "min-rewards" else ["--out", str(tmp_path / "o.json")]
+        self._exit_two([verb, "--config", str(tmp_path), *out], capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["trace-round", "--rounds", "5"],
+        ["check-incentives", "--seed", "7"],
+        ["min-rewards", "--out", "x"],
+        ["export", "--mode", "abstract"],
+    ])
+    def test_flag_the_verb_does_not_take(self, argv, capsys):
+        err = self._exit_two(argv, capsys)
+        assert f"{argv[0]} does not take {argv[1]}" in err

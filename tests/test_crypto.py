@@ -260,6 +260,31 @@ class TestUndecodablePlaintext:
             fhe_decrypt_model(pair.sk, ct)
 
 
+class TestNonCanonicalPlaintext:
+    """Trailing bytes would give one value many committed digests."""
+
+    def test_model_with_trailing_bytes_rejected(self):
+        pair = fhe_keygen(random.Random(8))
+        model = ModelWeights(3, (1.0, -2.0))
+        inputs = [(0.5,)]
+        ct = _forged(pair, crypto._encode_plaintext(model) + b"junk")
+        assert ciphertext_ok(ct)
+        assert ciphertext_digest(ct) != ciphertext_digest(fhe_encrypt(pair.pk, model))
+        with pytest.raises(InvalidCiphertext):
+            fhe_decrypt_model(pair.sk, ct)
+        outputs = [evaluate(model, x) for x in inputs]
+        verdict = verify_submission(ciphertext_digest(ct), ct, outputs, pair.pk, inputs)
+        assert not verdict.accepted and verdict.reason == VERDICT_OUTPUT_MISMATCH
+
+    def test_vector_with_one_padding_byte_rejected(self):
+        pair = fhe_keygen(random.Random(9))
+        enc_model = fhe_encrypt(pair.pk, ModelWeights(1, (1.0, 1.0)))
+        padded = _forged(pair, crypto._encode_plaintext((0.5,)) + b"\x00")
+        assert ciphertext_ok(padded)
+        with pytest.raises(InvalidCiphertext):
+            fhe_eval(enc_model, padded)
+
+
 class TestNonFiniteOutputs:
     @pytest.mark.parametrize("weights", [
         (math.nan, math.nan, math.nan),  # NaN outputs would rank arbitrarily
