@@ -347,10 +347,13 @@ def validate_block(chain: Chain, block: Block) -> list[str]:
 
 def _violations(chain: Chain, tip_digest: bytes, block: Block) -> list[tuple[type, str]]:
     """(error class, message) per rule ``block`` breaks after ``chain``, whose
-    tip hashes to ``tip_digest``. An empty chain has a virtual tip at height -1."""
+    tip hashes to ``tip_digest``. An empty chain has a virtual tip at height -1
+    and accepts only ``genesis_block()``."""
     tip = chain.blocks[-1].header if chain.blocks else None
     height, header = tip.height + 1 if tip else 0, block.header
     found = []
+    if not tip and block != genesis_block():
+        found.append((BrokenLinkage, "height 0 must hold the fixed genesis block"))
     if header.kind != expected_kind(height):
         found.append((KindOrderViolation,
                       f"height {height} expects kind {expected_kind(height)}, got {header.kind}"))

@@ -15,6 +15,15 @@ decryption; verification here needs deterministic, comparable
 ciphertexts, so the idealized functional contract is simulated behind
 a small interface (keygen / encrypt / eval / decrypt) that a real
 backend could replace.
+
+Encryption XORs the packed plaintext with a keystream fixed by the key,
+and an opened payload decodes only from its canonical packing, so two
+ciphertexts under one key are equal exactly when their packed
+plaintexts are. ``verify_submission`` relies on this: it opens the
+model once and compares packed plaintext bytes per case, which is the
+same check as comparing ``fhe_encrypt(pk, claim)`` with ``fhe_eval``'s
+result, without encrypting every case twice. The bytes are compared,
+not the floats, so a claimed ``-0.0`` still differs from a true ``0.0``.
 """
 
 from __future__ import annotations
@@ -210,7 +219,9 @@ def _decode_plaintext(raw: bytes) -> ModelWeights | Vector:
 
 def _xor_stream(data: bytes, key_id: int) -> bytes:
     stream = _keystream(key_id, len(data))
-    return bytes(a ^ b for a, b in zip(data, stream))
+    return (
+        int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")
+    ).to_bytes(len(data), "big")
 
 
 def _tag(key_id: int, payload: bytes) -> bytes:
@@ -241,6 +252,13 @@ def _open(ct: Ciphertext) -> ModelWeights | Vector:
     return _decode_plaintext(_xor_stream(ct.payload, ct.key_id))
 
 
+def _open_model(ct: Ciphertext) -> ModelWeights:
+    value = _open(ct)
+    if not isinstance(value, ModelWeights):
+        raise InvalidCiphertext("ciphertext does not hold a model")
+    return value
+
+
 def fhe_eval(enc_model: Ciphertext, enc_input: Ciphertext) -> Ciphertext:
     """Evaluate an encrypted model on an encrypted input.
 
@@ -262,10 +280,7 @@ def fhe_decrypt_model(sk: bytes, ct: Ciphertext) -> ModelWeights:
     key_id = _parse_key(sk, _SK_MAGIC)
     if key_id != ct.key_id:
         raise KeyMismatch(f"secret key {key_id} != ciphertext key {ct.key_id}")
-    value = _open(ct)
-    if not isinstance(value, ModelWeights):
-        raise InvalidCiphertext("ciphertext does not hold a model")
-    return value
+    return _open_model(ct)
 
 
 def ciphertext_digest(ct: Ciphertext) -> bytes:
@@ -305,10 +320,15 @@ def verify_submission(
     """Two-part check of a trainer's submission; verdicts are data.
 
     Part 1 binds the submitted ciphertext to the digest committed in the
-    testing block. Part 2 re-derives every claimed output under
-    encryption and compares it against evaluating the encrypted model on
-    the encrypted input, case by case. A non-finite claimed output is
-    rejected: it has no place in the ranking by mean squared error.
+    testing block. Part 2 accepts a case exactly when
+    ``fhe_encrypt(pk, claimed) == fhe_eval(enc_model, fhe_encrypt(pk, x))``.
+    Under one key that holds exactly when the canonical packed plaintexts
+    of the claim and of the model's output are equal (see the module
+    docstring), so the model is opened once, on the first case, and each
+    case compares packed bytes. Bytes, not floats: a claimed ``-0.0``
+    against a true ``0.0`` is rejected, where float ``==`` would accept
+    it. A non-finite claimed output is rejected: it has no place in the
+    ranking by mean squared error.
     """
     try:
         key_id = _parse_key(pk, _PK_MAGIC)
@@ -320,14 +340,18 @@ def verify_submission(
         return Verdict.reject(VERDICT_HASH_MISMATCH)
     if len(claimed_outputs) != len(testing_inputs):
         return Verdict.reject(VERDICT_OUTPUT_MISMATCH)
+    model = None
     for claimed, x in zip(claimed_outputs, testing_inputs):
         if not all(map(math.isfinite, claimed)):
             return Verdict.reject(VERDICT_OUTPUT_MISMATCH)
+        x = tuple(map(float, x))
         try:
-            actual = fhe_eval(enc_model, fhe_encrypt(pk, x))
+            if model is None:
+                model = _open_model(enc_model)
+            actual = evaluate(model, x)
         except (InvalidCiphertext, LengthMismatch):
             return Verdict.reject(VERDICT_OUTPUT_MISMATCH)
-        if fhe_encrypt(pk, claimed) != actual:
+        if _encode_plaintext(claimed) != _encode_plaintext(actual):
             return Verdict.reject(VERDICT_OUTPUT_MISMATCH)
     return Verdict.ok()
 

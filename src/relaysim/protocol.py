@@ -37,6 +37,9 @@ CONTRACT_FORFEITED = "Forfeited"
 
 GENESIS_VERSION = 1
 
+# A submission that failed settlement verification: (trainer id, verdict reason).
+Rejection = tuple[str, str]
+
 
 class ProtocolError(ValueError):
     """Base class for round-engine errors."""
@@ -146,6 +149,7 @@ class RoundLog:
     miners: dict[str, str]
     training: list[TrainingOutcome]
     verified: list[chainmod.VerifiedRecord]
+    rejected: list[Rejection]
     top_set: list[str]
     transfers: list[Transfer]
     minted: float
@@ -254,20 +258,22 @@ def collect_verified(
     pk: bytes,
     testing_inputs: Sequence[Sequence[float]],
     testing_truths: Sequence[Sequence[float]],
-) -> list[chainmod.VerifiedRecord]:
+) -> tuple[list[chainmod.VerifiedRecord], list[Rejection]]:
     """Settlement-side filter: only submissions passing both verification
-    parts enter the verified list (and thus become eligible for the top set)."""
-    verified = []
+    parts enter the verified list (and thus become eligible for the top set).
+    Every other submission is returned as a ``Rejection``."""
+    verified, rejected = [], []
     for sub in submissions:
         verdict = crypto.verify_submission(
             sub.committed_digest, sub.ciphertext, sub.claimed_outputs,
             pk, testing_inputs,
         )
         if not verdict.accepted:
+            rejected.append((sub.trainer_id, verdict.reason))
             continue
         perf = crypto.performance_index(sub.claimed_outputs, testing_truths)
         verified.append(chainmod.VerifiedRecord(sub.mo_id, sub.trainer_id, perf))
-    return verified
+    return verified, rejected
 
 
 class AbstractModels:
@@ -293,12 +299,12 @@ class AbstractModels:
         truths = tuple((rng.random(),) for _ in range(config.q_cases))
         return inputs, truths
 
-    def verify(self, sealed: Sequence[tuple], participants, pk: bytes,
-               inputs, truths, rng: random.Random) -> list[chainmod.VerifiedRecord]:
+    def verify(self, sealed: Sequence[tuple], participants, pk: bytes, inputs, truths,
+               rng: random.Random) -> tuple[list[chainmod.VerifiedRecord], list[Rejection]]:
         return [
             chainmod.VerifiedRecord(record.prev_owner_id, record.trainer_id, rng.random())
             for record, _, _ in sealed
-        ]
+        ], []
 
 
 class ConcreteModels:
@@ -337,8 +343,8 @@ class ConcreteModels:
         )
         return inputs, tuple(crypto.evaluate(target, x) for x in inputs)
 
-    def verify(self, sealed: Sequence[tuple], participants, pk: bytes,
-               inputs, truths, rng: random.Random) -> list[chainmod.VerifiedRecord]:
+    def verify(self, sealed: Sequence[tuple], participants, pk: bytes, inputs, truths,
+               rng: random.Random) -> tuple[list[chainmod.VerifiedRecord], list[Rejection]]:
         """Step (10), each trainer's claimed outputs, then the SB check."""
         submissions = [
             Submission(
@@ -558,7 +564,7 @@ def run_round(
 
     # (10-11) outputs, then the settlement block: verify, rank, settle
     miners["SB"] = _draw_miner(miner_pool, rng, config.distinct_miners_per_round)
-    verified = models.verify(
+    verified, rejected = models.verify(
         sealed, participants, keypair.pk, testing_inputs, testing_truths, rng
     )
     top_set = rank_and_select(verified, config.s)
@@ -599,6 +605,7 @@ def run_round(
         miners=miners,
         training=outcomes,
         verified=verified,
+        rejected=rejected,
         top_set=list(top_set),
         transfers=transfers,
         minted=minted,

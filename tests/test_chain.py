@@ -203,6 +203,14 @@ class TestRuleList:
         dump = chain_to_jsonl(Chain(blocks=[*chain.blocks, block]))
         assert verify_chain_dump(dump) == [f"{error.__name__}: line 3: {raised.value}"]
 
+    def test_dump_must_start_from_the_fixed_genesis(self):
+        genesis = genesis_block()
+        forged = Block(dataclasses.replace(genesis.header, nonce=5, timestamp=9), genesis.payload)
+        chain = build_round(Chain(blocks=[forged]))
+        assert verify_chain_dump(chain_to_jsonl(chain)) == [
+            "BrokenLinkage: line 0: height 0 must hold the fixed genesis block"
+        ]
+
     def test_every_broken_rule_of_a_line_is_reported(self):
         chain = new_chain()
         header = dataclasses.replace(_next_header(chain, "DB"), round=2, timestamp=0)

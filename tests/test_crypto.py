@@ -240,6 +240,109 @@ def _forged(pair, plaintext: bytes) -> Ciphertext:
     return Ciphertext(pair.key_id, payload, crypto._tag(pair.key_id, payload))
 
 
+def _reference_verdict(committed, enc_model, claimed_outputs, pk, testing_inputs):
+    """verify_submission written with the public contract only: each claim
+    must encrypt to what evaluating the encrypted model on the encrypted
+    input gives."""
+    try:
+        key_id = fhe_encrypt(pk, ()).key_id
+    except UnknownKey:
+        return VERDICT_KEY_MISMATCH
+    if enc_model.key_id != key_id or not ciphertext_ok(enc_model):
+        return VERDICT_KEY_MISMATCH
+    if ciphertext_digest(enc_model) != committed:
+        return VERDICT_HASH_MISMATCH
+    if len(claimed_outputs) != len(testing_inputs):
+        return VERDICT_OUTPUT_MISMATCH
+    for claimed, x in zip(claimed_outputs, testing_inputs):
+        if not all(map(math.isfinite, claimed)):
+            return VERDICT_OUTPUT_MISMATCH
+        try:
+            actual = fhe_eval(enc_model, fhe_encrypt(pk, x))
+        except (InvalidCiphertext, LengthMismatch):
+            return VERDICT_OUTPUT_MISMATCH
+        if fhe_encrypt(pk, claimed) != actual:
+            return VERDICT_OUTPUT_MISMATCH
+    return crypto.VERDICT_OK
+
+
+def _claim(kind, model, x):
+    """A claimed output for case ``x``: honest or altered as ``kind`` says."""
+    try:
+        (y,) = evaluate(model, x)
+    except LengthMismatch:  # the input has the wrong width
+        return (0.0,)
+    return {
+        "honest": (y,),
+        "one_ulp": (math.nextafter(y, math.inf),),
+        "negated": (-y,),  # -0.0 against a true 0.0 when the output is zero
+        "too_wide": (y, 0.0),
+    }[kind]
+
+
+def _mostly(common, *rare):
+    return st.sampled_from([common] * 6 + list(rare))
+
+
+class TestVerifierEquivalence:
+    """The one-open verifier gives the verdict of the ciphertext comparison."""
+
+    UNDECODABLE = b"M" + struct.pack("<QQ", 1, 5) + struct.pack("<2d", 1.0, 2.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        weights=st.one_of(
+            st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=6),
+            st.integers(1, 6).map(lambda n: [0.0] * n),
+        ),
+        sealed=_mostly("model", "undecodable", "vector"),
+        key=_mostly("round", "other", "garbage"),
+        digest_ok=_mostly(True, False),
+        few=_mostly(False, True),
+        cases=_mostly(3, 0, 1, 2),
+        seed=st.integers(0, 2**32),
+        data=st.data(),
+    )
+    def test_matches_ciphertext_comparison(self, weights, sealed, key, digest_ok, few,
+                                           cases, seed, data):
+        rng = random.Random(seed)
+        pair, other = fhe_keygen(rng), fhe_keygen(rng)
+        model = ModelWeights(2, tuple(weights))
+        enc_model = {
+            "model": lambda: fhe_encrypt(pair.pk, model),
+            "undecodable": lambda: _forged(pair, self.UNDECODABLE),
+            "vector": lambda: fhe_encrypt(pair.pk, model.weights),
+        }[sealed]()
+        committed = ciphertext_digest(enc_model)
+        if not digest_ok:
+            committed = committed[::-1]
+        pk = {"round": pair.pk, "other": other.pk, "garbage": b"not-a-key"}[key]
+        element = st.one_of(st.floats(-10, 10), st.integers(-5, 5))
+        width = _mostly(model.input_dim, model.input_dim + 1)
+        inputs = data.draw(st.lists(width.flatmap(
+            lambda n: st.tuples(*[element] * n)), min_size=cases, max_size=cases))
+        kinds = data.draw(st.lists(
+            _mostly("honest", "one_ulp", "negated", "too_wide"),
+            min_size=len(inputs), max_size=len(inputs)))
+        claims = [_claim(kind, model, x) for kind, x in zip(kinds, inputs)]
+        if few and claims:
+            claims.pop()
+        verdict = verify_submission(committed, enc_model, claims, pk, inputs)
+        assert verdict.reason == _reference_verdict(committed, enc_model, claims, pk, inputs)
+        assert verdict.accepted == (verdict.reason == crypto.VERDICT_OK)
+
+    def test_negative_zero_claim_rejected_although_float_equal(self):
+        pair = fhe_keygen(random.Random(3))
+        model = ModelWeights(1, (0.0, 0.0))
+        ct = fhe_encrypt(pair.pk, model)
+        inputs = [(1.0,)]
+        assert evaluate(model, inputs[0]) == (0.0,) == (-0.0,)
+        honest = verify_submission(ciphertext_digest(ct), ct, [(0.0,)], pair.pk, inputs)
+        assert honest.accepted
+        verdict = verify_submission(ciphertext_digest(ct), ct, [(-0.0,)], pair.pk, inputs)
+        assert not verdict.accepted and verdict.reason == VERDICT_OUTPUT_MISMATCH
+
+
 class TestUndecodablePlaintext:
     PAYLOADS = {
         "zero_weights": b"M" + struct.pack("<QQ", 1, 0),

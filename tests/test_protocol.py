@@ -10,6 +10,7 @@ from relaysim.economics import EconomicParams
 from relaysim.protocol import (
     CONTRACT_FORFEITED,
     CONTRACT_RETURNED,
+    MODELS,
     ContractStateError,
     DepositContract,
     Lineage,
@@ -340,6 +341,7 @@ class TestRunInvariants:
         data = json.loads(log.to_json())
         assert data["round"] == 1
         assert set(data["block_digests"]) == {"DB", "EB", "TB", "SB"}
+        assert data["rejected"] == []
 
 
 class TestDishonestExclusion:
@@ -360,8 +362,36 @@ class TestDishonestExclusion:
             submissions.append(Submission(
                 "mo", f"t{i}", crypto.ciphertext_digest(ct), ct, tuple(outputs)
             ))
-        verified = collect_verified(submissions, pair.pk, inputs, truths)
+        verified, rejected = collect_verified(submissions, pair.pk, inputs, truths)
         verified_ids = {v.trainer_id for v in verified}
         assert "t0" not in verified_ids
         assert verified_ids == {"t1", "t2", "t3"}
         assert "t0" not in rank_and_select(verified, 0.5)
+        assert rejected == [("t0", crypto.VERDICT_OUTPUT_MISMATCH)]
+
+    def test_round_log_keeps_each_rejection_with_its_reason(self, monkeypatch):
+        config = SimConfig(
+            q_total_participants=16, q_miners=8, q_mo_and_t=8, q_selection_limit=2,
+            q_cases=5, rounds=0, seed=3, pr_training=1.0, mode="concrete",
+        )
+        backend = MODELS["concrete"]
+        honest_encrypt = backend.encrypt
+        sealed = []
+
+        def tampering_encrypt(pk, trainer):
+            ct, digest = honest_encrypt(pk, trainer)
+            sealed.append(trainer.id)
+            if len(sealed) == 1:  # commits a digest that is not its ciphertext's
+                return ct, digest[::-1]
+            # seals another model, so the claimed outputs no longer match
+            swapped = crypto.fhe_encrypt(pk, crypto.ModelWeights(
+                trainer.model.version, tuple(w + 1.0 for w in trainer.model.weights)))
+            return swapped, crypto.ciphertext_digest(swapped)
+
+        monkeypatch.setattr(backend, "encrypt", tampering_encrypt)
+        state, rng = fresh(config, seed=3)
+        state, log = run_round(state, params_for_simulation(config), config, rng)
+        assert len(sealed) == 2
+        assert log.rejected == [(sealed[0], crypto.VERDICT_HASH_MISMATCH),
+                                (sealed[1], crypto.VERDICT_OUTPUT_MISMATCH)]
+        assert log.verified == [] and log.top_set == []
