@@ -14,6 +14,10 @@ cycle, height tip+1, back link to the tip's digest, round
 rules of ``validate_block``. ``append_block`` raises on them and
 ``verify_chain_dump`` reports them; ``next_header`` builds a linked header.
 
+Each block is hashed once, when it joins a ``Chain``: ``Chain.digests``
+runs parallel to the append-only ``Chain.blocks``, and the back links,
+the round log and the dump all read the digest from there.
+
 The dump format is one JSON object per block per line, digests
 hex-encoded lowercase. Each line carries the block's own digest so a
 mutation of the tip is as detectable as one in the middle.
@@ -284,9 +288,20 @@ def genesis_block() -> Block:
 
 @dataclass
 class Chain:
-    """Single-writer block list; reads of committed blocks are safe."""
+    """Single-writer block list; reads of committed blocks are safe.
+
+    ``blocks`` is append-only, through ``append_block``. ``digests[i]`` is
+    ``block_digest(blocks[i])``: the blocks a chain is built with are hashed
+    here, and each appended block once, as it is appended. Only
+    ``verify_chain_dump`` appends to both lists itself, for the partial
+    chain it checks each line against.
+    """
 
     blocks: list[Block] = field(default_factory=list)
+    digests: list[bytes] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.digests = [block_digest(block) for block in self.blocks]
 
     @property
     def tip(self) -> Block:
@@ -345,11 +360,12 @@ def validate_block(chain: Chain, block: Block) -> list[str]:
     return violations
 
 
-def _violations(chain: Chain, tip_digest: bytes, block: Block) -> list[tuple[type, str]]:
-    """(error class, message) per rule ``block`` breaks after ``chain``, whose
-    tip hashes to ``tip_digest``. An empty chain has a virtual tip at height -1
+def _violations(chain: Chain, block: Block) -> list[tuple[type, str]]:
+    """(error class, message) per rule ``block`` breaks after ``chain``. An
+    empty chain has a virtual tip at height -1 with digest ``ZERO_DIGEST``
     and accepts only ``genesis_block()``."""
     tip = chain.blocks[-1].header if chain.blocks else None
+    tip_digest = chain.digests[-1] if chain.blocks else ZERO_DIGEST
     height, header = tip.height + 1 if tip else 0, block.header
     found = []
     if not tip and block != genesis_block():
@@ -374,11 +390,12 @@ def _violations(chain: Chain, tip_digest: bytes, block: Block) -> list[tuple[typ
 def append_block(chain: Chain, block: Block) -> Chain:
     """Extend the chain by one block; raises the class of the first broken
     rule of ``_violations`` with every message of that class."""
-    found = _violations(chain, block_digest(chain.tip), block)
+    found = _violations(chain, block)
     if found:
         error = found[0][0]
         raise error("; ".join(message for cls, message in found if cls is error))
     chain.blocks.append(block)
+    chain.digests.append(block_digest(block))
     return chain
 
 
@@ -387,7 +404,7 @@ def next_header(chain: Chain, nonce: int) -> BlockHeader:
     tip = chain.tip.header
     height = tip.height + 1
     return BlockHeader(height, expected_round(height), expected_kind(height),
-                       block_digest(chain.tip), nonce, tip.timestamp + 1)
+                       chain.digests[-1], nonce, tip.timestamp + 1)
 
 
 def mine_winner(candidates: Sequence[str], rng: random.Random) -> str:
@@ -397,23 +414,15 @@ def mine_winner(candidates: Sequence[str], rng: random.Random) -> str:
     return candidates[rng.randrange(len(candidates))]
 
 
-def kind_cycle_ok(chain: Chain) -> bool:
-    """True when every block sits at its cycle position."""
-    return all(
-        b.header.kind == expected_kind(b.header.height) and b.header.height == i
-        for i, b in enumerate(chain.blocks)
-    )
-
-
 # --- dump format ---------------------------------------------------------
 
 def chain_to_jsonl(chain: Chain) -> str:
     """One JSON object per block per line, digests hex lowercase."""
     lines = []
-    for block in chain.blocks:
+    for block, digest in zip(chain.blocks, chain.digests):
         data = _HEADER_CODEC.encode((block.header,))[0]
         data["payload"] = _PAYLOAD_CODECS[block.header.kind].encode((block.payload,))[0]
-        data["digest"] = block_digest(block).hex()
+        data["digest"] = digest.hex()
         # Compact separators: with no whitespace in a line, every byte is
         # semantic, so any single-byte mutation is detectable.
         lines.append(json.dumps(data, sort_keys=True, separators=(",", ":")))
@@ -442,7 +451,6 @@ def verify_chain_dump(text: str) -> list[str]:
     """
     violations: list[str] = []
     partial = Chain(blocks=[])
-    prev_digest = ZERO_DIGEST
     for lineno, line in enumerate(text.splitlines()):
         if not line.strip():
             continue
@@ -458,10 +466,12 @@ def verify_chain_dump(text: str) -> list[str]:
             violations.append(f"DigestMismatch: line {lineno}")
         violations.extend(
             f"{cls.__name__}: line {lineno}: {message}"
-            for cls, message in _violations(partial, prev_digest, block)
+            for cls, message in _violations(partial, block)
         )
+        # The line's block, whatever it breaks, and its own digest: the next
+        # line's rules are checked against them.
         partial.blocks.append(block)
-        prev_digest = actual
+        partial.digests.append(actual)
     if not partial.blocks:
         violations.append("EmptyChain: no blocks")
     return violations

@@ -209,15 +209,22 @@ def _run_trace_round(cmd: Command) -> int:
     before = state.balances()
     state, log = protocol.run_round(state, params, config, rng)
     after = state.balances()
-    _print_trace(log, before, after, config)
+    _print_trace(log, state.chain, before, after, config)
     if out is not None:
         out.write_text(log.to_json(indent=2) + "\n", encoding="utf-8")
     return 0
 
 
-def _print_trace(log, before: dict[str, float], after: dict[str, float], config) -> None:
+def _print_trace(log, chain, before: dict[str, float], after: dict[str, float],
+                 config) -> None:
     a = log.assignment
     successes = sum(1 for t in log.training if t.success)
+    # The round's four blocks end the chain. The EB drops successes whose
+    # digest did not change, so the record and encrypted counts come from it.
+    payloads = {block.header.kind: block.payload for block in chain.blocks[-4:]}
+    records = len(payloads["EB"].records)
+    encrypted = len(payloads["TB"].encrypted_model_digests)
+    submissions = len(log.verified) + len(log.rejected)
     print(f"round {log.round} trace (mode {config.mode}, seed {config.seed})")
     print(f" (1) bidding: {len(a.mos)} MO(s) {list(a.mos)}, "
           f"{len(a.candidates)} candidate trainer(s), {len(a.miners)} miner(s)")
@@ -228,11 +235,13 @@ def _print_trace(log, before: dict[str, float], after: dict[str, float], config)
     print(f" (5) training: {successes}/{len(log.training)} succeeded")
     print(f" (6) hash broadcast: {successes} digest(s)")
     print(f" (7) encryption block mined by {log.miners['EB']}: "
-          f"{successes} record(s), digest {log.block_digests['EB'][:16]}...")
-    print(f" (8) encryption: {successes} model(s) encrypted")
+          f"{records} record(s), digest {log.block_digests['EB'][:16]}...")
+    print(f" (8) encryption: {encrypted} model(s) encrypted")
     print(f" (9) testing block mined by {log.miners['TB']}: "
           f"{config.q_cases} case(s), digest {log.block_digests['TB'][:16]}...")
-    print(f"(10) outputs: {len(log.verified)} submission(s)")
+    print(f"(10) outputs: {submissions} submission(s), {len(log.rejected)} rejected")
+    for trainer_id, reason in log.rejected:
+        print(f"     rejected {trainer_id}: {reason}")
     print(f"(11) settlement block mined by {log.miners['SB']}: "
           f"{len(log.verified)} verified, top set {log.top_set}, "
           f"digest {log.block_digests['SB'][:16]}...")

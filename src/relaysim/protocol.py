@@ -491,7 +491,7 @@ def run_round(
     def mine(payload: chainmod.Payload) -> None:
         block = chainmod.Block(chainmod.next_header(state.chain, rng.getrandbits(64)), payload)
         chainmod.append_block(state.chain, block)
-        block_digests[block.header.kind] = chainmod.block_digest(block).hex()
+        block_digests[block.header.kind] = state.chain.digests[-1].hex()
 
     # (3) deposit block
     miners["DB"] = _draw_miner(miner_pool, rng, config.distinct_miners_per_round)

@@ -1,9 +1,11 @@
 import dataclasses
+import json
 import random
 
 import pytest
 from scipy import stats
 
+from relaysim import chain as chainmod
 from relaysim.chain import (
     Block,
     BlockHeader,
@@ -28,13 +30,14 @@ from relaysim.chain import (
     chain_to_jsonl,
     expected_kind,
     genesis_block,
-    kind_cycle_ok,
     mine_winner,
     new_chain,
+    next_header,
     verify_chain_dump,
 )
 from relaysim.protocol import participant_ids
-from relaysim.serialize import digest as canonical_digest
+from relaysim.serialize import ZERO_DIGEST, digest as canonical_digest
+from relaysim.sim import SimConfig, simulate_run
 
 GENESIS_DIGEST_HEX = "c182288e4ee4318007122e1fc03e22eae7311f5c235453bd420cf395b69e1d1e"
 
@@ -221,6 +224,34 @@ class TestRuleList:
         assert [v.split(":")[0] for v in violations] == ["BrokenLinkage"] * 2
 
 
+class TestHashOnce:
+    def test_each_block_is_hashed_once_from_run_to_dump(self, monkeypatch):
+        calls = []
+
+        def counting_block_digest(block):
+            calls.append(block)
+            return block_digest(block)
+
+        monkeypatch.setattr(chainmod, "block_digest", counting_block_digest)
+        chain = simulate_run(SimConfig(mode="abstract", rounds=20, seed=7)).state.chain
+        dump = chain_to_jsonl(chain)
+        assert len(chain) == 81
+        assert len(calls) == 81
+        assert calls == chain.blocks
+        assert chain.digests == [block_digest(b) for b in chain.blocks]
+        assert verify_chain_dump(dump) == []
+
+    def test_a_chain_built_from_blocks_hashes_each_of_them(self):
+        chain = simulate_run(SimConfig(mode="abstract", rounds=20, seed=7)).state.chain
+        header = dataclasses.replace(next_header(chain, 0), prev_digest=ZERO_DIGEST)
+        tampered = Block(header, _empty_payload("DB"))
+        dump = chain_to_jsonl(Chain(blocks=[*chain.blocks, tampered]))
+        assert json.loads(dump.splitlines()[-1])["digest"] == block_digest(tampered).hex()
+        assert verify_chain_dump(dump) == [
+            "BrokenLinkage: line 81: prev_digest does not match the current tip"
+        ]
+
+
 class TestMineWinner:
     def test_single_candidate(self):
         assert mine_winner(["only"], random.Random(0)) == "only"
@@ -280,7 +311,7 @@ class TestDumpFormat:
         assert len(loaded) == len(chain)
         for a, b in zip(chain.blocks, loaded.blocks):
             assert block_digest(a) == block_digest(b)
-        assert kind_cycle_ok(loaded)
+        assert verify_chain_dump(text) == []
         assert chain_to_jsonl(loaded) == text
 
     def test_clean_dump_verifies(self):

@@ -188,6 +188,31 @@ class TestTraceRoundVerb:
         data = json.loads(log_path.read_text())
         assert data["round"] == 1 and data["assignment"]["mos"] == ["p000"]
 
+    def test_rejected_submissions_are_counted_with_their_reasons(
+            self, tmp_path, capsys, monkeypatch):
+        backend = protocol.MODELS["concrete"]
+        honest_encrypt = backend.encrypt
+
+        def wrong_digest_encrypt(pk, trainer):
+            ct, digest = honest_encrypt(pk, trainer)
+            return ct, digest[::-1]  # not the digest of its ciphertext
+
+        monkeypatch.setattr(backend, "encrypt", wrong_digest_encrypt)
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(SMALL_SIM_CFG)
+        log_path = tmp_path / "round.json"
+        assert main(["trace-round", "--config", str(cfg), "--mode", "concrete",
+                     "--set", "pr_training=1.0", "--out", str(log_path)]) == 0
+        out = capsys.readouterr().out
+        rejected = json.loads(log_path.read_text())["rejected"]
+        assert [reason for _, reason in rejected] == ["HashMismatch"] * 2
+        assert " 2 record(s)" in out
+        assert " (8) encryption: 2 model(s) encrypted" in out
+        assert "(10) outputs: 2 submission(s), 2 rejected" in out
+        for trainer_id, reason in rejected:
+            assert f"     rejected {trainer_id}: {reason}" in out
+        assert ": 0 verified, top set []" in out
+
 
 class TestExportVerb:
     def test_round_trip(self, tmp_path, capsys):
