@@ -26,7 +26,9 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import asdict, dataclass, field
-from typing import Sequence
+from itertools import accumulate, repeat
+from operator import itemgetter
+from typing import Iterable, Sequence
 
 from . import auction, chain as chainmod, crypto
 from .serialize import digest as canonical_digest
@@ -67,6 +69,8 @@ class Participant:
     coins: float = 0.0
     model_version: int = 0
     model: crypto.ModelWeights | None = None
+    # digest of the held model, made with the model and copied along with it
+    model_digest: bytes | None = None
 
 
 @dataclass
@@ -90,7 +94,13 @@ class DepositContract:
 
 @dataclass
 class Lineage:
-    """Parent pointers per trained model, rooted at the genesis initiator."""
+    """Parent pointers per trained model, rooted at the genesis initiator.
+
+    A model is the node ``(owner, version)``; the parent of a trained model
+    is the node ``(parents[node], version - 1)``, and genesis-version nodes
+    have none. ``citations`` counts a round's ancestors in one pass over
+    the nodes; ``ancestors`` is the hop-by-hop walk it must agree with.
+    """
 
     genesis_id: str
     parents: dict[tuple[str, int], str] = field(default_factory=dict)
@@ -112,6 +122,38 @@ class Lineage:
             result.append(parent)
             key = (parent, key[1] - 1)
         return result
+
+    def citations(self, heads: Iterable[tuple[str, int]]) -> dict[str, int]:
+        """How often each owner appears across the ``ancestors`` walks of
+        ``heads``, keyed in order of first appearance.
+
+        Each ``(owner, version)`` node is visited once. A head's walk enters
+        one pass at its parent node and climbs until it reaches a node that
+        an earlier walk covered, where it stops, since the rest of the path
+        is already covered. The owners it skips have all appeared, so the
+        key order is that of the full walks. The passes are then pushed up
+        to the parents in descending version order, so each node adds the
+        number of walks through it to its owner's count.
+        """
+        parents = self.parents
+        passes: dict[tuple[str, int], int] = {}
+        counts: dict[str, int] = {}
+        for node in heads:
+            entering = 1
+            while node in parents:
+                node = (parents[node], node[1] - 1)
+                if node in passes:
+                    passes[node] += entering
+                    break
+                passes[node] = entering
+                entering = 0
+                counts.setdefault(node[0], 0)
+        for node in sorted(passes, key=itemgetter(1), reverse=True):
+            walks = passes[node]
+            counts[node[0]] += walks
+            if node in parents:
+                passes[parents[node], node[1] - 1] += walks
+        return counts
 
 
 @dataclass(frozen=True)
@@ -188,8 +230,11 @@ def init_state(config, rng: random.Random) -> SimState:
     ids = participant_ids(config.q_total_participants)
     participants = {pid: Participant(id=pid) for pid in ids}
     genesis_id = ids[0]
-    target, participants[genesis_id].model = MODELS[config.mode].start(config, rng)
-    participants[genesis_id].model_version = GENESIS_VERSION
+    models = MODELS[config.mode]
+    genesis = participants[genesis_id]
+    target, genesis.model = models.start(config, rng)
+    genesis.model_version = GENESIS_VERSION
+    genesis.model_digest = models.digest(genesis)
     return SimState(
         participants=participants,
         chain=chainmod.new_chain(),
@@ -283,11 +328,15 @@ class AbstractModels:
     def start(self, config, rng: random.Random):
         return None, None
 
-    def train(self, trainer: Participant, mo: Participant, version: int,
-              target, config, rng: random.Random) -> tuple[bytes, bytes]:
+    def digest(self, maker: Participant) -> bytes:
+        """Digest of the model ``maker`` has just made."""
+        return canonical_digest(["abstract-model", maker.id, maker.model_version])
+
+    def train(self, trainer: Participant, version: int,
+              target, config, rng: random.Random) -> bytes:
         trainer.model_version = version
-        return (canonical_digest(["abstract-model", trainer.id, version]),
-                canonical_digest(["abstract-model", mo.id, version - 1]))
+        trainer.model_digest = self.digest(trainer)
+        return trainer.model_digest
 
     def encrypt(self, pk: bytes, trainer: Participant) -> tuple[None, bytes]:
         return None, canonical_digest(
@@ -323,14 +372,19 @@ class ConcreteModels:
             version=GENESIS_VERSION, weights=genesis_weights
         )
 
-    def train(self, trainer: Participant, mo: Participant, version: int,
-              target, config, rng: random.Random) -> tuple[bytes, bytes]:
+    def digest(self, maker: Participant) -> bytes:
+        """Digest of the model ``maker`` has just made."""
+        return crypto.model_digest(maker.model)
+
+    def train(self, trainer: Participant, version: int,
+              target, config, rng: random.Random) -> bytes:
         # per-trainer jitter stays below the configured rate, so any
         # rate in (0, 1) remains a valid contraction
         rate = config.training_rate * (0.5 + 0.5 * rng.random())
         trainer.model = crypto.train_toward(trainer.model, target, rate)
         trainer.model_version = trainer.model.version
-        return crypto.model_digest(trainer.model), crypto.model_digest(mo.model)
+        trainer.model_digest = self.digest(trainer)
+        return trainer.model_digest
 
     def encrypt(self, pk: bytes, trainer: Participant) -> tuple[crypto.Ciphertext, bytes]:
         ct = crypto.fhe_encrypt(pk, trainer.model)
@@ -378,6 +432,13 @@ def _credit(p: Participant, amount: float, reason: str, transfers: list[Transfer
     transfers.append(Transfer(p.id, amount, reason))
 
 
+def _hand_over(giver: Participant, taker: Participant) -> None:
+    """``taker`` now holds a copy of ``giver``'s model, version and digest."""
+    taker.model_version = giver.model_version
+    taker.model = giver.model
+    taker.model_digest = giver.model_digest
+
+
 def settle(
     participants: dict[str, Participant],
     top_set: Sequence[str],
@@ -389,8 +450,13 @@ def settle(
 ) -> tuple[list[Transfer], float, float, float]:
     """Deposit return/forfeit, citation cascade, and minted miner rewards.
 
-    Returns (transfers, minted, forfeited, citation coins). Citation
-    credits are aggregated per ancestor into one transfer each.
+    Returns (transfers, minted, forfeited, citation coins). The citation
+    cascade pays ``coin_unit`` per hop up each top-set model's lineage, in
+    one transfer per ancestor. ``Lineage.citations`` counts the hops in
+    one pass over the lineage nodes the top set reaches, and an ancestor
+    with ``n`` hops is credited ``coin_unit`` added ``n`` times, read off
+    one running-sum table per round; that is bit-identical to adding the
+    unit once per hop, which ``n * coin_unit`` is not for units such as 0.1.
     """
     transfers: list[Transfer] = []
     top = set(top_set)
@@ -409,15 +475,15 @@ def settle(
         else:
             contract.mark(CONTRACT_FORFEITED)
             forfeited += contract.mo_amount + contract.t_amount
-    citation_totals: dict[str, float] = {}
-    for trainer_id in top_set:
-        version = participants[trainer_id].model_version
-        for ancestor in lineage.ancestors(trainer_id, version):
-            citation_totals[ancestor] = (
-                citation_totals.get(ancestor, 0.0) + params.coin_unit
-            )
+    hops = lineage.citations(
+        (trainer_id, participants[trainer_id].model_version) for trainer_id in top_set
+    )
+    unit_sums = list(accumulate(
+        repeat(params.coin_unit, max(hops.values(), default=0)), initial=0.0
+    ))
     citation_coins = 0.0
-    for ancestor_id, amount in citation_totals.items():
+    for ancestor_id, count in hops.items():
+        amount = unit_sums[count]
         _credit(participants[ancestor_id], amount, "citation", transfers)
         citation_coins += amount
     miner_rewards = {
@@ -512,21 +578,19 @@ def run_round(
         trainer = participants[pair.trainer_id]
         received[pair.trainer_id] = mo.model_version
         if mo.model_version >= trainer.model_version:
-            trainer.model_version = mo.model_version
-            trainer.model = mo.model
+            _hand_over(mo, trainer)
 
     # (5) training
     outcomes: list[TrainingOutcome] = []
     new_digests: dict[str, bytes] = {}
-    prev_digests: dict[str, bytes] = {}
     for pair in matches.pairs:
         success = rng.random() < config.pr_training
         v_rec = received[pair.trainer_id]
         new_version = None
         if success:
             new_version = v_rec + 1
-            new_digests[pair.trainer_id], prev_digests[pair.trainer_id] = models.train(
-                participants[pair.trainer_id], participants[pair.mo_id], new_version,
+            new_digests[pair.trainer_id] = models.train(
+                participants[pair.trainer_id], new_version,
                 state.target_model, config, rng,
             )
             state.lineage.record(pair.trainer_id, new_version, pair.mo_id)
@@ -534,13 +598,15 @@ def run_round(
             pair.trainer_id, pair.mo_id, v_rec, success, new_version
         ))
 
-    # (6-7) digest broadcast, key generation, encryption block
+    # (6-7) digest broadcast, key generation, encryption block; a digest
+    # equal to the one the MO's model carries is filtered out
     keypair = crypto.fhe_keygen(rng)
     miners["EB"] = _draw_miner(miner_pool, rng, config.distinct_miners_per_round)
     eb_records = tuple(
         chainmod.TrainingRecord(o.mo_id, o.trainer_id, new_digests[o.trainer_id])
         for o in outcomes
-        if o.success and new_digests[o.trainer_id] != prev_digests[o.trainer_id]
+        if o.success
+        and new_digests[o.trainer_id] != participants[o.mo_id].model_digest
     )
     mine(chainmod.EncryptionPayload(pk=keypair.pk, records=eb_records))
 
@@ -589,8 +655,7 @@ def run_round(
         best = participants[top_set[0]]
         ebm = participants[miners["EB"]]
         if best.model_version > ebm.model_version:
-            ebm.model_version = best.model_version
-            ebm.model = best.model
+            _hand_over(best, ebm)
 
     state.prev_top = list(top_set)
     state.prev_mos = list(assignment.mos)

@@ -15,8 +15,6 @@ Q / (1 + s).
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import random
@@ -163,18 +161,21 @@ class Metrics:
         return len(self.coins)
 
     def to_csv(self) -> str:
-        """Plot-ready rows: (round, participant_id, coins, model_version)."""
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["round", "participant_id", "coins", "model_version"])
-        for round_index in range(self.rounds):
-            for i, pid in enumerate(self.participant_ids):
-                writer.writerow([
-                    round_index + 1, pid,
-                    repr(self.coins[round_index][i]),
-                    self.versions[round_index][i],
-                ])
-        return buffer.getvalue()
+        """Plot-ready rows: (round, participant_id, coins, model_version).
+
+        Rows are formatted directly: generated participant ids, integers
+        and ``repr`` of a float hold no comma, quote or line break, so no
+        field needs CSV quoting.
+        """
+        rows = ["round,participant_id,coins,model_version\n"]
+        for round_number, (coins, versions) in enumerate(
+            zip(self.coins, self.versions), start=1
+        ):
+            rows.extend(
+                f"{round_number},{pid},{coin!r},{version}\n"
+                for pid, coin, version in zip(self.participant_ids, coins, versions)
+            )
+        return "".join(rows)
 
 
 def version_buckets(versions: Sequence[int]) -> dict[str, int]:

@@ -2,13 +2,16 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from relaysim import crypto
+from relaysim import crypto, protocol
 from relaysim.auction import trainer_bid
 from relaysim.chain import EncryptionPayload, VerifiedRecord
 from relaysim.economics import EconomicParams
 from relaysim.protocol import (
     CONTRACT_FORFEITED,
+    GENESIS_VERSION,
     CONTRACT_RETURNED,
     MODELS,
     ContractStateError,
@@ -244,6 +247,126 @@ class TestSettle:
         contract.mark(CONTRACT_RETURNED)
         with pytest.raises(ContractStateError):
             contract.mark(CONTRACT_FORFEITED)
+
+
+def per_hop_citations(lineage, heads):
+    """Hop counts from one ``ancestors`` walk per head, the way settlement
+    once counted them: keyed by owner in order of first appearance."""
+    counts = {}
+    for owner, version in heads:
+        for ancestor in lineage.ancestors(owner, version):
+            counts[ancestor] = counts.get(ancestor, 0) + 1
+    return counts
+
+
+@st.composite
+def lineages_with_heads(draw):
+    """A lineage over few owners (so owners repeat along a path), several
+    models per version (so paths merge), and heads drawn with repetition
+    from every node, genesis-version nodes included."""
+    owners = ["g", "a", "b", "c", "d"]
+    lineage = Lineage(genesis_id="g")
+    layers = [["g"] + draw(st.lists(st.sampled_from(owners[1:]), max_size=2, unique=True))]
+    for version in range(GENESIS_VERSION + 1, draw(st.integers(1, 9)) + 1):
+        layer = []
+        for owner in draw(st.lists(st.sampled_from(owners), min_size=1, max_size=4,
+                                   unique=True)):
+            lineage.record(owner, version, draw(st.sampled_from(layers[-1])))
+            layer.append(owner)
+        layers.append(layer)
+    nodes = [(owner, version) for version, layer in enumerate(layers, GENESIS_VERSION)
+             for owner in layer]
+    heads = draw(st.lists(st.sampled_from(nodes), max_size=8))
+    return lineage, heads
+
+
+class TestCitations:
+    @settings(max_examples=300, deadline=None)
+    @given(lineages_with_heads())
+    def test_counts_equal_the_per_hop_walks(self, drawn):
+        lineage, heads = drawn
+        expected = per_hop_citations(lineage, heads)
+        got = lineage.citations(heads)
+        assert list(got.items()) == list(expected.items())
+
+    def test_shared_ancestors_are_counted_once_per_walk(self):
+        lineage = Lineage(genesis_id="g")
+        lineage.record("a", 2, "g")
+        lineage.record("b", 3, "a")
+        lineage.record("a", 3, "a")
+        lineage.record("c", 4, "b")
+        heads = [("b", 3), ("c", 4), ("a", 3), ("g", 1)]
+        assert list(lineage.citations(heads).items()) == [("a", 3), ("g", 3), ("b", 1)]
+
+    @pytest.mark.parametrize("coin_unit", [0.1, 0.3, 1 / 3])
+    def test_settle_transfers_match_the_per_hop_sums(self, coin_unit):
+        config = SimConfig(
+            q_total_participants=16, q_miners=8, q_mo_and_t=8,
+            q_selection_limit=2, q_cases=5, rounds=40, seed=12, coin_unit=coin_unit,
+        )
+        run = simulate_run(config)
+        lineage = run.state.lineage
+        deepest = 0
+        for log in run.logs:
+            versions = {t.trainer_id: t.new_version for t in log.training}
+            totals = {}
+            for trainer_id in log.top_set:
+                for ancestor in lineage.ancestors(trainer_id, versions[trainer_id]):
+                    totals[ancestor] = totals.get(ancestor, 0.0) + coin_unit
+            coins = 0.0
+            for amount in totals.values():
+                coins += amount
+            paid = [(t.participant_id, t.amount) for t in log.transfers
+                    if t.reason == "citation"]
+            assert paid == list(totals.items())
+            assert log.citation_coins == coins
+            deepest = max(deepest, *per_hop_citations(
+                lineage, [(t, versions[t]) for t in log.top_set]).values(), 0)
+        # deep enough that adding the unit n times differs from n * unit
+        assert any(sum([coin_unit] * n) != n * coin_unit for n in range(deepest + 1))
+
+
+class TestModelDigests:
+    def test_abstract_run_hashes_each_model_once(self, monkeypatch):
+        calls = []
+        original = protocol.canonical_digest
+
+        def counting(obj):
+            calls.append(obj)
+            return original(obj)
+
+        monkeypatch.setattr(protocol, "canonical_digest", counting)
+        run = simulate_run(SimConfig(seed=7, rounds=20, mode="abstract"))
+        trained = sum(t.success for log in run.logs for t in log.training)
+        assert trained > 0
+        assert len(calls) == 2 * trained + 1
+
+    @pytest.mark.parametrize("mode, rounds", [("abstract", 30), ("concrete", 12)])
+    def test_each_holder_carries_the_digest_of_its_model(self, mode, rounds):
+        config = SimConfig(
+            q_total_participants=16, q_miners=8, q_mo_and_t=8,
+            q_selection_limit=2, q_cases=5, rounds=0, seed=4, mode=mode,
+        )
+        state, rng = fresh(config, seed=4)
+        params = params_for_simulation(config)
+        ebm_copies = 0
+        for _ in range(rounds):
+            before = {pid: p.model_version for pid, p in state.participants.items()}
+            state, log = run_round(state, params, config, rng)
+            ebm = log.miners["EB"]
+            ebm_copies += state.participants[ebm].model_version != before[ebm]
+            labels = {(state.genesis_id, GENESIS_VERSION), *state.lineage.parents}
+            for p in state.participants.values():
+                if p.model_version == 0:
+                    assert p.model_digest is None
+                elif mode == "concrete":
+                    assert p.model_digest == crypto.model_digest(p.model)
+                else:
+                    assert p.model_digest in {
+                        protocol.canonical_digest(["abstract-model", owner, version])
+                        for owner, version in labels if version == p.model_version
+                    }
+        assert ebm_copies > 0
 
 
 class TestRunInvariants:

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import math
 
 import pytest
@@ -260,6 +262,45 @@ class TestBuckets:
         assert shares["older"] == pytest.approx(0.5)
 
 
+def reference_csv(metrics):
+    """``Metrics.to_csv`` as the ``csv.writer`` form it replaced."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["round", "participant_id", "coins", "model_version"])
+    for round_index in range(metrics.rounds):
+        for i, pid in enumerate(metrics.participant_ids):
+            writer.writerow([
+                round_index + 1, pid,
+                repr(metrics.coins[round_index][i]),
+                metrics.versions[round_index][i],
+            ])
+    return buffer.getvalue()
+
+
+class TestMetricsCsv:
+    @pytest.mark.parametrize("config", [
+        SimConfig(seed=3, rounds=6, **SMALL),
+        SimConfig(seed=3, rounds=6, coin_unit=0.1, **SMALL),
+        SimConfig(q_total_participants=1001, q_miners=0, q_mo_and_t=1001, rounds=4,
+                  round_robin_variant=True),
+    ], ids=["abstract", "coin-unit-0.1", "round-robin-1001"])
+    def test_rows_equal_the_csv_writer_form(self, config):
+        metrics = run_simulation(config)
+        assert metrics.to_csv() == reference_csv(metrics)
+
+    def test_special_floats_need_no_quoting(self):
+        metrics = Metrics(participant_ids=["p000", "p001", "p002"],
+                          coins=[[float("inf"), -0.0, 1e-300], [float("nan"), 0.1, 2.5e16]],
+                          versions=[[0, 1, 2], [3, 4, 5]])
+        assert metrics.to_csv() == reference_csv(metrics)
+
+    def test_no_rounds_gives_the_header_only(self):
+        metrics = Metrics(participant_ids=["p000"])
+        assert metrics.to_csv() == reference_csv(metrics) == (
+            "round,participant_id,coins,model_version\n"
+        )
+
+
 class TestGoldenOutputs:
     """Fixed-seed outputs stay byte-identical across refactors."""
 
@@ -284,7 +325,11 @@ class TestGoldenOutputs:
         ("concrete", 4, dict(second_price_deposits=True),
          "d6de8c6b5181275082d842925273ba8ac32c184c1c35702ac2931cc212d8c7c8",
          "b4975f773aff5d0639049929f13227c64c6e3a9f3429ab0ed044306b46032823"),
-    ], ids=["abstract-second-price", "abstract-shared-miners", "concrete-second-price"])
+        ("abstract", 40, dict(coin_unit=0.1),
+         "e0f98dc7f805ff9953ab4c51f1b8e2b705cbd778d16e326a88eba47e66063bdd",
+         "2a129623e462a4d41a5821d4f558efcaa7b3430fa7390e31f00bf5dc0899d84f"),
+    ], ids=["abstract-second-price", "abstract-shared-miners", "concrete-second-price",
+            "abstract-coin-unit-0.1"])
     def test_seed_7_toggle_digests(self, mode, rounds, toggle, chain_sha, csv_sha):
         self._check(SimConfig(seed=7, rounds=rounds, mode=mode, **toggle), chain_sha, csv_sha)
 
