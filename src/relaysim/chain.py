@@ -442,15 +442,19 @@ def chain_from_jsonl(text: str) -> Chain:
     return Chain(blocks=[_parse_line(line)[0] for line in text.splitlines() if line.strip()])
 
 
-def verify_chain_dump(text: str) -> list[str]:
+def verify_chain_dump(text: str, partial: Chain | None = None) -> list[str]:
     """Revalidate a serialized chain; an empty list means intact.
 
     Detects any single-byte mutation: unparseable lines, recorded digests
     that differ from the recomputed one, and every broken rule of
-    ``_violations`` as ``<error class>: line N: <message>``.
+    ``_violations`` as ``<error class>: line N: <message>``. Each parsed
+    block is appended, with its recomputed digest, to ``partial``, an empty
+    chain (a new one if none is given); when the result is empty,
+    ``partial`` is the dumped chain, each of its blocks hashed once.
     """
     violations: list[str] = []
-    partial = Chain(blocks=[])
+    if partial is None:
+        partial = Chain(blocks=[])
     for lineno, line in enumerate(text.splitlines()):
         if not line.strip():
             continue

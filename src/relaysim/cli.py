@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import configio, economics, protocol, sim
-from .chain import chain_from_jsonl, chain_to_jsonl, verify_chain_dump
+from .chain import Chain, chain_to_jsonl, verify_chain_dump
 
 
 class CliError(ValueError):
@@ -260,12 +260,12 @@ def _run_export(cmd: Command) -> int:
         raise MissingConfig("export requires --out for the re-serialized dump")
     text = _input_file(cmd, "chain dump").read_text(encoding="utf-8")
     out = _output_file(cmd)
-    violations = verify_chain_dump(text)
+    chain = Chain(blocks=[])
+    violations = verify_chain_dump(text, chain)
     if violations:
         for violation in violations:
             print(f"export: {violation}", file=sys.stderr)
         return 1
-    chain = chain_from_jsonl(text)
     out.write_text(chain_to_jsonl(chain), encoding="utf-8")
     print(f"exported {len(chain.blocks)} block(s) to {out}")
     return 0

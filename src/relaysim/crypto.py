@@ -20,10 +20,13 @@ Encryption XORs the packed plaintext with a keystream fixed by the key,
 and an opened payload decodes only from its canonical packing, so two
 ciphertexts under one key are equal exactly when their packed
 plaintexts are. ``verify_submission`` relies on this: it opens the
-model once and compares packed plaintext bytes per case, which is the
-same check as comparing ``fhe_encrypt(pk, claim)`` with ``fhe_eval``'s
-result, without encrypting every case twice. The bytes are compared,
-not the floats, so a claimed ``-0.0`` still differs from a true ``0.0``.
+model once, maps it over every testing input with ``evaluate_cases``
+(the one evaluation kernel; ``evaluate`` is one case of it), and
+compares the packed doubles of all claims with those of all outputs in
+one bytes comparison. That is the same check as comparing
+``fhe_encrypt(pk, claim)`` with ``fhe_eval``'s result case by case,
+without encrypting every case twice. The bytes are compared, not the
+floats, so a claimed ``-0.0`` still differs from a true ``0.0``.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import math
 import random
 import struct
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 from .serialize import digest as canonical_digest
@@ -95,16 +99,27 @@ def model_digest(m: ModelWeights) -> bytes:
     return canonical_digest(["model", m.version, list(m.weights)])
 
 
+def evaluate_cases(m: ModelWeights, inputs: Sequence[Sequence[float]]) -> tuple[Vector, ...]:
+    """Plaintext evaluation of the linear map on every input: ``(w . x + b,)``.
+
+    Every input's length is checked before any arithmetic. The outputs are
+    built one weight at a time across all cases, so each case still
+    accumulates ``acc = b``, then ``acc += w_i * x_i`` for i = 1..d, left
+    to right: the same floats as a per-case loop.
+    """
+    *ws, bias = m.weights
+    bad_widths = set(map(len, inputs)) - {len(ws)}
+    if bad_widths:
+        raise LengthMismatch(f"model expects {len(ws)} inputs, got {sorted(bad_widths)}")
+    accs = [bias] * len(inputs)
+    for w, column in zip(ws, zip(*inputs)):
+        accs = [acc + w * xi for acc, xi in zip(accs, column)]
+    return tuple(zip(accs))
+
+
 def evaluate(m: ModelWeights, x: Sequence[float]) -> Vector:
-    """Plaintext evaluation of the linear map: (w . x + b,)."""
-    if len(x) != m.input_dim:
-        raise LengthMismatch(
-            f"model expects {m.input_dim} inputs, got {len(x)}"
-        )
-    acc = m.weights[-1]
-    for w, xi in zip(m.weights[:-1], x):
-        acc += w * xi
-    return (acc,)
+    """Plaintext evaluation of the linear map on one input: (w . x + b,)."""
+    return evaluate_cases(m, (x,))[0]
 
 
 def train_toward(m: ModelWeights, target: ModelWeights, rate: float) -> ModelWeights:
@@ -320,15 +335,19 @@ def verify_submission(
     """Two-part check of a trainer's submission; verdicts are data.
 
     Part 1 binds the submitted ciphertext to the digest committed in the
-    testing block. Part 2 accepts a case exactly when
-    ``fhe_encrypt(pk, claimed) == fhe_eval(enc_model, fhe_encrypt(pk, x))``.
+    testing block. Part 2 accepts the submission exactly when, for every
+    case, ``fhe_encrypt(pk, claimed) == fhe_eval(enc_model, fhe_encrypt(pk, x))``.
     Under one key that holds exactly when the canonical packed plaintexts
     of the claim and of the model's output are equal (see the module
-    docstring), so the model is opened once, on the first case, and each
-    case compares packed bytes. Bytes, not floats: a claimed ``-0.0``
-    against a true ``0.0`` is rejected, where float ``==`` would accept
-    it. A non-finite claimed output is rejected: it has no place in the
-    ranking by mean squared error.
+    docstring). A model has one output, so a claim of any other length
+    fails; the rest are checked as one vector: the model is opened once
+    (only if there is a case), ``evaluate_cases`` maps it over all inputs,
+    and the packed doubles of all claims are compared with those of all
+    outputs in one bytes comparison. With one double per case the
+    concatenations are equal exactly when every case is. Bytes, not
+    floats: a claimed ``-0.0`` against a true ``0.0`` is rejected, where
+    float ``==`` would accept it. A non-finite claimed output is
+    rejected: it has no place in the ranking by mean squared error.
     """
     try:
         key_id = _parse_key(pk, _PK_MAGIC)
@@ -340,48 +359,44 @@ def verify_submission(
         return Verdict.reject(VERDICT_HASH_MISMATCH)
     if len(claimed_outputs) != len(testing_inputs):
         return Verdict.reject(VERDICT_OUTPUT_MISMATCH)
-    model = None
-    for claimed, x in zip(claimed_outputs, testing_inputs):
-        if not all(map(math.isfinite, claimed)):
-            return Verdict.reject(VERDICT_OUTPUT_MISMATCH)
-        x = tuple(map(float, x))
-        try:
-            if model is None:
-                model = _open_model(enc_model)
-            actual = evaluate(model, x)
-        except (InvalidCiphertext, LengthMismatch):
-            return Verdict.reject(VERDICT_OUTPUT_MISMATCH)
-        if _encode_plaintext(claimed) != _encode_plaintext(actual):
-            return Verdict.reject(VERDICT_OUTPUT_MISMATCH)
+    if not testing_inputs:
+        return Verdict.ok()
+    if set(map(len, claimed_outputs)) != {1}:
+        return Verdict.reject(VERDICT_OUTPUT_MISMATCH)
+    claims = list(chain.from_iterable(claimed_outputs))
+    if not all(map(math.isfinite, claims)):
+        return Verdict.reject(VERDICT_OUTPUT_MISMATCH)
+    try:
+        actual = evaluate_cases(_open_model(enc_model), testing_inputs)
+    except (InvalidCiphertext, LengthMismatch):
+        return Verdict.reject(VERDICT_OUTPUT_MISMATCH)
+    packing = f"<{len(claims)}d"
+    if struct.pack(packing, *claims) != struct.pack(packing, *chain.from_iterable(actual)):
+        return Verdict.reject(VERDICT_OUTPUT_MISMATCH)
     return Verdict.ok()
 
 
 def performance_index(
     outputs: Sequence[Sequence[float]], truths: Sequence[Sequence[float]]
 ) -> float:
-    """Mean squared error over all output components; lower is better."""
+    """Mean squared error over all output components; lower is better.
+
+    One pass over the float components, case by case and left to right,
+    as ``total += (o - t) ** 2``: a fixed order, so the index has the same
+    bits on every Python version (``sum`` of floats is compensated from
+    Python 3.12 and rounds differently).
+    """
     if len(outputs) != len(truths):
         raise LengthMismatch(f"{len(outputs)} outputs vs {len(truths)} truths")
     if not outputs:
         raise EmptyCases("performance index needs at least one case")
+    if list(map(len, outputs)) != list(map(len, truths)):
+        raise LengthMismatch("case dimensions differ between outputs and truths")
     total = 0.0
     count = 0
-    for out, truth in zip(outputs, truths):
-        out_v = _as_vector(out)
-        truth_v = _as_vector(truth)
-        if len(out_v) != len(truth_v):
-            raise LengthMismatch(
-                f"case dimensions differ: {len(out_v)} vs {len(truth_v)}"
-            )
-        for o, t in zip(out_v, truth_v):
-            total += (o - t) ** 2
-            count += 1
+    for o, t in zip(chain.from_iterable(outputs), chain.from_iterable(truths)):
+        total += (o - t) ** 2
+        count += 1
     if count == 0:
         raise EmptyCases("cases carry no components")
     return total / count
-
-
-def _as_vector(value: Sequence[float] | float) -> Vector:
-    if isinstance(value, (int, float)):
-        return (float(value),)
-    return tuple(float(v) for v in value)

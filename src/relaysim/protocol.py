@@ -395,7 +395,7 @@ class ConcreteModels:
             tuple(rng.uniform(-1.0, 1.0) for _ in range(target.input_dim))
             for _ in range(config.q_cases)
         )
-        return inputs, tuple(crypto.evaluate(target, x) for x in inputs)
+        return inputs, crypto.evaluate_cases(target, inputs)
 
     def verify(self, sealed: Sequence[tuple], participants, pk: bytes, inputs, truths,
                rng: random.Random) -> tuple[list[chainmod.VerifiedRecord], list[Rejection]]:
@@ -403,8 +403,7 @@ class ConcreteModels:
         submissions = [
             Submission(
                 record.prev_owner_id, record.trainer_id, digest, ct,
-                tuple(crypto.evaluate(participants[record.trainer_id].model, x)
-                      for x in inputs),
+                crypto.evaluate_cases(participants[record.trainer_id].model, inputs),
             )
             for record, ct, digest in sealed
         ]

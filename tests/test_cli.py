@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from relaysim import cli, protocol, sim
+from relaysim import chain, cli, protocol, sim
 from relaysim.cli import (
     BadOverride,
     MissingConfig,
@@ -242,6 +242,65 @@ class TestExportVerb:
     def test_missing_out(self, tmp_path):
         status = main(["export", "--config", str(tmp_path / "none.jsonl")])
         assert status == 2
+
+
+class TestExportOnePass:
+    """export writes the chain its verifying pass built: one hash per block,
+    and the file, exit code and stderr of verifying, then re-parsing."""
+
+    @staticmethod
+    def _dump(tmp_path):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(SMALL_SIM_CFG)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        return tmp_path / "run" / "chain.jsonl"
+
+    @staticmethod
+    def _two_pass_export(text):
+        """The export written as two passes: verify, then parse again."""
+        violations = chain.verify_chain_dump(text)
+        if violations:
+            return 1, None, "".join(f"export: {v}\n" for v in violations)
+        return 0, chain.chain_to_jsonl(chain.chain_from_jsonl(text)), ""
+
+    def test_each_block_hashed_once(self, tmp_path, monkeypatch):
+        dump = self._dump(tmp_path)
+        calls = []
+        digest = chain.block_digest
+        monkeypatch.setattr(chain, "block_digest", lambda b: calls.append(b) or digest(b))
+        assert main(["export", "--config", str(dump), "--out", str(tmp_path / "x.jsonl")]) == 0
+        blocks = len(dump.read_text().splitlines())
+        assert blocks == 4 * 6 + 1
+        assert len(calls) == blocks
+
+    def test_good_dump_output_unchanged(self, tmp_path, capsys):
+        dump = self._dump(tmp_path)
+        capsys.readouterr()
+        copy = tmp_path / "copy.jsonl"
+        status, expected, _ = self._two_pass_export(dump.read_text())
+        assert main(["export", "--config", str(dump), "--out", str(copy)]) == status == 0
+        assert copy.read_text() == expected
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("tamper", ["flip_byte", "drop_line", "swap_lines", "garbage_line"])
+    def test_tampered_dump_stderr_unchanged(self, tmp_path, capsys, tamper):
+        lines = self._dump(tmp_path).read_text().splitlines(keepends=True)
+        if tamper == "flip_byte":
+            lines[7] = lines[7].replace('"round":2', '"round":3', 1)
+        elif tamper == "drop_line":
+            del lines[5]
+        elif tamper == "swap_lines":
+            lines[3], lines[4] = lines[4], lines[3]
+        else:
+            lines.insert(9, "{not json\n")
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(lines))
+        capsys.readouterr()
+        out = tmp_path / "x.jsonl"
+        status, _, err = self._two_pass_export(bad.read_text())
+        assert main(["export", "--config", str(bad), "--out", str(out)]) == status == 1
+        assert capsys.readouterr().err == err != ""
+        assert not out.exists()
 
 
 class TestExitCodes:

@@ -16,12 +16,14 @@ from relaysim.crypto import (
     ModelWeights,
     NonFiniteWeight,
     UnknownKey,
+    Verdict,
     VERDICT_HASH_MISMATCH,
     VERDICT_KEY_MISMATCH,
     VERDICT_OUTPUT_MISMATCH,
     ciphertext_digest,
     ciphertext_ok,
     evaluate,
+    evaluate_cases,
     fhe_decrypt_model,
     fhe_encrypt,
     fhe_eval,
@@ -343,6 +345,170 @@ class TestVerifierEquivalence:
         assert not verdict.accepted and verdict.reason == VERDICT_OUTPUT_MISMATCH
 
 
+def _evaluate_one(m, x):
+    """The linear map on one input, as a per-case loop."""
+    if len(x) != m.input_dim:
+        raise LengthMismatch(f"model expects {m.input_dim} inputs, got {len(x)}")
+    acc = m.weights[-1]
+    for w, xi in zip(m.weights[:-1], x):
+        acc += w * xi
+    return (acc,)
+
+
+def _per_case_verdict(committed_digest, enc_model, claimed_outputs, pk, testing_inputs):
+    """verify_submission as a loop over the cases: the model is opened on
+    the first case, and each case is evaluated on its own and compared as
+    packed plaintext bytes."""
+    try:
+        key_id = crypto._parse_key(pk, crypto._PK_MAGIC)
+    except UnknownKey:
+        return Verdict.reject(VERDICT_KEY_MISMATCH)
+    if enc_model.key_id != key_id or not ciphertext_ok(enc_model):
+        return Verdict.reject(VERDICT_KEY_MISMATCH)
+    if ciphertext_digest(enc_model) != committed_digest:
+        return Verdict.reject(VERDICT_HASH_MISMATCH)
+    if len(claimed_outputs) != len(testing_inputs):
+        return Verdict.reject(VERDICT_OUTPUT_MISMATCH)
+    model = None
+    for claimed, x in zip(claimed_outputs, testing_inputs):
+        if not all(map(math.isfinite, claimed)):
+            return Verdict.reject(VERDICT_OUTPUT_MISMATCH)
+        x = tuple(map(float, x))
+        try:
+            if model is None:
+                model = crypto._open_model(enc_model)
+            actual = _evaluate_one(model, x)
+        except (InvalidCiphertext, LengthMismatch):
+            return Verdict.reject(VERDICT_OUTPUT_MISMATCH)
+        if crypto._encode_plaintext(claimed) != crypto._encode_plaintext(actual):
+            return Verdict.reject(VERDICT_OUTPUT_MISMATCH)
+    return Verdict.ok()
+
+
+def _tampered(ct, how):
+    flipped = bytes([ct.payload[0] ^ 1]) + ct.payload[1:]
+    return {
+        "none": ct,
+        "payload": Ciphertext(ct.key_id, flipped, ct.tag),
+        "payload_retagged": Ciphertext(ct.key_id, flipped, crypto._tag(ct.key_id, flipped)),
+        "tag": Ciphertext(ct.key_id, ct.payload, ct.tag[::-1]),
+        "key": Ciphertext(ct.key_id ^ 1, ct.payload, ct.tag),
+    }[how]
+
+
+_WEIGHTS = st.one_of(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=5),
+    st.lists(st.integers(-4, 4).map(float), min_size=1, max_size=5),
+    st.integers(1, 5).map(lambda n: [0.0] * n),
+    st.integers(1, 5).map(lambda n: [-0.0] * n),
+)
+_ELEMENT = st.one_of(st.floats(-10, 10), st.integers(-5, 5), st.just(-0.0))
+
+
+class TestVectorVerifier:
+    """The whole-vector verifier gives the per-case loop's verdict."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        weights=_WEIGHTS,
+        tamper=_mostly("none", "payload", "payload_retagged", "tag", "key"),
+        commit_tampered=st.booleans(),
+        digest_ok=_mostly(True, False),
+        key=_mostly("round", "other", "garbage"),
+        count=_mostly("equal", "fewer", "more"),
+        cases=_mostly(3, 0, 1, 5),
+        seed=st.integers(0, 2**32),
+        data=st.data(),
+    )
+    def test_matches_per_case_loop(self, weights, tamper, commit_tampered, digest_ok, key,
+                                   count, cases, seed, data):
+        rng = random.Random(seed)
+        pair, other = fhe_keygen(rng), fhe_keygen(rng)
+        model = ModelWeights(4, tuple(weights))
+        sealed = fhe_encrypt(pair.pk, model)
+        enc_model = _tampered(sealed, tamper)
+        committed = ciphertext_digest(enc_model if commit_tampered else sealed)
+        if not digest_ok:
+            committed = committed[::-1]
+        pk = {"round": pair.pk, "other": other.pk, "garbage": b"not-a-key"}[key]
+        width = _mostly(model.input_dim, model.input_dim + 1, max(model.input_dim - 1, 0))
+        inputs = data.draw(st.lists(width.flatmap(
+            lambda n: st.tuples(*[_ELEMENT] * n)), min_size=cases, max_size=cases))
+        claims = [self._honest(model, x) for x in inputs]
+        fault = data.draw(st.sampled_from(["one", "one", "one", "two", "none", "shift", "shift"]))
+        if claims and fault == "shift":
+            # a 2-component claim followed by a 0-component one: the same
+            # doubles as two honest cases, laid out differently
+            i = data.draw(st.integers(0, len(claims) - 1))
+            claims[i:i + 2] = [tuple(c for claim in claims[i:i + 2] for c in claim), ()]
+            claims = claims[:len(inputs)]
+        for _ in range({"one": 1, "two": 2}.get(fault, 0)):
+            if claims:
+                i = data.draw(st.integers(0, len(claims) - 1))
+                claims[i] = self._altered(data, self._honest(model, inputs[i]))
+        if count == "fewer" and claims:
+            claims.pop()
+        elif count == "more":
+            claims.append((0.0,))
+        verdict = verify_submission(committed, enc_model, claims, pk, inputs)
+        assert verdict == _per_case_verdict(committed, enc_model, claims, pk, inputs)
+
+    @staticmethod
+    def _honest(model, x):
+        try:
+            return _evaluate_one(model, x)
+        except LengthMismatch:
+            return (0.0,)
+
+    @staticmethod
+    def _altered(data, claim):
+        (y,) = claim
+        integral = math.isfinite(y) and y == int(y) and abs(y) <= 2**53
+        return data.draw(st.sampled_from([
+            claim, (-y,), (0.0,), (-0.0,), (math.nan,), (math.inf,), (-math.inf,),
+            (int(y),) if integral else (7,), (), (y, y), (y, 0.0),
+        ]) | st.tuples(st.integers(-2**53, 2**53)))
+
+    def test_negative_zero_claim_in_any_case_rejected(self):
+        pair = fhe_keygen(random.Random(4))
+        model = ModelWeights(1, (0.0, 0.0, 0.0))
+        ct = fhe_encrypt(pair.pk, model)
+        inputs = [(1.0, 2.0)] * 3
+        for claims, accepted in [([(0.0,)] * 3, True), ([(0.0,), (-0.0,), (0.0,)], False),
+                                 ([(0,)] * 3, True)]:
+            verdict = verify_submission(ciphertext_digest(ct), ct, claims, pair.pk, inputs)
+            assert verdict.accepted is accepted
+            assert verdict == _per_case_verdict(ciphertext_digest(ct), ct, claims, pair.pk, inputs)
+
+    def test_shifted_components_rejected(self):
+        pair = fhe_keygen(random.Random(5))
+        model = ModelWeights(1, (2.0, 1.0))
+        ct = fhe_encrypt(pair.pk, model)
+        inputs = [(1.0,), (2.0,)]
+        verdict = verify_submission(ciphertext_digest(ct), ct, [(3.0, 5.0), ()], pair.pk, inputs)
+        assert verdict == Verdict.reject(VERDICT_OUTPUT_MISMATCH)
+
+
+class TestEvaluateCases:
+    @settings(max_examples=300, deadline=None)
+    @given(weights=_WEIGHTS, data=st.data())
+    def test_same_bits_as_per_case_loop(self, weights, data):
+        model = ModelWeights(0, tuple(weights))
+        widths = _mostly(model.input_dim, model.input_dim + 1)
+        inputs = data.draw(st.lists(widths.flatmap(
+            lambda n: st.tuples(*[_ELEMENT] * n)), max_size=6))
+        try:
+            expected = [_evaluate_one(model, x) for x in inputs]
+        except LengthMismatch:
+            with pytest.raises(LengthMismatch):
+                evaluate_cases(model, inputs)
+            return
+        outputs = evaluate_cases(model, inputs)
+        assert [struct.pack("<d", y) for (y,) in outputs] == [
+            struct.pack("<d", y) for (y,) in expected]
+        assert [evaluate(model, x) for x in inputs] == list(outputs)
+
+
 class TestUndecodablePlaintext:
     PAYLOADS = {
         "zero_weights": b"M" + struct.pack("<QQ", 1, 0),
@@ -418,6 +584,24 @@ class TestPerformanceIndex:
     def test_empty_cases(self):
         with pytest.raises(EmptyCases):
             performance_index([], [])
+
+    def test_case_width_mismatch(self):
+        with pytest.raises(LengthMismatch):
+            performance_index([(1.0,), (1.0, 2.0)], [(1.0, 2.0), (1.0,)])
+        with pytest.raises(EmptyCases):
+            performance_index([(), ()], [(), ()])
+
+    @given(cases=st.lists(st.integers(0, 3).flatmap(lambda n: st.tuples(
+        st.tuples(*[st.floats(-1e3, 1e3)] * n), st.tuples(*[st.floats(-1e3, 1e3)] * n))),
+        min_size=1, max_size=12).filter(lambda cases: any(o for o, _ in cases)))
+    def test_same_bits_as_per_case_loop(self, cases):
+        total, count = 0.0, 0
+        for out, truth in cases:
+            for o, t in zip(out, truth):
+                total += (o - t) ** 2
+                count += 1
+        index = performance_index([o for o, _ in cases], [t for _, t in cases])
+        assert struct.pack("<d", index) == struct.pack("<d", total / count)
 
     @given(
         pairs=st.lists(

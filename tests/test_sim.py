@@ -333,6 +333,16 @@ class TestGoldenOutputs:
     def test_seed_7_toggle_digests(self, mode, rounds, toggle, chain_sha, csv_sha):
         self._check(SimConfig(seed=7, rounds=rounds, mode=mode, **toggle), chain_sha, csv_sha)
 
+    @pytest.mark.parametrize("model_dim, chain_sha, csv_sha", [
+        (1, "e4ddc0ecd9a2e03b1f714f207803fdbe71c1b8269c1d9530af906faf4640960d",
+         "3b83b3357cd23860259873680137afadd42480fd4544c178e219575c10a0470a"),
+        (7, "a998f9fec2aed04c88ec789a2bd15f8b82294aeeb87d5814f5f8fb261724df9b",
+         "043ccb93f7da311a62ddb435c814dce56aef427a41b26cf99d40c7f5ba9a85ed"),
+    ])
+    def test_seed_7_concrete_model_dims(self, model_dim, chain_sha, csv_sha):
+        self._check(SimConfig(seed=7, rounds=6, mode="concrete", model_dim=model_dim),
+                    chain_sha, csv_sha)
+
     @staticmethod
     def _check(config, chain_sha, csv_sha):
         run = simulate_run(config)
