@@ -20,7 +20,9 @@ the round log and the dump all read the digest from there.
 
 The dump format is one JSON object per block per line, digests
 hex-encoded lowercase. Each line carries the block's own digest so a
-mutation of the tip is as detectable as one in the middle.
+mutation of the tip is as detectable as one in the middle. A line and its
+payload object hold exactly the codec's keys, and the header's integer
+fields are JSON integers, not floats or booleans.
 
 One codec, derived from the dataclasses below, gives both the hash input
 and the dump form of a block. A field's name is its dump key and the
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import random
 import typing
 from dataclasses import dataclass, field
@@ -186,6 +189,13 @@ def _mapped(fn: Callable) -> _Converter:
     return lambda column: list(map(fn, column))
 
 
+def _json_int(value: Any) -> int:
+    """``value`` if it is a JSON integer: not a float, not a boolean."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def _field_codec(hint: Any) -> tuple[Callable | None, _Converter | None, _Converter | None]:
     """(structure, encode, decode) for values annotated ``hint``.
 
@@ -195,8 +205,10 @@ def _field_codec(hint: Any) -> tuple[Callable | None, _Converter | None, _Conver
     """
     if hint is str:
         return None, None, None
-    if hint is int or hint is float:
-        return None, None, _mapped(hint)
+    if hint is int:
+        return None, None, _mapped(_json_int)
+    if hint is float:
+        return None, None, _mapped(float)
     if hint is bytes:
         return None, _mapped(bytes.hex), _mapped(bytes.fromhex)
     if dataclasses.is_dataclass(hint):
@@ -318,14 +330,27 @@ def new_chain() -> Chain:
 def validate_block(chain: Chain, block: Block) -> list[str]:
     """Kind-specific payload checks; an empty list means valid.
 
-    EB records must differ from the predecessor model's digest recorded
-    in the previous round's EB; TB input/truth case counts must match;
-    SB top-set members must be verified, and there are 1 to all of them
-    (none without verified records).
+    DB contract and coinbase amounts must be finite and >= 0; EB records
+    must differ from the predecessor model's digest recorded in the
+    previous round's EB; TB input/truth case counts must match; SB
+    performances must be finite, top-set members must be verified, and
+    there are 1 to all of them (none without verified records).
     """
     violations: list[str] = []
     payload = block.payload
-    if isinstance(payload, EncryptionPayload):
+    if isinstance(payload, DepositPayload):
+        for c in payload.contracts:
+            if not (0.0 <= c.mo_amount < math.inf and 0.0 <= c.t_amount < math.inf):
+                violations.append(
+                    f"InvalidAmount: contract {c.mo_id}->{c.trainer_id} escrows "
+                    f"{c.mo_amount!r} and {c.t_amount!r}"
+                )
+        if not 0.0 <= payload.coinbase.amount < math.inf:
+            violations.append(
+                f"InvalidAmount: coinbase of {payload.coinbase.miner_id} is "
+                f"{payload.coinbase.amount!r}"
+            )
+    elif isinstance(payload, EncryptionPayload):
         prior: dict[str, bytes] = {}
         for prev in reversed(chain.blocks):
             if isinstance(prev.payload, EncryptionPayload):
@@ -345,6 +370,11 @@ def validate_block(chain: Chain, block: Block) -> list[str]:
                 f"{len(payload.testing_truths)} truths"
             )
     elif isinstance(payload, SettlementPayload):
+        for record in payload.verified:
+            if not math.isfinite(record.performance):
+                violations.append(
+                    f"NonFinitePerformance: {record.trainer_id} has {record.performance!r}"
+                )
         verified_ids = {r.trainer_id for r in payload.verified}
         for trainer_id in payload.top_set:
             if trainer_id not in verified_ids:
@@ -429,11 +459,21 @@ def chain_to_jsonl(chain: Chain) -> str:
     return "\n".join(lines) + "\n"
 
 
+_LINE_KEYS = (*_HEADER_CODEC.names, "payload", "digest")
+
+
 def _parse_line(line: str) -> tuple[Block, dict]:
-    """The block on one dump line, and the line's JSON object."""
+    """The block on one dump line, and the line's JSON object. The line and
+    its payload object hold exactly the codec's keys."""
     data = json.loads(line)
     header = _HEADER_CODEC.decode((data,))[0]
-    payload = _PAYLOAD_CODECS[header.kind].decode((data["payload"],))[0]
+    codec = _PAYLOAD_CODECS[header.kind]
+    payload = codec.decode((data["payload"],))[0]
+    # Decoding read each of the codec's keys, so an object holds another key
+    # exactly when it holds more keys than the codec has.
+    for obj, keys in ((data, _LINE_KEYS), (data["payload"], codec.names)):
+        if len(obj) != len(keys):
+            raise ValueError(f"unknown key(s) {sorted(set(obj) - set(keys))}")
     return Block(header, payload), data
 
 

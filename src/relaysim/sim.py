@@ -21,8 +21,6 @@ import random
 from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
-import numpy as np
-
 from . import configio, protocol
 from .economics import EconomicParams
 
@@ -325,6 +323,10 @@ def analyze_sustainability(metrics: Metrics) -> SustainabilityReport:
     n = metrics.rounds
     if n < 20:
         raise InsufficientData(f"need >= 20 rounds, got {n}")
+    # Imported here, not at module load: no other code needs numpy, so a
+    # process that never runs this analysis never loads it.
+    import numpy as np
+
     series = np.asarray(metrics.citation_cumulative, dtype=float)
     second = np.diff(series, n=2)
     tail = second[len(second) // 2:]
@@ -381,7 +383,9 @@ def analyze_accessibility(
         raise InsufficientData(f"need >= 50 rounds, got {n}")
     fixed = trainer_fixed_point(config.q_mo_and_t, config.s)
     tail = metrics.trainer_count[-(n // 4):]
-    mean_count = float(np.mean(tail))
+    # The integer sum is exact, so this is one correctly rounded division,
+    # the same bits as numpy's float64 mean of the same counts.
+    mean_count = sum(tail) / len(tail)
     deviation = abs(mean_count - fixed) / fixed if fixed > 0 else float("inf")
     shares = [bucket_shares(v) for v in metrics.versions]
     return AccessibilityReport(

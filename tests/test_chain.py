@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import random
 
 import pytest
@@ -161,6 +162,80 @@ class TestValidate:
         )
         with pytest.raises(PayloadInvariantViolation, match="UnverifiedInTopSet"):
             append_block(chain, Block(_next_header(chain, "SB"), bad))
+
+
+@pytest.fixture(scope="module")
+def seed_7_blocks():
+    return simulate_run(SimConfig(seed=7, rounds=1)).state.chain.blocks
+
+
+def _relinked(blocks):
+    """A chain of ``blocks`` with each back link recomputed, as a forger
+    who rewrote a block and every block after it would build it."""
+    chain = Chain(blocks=[blocks[0]])
+    for block in blocks[1:]:
+        header = dataclasses.replace(block.header, prev_digest=chain.digests[-1])
+        chain.blocks.append(Block(header, block.payload))
+        chain.digests.append(block_digest(chain.blocks[-1]))
+    return chain
+
+
+class TestImpossibleAmounts:
+    """A re-linked chain whose amounts no honest round can make is rejected."""
+
+    @staticmethod
+    def _contract(value, field):
+        def tamper(payload):
+            first = dataclasses.replace(payload.contracts[0], **{field: value})
+            return dataclasses.replace(payload, contracts=(first, *payload.contracts[1:]))
+        return 1, "InvalidAmount", tamper
+
+    @staticmethod
+    def _coinbase(value):
+        def tamper(payload):
+            return dataclasses.replace(
+                payload, coinbase=dataclasses.replace(payload.coinbase, amount=value))
+        return 1, "InvalidAmount", tamper
+
+    @staticmethod
+    def _performance(value):
+        def tamper(payload):
+            first = dataclasses.replace(payload.verified[0], performance=value)
+            return dataclasses.replace(payload, verified=(first, *payload.verified[1:]))
+        return 4, "NonFinitePerformance", tamper
+
+    ATTACKS = {
+        "mo-amount-negative": _contract(-5.0, "mo_amount"),
+        "mo-amount-nan": _contract(math.nan, "mo_amount"),
+        "t-amount-negative": _contract(-0.25, "t_amount"),
+        "t-amount-inf": _contract(math.inf, "t_amount"),
+        "coinbase-negative": _coinbase(-0.001),
+        "coinbase-nan": _coinbase(math.nan),
+        "coinbase-inf": _coinbase(math.inf),
+        "performance-nan": _performance(math.nan),
+        "performance-inf": _performance(math.inf),
+        "performance-minus-inf": _performance(-math.inf),
+    }
+
+    @pytest.mark.parametrize("attack", sorted(ATTACKS))
+    def test_rejected_on_append_and_in_the_dump(self, seed_7_blocks, attack):
+        height, reason, tamper = self.ATTACKS[attack]
+        blocks = list(seed_7_blocks)
+        blocks[height] = Block(blocks[height].header, tamper(blocks[height].payload))
+        forged = _relinked(blocks)
+        with pytest.raises(PayloadInvariantViolation, match=reason):
+            append_block(Chain(blocks=forged.blocks[:height]), forged.blocks[height])
+        violations = verify_chain_dump(chain_to_jsonl(forged))
+        assert [v.split(": ")[:3] for v in violations] == [
+            ["PayloadInvariantViolation", f"line {height}", reason]
+        ]
+
+    def test_zero_amounts_and_any_finite_performance_pass(self, seed_7_blocks):
+        blocks = list(seed_7_blocks)
+        for height, _, tamper in (self._contract(0.0, "mo_amount"), self._coinbase(0.0),
+                                  self._performance(-1e300)):
+            blocks[height] = Block(blocks[height].header, tamper(blocks[height].payload))
+        assert verify_chain_dump(chain_to_jsonl(_relinked(blocks))) == []
 
 
 class TestRuleList:
@@ -350,11 +425,21 @@ class TestTamperedValues:
         ('"height":1,', '"height":1e999,'),
         ('"nonce":7342', '"nonce":73420000000000000000'),
         ('"miner_id":"m0"', '"miner_id":"\\ud800"'),
+        # These decode to the same block, so its digest matches: only the
+        # decoder can reject them.
+        ('"round":1,', '"round":1.9,'),
+        ('"round":1,', '"round":true,'),
+        ('"height":1,', '"height":1.0,'),
+        ('"timestamp":15', '"timestamp":15.5'),
+        ('"nonce":7342', '"nonce":7342.0'),
+        ('"kind":"DB",', '"extra":5,"kind":"DB",'),
+        ('"payload":{"coinbase"', '"payload":{"extra":5,"coinbase"'),
     ])
     def test_reported_as_violation(self, old, new):
         text = self._dump()
         assert text.count(old) == 1
-        assert verify_chain_dump(text.replace(old, new))
+        violations = verify_chain_dump(text.replace(old, new))
+        assert [v.split(":")[0] for v in violations] == ["Unparseable"]
 
     @pytest.mark.parametrize("name", ["height", "round", "nonce", "timestamp"])
     def test_header_ints_are_unsigned_64_bit(self, name):

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import relaysim
 from relaysim import chain, cli, protocol, sim
 from relaysim.cli import (
     BadOverride,
@@ -365,3 +370,30 @@ class TestBoundaries:
     def test_flag_the_verb_does_not_take(self, argv, capsys):
         err = self._exit_two(argv, capsys)
         assert f"{argv[0]} does not take {argv[1]}" in err
+
+
+class TestNumpyFree:
+    """Only the sustainability analysis loads numpy: importing the package
+    and exporting a chain do not."""
+
+    SCRIPT = (
+        "import sys\n"
+        "import relaysim, relaysim.cli\n"
+        "status = relaysim.cli.main(['export', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+        "print(status, sorted(m for m in sys.modules if m.partition('.')[0] == 'numpy'))\n"
+    )
+
+    def test_import_and_export_load_no_numpy(self, tmp_path):
+        run = sim.simulate_run(sim.SimConfig(seed=7, rounds=3))
+        dump = tmp_path / "chain.jsonl"
+        dump.write_text(chain.chain_to_jsonl(run.state.chain), encoding="utf-8")
+        copy = tmp_path / "copy.jsonl"
+        src = str(Path(relaysim.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(dump), str(copy)],
+            capture_output=True, text=True, env=env, timeout=60, check=True,
+        )
+        assert result.stdout.splitlines()[-1] == "0 []"
+        assert copy.read_bytes() == dump.read_bytes()

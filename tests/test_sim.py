@@ -1,9 +1,13 @@
 import csv
 import hashlib
 import io
+import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relaysim.chain import chain_to_jsonl
 from relaysim.sim import (
@@ -20,6 +24,7 @@ from relaysim.sim import (
     run_round_robin,
     run_simulation,
     simulate_run,
+    summary_json,
     trainer_fixed_point,
     version_buckets,
 )
@@ -236,6 +241,15 @@ class TestAnalyzeAccessibility:
         assert not report.converged
         assert report.mean_trainer_count <= config.q_selection_limit
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 2**20), min_size=50, max_size=400))
+    def test_mean_trainer_count_matches_numpy_mean(self, counts):
+        # The same bits as numpy's float64 mean of the last quarter's counts.
+        metrics = _synthetic_metrics([0.0] * len(counts))
+        metrics.trainer_count = counts
+        report = analyze_accessibility(metrics, SimConfig(rounds=0, **SMALL))
+        assert report.mean_trainer_count == float(np.mean(counts[-(len(counts) // 4):]))
+
     def test_bucket_series_lengths(self):
         config = SimConfig(rounds=55, seed=3, **SMALL)
         metrics = run_simulation(config)
@@ -349,3 +363,45 @@ class TestGoldenOutputs:
         dump = chain_to_jsonl(run.state.chain)
         assert hashlib.sha256(dump.encode("utf-8")).hexdigest() == chain_sha
         assert hashlib.sha256(run.metrics.to_csv().encode("utf-8")).hexdigest() == csv_sha
+
+
+class TestGoldenSummary:
+    """summary.json of seed 7, abstract mode, 60 rounds.
+
+    The two least-squares figures come from numpy's reductions and LAPACK,
+    whose last bits may differ across builds, so they are pinned to a
+    relative 1e-9; every other value is pinned exactly.
+    """
+
+    @pytest.fixture(scope="class")
+    def summary(self):
+        return json.loads(summary_json(simulate_run(SimConfig(seed=7, rounds=60))))
+
+    def test_accessibility_exact(self, summary):
+        assert summary["accessibility"] == {
+            "fixed_point": 85.33333333333333,
+            "mean_trainer_count": 88.4,
+            "relative_deviation": 0.03593750000000012,
+            "converged": True,
+            "bucket_shares_last": {
+                "latest": 0.30859375, "latest-1": 0.2734375, "latest-2": 0.18359375,
+                "latest-3": 0.09375, "latest-4": 0.05078125, "latest-5": 0.03515625,
+                "latest-6": 0.0234375, "latest-7": 0.00390625, "latest-8": 0.015625,
+                "latest-9": 0.0078125, "older": 0.00390625, "none": 0.0,
+            },
+        }
+
+    def test_sustainability(self, summary):
+        report = summary["sustainability"]
+        assert report["accelerating"] is True
+        assert report["closed_form_exact"] is None
+        assert report["mean_second_difference"] == pytest.approx(42.206896551724135, rel=1e-9)
+        assert report["per_participant_quadratic_coeff"] == pytest.approx(
+            0.07444224309453445, rel=1e-9)
+
+    def test_everything_else_exact(self, summary):
+        report = summary["sustainability"]
+        report["mean_second_difference"] = report["per_participant_quadratic_coeff"] = None
+        text = json.dumps(summary, sort_keys=True)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+            "5b742f0ce081590962703598be68300a1794e208af8d510572c00cc07816794a")
