@@ -12,6 +12,9 @@ analyses:
   - matched-trainer count against the Q/(1+s) fixed point,
   - the exact closed-form check on the round-robin variant.
 
+The accessibility analysis needs at least 50 rounds, so a shorter
+--rounds is rejected before anything runs.
+
 Usage: python scripts/reproduce_results.py [OUT_DIR] [--seed N] [--rounds N]
 """
 
@@ -20,13 +23,13 @@ import csv
 from pathlib import Path
 
 from relaysim.sim import (
+    ACCESSIBILITY_ROUNDS,
+    BUCKET_LABELS,
     SimConfig,
     analyze_accessibility,
     analyze_sustainability,
-    bucket_shares,
     run_round_robin,
     simulate_run,
-    trainer_fixed_point,
 )
 
 
@@ -36,24 +39,25 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--rounds", type=int, default=200)
     args = parser.parse_args()
+    if args.rounds < ACCESSIBILITY_ROUNDS:
+        parser.error(f"--rounds must be at least {ACCESSIBILITY_ROUNDS}, got {args.rounds}")
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     config = SimConfig(rounds=args.rounds, seed=args.seed)
     print(f"running {config.rounds} rounds, seed {config.seed} ...")
-    run = simulate_run(config)
-    metrics = run.metrics
+    metrics = simulate_run(config).metrics
+    sust = analyze_sustainability(metrics)
+    acc = analyze_accessibility(metrics, config)
 
     (out / "coins_per_participant.csv").write_text(metrics.to_csv())
 
     with (out / "version_buckets.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
-        labels = list(bucket_shares(metrics.versions[0]).keys())
-        writer.writerow(["round"] + labels)
-        for r, versions in enumerate(metrics.versions, start=1):
-            shares = bucket_shares(versions)
-            writer.writerow([r] + [f"{shares[l]:.6f}" for l in labels])
+        writer.writerow(["round", *BUCKET_LABELS])
+        for r, shares in enumerate(acc.bucket_share_series, start=1):
+            writer.writerow([r] + [f"{shares[label]:.6f}" for label in BUCKET_LABELS])
 
     with (out / "trainer_counts.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -64,15 +68,12 @@ def main() -> None:
                 metrics.success_count[r],
             ])
 
-    sust = analyze_sustainability(metrics)
-    acc = analyze_accessibility(metrics, config)
-    fixed = trainer_fixed_point(config.q_mo_and_t, config.s)
     print(f"coin growth accelerating: {sust.accelerating} "
           f"(mean second difference {sust.mean_second_difference:.3f})")
     print(f"mean quadratic coefficient per participant: "
           f"{sust.per_participant_quadratic_coeff:.5f}")
     print(f"trainer count: mean {acc.mean_trainer_count:.2f} over the last "
-          f"quartile vs fixed point {fixed:.2f} "
+          f"quartile vs fixed point {acc.fixed_point:.2f} "
           f"(deviation {100 * acc.relative_deviation:.1f}%, "
           f"converged: {acc.converged})")
     top = {k: v for k, v in acc.bucket_shares_last.items() if v > 0}

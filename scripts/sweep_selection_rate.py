@@ -10,13 +10,22 @@ selection_limit trainers match per owner, so the owner count can only
 grow past one when floor(s * selection_limit) >= 2; below that the run
 never escapes the cold start (flagged "stuck" below).
 
+The prediction and the simulated count (the mean over the last quarter
+of the rounds) are those of ``analyze_accessibility``, which needs at
+least 50 rounds.
+
 Usage: python scripts/sweep_selection_rate.py [--rounds N] [--seeds N]
 """
 
 import argparse
 import statistics
 
-from relaysim.sim import SimConfig, run_simulation, trainer_fixed_point
+from relaysim.sim import (
+    ACCESSIBILITY_ROUNDS,
+    SimConfig,
+    analyze_accessibility,
+    run_simulation,
+)
 
 
 def main() -> None:
@@ -24,17 +33,20 @@ def main() -> None:
     parser.add_argument("--rounds", type=int, default=150)
     parser.add_argument("--seeds", type=int, default=3)
     args = parser.parse_args()
+    if args.rounds < ACCESSIBILITY_ROUNDS:
+        parser.error(f"--rounds must be at least {ACCESSIBILITY_ROUNDS}, got {args.rounds}")
+    if args.seeds < 1:
+        parser.error(f"--seeds must be at least 1, got {args.seeds}")
 
     limit = SimConfig().q_selection_limit
     print(f"{'s':>5} {'predicted':>10} {'simulated':>10} {'spread':>8} {'dev%':>6}")
     for s in (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8):
-        predicted = trainer_fixed_point(128, s)
-        means = []
+        reports = []
         for seed in range(args.seeds):
             config = SimConfig(rounds=args.rounds, seed=seed, s=s)
-            metrics = run_simulation(config)
-            tail = metrics.trainer_count[-(args.rounds // 4):]
-            means.append(sum(tail) / len(tail))
+            reports.append(analyze_accessibility(run_simulation(config), config))
+        predicted = reports[0].fixed_point
+        means = [report.mean_trainer_count for report in reports]
         mean = statistics.mean(means)
         spread = max(means) - min(means)
         deviation = 100.0 * abs(mean - predicted) / predicted

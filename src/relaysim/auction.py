@@ -131,7 +131,7 @@ def match_round(
     ranked_mos: Sequence[str],
     trainer_bids: Sequence[Bid],
     selection_limit: int,
-    per_mo_deposit: Mapping[str, float] | float,
+    per_mo_deposit: Mapping[str, float],
     second_price: bool = False,
 ) -> MatchResult:
     """Greedy owner-trainer matching over bid-ranked trainers.
@@ -141,7 +141,7 @@ def match_round(
     Each matched trainer deposits its own bid; with ``second_price`` it
     deposits the next bid down in its owner's block and the block's last
     trainer its own bid, as ``select_trainers`` on that block. The owner
-    side deposits ``per_mo_deposit`` (a single value or a per-owner mapping).
+    side deposits ``per_mo_deposit[mo_id]``.
     """
     if selection_limit < 1:
         raise ZeroLimit(f"selection_limit must be >= 1, got {selection_limit}")
@@ -151,11 +151,7 @@ def match_round(
     for mo_id in ranked_mos:
         if cursor >= len(ranked):
             break
-        deposit = (
-            per_mo_deposit[mo_id]
-            if isinstance(per_mo_deposit, Mapping)
-            else per_mo_deposit
-        )
+        deposit = per_mo_deposit[mo_id]
         block = ranked[cursor:cursor + selection_limit]
         payers = block[1:] + block[-1:] if second_price else block
         for bid, payer in zip(block, payers):

@@ -20,9 +20,11 @@ the round log and the dump all read the digest from there.
 
 The dump format is one JSON object per block per line, digests
 hex-encoded lowercase. Each line carries the block's own digest so a
-mutation of the tip is as detectable as one in the middle. A line and its
-payload object hold exactly the codec's keys, and the header's integer
-fields are JSON integers, not floats or booleans.
+mutation of the tip is as detectable as one in the middle. A line and
+each object within it hold exactly the codec's keys, and each value is in
+the one form the encoder writes: an integer is not a float or a boolean,
+a float is not an integer or a string, a list is a JSON array, and bytes
+are lower-case hex.
 
 One codec, derived from the dataclasses below, gives both the hash input
 and the dump form of a block. A field's name is its dump key and the
@@ -34,12 +36,13 @@ format, and every digest, and must be versioned.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import random
 import typing
 from dataclasses import dataclass, field
-from operator import attrgetter, itemgetter
+from operator import attrgetter, countOf, itemgetter
 from typing import Any, Callable, Sequence
 
 from .serialize import DIGEST_SIZE, ZERO_DIGEST, digest as canonical_digest
@@ -189,28 +192,41 @@ def _mapped(fn: Callable) -> _Converter:
     return lambda column: list(map(fn, column))
 
 
-def _json_int(value: Any) -> int:
-    """``value`` if it is a JSON integer: not a float, not a boolean."""
-    if type(value) is not int:
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
+def _typed(kind: type) -> _Converter:
+    """The check that a column holds only JSON values of exactly ``kind``:
+    no integer for a float, no float or boolean for an integer, no number
+    for a string."""
+    def check(column: list) -> list:
+        if countOf(map(type, column), kind) != len(column):
+            wrong = next(value for value in column if type(value) is not kind)
+            raise TypeError(f"expected {kind.__name__}, got {wrong!r}")
+        return column
+    return check
 
 
-def _field_codec(hint: Any) -> tuple[Callable | None, _Converter | None, _Converter | None]:
+def _hex(column: list) -> list[bytes]:
+    """The bytes of a column of lower-case hex strings with no spaces, the
+    only form ``bytes.hex`` writes."""
+    values = list(map(bytes.fromhex, column))
+    # Each string round-trips exactly when their concatenation does, since
+    # ``hex`` never writes more characters than ``fromhex`` read.
+    if b"".join(values).hex() != "".join(column):
+        raise ValueError("bytes must be lower-case hex with no spaces")
+    return values
+
+
+def _field_codec(hint: Any) -> tuple[Callable | None, _Converter | None, _Converter]:
     """(structure, encode, decode) for values annotated ``hint``.
 
     ``structure`` maps one value to its hash form; ``encode`` and
-    ``decode`` map a list of values to a list of JSON values and back.
-    None stands for values that pass unchanged.
+    ``decode`` map a list of values to a list of JSON values and back, and
+    ``decode`` rejects any JSON value that ``encode`` does not write.
+    A structure or encode of None stands for values that pass unchanged.
     """
-    if hint is str:
-        return None, None, None
-    if hint is int:
-        return None, None, _mapped(_json_int)
-    if hint is float:
-        return None, None, _mapped(float)
+    if hint in (str, int, float):
+        return None, None, _typed(hint)
     if hint is bytes:
-        return None, _mapped(bytes.hex), _mapped(bytes.fromhex)
+        return None, _mapped(bytes.hex), _hex
     if dataclasses.is_dataclass(hint):
         codec = _Codec(hint)
         return codec.structure, codec.encode, codec.decode
@@ -218,10 +234,17 @@ def _field_codec(hint: Any) -> tuple[Callable | None, _Converter | None, _Conver
     if typing.get_origin(hint) is not tuple or len(args) != 2 or args[1] is not Ellipsis:
         raise TypeError(f"no block codec for field type {hint!r}")
     structure, encode, decode = _field_codec(args[0])
+    is_list = _typed(list)
+
+    def decode_tuples(column: list) -> list[tuple]:
+        # One decode of the elements of every list in the column, then one
+        # tuple per list.
+        values = iter(decode(list(itertools.chain.from_iterable(is_list(column)))))
+        return [tuple(itertools.islice(values, len(items))) for items in column]
     return (
         None if structure is None else _mapped(structure),
         None if encode is None else _mapped(encode),
-        _mapped(tuple) if decode is None else _mapped(lambda values: tuple(decode(values))),
+        decode_tuples,
     )
 
 
@@ -267,8 +290,15 @@ class _Codec:
         return [dict(zip(self.names, row)) for row in zip(*columns)]
 
     def decode(self, items: Sequence) -> list:
-        """Instances rebuilt from JSON objects; raises on a malformed one."""
-        return list(map(self.cls, *_columns(items, self.itemgetters, self.decoders)))
+        """Instances rebuilt from JSON objects; raises on a malformed one,
+        or on one that holds a key the codec does not define."""
+        columns = _columns(items, self.itemgetters, self.decoders)
+        # Every codec key was read from each object, so an object holds
+        # another key exactly when the objects hold more keys in all.
+        if sum(map(len, items)) != len(items) * len(self.names):
+            unknown = sorted(set().union(*items) - set(self.names))
+            raise ValueError(f"unknown key(s) {unknown} in a {self.cls.__name__}")
+        return list(map(self.cls, *columns))
 
 
 _HEADER_CODEC = _Codec(BlockHeader)
@@ -459,22 +489,15 @@ def chain_to_jsonl(chain: Chain) -> str:
     return "\n".join(lines) + "\n"
 
 
-_LINE_KEYS = (*_HEADER_CODEC.names, "payload", "digest")
-
-
-def _parse_line(line: str) -> tuple[Block, dict]:
-    """The block on one dump line, and the line's JSON object. The line and
-    its payload object hold exactly the codec's keys."""
+def _parse_line(line: str) -> tuple[Block, bytes]:
+    """The block on one dump line, and the digest the line records. The
+    line, like each object within it, holds exactly the codec's keys."""
     data = json.loads(line)
+    if type(data) is not dict:
+        raise TypeError(f"expected an object, got {data!r}")
+    payload, recorded = data.pop("payload"), _hex([data.pop("digest")])[0]
     header = _HEADER_CODEC.decode((data,))[0]
-    codec = _PAYLOAD_CODECS[header.kind]
-    payload = codec.decode((data["payload"],))[0]
-    # Decoding read each of the codec's keys, so an object holds another key
-    # exactly when it holds more keys than the codec has.
-    for obj, keys in ((data, _LINE_KEYS), (data["payload"], codec.names)):
-        if len(obj) != len(keys):
-            raise ValueError(f"unknown key(s) {sorted(set(obj) - set(keys))}")
-    return Block(header, payload), data
+    return Block(header, _PAYLOAD_CODECS[header.kind].decode((payload,))[0]), recorded
 
 
 def chain_from_jsonl(text: str) -> Chain:
@@ -499,8 +522,7 @@ def verify_chain_dump(text: str, partial: Chain | None = None) -> list[str]:
         if not line.strip():
             continue
         try:
-            block, data = _parse_line(line)
-            recorded = bytes.fromhex(data["digest"])
+            block, recorded = _parse_line(line)
             # A string that is not valid UTF-8 (a lone surrogate) fails here.
             actual = block_digest(block)
         except (ValueError, KeyError, TypeError, OverflowError) as exc:

@@ -21,13 +21,12 @@ work is done.
 from __future__ import annotations
 
 import json
-import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable
+from typing import Any, Callable
 
-from . import configio, economics, protocol, sim
+from . import configio, economics, sim
 from .chain import Chain, chain_to_jsonl, verify_chain_dump
 
 
@@ -55,23 +54,6 @@ class Command:
     overrides: dict[str, str] = field(default_factory=dict)
 
 
-def _is_integer(value: str) -> bool:
-    try:
-        int(value)
-    except ValueError:
-        return False
-    return True
-
-
-def _override(key: str, valid: Callable[[str], bool], expects: str) -> Callable:
-    """Handler of a flag that sets the override ``key`` to a valid value."""
-    def store(cmd: Command, flag: str, value: str) -> None:
-        if not valid(value):
-            raise BadOverride(f"{flag} expects {expects}, got {value!r}")
-        cmd.overrides[key] = value
-    return store
-
-
 def _set_override(cmd: Command, flag: str, value: str) -> None:
     key, eq, raw = value.partition("=")
     if not eq or not key.strip():
@@ -79,14 +61,14 @@ def _set_override(cmd: Command, flag: str, value: str) -> None:
     cmd.overrides[key.strip()] = raw.strip()
 
 
-# flag -> handler that checks the flag's one value and stores it
+# flag -> handler that stores the flag's one value; values are checked
+# where the config is built, before any work
 FLAGS: dict[str, Callable[[Command, str, str], None]] = {
     "--config": lambda cmd, flag, value: setattr(cmd, "config_path", value),
     "--out": lambda cmd, flag, value: setattr(cmd, "output_path", value),
-    "--seed": _override("seed", _is_integer, "an integer"),
-    "--rounds": _override("rounds", _is_integer, "an integer"),
-    "--mode": _override("mode", protocol.MODELS.__contains__,
-                        f"one of {', '.join(protocol.MODELS)}"),
+    "--seed": lambda cmd, flag, value: cmd.overrides.update(seed=value),
+    "--rounds": lambda cmd, flag, value: cmd.overrides.update(rounds=value),
+    "--mode": lambda cmd, flag, value: cmd.overrides.update(mode=value),
     "--set": _set_override,
 }
 
@@ -134,28 +116,25 @@ def _output_file(cmd: Command) -> Path | None:
     return path
 
 
-def _merged_mapping(cmd: Command) -> dict[str, str]:
-    mapping: dict[str, str] = {}
-    if cmd.config_path is not None:
-        mapping.update(configio.load_kv_file(_input_file(cmd, "config file")))
-    mapping.update(cmd.overrides)
-    return mapping
+def _built(cmd: Command, build: Callable[[dict[str, str]], Any]) -> Any:
+    """``build`` applied to the config file's values under the command
+    line's; a malformed line or a bad value is a bad invocation."""
+    path = None if cmd.config_path is None else _input_file(cmd, "config file")
+    try:
+        mapping = {} if path is None else configio.load_kv_file(path)
+        return build({**mapping, **cmd.overrides})
+    except ValueError as exc:
+        raise BadOverride(str(exc)) from exc
 
 
 def _sim_config(cmd: Command) -> sim.SimConfig:
-    try:
-        return sim.config_from_mapping(_merged_mapping(cmd))
-    except sim.InvalidSimConfig as exc:
-        raise BadOverride(str(exc)) from exc
+    return _built(cmd, sim.config_from_mapping)
 
 
 def _econ_params(cmd: Command) -> economics.EconomicParams:
     if cmd.config_path is None:
         raise MissingConfig(f"{cmd.verb} requires --config with economic parameters")
-    try:
-        return economics.params_from_mapping(_merged_mapping(cmd))
-    except economics.InvalidEconomicParams as exc:
-        raise BadOverride(str(exc)) from exc
+    return _built(cmd, economics.params_from_mapping)
 
 
 def _run_simulate(cmd: Command) -> int:
@@ -203,20 +182,18 @@ def _run_trace_round(cmd: Command) -> int:
     if config.round_robin_variant:
         raise BadOverride("trace-round traces the full protocol, not the round-robin variant")
     out = _output_file(cmd)
-    rng = random.Random(config.seed)
-    state = protocol.init_state(config, rng)
-    params = sim.params_for_simulation(config)
-    before = state.balances()
-    state, log = protocol.run_round(state, params, config, rng)
-    after = state.balances()
-    _print_trace(log, state.chain, before, after, config)
+    run = sim.simulate_run(replace(config, rounds=1))
+    log, = run.logs
+    after = dict(zip(run.metrics.participant_ids, run.metrics.coins[0]))
+    _print_trace(log, run.state.chain, after, config)
     if out is not None:
         out.write_text(log.to_json(indent=2) + "\n", encoding="utf-8")
     return 0
 
 
-def _print_trace(log, chain, before: dict[str, float], after: dict[str, float],
-                 config) -> None:
+def _print_trace(log, chain, after: dict[str, float], config) -> None:
+    """Steps 1-11 of round 1, then each balance it changed: every balance
+    starts at zero."""
     a = log.assignment
     successes = sum(1 for t in log.training if t.success)
     # The round's four blocks end the chain. The EB drops successes whose
@@ -247,10 +224,10 @@ def _print_trace(log, chain, before: dict[str, float], after: dict[str, float],
           f"digest {log.block_digests['SB'][:16]}...")
     print(f"     minted {log.minted:.6f}, forfeited {log.forfeited:.6f}, "
           f"citation coins {log.citation_coins:.6f}")
-    changed = sorted(pid for pid in before if before[pid] != after[pid])
+    changed = sorted(pid for pid, coins in after.items() if coins != 0.0)
     print(f"balances before -> after ({len(changed)} changed):")
     for pid in changed:
-        print(f"  {pid}: {before[pid]:.6f} -> {after[pid]:.6f}")
+        print(f"  {pid}: 0.000000 -> {after[pid]:.6f}")
 
 
 def _run_export(cmd: Command) -> int:
@@ -294,8 +271,7 @@ def main(argv: list[str] | None = None) -> int:
     except (CliError, OSError) as exc:
         print(f"relaysim: {exc}", file=sys.stderr)
         return 2
-    except (economics.EconomicsError, sim.SimError, configio.ConfigFormatError,
-            ValueError) as exc:
+    except ValueError as exc:
         print(f"relaysim: {exc}", file=sys.stderr)
         return 1
 

@@ -7,7 +7,9 @@ broadcast and the encryption block with a fresh keypair, (8-9) model
 encryption and the testing block with published cases, (10) output
 computation, and (11) the settlement block: verification, ranking,
 deposit return or forfeit, the citation cascade up each winner's
-lineage, and minted miner rewards.
+lineage, and minted miner rewards. Each block's miner is paid the coinbase
+made where the block is mined; the deposit block carries its coinbase on
+the chain.
 
 What a model is comes from one of two backends in ``MODELS``, chosen by
 ``config.mode``: ``AbstractModels`` stands for a model by its owner and
@@ -102,7 +104,6 @@ class Lineage:
     the nodes; ``ancestors`` is the hop-by-hop walk it must agree with.
     """
 
-    genesis_id: str
     parents: dict[tuple[str, int], str] = field(default_factory=dict)
 
     def record(self, owner_id: str, version: int, parent_id: str) -> None:
@@ -216,9 +217,6 @@ class SimState:
     def head_version(self) -> int:
         return max(p.model_version for p in self.participants.values())
 
-    def balances(self) -> dict[str, float]:
-        return {pid: p.coins for pid, p in self.participants.items()}
-
 
 def participant_ids(count: int) -> list[str]:
     width = max(3, len(str(max(count - 1, 0))))
@@ -238,7 +236,7 @@ def init_state(config, rng: random.Random) -> SimState:
     return SimState(
         participants=participants,
         chain=chainmod.new_chain(),
-        lineage=Lineage(genesis_id=genesis_id),
+        lineage=Lineage(),
         genesis_id=genesis_id,
         target_model=target,
     )
@@ -443,9 +441,8 @@ def settle(
     top_set: Sequence[str],
     contracts: Sequence[DepositContract],
     lineage: Lineage,
-    params,
-    miners: dict[str, str],
-    reward_counts: dict[str, int],
+    coin_unit: float,
+    coinbases: Sequence[chainmod.Coinbase],
 ) -> tuple[list[Transfer], float, float, float]:
     """Deposit return/forfeit, citation cascade, and minted miner rewards.
 
@@ -456,6 +453,8 @@ def settle(
     with ``n`` hops is credited ``coin_unit`` added ``n`` times, read off
     one running-sum table per round; that is bit-identical to adding the
     unit once per hop, which ``n * coin_unit`` is not for units such as 0.1.
+    ``coinbases`` are the round's four miner rewards, as the blocks were
+    mined, credited in DB, EB, TB, SB order.
     """
     transfers: list[Transfer] = []
     top = set(top_set)
@@ -478,26 +477,18 @@ def settle(
         (trainer_id, participants[trainer_id].model_version) for trainer_id in top_set
     )
     unit_sums = list(accumulate(
-        repeat(params.coin_unit, max(hops.values(), default=0)), initial=0.0
+        repeat(coin_unit, max(hops.values(), default=0)), initial=0.0
     ))
     citation_coins = 0.0
     for ancestor_id, count in hops.items():
         amount = unit_sums[count]
         _credit(participants[ancestor_id], amount, "citation", transfers)
         citation_coins += amount
-    miner_rewards = {
-        "DB": reward_counts["contracts"] * params.r_deposit,
-        "EB": reward_counts["eb_records"] * params.r_hash_m,
-        "TB": (reward_counts["enc_digests"] * params.r_encrypted_m
-               + reward_counts["cases"] * params.r_case),
-        "SB": (reward_counts["verified"] * params.r_verified_m
-               + reward_counts["verified"] * reward_counts["cases"] * params.r_verify),
-    }
     minted = citation_coins
-    for kind, amount in miner_rewards.items():
-        _credit(participants[miners[kind]], amount, f"miner_reward_{kind.lower()}",
-                transfers)
-        minted += amount
+    for kind, coinbase in zip(chainmod.KINDS, coinbases, strict=True):
+        _credit(participants[coinbase.miner_id], coinbase.amount,
+                f"miner_reward_{kind.lower()}", transfers)
+        minted += coinbase.amount
     return transfers, minted, forfeited, citation_coins
 
 
@@ -552,11 +543,17 @@ def run_round(
     miner_pool = list(assignment.miners)
     miners: dict[str, str] = {}
     block_digests: dict[str, str] = {}
+    coinbases: list[chainmod.Coinbase] = []
 
     def mine(payload: chainmod.Payload) -> None:
         block = chainmod.Block(chainmod.next_header(state.chain, rng.getrandbits(64)), payload)
         chainmod.append_block(state.chain, block)
         block_digests[block.header.kind] = state.chain.digests[-1].hex()
+
+    def pay(kind: str, amount: float) -> chainmod.Coinbase:
+        """The reward of the miner of the round's ``kind`` block."""
+        coinbases.append(chainmod.Coinbase(miners[kind], amount))
+        return coinbases[-1]
 
     # (3) deposit block
     miners["DB"] = _draw_miner(miner_pool, rng, config.distinct_miners_per_round)
@@ -565,7 +562,7 @@ def run_round(
             chainmod.ContractRecord(c.mo_id, c.trainer_id, c.mo_amount, c.t_amount)
             for c in contracts
         ),
-        coinbase=chainmod.Coinbase(miners["DB"], len(contracts) * params.r_deposit),
+        coinbase=pay("DB", len(contracts) * params.r_deposit),
     ))
 
     # (4) model transmission: possession updates before training; an equal
@@ -608,6 +605,7 @@ def run_round(
         and new_digests[o.trainer_id] != participants[o.mo_id].model_digest
     )
     mine(chainmod.EncryptionPayload(pk=keypair.pk, records=eb_records))
+    pay("EB", len(eb_records) * params.r_hash_m)
 
     # (8-9) encryption and the testing block; a sealed entry is
     # (EB record, ciphertext or None, committed encrypted-model digest)
@@ -626,6 +624,7 @@ def run_round(
         testing_inputs=testing_inputs,
         testing_truths=testing_truths,
     ))
+    pay("TB", len(enc_digests) * params.r_encrypted_m + config.q_cases * params.r_case)
 
     # (10-11) outputs, then the settlement block: verify, rank, settle
     miners["SB"] = _draw_miner(miner_pool, rng, config.distinct_miners_per_round)
@@ -636,16 +635,11 @@ def run_round(
     mine(chainmod.SettlementPayload(
         verified=tuple(verified), top_set=tuple(top_set)
     ))
+    pay("SB", len(verified) * params.r_verified_m
+        + len(verified) * config.q_cases * params.r_verify)
 
     settle_transfers, minted, forfeited, citation_coins = settle(
-        participants, top_set, contracts, state.lineage, params, miners,
-        reward_counts={
-            "contracts": len(contracts),
-            "eb_records": len(eb_records),
-            "enc_digests": len(enc_digests),
-            "cases": config.q_cases,
-            "verified": len(verified),
-        },
+        participants, top_set, contracts, state.lineage, params.coin_unit, coinbases
     )
     transfers.extend(settle_transfers)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence
 
 from . import configio, protocol
@@ -27,6 +27,8 @@ from .economics import EconomicParams
 BUCKET_LABELS = tuple(
     ["latest"] + [f"latest-{k}" for k in range(1, 10)] + ["older", "none"]
 )
+# the fewest rounds analyze_accessibility reports on
+ACCESSIBILITY_ROUNDS = 50
 
 
 class SimError(ValueError):
@@ -68,6 +70,11 @@ class SimConfig:
     training_rate: float = 0.25
 
     def __post_init__(self) -> None:
+        # An int in a float field would reach the chain as an int, which
+        # hashes apart from the float that the dump decodes.
+        for f in fields(self):
+            if f.type == "float" and type(getattr(self, f.name)) is int:
+                object.__setattr__(self, f.name, float(getattr(self, f.name)))
         if self.q_total_participants != self.q_miners + self.q_mo_and_t:
             raise InvalidSimConfig(
                 f"q_total_participants ({self.q_total_participants}) must equal "
@@ -368,19 +375,17 @@ class AccessibilityReport:
         }
 
 
-def analyze_accessibility(
-    metrics: Metrics, config: SimConfig, band: float = 0.10
-) -> AccessibilityReport:
+def analyze_accessibility(metrics: Metrics, config: SimConfig) -> AccessibilityReport:
     """Does the trainer count stabilize and do models spread to everyone?
 
     Reports the mean matched-trainer count over the last quartile
-    against the Q/(1+s) fixed point (converged when within ``band``)
+    against the Q/(1+s) fixed point (converged when within 10% of it)
     and the per-round shares of participants holding each of the latest
     ten versions, an older one, or none.
     """
     n = metrics.rounds
-    if n < 50:
-        raise InsufficientData(f"need >= 50 rounds, got {n}")
+    if n < ACCESSIBILITY_ROUNDS:
+        raise InsufficientData(f"need >= {ACCESSIBILITY_ROUNDS} rounds, got {n}")
     fixed = trainer_fixed_point(config.q_mo_and_t, config.s)
     tail = metrics.trainer_count[-(n // 4):]
     # The integer sum is exact, so this is one correctly rounded division,
@@ -392,13 +397,13 @@ def analyze_accessibility(
         fixed_point=fixed,
         mean_trainer_count=mean_count,
         relative_deviation=deviation,
-        converged=deviation <= band,
+        converged=deviation <= 0.10,
         bucket_shares_last=shares[-1],
         bucket_share_series=shares,
     )
 
 
-def summary_json(run: SimRun, indent: int | None = 2) -> str:
+def summary_json(run: SimRun) -> str:
     """Condensed run summary with both analyses (when enough rounds ran)."""
     payload: dict = {
         "rounds": run.metrics.rounds,
@@ -418,10 +423,9 @@ def summary_json(run: SimRun, indent: int | None = 2) -> str:
         payload["accessibility"] = analyze_accessibility(run.metrics, run.config).to_dict()
     except InsufficientData:
         payload["accessibility"] = None
-    return json.dumps(payload, indent=indent)
+    return json.dumps(payload, indent=2)
 
 
-def config_from_mapping(mapping: dict[str, str], base: SimConfig | None = None) -> SimConfig:
-    """Layer string key=value pairs over ``base`` (defaults when omitted)."""
-    current = base if base is not None else SimConfig()
-    return replace(current, **configio.coerce_fields(SimConfig, mapping, InvalidSimConfig))
+def config_from_mapping(mapping: dict[str, str]) -> SimConfig:
+    """The defaults with string key=value pairs layered over them."""
+    return SimConfig(**configio.coerce_fields(SimConfig, mapping, InvalidSimConfig))

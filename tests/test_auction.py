@@ -136,7 +136,7 @@ class TestTrainerBid:
 class TestMatchRound:
     def test_greedy_walk(self):
         bids = bids_of({"a": 5, "b": 4, "c": 3, "d": 2, "e": 1})
-        result = match_round(["mo1", "mo2"], bids, 2, 0.25)
+        result = match_round(["mo1", "mo2"], bids, 2, {"mo1": 0.25, "mo2": 0.25})
         assert [(p.mo_id, p.trainer_id) for p in result.pairs] == [
             ("mo1", "a"), ("mo1", "b"), ("mo2", "c"), ("mo2", "d"),
         ]
@@ -145,7 +145,7 @@ class TestMatchRound:
 
     def test_no_mos_leaves_everyone_unmatched(self):
         bids = bids_of({"a": 5, "b": 4})
-        result = match_round([], bids, 2, 0.25)
+        result = match_round([], bids, 2, {})
         assert result.pairs == ()
         assert set(result.unmatched_trainers) == {"a", "b"}
 
@@ -168,8 +168,9 @@ class TestMatchRound:
                 by_id = {b.trainer_id: b for b in bids}
                 for mo_count, limit in itertools.product(range(0, 4), range(1, 4)):
                     mos = [f"m{i}" for i in range(mo_count)]
-                    first = match_round(mos, bids, limit, 0.5)
-                    second = match_round(mos, bids, limit, 0.5, second_price=True)
+                    deposits = dict.fromkeys(mos, 0.5)
+                    first = match_round(mos, bids, limit, deposits)
+                    second = match_round(mos, bids, limit, deposits, second_price=True)
                     assert second.unmatched_trainers == first.unmatched_trainers
                     assert [(p.mo_id, p.trainer_id, p.mo_deposit) for p in second.pairs] == [
                         (p.mo_id, p.trainer_id, p.mo_deposit) for p in first.pairs
@@ -193,10 +194,11 @@ class TestMatchRound:
 
         bids = [Bid(f"t{i:02d}", a) for i, a in enumerate(amounts)]
         mos = [f"m{i}" for i in range(mo_count)]
-        baseline = match_round(mos, bids, limit, 0.0)
+        deposits = dict.fromkeys(mos, 0.0)
+        baseline = match_round(mos, bids, limit, deposits)
         shuffled = list(bids)
         random.Random(seed).shuffle(shuffled)
-        assert match_round(mos, shuffled, limit, 0.0) == baseline
+        assert match_round(mos, shuffled, limit, deposits) == baseline
         assert len(baseline.pairs) == min(len(bids), mo_count * limit)
         matched = [p.trainer_id for p in baseline.pairs]
         assert len(set(matched)) == len(matched)

@@ -441,6 +441,22 @@ class TestTamperedValues:
         violations = verify_chain_dump(text.replace(old, new))
         assert [v.split(":")[0] for v in violations] == ["Unparseable"]
 
+    @pytest.mark.parametrize("line, old, new", [
+        (1, '"mo_amount":0.0,', '"mo_amount":"0.0",'),
+        (2, '"pk":"6d6f636b', '"pk":"6D6F636B'),
+        (1, '{"mo_amount"', '{"extra":5,"mo_amount"'),
+        (1, '"digest":"89da', '"digest":"89DA'),
+    ], ids=["float-as-string", "upper-case-bytes", "unknown-key-in-a-contract",
+            "upper-case-digest"])
+    def test_records_decode_strictly(self, seed_7_blocks, line, old, new):
+        # The dump up to the tampered line, which is its tip; each change
+        # decodes to the same block, so only the decoder can reject it.
+        lines = chain_to_jsonl(Chain(blocks=list(seed_7_blocks))).splitlines(keepends=True)
+        text = "".join(lines[:line + 1])
+        assert lines[line].count(old) >= 1 and verify_chain_dump(text) == []
+        violations = verify_chain_dump(text.replace(old, new, 1))
+        assert [v.split(":")[:2] for v in violations] == [["Unparseable", f" line {line}"]]
+
     @pytest.mark.parametrize("name", ["height", "round", "nonce", "timestamp"])
     def test_header_ints_are_unsigned_64_bit(self, name):
         header = _next_header(new_chain(), "DB")

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -67,14 +69,6 @@ class TestParseInvocation:
     def test_min_rewards(self):
         cmd = parse_invocation(["min-rewards", "--config", "p.cfg"])
         assert cmd.verb == "min-rewards" and cmd.config_path == "p.cfg"
-
-    def test_bad_rounds_value(self):
-        with pytest.raises(BadOverride):
-            parse_invocation(["simulate", "--rounds", "abc"])
-
-    def test_bad_mode_value(self):
-        with pytest.raises(BadOverride):
-            parse_invocation(["simulate", "--mode", "quantum"])
 
     def test_unknown_verb(self):
         with pytest.raises(UnknownVerb):
@@ -175,6 +169,61 @@ class TestMinRewardsVerb:
 
 
 class TestTraceRoundVerb:
+    # trace-round --seed 7 with the default config: stdout and the SHA-256
+    # of its --out, per mode.
+    GOLDEN = {
+        "abstract": ("""\
+            round 1 trace (mode abstract, seed 7)
+             (1) bidding: 1 MO(s) ['p000'], 127 candidate trainer(s), 128 miner(s)
+             (2) contracts: 4 escrowed
+             (3) deposit block mined by p005: 4 contract(s) packed, digest 89da62959bae0832...
+             (4) transmission: 4 trainer(s) received a model
+             (5) training: 4/4 succeeded
+             (6) hash broadcast: 4 digest(s)
+             (7) encryption block mined by p038: 4 record(s), digest cb4900a44c759b4e...
+             (8) encryption: 4 model(s) encrypted
+             (9) testing block mined by p199: 100 case(s), digest ce1f48b6e41e4bc9...
+            (10) outputs: 4 submission(s), 0 rejected
+            (11) settlement block mined by p118: 4 verified, top set ['p006', 'p011'], digest 2d0f31e83c50f015...
+                 minted 2.516000, forfeited 0.000000, citation coins 2.000000
+            balances before -> after (5 changed):
+              p000: 0.000000 -> 2.000000
+              p005: 0.000000 -> 0.004000
+              p038: 0.000000 -> 0.004000
+              p118: 0.000000 -> 0.404000
+              p199: 0.000000 -> 0.104000
+""", "dffcf7de6e8bc8863e111ee256ac90422c71d27b9ea747cae4ba3aa5b4173244"),
+        "concrete": ("""\
+            round 1 trace (mode concrete, seed 7)
+             (1) bidding: 1 MO(s) ['p000'], 127 candidate trainer(s), 128 miner(s)
+             (2) contracts: 4 escrowed
+             (3) deposit block mined by p085: 4 contract(s) packed, digest 96ad1be0cb86c362...
+             (4) transmission: 4 trainer(s) received a model
+             (5) training: 3/4 succeeded
+             (6) hash broadcast: 3 digest(s)
+             (7) encryption block mined by p131: 3 record(s), digest 1acf9b282870819c...
+             (8) encryption: 3 model(s) encrypted
+             (9) testing block mined by p140: 100 case(s), digest 0db1bbb625081cbe...
+            (10) outputs: 3 submission(s), 0 rejected
+            (11) settlement block mined by p204: 3 verified, top set ['p006'], digest 9c8e7befc8c7f15b...
+                 minted 1.413000, forfeited 0.000000, citation coins 1.000000
+            balances before -> after (5 changed):
+              p000: 0.000000 -> 1.000000
+              p085: 0.000000 -> 0.004000
+              p131: 0.000000 -> 0.003000
+              p140: 0.000000 -> 0.103000
+              p204: 0.000000 -> 0.303000
+""", "90e94ec623df8770c78da73cb0fa7f9e30856e5a82aea6bb574892d06d01cdd2"),
+    }
+
+    @pytest.mark.parametrize("mode", ["abstract", "concrete"])
+    def test_seed_7_golden(self, mode, tmp_path, capsys):
+        stdout, out_sha = self.GOLDEN[mode]
+        log_path = tmp_path / "round.json"
+        assert main(["trace-round", "--seed", "7", "--mode", mode, "--out", str(log_path)]) == 0
+        assert capsys.readouterr().out == textwrap.dedent(stdout)
+        assert hashlib.sha256(log_path.read_bytes()).hexdigest() == out_sha
+
     def test_round_one_shows_sole_genesis_mo(self, tmp_path, capsys):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text(SMALL_SIM_CFG)
@@ -370,6 +419,26 @@ class TestBoundaries:
     def test_flag_the_verb_does_not_take(self, argv, capsys):
         err = self._exit_two(argv, capsys)
         assert f"{argv[0]} does not take {argv[1]}" in err
+
+    def test_bad_rounds_value(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        err = self._exit_two(["simulate", "--rounds", "abc", "--out", str(out)], capsys)
+        assert err == "relaysim: rounds: cannot parse 'abc' as int\n"
+        assert not out.exists()
+
+    def test_bad_mode_value(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        err = self._exit_two(["simulate", "--mode", "quantum", "--out", str(out)], capsys)
+        assert err == "relaysim: mode must be one of abstract, concrete, got 'quantum'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["simulate", "trace-round", "check-incentives",
+                                      "min-rewards"])
+    def test_malformed_config_line(self, verb, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("seed = 7\nrounds 5\n")
+        err = self._exit_two([verb, "--config", str(cfg)], capsys)
+        assert err == "relaysim: line 2: expected key=value, got 'rounds 5'\n"
 
 
 class TestNumpyFree:

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from relaysim import crypto, protocol
 from relaysim.auction import trainer_bid
-from relaysim.chain import EncryptionPayload, VerifiedRecord
-from relaysim.economics import EconomicParams
+from relaysim.chain import Coinbase, EncryptionPayload, VerifiedRecord
 from relaysim.protocol import (
     CONTRACT_FORFEITED,
     GENESIS_VERSION,
@@ -186,21 +185,26 @@ class TestSettle:
     def _participants(self, ids):
         return {pid: Participant(id=pid) for pid in ids}
 
+    @staticmethod
+    def _coinbases(*amounts):
+        """A round's coinbases in DB, EB, TB, SB order, mined by m1 to m4."""
+        return [Coinbase(f"m{i}", amount) for i, amount in enumerate(amounts, start=1)]
+
     def test_citation_cascade_depth_three(self):
         participants = self._participants(["g", "a", "b", "t", "m1", "m2", "m3", "m4"])
-        lineage = Lineage(genesis_id="g")
+        lineage = Lineage()
         lineage.record("a", 2, "g")
         lineage.record("b", 3, "a")
         lineage.record("t", 4, "b")
         participants["t"].model_version = 4
         contracts = [DepositContract("b", "t", 0.1, 0.2, round=3)]
         participants["b"].coins = 0.0
-        miners = {"DB": "m1", "EB": "m2", "TB": "m3", "SB": "m4"}
-        counts = {"contracts": 1, "eb_records": 1, "enc_digests": 1, "cases": 0, "verified": 1}
+        coinbases = self._coinbases(0.001, 0.01, 0.001, 0.01)
         transfers, minted, forfeited, citations = settle(
-            participants, ["t"], contracts, lineage, EconomicParams(), miners, counts
+            participants, ["t"], contracts, lineage, 1.0, coinbases
         )
         assert citations == 3.0
+        assert minted == 3.0 + 0.001 + 0.01 + 0.001 + 0.01
         assert participants["g"].coins == 1.0
         assert participants["a"].coins == 1.0
         assert participants["b"].coins == pytest.approx(1.0 + 0.1)  # citation + returned escrow
@@ -208,7 +212,7 @@ class TestSettle:
 
     def test_non_top_successful_trainer_forfeits_both_deposits(self):
         participants = self._participants(["g", "t1", "t2", "m1", "m2", "m3", "m4"])
-        lineage = Lineage(genesis_id="g")
+        lineage = Lineage()
         lineage.record("t1", 2, "g")
         lineage.record("t2", 2, "g")
         participants["t1"].model_version = 2
@@ -217,30 +221,30 @@ class TestSettle:
             DepositContract("g", "t1", 0.25, 1.0, round=1),
             DepositContract("g", "t2", 0.25, 2.0, round=1),
         ]
-        miners = {"DB": "m1", "EB": "m2", "TB": "m3", "SB": "m4"}
-        counts = {"contracts": 2, "eb_records": 2, "enc_digests": 2, "cases": 0, "verified": 2}
-        _, _, forfeited, _ = settle(
-            participants, ["t1"], contracts, lineage, EconomicParams(), miners, counts
-        )
+        coinbases = self._coinbases(0.002, 0.002, 0.002, 0.002)
+        _, _, forfeited, _ = settle(participants, ["t1"], contracts, lineage, 1.0, coinbases)
         assert contracts[0].status == CONTRACT_RETURNED
         assert contracts[1].status == CONTRACT_FORFEITED
         assert forfeited == pytest.approx(2.25)
 
     def test_dbm_reward_minted_per_contract(self):
+        # Each coinbase is paid as mined, in block order; a zero one is no transfer.
         participants = self._participants(["m1", "m2", "m3", "m4"])
-        miners = {"DB": "m1", "EB": "m2", "TB": "m3", "SB": "m4"}
-        counts = {"contracts": 32, "eb_records": 0, "enc_digests": 0, "cases": 0, "verified": 0}
-        params = EconomicParams(r_deposit=0.001)
-        _, minted, _, _ = settle(participants, [], [], Lineage("g"), params, miners, counts)
-        assert participants["m1"].coins == pytest.approx(0.032)
-        assert minted == pytest.approx(0.032)
+        coinbases = self._coinbases(32 * 0.001, 0.0, 0.1, 0.5)
+        transfers, minted, _, _ = settle(participants, [], [], Lineage(), 1.0, coinbases)
+        assert [(t.participant_id, t.amount, t.reason) for t in transfers] == [
+            ("m1", 0.032, "miner_reward_db"),
+            ("m3", 0.1, "miner_reward_tb"),
+            ("m4", 0.5, "miner_reward_sb"),
+        ]
+        assert participants["m1"].coins == 0.032
+        assert minted == 0.032 + 0.1 + 0.5
 
     def test_unknown_contract(self):
         participants = self._participants(["t"])
-        miners = {"DB": "t", "EB": "t", "TB": "t", "SB": "t"}
-        counts = {"contracts": 0, "eb_records": 0, "enc_digests": 0, "cases": 0, "verified": 0}
+        coinbases = [Coinbase("t", 0.0)] * 4
         with pytest.raises(UnknownContract):
-            settle(participants, ["t"], [], Lineage("g"), EconomicParams(), miners, counts)
+            settle(participants, ["t"], [], Lineage(), 1.0, coinbases)
 
     def test_contract_transitions_once(self):
         contract = DepositContract("a", "b", 0.1, 0.1, round=1)
@@ -265,7 +269,7 @@ def lineages_with_heads(draw):
     models per version (so paths merge), and heads drawn with repetition
     from every node, genesis-version nodes included."""
     owners = ["g", "a", "b", "c", "d"]
-    lineage = Lineage(genesis_id="g")
+    lineage = Lineage()
     layers = [["g"] + draw(st.lists(st.sampled_from(owners[1:]), max_size=2, unique=True))]
     for version in range(GENESIS_VERSION + 1, draw(st.integers(1, 9)) + 1):
         layer = []
@@ -290,7 +294,7 @@ class TestCitations:
         assert list(got.items()) == list(expected.items())
 
     def test_shared_ancestors_are_counted_once_per_walk(self):
-        lineage = Lineage(genesis_id="g")
+        lineage = Lineage()
         lineage.record("a", 2, "g")
         lineage.record("b", 3, "a")
         lineage.record("a", 3, "a")
@@ -447,7 +451,23 @@ class TestRunInvariants:
             assert version >= 2
             ancestors = lineage.ancestors(owner, version)
             assert 1 <= len(ancestors) <= version - 1
-            assert ancestors[-1] == lineage.genesis_id
+            assert ancestors[-1] == run.state.genesis_id
+
+    @pytest.mark.parametrize("mode", ["abstract", "concrete"])
+    def test_db_coinbase_is_the_db_miner_credit(self, mode):
+        config = SimConfig(
+            q_total_participants=16, q_miners=8, q_mo_and_t=8,
+            q_selection_limit=2, q_cases=5, rounds=12, seed=6, mode=mode,
+        )
+        run = simulate_run(config)
+        deposit_blocks = [b for b in run.state.chain.blocks if b.header.kind == "DB"]
+        for log, block in zip(run.logs, deposit_blocks, strict=True):
+            coinbase = block.payload.coinbase
+            credits = [(t.participant_id, t.amount) for t in log.transfers
+                       if t.reason == "miner_reward_db"]
+            assert coinbase.miner_id == log.miners["DB"]
+            assert credits == ([(coinbase.miner_id, coinbase.amount)] if coinbase.amount else [])
+        assert sum(bool(b.payload.coinbase.amount) for b in deposit_blocks) > 1
 
     def test_identical_seeds_identical_round_logs(self):
         config = SimConfig(

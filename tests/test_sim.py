@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relaysim.chain import chain_to_jsonl
+from relaysim.chain import chain_to_jsonl, verify_chain_dump
 from relaysim.sim import (
     BUCKET_LABELS,
     InsufficientData,
@@ -79,14 +79,24 @@ class TestConfig:
         with pytest.raises(InvalidSimConfig):
             SimConfig(**{field: value})
 
+    def test_int_reward_base_builds_the_float_chain(self):
+        # An int reward reaches the coinbase as an int, which hashes apart
+        # from the float that the dump decodes.
+        config = SimConfig(seed=7, rounds=2, reward_base=0, **SMALL)
+        assert type(config.reward_base) is float
+        dump = chain_to_jsonl(simulate_run(config).state.chain)
+        assert verify_chain_dump(dump) == []
+        assert dump == chain_to_jsonl(
+            simulate_run(SimConfig(seed=7, rounds=2, reward_base=0.0, **SMALL)).state.chain)
+
     def test_non_finite_mapping_rejected(self):
         with pytest.raises(InvalidSimConfig):
             config_from_mapping({"coin_unit": "nan"})
 
     def test_mapping_layering(self):
-        base = config_from_mapping({"rounds": "7", "seed": "3"})
-        layered = config_from_mapping({"seed": "9"}, base=base)
+        layered = config_from_mapping({"rounds": "7", "seed": "9"})
         assert layered.rounds == 7 and layered.seed == 9
+        assert layered.q_cases == SimConfig().q_cases
 
     def test_unknown_key(self):
         with pytest.raises(InvalidSimConfig):
