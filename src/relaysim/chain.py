@@ -31,11 +31,21 @@ and the dump form of a block. A field's name is its dump key and the
 order of declaration is the order it is hashed in, so renaming or
 reordering a field of ``BlockHeader`` or of a payload class changes the
 format, and every digest, and must be versioned.
+
+A block's digest is the SHA-256 of the canonical encoding of
+``["block", *header fields, [kind, *payload fields]]``. ``_Codec.pack``
+makes each record's encoding one column of fields at a time with the
+column packer of ``serialize``: a fixed-width column goes into one cached
+``struct.Struct`` per record, and any other column is encoded value by
+value. A lone record whose fields are all scalars (the header, a coinbase)
+is encoded in one ``canonical_bytes`` call, since column work pays off only
+over many records.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -45,7 +55,8 @@ from dataclasses import dataclass, field
 from operator import attrgetter, countOf, itemgetter
 from typing import Any, Callable, Sequence
 
-from .serialize import DIGEST_SIZE, ZERO_DIGEST, digest as canonical_digest
+from .serialize import (DIGEST_SIZE, ZERO_DIGEST, Plan, PlanFn, canonical_bytes, encode_str,
+                        list_head, pack, scalar_plan, sequence_plan)
 
 KINDS = ("DB", "EB", "TB", "SB")
 
@@ -215,25 +226,26 @@ def _hex(column: list) -> list[bytes]:
     return values
 
 
-def _field_codec(hint: Any) -> tuple[Callable | None, _Converter | None, _Converter]:
-    """(structure, encode, decode) for values annotated ``hint``.
+def _field_codec(hint: Any) -> tuple[PlanFn, _Converter | None, _Converter]:
+    """(plan, encode, decode) for values annotated ``hint``.
 
-    ``structure`` maps one value to its hash form; ``encode`` and
-    ``decode`` map a list of values to a list of JSON values and back, and
-    ``decode`` rejects any JSON value that ``encode`` does not write.
-    A structure or encode of None stands for values that pass unchanged.
+    ``plan`` maps a non-empty column of values to their hash encodings (see
+    ``serialize.pack``); ``encode`` and ``decode`` map a list of values to a
+    list of JSON values and back, and ``decode`` rejects any JSON value that
+    ``encode`` does not write. An encode of None stands for values that pass
+    unchanged.
     """
     if hint in (str, int, float):
-        return None, None, _typed(hint)
+        return scalar_plan(hint), None, _typed(hint)
     if hint is bytes:
-        return None, _mapped(bytes.hex), _hex
+        return scalar_plan(bytes), _mapped(bytes.hex), _hex
     if dataclasses.is_dataclass(hint):
         codec = _Codec(hint)
-        return codec.structure, codec.encode, codec.decode
+        return codec.plan, codec.encode, codec.decode
     args = typing.get_args(hint)
     if typing.get_origin(hint) is not tuple or len(args) != 2 or args[1] is not Ellipsis:
         raise TypeError(f"no block codec for field type {hint!r}")
-    structure, encode, decode = _field_codec(args[0])
+    plan, encode, decode = _field_codec(args[0])
     is_list = _typed(list)
 
     def decode_tuples(column: list) -> list[tuple]:
@@ -242,7 +254,7 @@ def _field_codec(hint: Any) -> tuple[Callable | None, _Converter | None, _Conver
         values = iter(decode(list(itertools.chain.from_iterable(is_list(column)))))
         return [tuple(itertools.islice(values, len(items))) for items in column]
     return (
-        None if structure is None else _mapped(structure),
+        sequence_plan(plan),
         None if encode is None else _mapped(encode),
         decode_tuples,
     )
@@ -259,13 +271,13 @@ def _columns(items: Sequence, getters: Sequence[Callable],
 
 
 class _Codec:
-    """Hash structure, JSON encoder and JSON decoder of one block dataclass."""
+    """Hash encoder, JSON encoder and JSON decoder of one block dataclass."""
 
     def __init__(self, cls: type) -> None:
         hints = typing.get_type_hints(cls)
         self.cls = cls
         self.names = tuple(f.name for f in dataclasses.fields(cls))
-        self.structures, self.encoders, self.decoders = zip(
+        self.plans, self.encoders, self.decoders = zip(
             *(_field_codec(hints[name]) for name in self.names)
         )
         self.attrgetters = tuple(map(attrgetter, self.names))
@@ -274,15 +286,24 @@ class _Codec:
         self.row = attrgetter(*self.names)
         if len(self.names) == 1:
             self.row = lambda obj: (getattr(obj, self.names[0]),)
-        # One instance -> its field values in declaration order, each in its
-        # hash form. A record whose fields all hash as they are is its row.
-        self.structure = self._nested_structure if any(self.structures) else self.row
+        self.head = ("9s", [list_head(len(self.names))])
+        self.flat = all(hints[name] in (str, int, float, bytes) for name in self.names)
 
-    def _nested_structure(self, obj: Any) -> list:
-        return [
-            value if structure is None else structure(value)
-            for structure, value in zip(self.structures, self.row(obj))
-        ]
+    def plan(self, objs: Sequence) -> Plan:
+        """The plan of a non-empty sequence of instances: the field count,
+        then each field, one column at a time. Column work pays off over
+        many rows, so a lone instance whose fields are all scalars (a header,
+        a coinbase) is encoded in one ``canonical_bytes`` call."""
+        if self.flat and len(objs) == 1:
+            return [(None, [[canonical_bytes(self.row(objs[0]))]])]
+        plan = [self.head]
+        for field_plan, column in zip(self.plans, zip(*map(self.row, objs))):
+            plan += field_plan(column)
+        return plan
+
+    def pack(self, objs: Sequence) -> list[bytes]:
+        """The canonical encoding of each instance: the list of its fields."""
+        return pack(self.plan(objs), len(objs)) if objs else []
 
     def encode(self, objs: Sequence) -> list[dict]:
         """One JSON object per instance, keyed by field name."""
@@ -305,13 +326,26 @@ _HEADER_CODEC = _Codec(BlockHeader)
 _PAYLOAD_CODECS = {kind: _Codec(cls) for cls, kind in _PAYLOAD_KIND.items()}
 
 
+# The encoding of ["block", *header fields, [kind, *payload fields]] is the
+# head below, the header's encoding after its field count, the kind's head,
+# then the payload's encoding after its field count.
+_BLOCK_HEAD = list_head(len(_HEADER_CODEC.names) + 2) + encode_str("block")
+_KIND_HEADS = {
+    kind: list_head(len(codec.names) + 1) + encode_str(kind)
+    for kind, codec in _PAYLOAD_CODECS.items()
+}
+
+
 def block_digest(block: Block) -> bytes:
     """Deterministic 32-byte digest over the canonical header + payload."""
     kind = block.header.kind
-    return canonical_digest([
-        "block", *_HEADER_CODEC.structure(block.header),
-        [kind, *_PAYLOAD_CODECS[kind].structure(block.payload)],
-    ])
+    header, = _HEADER_CODEC.pack((block.header,))
+    payload, = _PAYLOAD_CODECS[kind].pack((block.payload,))
+    hasher = hashlib.sha256(_BLOCK_HEAD)
+    hasher.update(memoryview(header)[9:])
+    hasher.update(_KIND_HEADS[kind])
+    hasher.update(memoryview(payload)[9:])
+    return hasher.digest()
 
 
 def expected_kind(height: int) -> str:

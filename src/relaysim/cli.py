@@ -21,6 +21,7 @@ work is done.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -267,7 +268,16 @@ def execute(cmd: Command) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = list(sys.argv[1:] if argv is None else argv)
     try:
-        return execute(parse_invocation(args))
+        status = execute(parse_invocation(args))
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # Standard output was closed (`relaysim ... | head -1`). As the Python
+        # docs advise, point it at devnull so the flush at exit cannot fail
+        # again, and exit 1 without a message.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except (CliError, OSError) as exc:
         print(f"relaysim: {exc}", file=sys.stderr)
         return 2

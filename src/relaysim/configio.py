@@ -49,8 +49,9 @@ def coerce_fields(
     Each value is parsed by its field's annotated type: ``bool`` from
     true/1/yes or false/0/no, ``int`` with ``int()`` (exact for 64-bit
     seeds), ``float`` with ``float()``; any other field keeps the stripped
-    string. An unknown key or an unparseable value raises ``error``; range
-    checks are left to ``cls``.
+    string. A number must be ASCII with no '_' separator: ``int()`` alone
+    also reads an Arabic-Indic seven or '0_7' as 7. An unknown key or an
+    unparseable value raises ``error``; range checks are left to ``cls``.
     """
     hints = typing.get_type_hints(cls)
     names = {f.name for f in dataclasses.fields(cls)}
@@ -66,6 +67,8 @@ def coerce_fields(
             kwargs[key] = lowered in ("true", "1", "yes")
         elif kind is int or kind is float:
             try:
+                if not raw.isascii() or "_" in raw:
+                    raise ValueError(raw)
                 kwargs[key] = kind(raw)
             except ValueError as exc:
                 raise error(f"{key}: cannot parse {raw!r} as {kind.__name__}") from exc

@@ -2,8 +2,11 @@ import dataclasses
 import json
 import math
 import random
+import typing
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from relaysim import chain as chainmod
@@ -39,6 +42,7 @@ from relaysim.chain import (
 from relaysim.protocol import participant_ids
 from relaysim.serialize import ZERO_DIGEST, digest as canonical_digest
 from relaysim.sim import SimConfig, simulate_run
+from test_serialize import Label, outcome, reference_digest
 
 GENESIS_DIGEST_HEX = "c182288e4ee4318007122e1fc03e22eae7311f5c235453bd420cf395b69e1d1e"
 
@@ -86,6 +90,129 @@ class TestDigest:
 
     def test_golden_genesis_digest(self):
         assert block_digest(genesis_block()).hex() == GENESIS_DIGEST_HEX
+
+
+def reference_structure(value):
+    """A block value as the nested lists the block digest once encoded: a
+    record as the list of its fields in declaration order."""
+    if dataclasses.is_dataclass(value):
+        return [reference_structure(getattr(value, f.name)) for f in dataclasses.fields(value)]
+    if isinstance(value, (list, tuple)):
+        return [reference_structure(item) for item in value]
+    return value
+
+
+def reference_block_digest(block):
+    return reference_digest(["block", *reference_structure(block.header),
+                             [block.header.kind, *reference_structure(block.payload)]])
+
+
+# Per column, either values of one encoded width, which the column packer
+# packs with one struct, or values of mixed widths and types, which it
+# encodes one by one. "p000" and "\U0001d11e" are both 4 bytes in UTF-8.
+UNIFORM = {
+    str: st.sampled_from(["p000", "p255", "\U0001d11e", Label("abcd")]),
+    float: st.one_of(st.floats(), st.sampled_from([-0.0, math.nan, math.inf, -math.inf])),
+    bytes: st.binary(min_size=32, max_size=32),
+}
+MIXED = {
+    str: st.one_of(UNIFORM[str], st.text(max_size=6), st.sampled_from(["", "genesis"])),
+    float: st.one_of(UNIFORM[float], st.integers(0, 2**64 - 1), st.booleans()),
+    bytes: st.one_of(st.binary(max_size=40), st.binary(max_size=40).map(bytearray)),
+}
+
+
+def column(kind, rows):
+    return st.booleans().flatmap(lambda uniform: st.lists(
+        (UNIFORM if uniform else MIXED)[kind], min_size=rows, max_size=rows))
+
+
+def records(cls, min_size=0, max_size=6):
+    """A tuple of ``cls`` records, built one column at a time."""
+    kinds = typing.get_type_hints(cls).values()
+    return st.integers(min_size, max_size).flatmap(lambda rows: st.tuples(
+        *(column(kind, rows) for kind in kinds)).map(lambda cols: tuple(map(cls, *cols))))
+
+
+def cases():
+    """Testing inputs or truths: up to 5 cases of widths 0, 1 and 7, either
+    all of one width or mixed."""
+    widths = st.sampled_from([0, 1, 7])
+    return widths.flatmap(lambda width: st.lists(
+        st.one_of(st.just(width), widths), max_size=5)).flatmap(lambda sizes: st.tuples(
+            *(column(float, size).map(tuple) for size in sizes)))
+
+
+PAYLOADS = {
+    "DB": st.builds(DepositPayload, records(ContractRecord),
+                    records(Coinbase, 1, 1).map(lambda one: one[0])),
+    "EB": st.builds(EncryptionPayload, MIXED[bytes], records(TrainingRecord)),
+    "TB": st.builds(TestingPayload, records(EncryptedModelDigest), cases(), cases()),
+    "SB": st.builds(SettlementPayload, records(VerifiedRecord),
+                    st.integers(0, 6).flatmap(lambda n: column(str, n)).map(tuple)),
+}
+U64 = st.integers(0, 2**64 - 1)
+
+
+@st.composite
+def blocks(draw):
+    kind = draw(st.sampled_from(chainmod.KINDS))
+    header = BlockHeader(draw(U64), draw(U64), kind, draw(st.binary(min_size=32, max_size=32)),
+                         draw(U64), draw(U64))
+    return Block(header, draw(PAYLOADS[kind]))
+
+
+def leaves(value, path=()):
+    """The path (field names and tuple indices) to each scalar in ``value``."""
+    if dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from leaves(getattr(value, f.name), (*path, f.name))
+    elif isinstance(value, tuple):
+        for i, item in enumerate(value):
+            yield from leaves(item, (*path, i))
+    else:
+        yield path
+
+
+def replaced(value, path, new):
+    """``value`` with the scalar at ``path`` replaced by ``new``."""
+    if not path:
+        return new
+    key, rest = path[0], path[1:]
+    if isinstance(key, str):
+        return dataclasses.replace(value, **{key: replaced(getattr(value, key), rest, new)})
+    return (*value[:key], replaced(value[key], rest, new), *value[key + 1:])
+
+
+class TestColumnPacker:
+    """The column packer hashes every block exactly as the recursive encoder
+    of the nested ``["block", *header, [kind, *payload]]`` lists did."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(blocks())
+    def test_same_digest_as_the_nested_encoding(self, block):
+        assert block_digest(block) == reference_block_digest(block)
+
+    @settings(max_examples=300, deadline=None)
+    @given(blocks(), st.data())
+    def test_one_bad_value_raises_the_reference_error(self, block, data):
+        paths = list(leaves(block.payload))
+        assume(paths)
+        path = data.draw(st.sampled_from(paths))
+        bad = data.draw(st.sampled_from(["\ud800", "a\udfff", None]))
+        block = Block(block.header, replaced(block.payload, path, bad))
+        expected = outcome(reference_block_digest, block)
+        assert isinstance(expected, type) and issubclass(expected, Exception)
+        assert outcome(block_digest, block) is expected
+
+    def test_ids_of_two_widths_and_an_int_amount(self):
+        # One id is 7 bytes and the others 4, so that column is encoded value
+        # by value, and the int amount keeps its tag 'I'.
+        contracts = (ContractRecord("p000", "p001", 0.5, 1.0),
+                     ContractRecord("genesis", "p002", 2, -0.0))
+        block = Block(_next_header(new_chain(), "DB"),
+                      DepositPayload(contracts, Coinbase("m0", 0.001)))
+        assert block_digest(block) == reference_block_digest(block)
 
 
 class TestAppend:

@@ -432,6 +432,23 @@ class TestBoundaries:
         assert err == "relaysim: mode must be one of abstract, concrete, got 'quantum'\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, err", [
+        (["trace-round", "--seed", "\u0667"], "seed: cannot parse '\u0667' as int"),
+        (["trace-round", "--seed", "0_7"], "seed: cannot parse '0_7' as int"),
+        (["trace-round", "--set", "q_cases=1_0"], "q_cases: cannot parse '1_0' as int"),
+        (["trace-round", "--set", "s=0_5"], "s: cannot parse '0_5' as float"),
+        (["trace-round", "--set", "s=\u0660.5"], "s: cannot parse '\u0660.5' as float"),
+    ], ids=["arabic-indic-seed", "underscore-seed", "underscore-int", "underscore-float",
+            "arabic-indic-float"])
+    def test_one_spelling_per_number(self, argv, err, capsys):
+        # int() and float() alone read each of these values as a number.
+        assert self._exit_two(argv, capsys) == f"relaysim: {err}\n"
+
+    def test_plain_numbers_still_parse(self):
+        config = sim.config_from_mapping(
+            {"seed": "+7", "budget_mo": "1e-3", "s": "0.5", "rounds": "12"})
+        assert (config.seed, config.budget_mo, config.s, config.rounds) == (7, 1e-3, 0.5, 12)
+
     @pytest.mark.parametrize("verb", ["simulate", "trace-round", "check-incentives",
                                       "min-rewards"])
     def test_malformed_config_line(self, verb, tmp_path, capsys):
@@ -439,6 +456,29 @@ class TestBoundaries:
         cfg.write_text("seed = 7\nrounds 5\n")
         err = self._exit_two([verb, "--config", str(cfg)], capsys)
         assert err == "relaysim: line 2: expected key=value, got 'rounds 5'\n"
+
+
+def _package_env():
+    """The environment, with this checkout's package first on the path."""
+    src = str(Path(relaysim.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+class TestClosedStdout:
+    def test_exits_one_with_no_message(self):
+        # Standard output is a pipe whose read end is closed, as under
+        # `relaysim trace-round --seed 7 | head -1` once head has exited.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "relaysim.cli", "trace-round", "--seed", "7"],
+                stdout=write_end, stderr=subprocess.PIPE, env=_package_env(), timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (1, b"")
 
 
 class TestNumpyFree:
@@ -457,12 +497,9 @@ class TestNumpyFree:
         dump = tmp_path / "chain.jsonl"
         dump.write_text(chain.chain_to_jsonl(run.state.chain), encoding="utf-8")
         copy = tmp_path / "copy.jsonl"
-        src = str(Path(relaysim.__file__).resolve().parents[1])
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         result = subprocess.run(
             [sys.executable, "-c", self.SCRIPT, str(dump), str(copy)],
-            capture_output=True, text=True, env=env, timeout=60, check=True,
+            capture_output=True, text=True, env=_package_env(), timeout=60, check=True,
         )
         assert result.stdout.splitlines()[-1] == "0 []"
         assert copy.read_bytes() == dump.read_bytes()
