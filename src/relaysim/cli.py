@@ -196,7 +196,7 @@ def _print_trace(log, chain, after: dict[str, float], config) -> None:
     """Steps 1-11 of round 1, then each balance it changed: every balance
     starts at zero."""
     a = log.assignment
-    successes = sum(1 for t in log.training if t.success)
+    successes = sum(success for _, _, _, success, _ in log.training)
     # The round's four blocks end the chain. The EB drops successes whose
     # digest did not change, so the record and encrypted counts come from it.
     payloads = {block.header.kind: block.payload for block in chain.blocks[-4:]}

@@ -9,6 +9,7 @@ and rejects unknown keys, so typos in sweep scripts fail loudly.
 from __future__ import annotations
 
 import dataclasses
+import re
 import typing
 from pathlib import Path
 from typing import Any
@@ -16,6 +17,12 @@ from typing import Any
 
 class ConfigFormatError(ValueError):
     """A line is not a key=value assignment."""
+
+
+# The one spelling of each number type: an int is an optional '+' and ASCII
+# digits with no leading zero, a float is ASCII with no '_' or outer space.
+_SPELLED = {int: re.compile(r"\+?(0|[1-9][0-9]*)").fullmatch,
+            float: lambda raw: raw.isascii() and "_" not in raw and raw == raw.strip()}
 
 
 def parse_kv_text(text: str) -> dict[str, str]:
@@ -49,9 +56,10 @@ def coerce_fields(
     Each value is parsed by its field's annotated type: ``bool`` from
     true/1/yes or false/0/no, ``int`` with ``int()`` (exact for 64-bit
     seeds), ``float`` with ``float()``; any other field keeps the stripped
-    string. A number must be ASCII with no '_' separator: ``int()`` alone
-    also reads an Arabic-Indic seven or '0_7' as 7. An unknown key or an
-    unparseable value raises ``error``; range checks are left to ``cls``.
+    string. A number must have its one spelling (``_SPELLED``): ``int()``
+    alone also reads '07', ' 7', '0_7' or an Arabic-Indic seven as 7. An
+    unknown key or an unparseable value raises ``error``; range checks are
+    left to ``cls``.
     """
     hints = typing.get_type_hints(cls)
     names = {f.name for f in dataclasses.fields(cls)}
@@ -65,9 +73,9 @@ def coerce_fields(
             if lowered not in ("true", "1", "yes", "false", "0", "no"):
                 raise error(f"{key}: cannot parse {raw!r} as a boolean")
             kwargs[key] = lowered in ("true", "1", "yes")
-        elif kind is int or kind is float:
+        elif kind in _SPELLED:
             try:
-                if not raw.isascii() or "_" in raw:
+                if not _SPELLED[kind](raw):
                     raise ValueError(raw)
                 kwargs[key] = kind(raw)
             except ValueError as exc:

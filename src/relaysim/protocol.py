@@ -43,6 +43,14 @@ GENESIS_VERSION = 1
 
 # A submission that failed settlement verification: (trainer id, verdict reason).
 Rejection = tuple[str, str]
+# A signed balance change (a credit is positive) and a matched trainer's
+# step (5), new version None on failure. Both are exact tuples of scalars,
+# which the cyclic collector stops tracking; ``RoundLog.to_json`` writes each
+# as an object with these keys.
+Transfer = tuple[str, float, str]
+TRANSFER_KEYS = ("participant_id", "amount", "reason")
+TrainingOutcome = tuple[str, str, int, bool, int | None]
+TRAINING_KEYS = ("trainer_id", "mo_id", "received_version", "success", "new_version")
 
 
 class ProtocolError(ValueError):
@@ -164,24 +172,6 @@ class RoleAssignment:
     candidates: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Transfer:
-    """One signed balance change; positive credits, negative debits."""
-
-    participant_id: str
-    amount: float
-    reason: str
-
-
-@dataclass(frozen=True)
-class TrainingOutcome:
-    trainer_id: str
-    mo_id: str
-    received_version: int
-    success: bool
-    new_version: int | None
-
-
 @dataclass
 class RoundLog:
     round: int
@@ -200,7 +190,11 @@ class RoundLog:
     citation_coins: float
 
     def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(asdict(self), indent=indent)
+        """The dataclass layout, each transfer and outcome an object."""
+        data = asdict(self)
+        data["training"] = [dict(zip(TRAINING_KEYS, t)) for t in self.training]
+        data["transfers"] = [dict(zip(TRANSFER_KEYS, t)) for t in self.transfers]
+        return json.dumps(data, indent=indent)
 
 
 @dataclass
@@ -419,14 +413,14 @@ def _debit(p: Participant, amount: float, reason: str, transfers: list[Transfer]
             f"{p.id} cannot escrow {amount} with balance {p.coins}"
         )
     p.coins = max(0.0, p.coins - amount)
-    transfers.append(Transfer(p.id, -amount, reason))
+    transfers.append((p.id, -amount, reason))
 
 
 def _credit(p: Participant, amount: float, reason: str, transfers: list[Transfer]) -> None:
     if amount == 0.0:
         return
     p.coins += amount
-    transfers.append(Transfer(p.id, amount, reason))
+    transfers.append((p.id, amount, reason))
 
 
 def _hand_over(giver: Participant, taker: Participant) -> None:
@@ -590,19 +584,16 @@ def run_round(
                 state.target_model, config, rng,
             )
             state.lineage.record(pair.trainer_id, new_version, pair.mo_id)
-        outcomes.append(TrainingOutcome(
-            pair.trainer_id, pair.mo_id, v_rec, success, new_version
-        ))
+        outcomes.append((pair.trainer_id, pair.mo_id, v_rec, success, new_version))
 
     # (6-7) digest broadcast, key generation, encryption block; a digest
     # equal to the one the MO's model carries is filtered out
     keypair = crypto.fhe_keygen(rng)
     miners["EB"] = _draw_miner(miner_pool, rng, config.distinct_miners_per_round)
     eb_records = tuple(
-        chainmod.TrainingRecord(o.mo_id, o.trainer_id, new_digests[o.trainer_id])
-        for o in outcomes
-        if o.success
-        and new_digests[o.trainer_id] != participants[o.mo_id].model_digest
+        chainmod.TrainingRecord(mo_id, trainer_id, new_digests[trainer_id])
+        for trainer_id, mo_id, _, success, _ in outcomes
+        if success and new_digests[trainer_id] != participants[mo_id].model_digest
     )
     mine(chainmod.EncryptionPayload(pk=keypair.pk, records=eb_records))
     pay("EB", len(eb_records) * params.r_hash_m)

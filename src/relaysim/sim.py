@@ -240,7 +240,7 @@ def simulate_run(config: SimConfig) -> SimRun:
         metrics.versions.append([p.model_version for p in state.participants.values()])
         metrics.trainer_count.append(len(log.matches.pairs))
         metrics.mo_count.append(len(log.assignment.mos))
-        metrics.success_count.append(sum(1 for t in log.training if t.success))
+        metrics.success_count.append(sum(success for _, _, _, success, _ in log.training))
         metrics.minted_cumulative.append(minted)
         metrics.forfeited_cumulative.append(forfeited)
         metrics.citation_cumulative.append(citations)

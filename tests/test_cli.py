@@ -438,8 +438,13 @@ class TestBoundaries:
         (["trace-round", "--set", "q_cases=1_0"], "q_cases: cannot parse '1_0' as int"),
         (["trace-round", "--set", "s=0_5"], "s: cannot parse '0_5' as float"),
         (["trace-round", "--set", "s=\u0660.5"], "s: cannot parse '\u0660.5' as float"),
+        (["trace-round", "--seed", "07"], "seed: cannot parse '07' as int"),
+        (["trace-round", "--seed", " 7"], "seed: cannot parse ' 7' as int"),
+        (["trace-round", "--seed", "7 "], "seed: cannot parse '7 ' as int"),
+        (["trace-round", "--seed", "+00"], "seed: cannot parse '+00' as int"),
     ], ids=["arabic-indic-seed", "underscore-seed", "underscore-int", "underscore-float",
-            "arabic-indic-float"])
+            "arabic-indic-float", "leading-zero-seed", "leading-space-seed",
+            "trailing-space-seed", "zero-padded-zero-seed"])
     def test_one_spelling_per_number(self, argv, err, capsys):
         # int() and float() alone read each of these values as a number.
         assert self._exit_two(argv, capsys) == f"relaysim: {err}\n"
@@ -448,6 +453,13 @@ class TestBoundaries:
         config = sim.config_from_mapping(
             {"seed": "+7", "budget_mo": "1e-3", "s": "0.5", "rounds": "12"})
         assert (config.seed, config.budget_mo, config.s, config.rounds) == (7, 1e-3, 0.5, 12)
+        assert sim.config_from_mapping({"seed": "0"}).seed == 0
+
+    @pytest.mark.parametrize("raw", [" 0.5", "0.5 ", "0.5\n"])
+    def test_float_with_surrounding_whitespace_rejected(self, raw):
+        # float() alone strips the whitespace and reads 0.5.
+        with pytest.raises(sim.InvalidSimConfig, match="s: cannot parse"):
+            sim.config_from_mapping({"s": raw})
 
     @pytest.mark.parametrize("verb", ["simulate", "trace-round", "check-incentives",
                                       "min-rewards"])

@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 
@@ -232,7 +233,7 @@ class TestSettle:
         participants = self._participants(["m1", "m2", "m3", "m4"])
         coinbases = self._coinbases(32 * 0.001, 0.0, 0.1, 0.5)
         transfers, minted, _, _ = settle(participants, [], [], Lineage(), 1.0, coinbases)
-        assert [(t.participant_id, t.amount, t.reason) for t in transfers] == [
+        assert transfers == [
             ("m1", 0.032, "miner_reward_db"),
             ("m3", 0.1, "miner_reward_tb"),
             ("m4", 0.5, "miner_reward_sb"),
@@ -312,7 +313,8 @@ class TestCitations:
         lineage = run.state.lineage
         deepest = 0
         for log in run.logs:
-            versions = {t.trainer_id: t.new_version for t in log.training}
+            versions = {trainer_id: new_version
+                        for trainer_id, _, _, _, new_version in log.training}
             totals = {}
             for trainer_id in log.top_set:
                 for ancestor in lineage.ancestors(trainer_id, versions[trainer_id]):
@@ -320,8 +322,8 @@ class TestCitations:
             coins = 0.0
             for amount in totals.values():
                 coins += amount
-            paid = [(t.participant_id, t.amount) for t in log.transfers
-                    if t.reason == "citation"]
+            paid = [(pid, amount) for pid, amount, reason in log.transfers
+                    if reason == "citation"]
             assert paid == list(totals.items())
             assert log.citation_coins == coins
             deepest = max(deepest, *per_hop_citations(
@@ -341,7 +343,7 @@ class TestModelDigests:
 
         monkeypatch.setattr(protocol, "canonical_digest", counting)
         run = simulate_run(SimConfig(seed=7, rounds=20, mode="abstract"))
-        trained = sum(t.success for log in run.logs for t in log.training)
+        trained = sum(success for log in run.logs for _, _, _, success, _ in log.training)
         assert trained > 0
         assert len(calls) == 2 * trained + 1
 
@@ -394,7 +396,7 @@ class TestRunInvariants:
         )
         run = simulate_run(config)
         for log in run.logs:
-            net = sum(t.amount for t in log.transfers)
+            net = sum(amount for _, amount, _ in log.transfers)
             assert net == pytest.approx(log.minted - log.forfeited, rel=1e-9, abs=1e-9)
 
     def test_version_monotonicity(self):
@@ -416,13 +418,13 @@ class TestRunInvariants:
         for log in run.logs:
             parties = {c.mo_id for c in log.contracts} | {c.trainer_id for c in log.contracts}
             miners = set(log.miners.values())
-            for transfer in log.transfers:
-                if transfer.reason.startswith("deposit_"):
-                    assert transfer.participant_id in parties
-                elif transfer.reason.startswith("miner_reward_"):
-                    assert transfer.participant_id in miners
+            for participant_id, _, reason in log.transfers:
+                if reason.startswith("deposit_"):
+                    assert participant_id in parties
+                elif reason.startswith("miner_reward_"):
+                    assert participant_id in miners
                 else:
-                    assert transfer.reason == "citation"
+                    assert reason == "citation"
 
     def test_citation_credits_go_to_lineage_ancestors_only(self):
         config = SimConfig(
@@ -434,11 +436,11 @@ class TestRunInvariants:
         for log in run.logs:
             ancestors = set()
             for trainer_id in log.top_set:
-                outcome = next(t for t in log.training if t.trainer_id == trainer_id)
-                ancestors.update(lineage.ancestors(trainer_id, outcome.new_version))
-            for transfer in log.transfers:
-                if transfer.reason == "citation":
-                    assert transfer.participant_id in ancestors
+                new_version = next(v for t, _, _, _, v in log.training if t == trainer_id)
+                ancestors.update(lineage.ancestors(trainer_id, new_version))
+            for participant_id, _, reason in log.transfers:
+                if reason == "citation":
+                    assert participant_id in ancestors
 
     def test_lineage_edges_point_to_strictly_older_versions(self):
         config = SimConfig(
@@ -463,8 +465,8 @@ class TestRunInvariants:
         deposit_blocks = [b for b in run.state.chain.blocks if b.header.kind == "DB"]
         for log, block in zip(run.logs, deposit_blocks, strict=True):
             coinbase = block.payload.coinbase
-            credits = [(t.participant_id, t.amount) for t in log.transfers
-                       if t.reason == "miner_reward_db"]
+            credits = [(pid, amount) for pid, amount, reason in log.transfers
+                       if reason == "miner_reward_db"]
             assert coinbase.miner_id == log.miners["DB"]
             assert credits == ([(coinbase.miner_id, coinbase.amount)] if coinbase.amount else [])
         assert sum(bool(b.payload.coinbase.amount) for b in deposit_blocks) > 1
@@ -485,6 +487,42 @@ class TestRunInvariants:
         assert data["round"] == 1
         assert set(data["block_digests"]) == {"DB", "EB", "TB", "SB"}
         assert data["rejected"] == []
+
+    @pytest.mark.parametrize("mode", ["abstract", "concrete"])
+    def test_transfers_and_outcomes_leave_the_collector(self, mode):
+        # A run keeps every round's log; the collector must not walk these
+        # records on each full pass.
+        config = SimConfig(
+            q_total_participants=16, q_miners=8, q_mo_and_t=8,
+            q_selection_limit=2, q_cases=5, rounds=4, seed=3, mode=mode,
+        )
+        run = simulate_run(config)
+        gc.collect()
+        records = [r for log in run.logs for r in (*log.transfers, *log.training)]
+        assert records
+        assert not any(map(gc.is_tracked, records))
+
+    def test_round_log_json_names_each_field(self):
+        config = SimConfig(
+            q_total_participants=16, q_miners=8, q_mo_and_t=8, q_selection_limit=2,
+            q_cases=5, rounds=3, seed=5, mode="concrete", pr_training=0.5,
+        )
+        run = simulate_run(config)
+        dumps = [json.loads(log.to_json()) for log in run.logs]
+        training = [t for data in dumps for t in data["training"]]
+        transfers = [t for data in dumps for t in data["transfers"]]
+        assert {t["success"] for t in training} == {True, False}
+        for item in training:
+            assert list(item) == [
+                "trainer_id", "mo_id", "received_version", "success", "new_version"]
+            assert (item["new_version"] is None) == (not item["success"])
+        assert transfers
+        for item in transfers:
+            assert list(item) == ["participant_id", "amount", "reason"]
+        assert [tuple(t.values()) for t in training] == [
+            t for log in run.logs for t in log.training]
+        assert [tuple(t.values()) for t in transfers] == [
+            t for log in run.logs for t in log.transfers]
 
 
 class TestDishonestExclusion:
