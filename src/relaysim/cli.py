@@ -145,8 +145,7 @@ def _run_simulate(cmd: Command) -> int:
     run = sim.simulate_run(config)
     (out_dir / "metrics.csv").write_text(run.metrics.to_csv(), encoding="utf-8")
     (out_dir / "summary.json").write_text(sim.summary_json(run) + "\n", encoding="utf-8")
-    if run.state is not None:
-        (out_dir / "chain.jsonl").write_text(chain_to_jsonl(run.state.chain), encoding="utf-8")
+    (out_dir / "chain.jsonl").write_text(chain_to_jsonl(run.state.chain), encoding="utf-8")
     print(f"simulated {run.metrics.rounds} rounds ({len(run.metrics.participant_ids)} "
           f"participants, seed {config.seed}); outputs in {out_dir}")
     return 0
@@ -180,8 +179,6 @@ def _run_min_rewards(cmd: Command) -> int:
 
 def _run_trace_round(cmd: Command) -> int:
     config = _sim_config(cmd)
-    if config.round_robin_variant:
-        raise BadOverride("trace-round traces the full protocol, not the round-robin variant")
     out = _output_file(cmd)
     run = sim.simulate_run(replace(config, rounds=1))
     log, = run.logs
@@ -200,6 +197,7 @@ def _print_trace(log, chain, after: dict[str, float], config) -> None:
     # The round's four blocks end the chain. The EB drops successes whose
     # digest did not change, so the record and encrypted counts come from it.
     payloads = {block.header.kind: block.payload for block in chain.blocks[-4:]}
+    digests = {kind: digest.hex()[:16] for kind, digest in zip(payloads, chain.digests[-4:])}
     records = len(payloads["EB"].records)
     encrypted = len(payloads["TB"].encrypted_model_digests)
     submissions = len(log.verified) + len(log.rejected)
@@ -208,21 +206,21 @@ def _print_trace(log, chain, after: dict[str, float], config) -> None:
           f"{len(a.candidates)} candidate trainer(s), {len(a.miners)} miner(s)")
     print(f" (2) contracts: {len(log.contracts)} escrowed")
     print(f" (3) deposit block mined by {log.miners['DB']}: "
-          f"{len(log.contracts)} contract(s) packed, digest {log.block_digests['DB'][:16]}...")
-    print(f" (4) transmission: {len(log.matches.pairs)} trainer(s) received a model")
+          f"{len(log.contracts)} contract(s) packed, digest {digests['DB']}...")
+    print(f" (4) transmission: {len(log.contracts)} trainer(s) received a model")
     print(f" (5) training: {successes}/{len(log.training)} succeeded")
     print(f" (6) hash broadcast: {successes} digest(s)")
     print(f" (7) encryption block mined by {log.miners['EB']}: "
-          f"{records} record(s), digest {log.block_digests['EB'][:16]}...")
+          f"{records} record(s), digest {digests['EB']}...")
     print(f" (8) encryption: {encrypted} model(s) encrypted")
     print(f" (9) testing block mined by {log.miners['TB']}: "
-          f"{config.q_cases} case(s), digest {log.block_digests['TB'][:16]}...")
+          f"{config.q_cases} case(s), digest {digests['TB']}...")
     print(f"(10) outputs: {submissions} submission(s), {len(log.rejected)} rejected")
     for trainer_id, reason in log.rejected:
         print(f"     rejected {trainer_id}: {reason}")
     print(f"(11) settlement block mined by {log.miners['SB']}: "
           f"{len(log.verified)} verified, top set {log.top_set}, "
-          f"digest {log.block_digests['SB'][:16]}...")
+          f"digest {digests['SB']}...")
     print(f"     minted {log.minted:.6f}, forfeited {log.forfeited:.6f}, "
           f"citation coins {log.citation_coins:.6f}")
     changed = sorted(pid for pid, coins in after.items() if coins != 0.0)

@@ -19,7 +19,7 @@ class ConfigFormatError(ValueError):
     """A line is not a key=value assignment."""
 
 
-# The one spelling of each number type: an int is an optional '+' and ASCII
+# The spellings of each number type: an int is an optional '+' and ASCII
 # digits with no leading zero, a float is ASCII with no '_' or outer space.
 _SPELLED = {int: re.compile(r"\+?(0|[1-9][0-9]*)").fullmatch,
             float: lambda raw: raw.isascii() and "_" not in raw and raw == raw.strip()}
@@ -56,10 +56,16 @@ def coerce_fields(
     Each value is parsed by its field's annotated type: ``bool`` from
     true/1/yes or false/0/no, ``int`` with ``int()`` (exact for 64-bit
     seeds), ``float`` with ``float()``; any other field keeps the stripped
-    string. A number must have its one spelling (``_SPELLED``): ``int()``
-    alone also reads '07', ' 7', '0_7' or an Arabic-Indic seven as 7. An
-    unknown key or an unparseable value raises ``error``; range checks are
-    left to ``cls``.
+    string. An int must have its one spelling (``_SPELLED``): ``int()``
+    alone also reads '07', ' 7', '0_7' or an Arabic-Indic seven as 7. A
+    float keeps ``float()``'s spellings ('0.5', '.5', '5e-1' and '+0.50'
+    are one value), because the check in front of it and ``cls`` close
+    every gap that matters: ASCII with no '_' and no outer whitespace
+    rejects Unicode digits and separators, the range checks of
+    ``SimConfig`` and ``EconomicParams`` reject 'nan' and 'inf', and no
+    output echoes the spelling, only the parsed value. An unknown key or
+    an unparseable value raises ``error``; range checks are left to
+    ``cls``.
     """
     hints = typing.get_type_hints(cls)
     names = {f.name for f in dataclasses.fields(cls)}

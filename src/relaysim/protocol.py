@@ -35,10 +35,6 @@ from typing import Iterable, Sequence
 from . import auction, chain as chainmod, crypto
 from .serialize import digest as canonical_digest
 
-CONTRACT_ACTIVE = "Active"
-CONTRACT_RETURNED = "Returned"
-CONTRACT_FORFEITED = "Forfeited"
-
 GENESIS_VERSION = 1
 
 # A submission that failed settlement verification: (trainer id, verdict reason).
@@ -65,10 +61,6 @@ class UnknownContract(ProtocolError):
     """Settlement referenced a contract that was never created."""
 
 
-class ContractStateError(ProtocolError):
-    """Deposit contracts only transition Active -> Returned / Forfeited."""
-
-
 class LineageError(ProtocolError):
     """Lineage edges must be unique and point to strictly older versions."""
 
@@ -81,25 +73,6 @@ class Participant:
     model: crypto.ModelWeights | None = None
     # digest of the held model, made with the model and copied along with it
     model_digest: bytes | None = None
-
-
-@dataclass
-class DepositContract:
-    mo_id: str
-    trainer_id: str
-    mo_amount: float
-    t_amount: float
-    round: int
-    status: str = CONTRACT_ACTIVE
-
-    def mark(self, new_status: str) -> None:
-        if self.status != CONTRACT_ACTIVE:
-            raise ContractStateError(
-                f"contract {self.mo_id}/{self.trainer_id} already {self.status}"
-            )
-        if new_status not in (CONTRACT_RETURNED, CONTRACT_FORFEITED):
-            raise ContractStateError(f"invalid contract status {new_status!r}")
-        self.status = new_status
 
 
 @dataclass
@@ -174,11 +147,13 @@ class RoleAssignment:
 
 @dataclass
 class RoundLog:
+    """What one round did. ``contracts`` is the tuple the deposit block
+    holds; the candidates it leaves out went unmatched. The round's four
+    block digests are the last four of ``Chain.digests``."""
+
     round: int
     assignment: RoleAssignment
-    matches: auction.MatchResult
-    contracts: list[DepositContract]
-    block_digests: dict[str, str]
+    contracts: tuple[chainmod.ContractRecord, ...]
     miners: dict[str, str]
     training: list[TrainingOutcome]
     verified: list[chainmod.VerifiedRecord]
@@ -433,39 +408,41 @@ def _hand_over(giver: Participant, taker: Participant) -> None:
 def settle(
     participants: dict[str, Participant],
     top_set: Sequence[str],
-    contracts: Sequence[DepositContract],
+    contracts: Sequence[chainmod.ContractRecord],
     lineage: Lineage,
     coin_unit: float,
     coinbases: Sequence[chainmod.Coinbase],
 ) -> tuple[list[Transfer], float, float, float]:
     """Deposit return/forfeit, citation cascade, and minted miner rewards.
 
-    Returns (transfers, minted, forfeited, citation coins). The citation
-    cascade pays ``coin_unit`` per hop up each top-set model's lineage, in
-    one transfer per ancestor. ``Lineage.citations`` counts the hops in
-    one pass over the lineage nodes the top set reaches, and an ancestor
-    with ``n`` hops is credited ``coin_unit`` added ``n`` times, read off
-    one running-sum table per round; that is bit-identical to adding the
-    unit once per hop, which ``n * coin_unit`` is not for units such as 0.1.
+    Returns (transfers, minted, forfeited, citation coins). A contract is
+    returned when its trainer is in the top set and forfeited otherwise, so
+    no trainer may hold two. The citation cascade pays ``coin_unit`` per
+    hop up each top-set model's lineage, in one transfer per ancestor.
+    ``Lineage.citations`` counts the hops in one pass over the lineage
+    nodes the top set reaches, and an ancestor with ``n`` hops is credited
+    ``coin_unit`` added ``n`` times, read off one running-sum table per
+    round; that is bit-identical to adding the unit once per hop, which
+    ``n * coin_unit`` is not for units such as 0.1.
     ``coinbases`` are the round's four miner rewards, as the blocks were
     mined, credited in DB, EB, TB, SB order.
     """
     transfers: list[Transfer] = []
     top = set(top_set)
     by_trainer = {c.trainer_id: c for c in contracts}
+    if len(by_trainer) != len(contracts):
+        raise ProtocolError("a trainer holds more than one deposit contract")
     for trainer_id in top_set:
         if trainer_id not in by_trainer:
             raise UnknownContract(f"no contract for top-set trainer {trainer_id}")
     forfeited = 0.0
     for contract in contracts:
         if contract.trainer_id in top:
-            contract.mark(CONTRACT_RETURNED)
             _credit(participants[contract.mo_id], contract.mo_amount,
                     "deposit_return_mo", transfers)
             _credit(participants[contract.trainer_id], contract.t_amount,
                     "deposit_return_t", transfers)
         else:
-            contract.mark(CONTRACT_FORFEITED)
             forfeited += contract.mo_amount + contract.t_amount
     hops = lineage.citations(
         (trainer_id, participants[trainer_id].model_version) for trainer_id in top_set
@@ -521,28 +498,24 @@ def run_round(
         second_price=config.second_price_deposits,
     )
 
-    # (2) contracts with escrow
+    # (2) contracts with escrow, as the deposit block holds them
     transfers: list[Transfer] = []
-    contracts = []
-    for pair in matches.pairs:
-        contract = DepositContract(
-            mo_id=pair.mo_id, trainer_id=pair.trainer_id,
-            mo_amount=pair.mo_deposit, t_amount=pair.t_deposit,
-            round=round_index,
-        )
-        _debit(participants[pair.mo_id], pair.mo_deposit, "deposit_escrow_mo", transfers)
-        _debit(participants[pair.trainer_id], pair.t_deposit, "deposit_escrow_t", transfers)
-        contracts.append(contract)
+    contracts = tuple(
+        chainmod.ContractRecord(pair.mo_id, pair.trainer_id, pair.mo_deposit, pair.t_deposit)
+        for pair in matches.pairs
+    )
+    for contract in contracts:
+        _debit(participants[contract.mo_id], contract.mo_amount, "deposit_escrow_mo", transfers)
+        _debit(participants[contract.trainer_id], contract.t_amount, "deposit_escrow_t",
+               transfers)
 
     miner_pool = list(assignment.miners)
     miners: dict[str, str] = {}
-    block_digests: dict[str, str] = {}
     coinbases: list[chainmod.Coinbase] = []
 
     def mine(payload: chainmod.Payload) -> None:
         block = chainmod.Block(chainmod.next_header(state.chain, rng.getrandbits(64)), payload)
         chainmod.append_block(state.chain, block)
-        block_digests[block.header.kind] = state.chain.digests[-1].hex()
 
     def pay(kind: str, amount: float) -> chainmod.Coinbase:
         """The reward of the miner of the round's ``kind`` block."""
@@ -552,39 +525,36 @@ def run_round(
     # (3) deposit block
     miners["DB"] = _draw_miner(miner_pool, rng, config.distinct_miners_per_round)
     mine(chainmod.DepositPayload(
-        contracts=tuple(
-            chainmod.ContractRecord(c.mo_id, c.trainer_id, c.mo_amount, c.t_amount)
-            for c in contracts
-        ),
-        coinbase=pay("DB", len(contracts) * params.r_deposit),
+        contracts=contracts, coinbase=pay("DB", len(contracts) * params.r_deposit),
     ))
 
     # (4) model transmission: possession updates before training; an equal
     # version still replaces the weights, since training continues from the
     # received model
     received: dict[str, int] = {}
-    for pair in matches.pairs:
-        mo = participants[pair.mo_id]
-        trainer = participants[pair.trainer_id]
-        received[pair.trainer_id] = mo.model_version
+    for contract in contracts:
+        mo = participants[contract.mo_id]
+        trainer = participants[contract.trainer_id]
+        received[contract.trainer_id] = mo.model_version
         if mo.model_version >= trainer.model_version:
             _hand_over(mo, trainer)
 
     # (5) training
     outcomes: list[TrainingOutcome] = []
     new_digests: dict[str, bytes] = {}
-    for pair in matches.pairs:
+    for contract in contracts:
+        mo_id, trainer_id = contract.mo_id, contract.trainer_id
         success = rng.random() < config.pr_training
-        v_rec = received[pair.trainer_id]
+        v_rec = received[trainer_id]
         new_version = None
         if success:
             new_version = v_rec + 1
-            new_digests[pair.trainer_id] = models.train(
-                participants[pair.trainer_id], new_version,
+            new_digests[trainer_id] = models.train(
+                participants[trainer_id], new_version,
                 state.target_model, config, rng,
             )
-            state.lineage.record(pair.trainer_id, new_version, pair.mo_id)
-        outcomes.append((pair.trainer_id, pair.mo_id, v_rec, success, new_version))
+            state.lineage.record(trainer_id, new_version, mo_id)
+        outcomes.append((trainer_id, mo_id, v_rec, success, new_version))
 
     # (6-7) digest broadcast, key generation, encryption block; a digest
     # equal to the one the MO's model carries is filtered out
@@ -648,9 +618,7 @@ def run_round(
     log = RoundLog(
         round=round_index,
         assignment=assignment,
-        matches=matches,
         contracts=contracts,
-        block_digests=block_digests,
         miners=miners,
         training=outcomes,
         verified=verified,

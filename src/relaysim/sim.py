@@ -61,11 +61,10 @@ class SimConfig:
     seed: int = 0
     mode: str = "abstract"
     # Engine toggles: deposit rule for matched trainers, whether the four
-    # block winners of a round must be distinct, the round-robin oracle
-    # variant, and concrete-mode model shape.
+    # block winners of a round must be distinct, and concrete-mode model
+    # shape.
     second_price_deposits: bool = False
     distinct_miners_per_round: bool = True
-    round_robin_variant: bool = False
     model_dim: int = 4
     training_rate: float = 0.25
 
@@ -82,10 +81,9 @@ class SimConfig:
             )
         # the full protocol needs a miner to mine each block and the
         # genesis owner in the owner-and-trainer pool
-        least = 0 if self.round_robin_variant else 1
-        if min(self.q_miners, self.q_mo_and_t) < least:
+        if min(self.q_miners, self.q_mo_and_t) < 1:
             raise InvalidSimConfig(
-                f"q_miners and q_mo_and_t must be >= {least}, got "
+                "q_miners and q_mo_and_t must be >= 1, got "
                 f"{self.q_miners} and {self.q_mo_and_t}"
             )
         if not 0 <= self.seed < 2**64:
@@ -212,18 +210,13 @@ class SimRun:
     """A completed simulation: final state, metrics, and per-round logs."""
 
     config: SimConfig
-    state: protocol.SimState | None
+    state: protocol.SimState
     metrics: Metrics
     logs: list[protocol.RoundLog]
 
 
 def simulate_run(config: SimConfig) -> SimRun:
     """Run the configured number of rounds; deterministic per seed."""
-    if config.round_robin_variant:
-        metrics = run_round_robin(
-            config.q_total_participants, config.rounds, config.coin_unit
-        )
-        return SimRun(config, None, metrics, [])
     rng = random.Random(config.seed)
     state = protocol.init_state(config, rng)
     params = params_for_simulation(config)
@@ -238,7 +231,7 @@ def simulate_run(config: SimConfig) -> SimRun:
         citations += log.citation_coins
         metrics.coins.append([p.coins for p in state.participants.values()])
         metrics.versions.append([p.model_version for p in state.participants.values()])
-        metrics.trainer_count.append(len(log.matches.pairs))
+        metrics.trainer_count.append(len(log.contracts))
         metrics.mo_count.append(len(log.assignment.mos))
         metrics.success_count.append(sum(success for _, _, _, success, _ in log.training))
         metrics.minted_cumulative.append(minted)

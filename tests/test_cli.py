@@ -192,7 +192,7 @@ class TestTraceRoundVerb:
               p038: 0.000000 -> 0.004000
               p118: 0.000000 -> 0.404000
               p199: 0.000000 -> 0.104000
-""", "dffcf7de6e8bc8863e111ee256ac90422c71d27b9ea747cae4ba3aa5b4173244"),
+""", "672ba720d9feb3246d8714cff17da924f3542ac0c4056c77358a0a68d08429c2"),
         "concrete": ("""\
             round 1 trace (mode concrete, seed 7)
              (1) bidding: 1 MO(s) ['p000'], 127 candidate trainer(s), 128 miner(s)
@@ -213,7 +213,7 @@ class TestTraceRoundVerb:
               p131: 0.000000 -> 0.003000
               p140: 0.000000 -> 0.103000
               p204: 0.000000 -> 0.303000
-""", "90e94ec623df8770c78da73cb0fa7f9e30856e5a82aea6bb574892d06d01cdd2"),
+""", "bd7cca959d1f4d2dee0ab3ed5869e551ef23614e3e936e6426e8a032deecc915"),
     }
 
     @pytest.mark.parametrize("mode", ["abstract", "concrete"])
@@ -454,6 +454,20 @@ class TestBoundaries:
             {"seed": "+7", "budget_mo": "1e-3", "s": "0.5", "rounds": "12"})
         assert (config.seed, config.budget_mo, config.s, config.rounds) == (7, 1e-3, 0.5, 12)
         assert sim.config_from_mapping({"seed": "0"}).seed == 0
+
+    def test_float_spellings_of_one_value_build_equal_configs(self):
+        # float() is the boundary past the ASCII check: each spelling of one
+        # value gives the same config, so no output can tell them apart.
+        configs = [sim.config_from_mapping({"s": raw}) for raw in ("0.5", ".5", "5e-1", "+0.50")]
+        assert all(config == configs[0] for config in configs)
+        assert configs[0].s == 0.5
+
+    def test_removed_round_robin_key_is_unknown(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        err = self._exit_two(
+            ["simulate", "--set", "round_robin_variant=true", "--out", str(out)], capsys)
+        assert err == "relaysim: unknown SimConfig parameter 'round_robin_variant'\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("raw", [" 0.5", "0.5 ", "0.5\n"])
     def test_float_with_surrounding_whitespace_rejected(self, raw):

@@ -8,17 +8,21 @@ from hypothesis import strategies as st
 
 from relaysim import crypto, protocol
 from relaysim.auction import trainer_bid
-from relaysim.chain import Coinbase, EncryptionPayload, VerifiedRecord
+from relaysim.chain import (
+    KINDS,
+    Coinbase,
+    ContractRecord,
+    DepositPayload,
+    EncryptionPayload,
+    VerifiedRecord,
+)
 from relaysim.protocol import (
-    CONTRACT_FORFEITED,
     GENESIS_VERSION,
-    CONTRACT_RETURNED,
     MODELS,
-    ContractStateError,
-    DepositContract,
     Lineage,
     Participant,
     PoolSizeMismatch,
+    ProtocolError,
     Submission,
     UnknownContract,
     allocate_roles,
@@ -116,7 +120,29 @@ class TestRunRound:
         state, log = run_round(state, params, SMALL, rng)
         assert len(state.chain) == 5
         assert [b.header.kind for b in state.chain.blocks] == ["SB", "DB", "EB", "TB", "SB"]
-        assert set(log.block_digests) == {"DB", "EB", "TB", "SB"}
+        assert len(set(state.chain.digests)) == 5
+
+    def test_log_contracts_are_the_deposit_blocks(self):
+        # Escrow debits, settlement and the DB all read the one tuple; a
+        # zero deposit (every balance starts at zero) moves no coin.
+        state, rng = fresh()
+        escrowed = 0
+        for _ in range(4):
+            state, log = run_round(state, params_for_simulation(SMALL), SMALL, rng)
+            db_block = state.chain.blocks[-4]
+            assert isinstance(db_block.payload, DepositPayload)
+            assert log.contracts
+            assert log.contracts is db_block.payload.contracts
+            assert {c.trainer_id for c in log.contracts} <= set(log.assignment.candidates)
+            escrow = [t for t in log.transfers if t[2].startswith("deposit_escrow")]
+            assert escrow == [
+                entry for c in log.contracts for entry in (
+                    (c.mo_id, -c.mo_amount, "deposit_escrow_mo"),
+                    (c.trainer_id, -c.t_amount, "deposit_escrow_t"),
+                ) if entry[1]
+            ]
+            escrowed += len(escrow)
+        assert escrowed > 0
 
     def test_certain_training_fills_eb_records(self):
         config = SimConfig(
@@ -127,7 +153,7 @@ class TestRunRound:
         state, log = run_round(state, params_for_simulation(config), config, rng)
         eb = next(b for b in state.chain.blocks if b.header.kind == "EB")
         assert isinstance(eb.payload, EncryptionPayload)
-        assert len(eb.payload.records) == len(log.matches.pairs) > 0
+        assert len(eb.payload.records) == len(log.contracts) > 0
 
     def test_impossible_training_forfeits_everything(self):
         config = SimConfig(
@@ -139,7 +165,10 @@ class TestRunRound:
         eb = next(b for b in state.chain.blocks if b.header.kind == "EB")
         assert eb.payload.records == ()
         assert log.top_set == []
-        assert all(c.status == CONTRACT_FORFEITED for c in log.contracts)
+        assert log.contracts
+        assert not [reason for _, _, reason in log.transfers
+                    if reason.startswith("deposit_return")]
+        assert log.forfeited == sum(c.mo_amount + c.t_amount for c in log.contracts)
 
     def test_zero_candidates_still_emits_four_blocks(self):
         config = SimConfig(
@@ -150,7 +179,7 @@ class TestRunRound:
         state = init_state(config, rng)
         state, log = run_round(state, params_for_simulation(config), config, rng)
         assert len(state.chain) == 5
-        assert log.matches.pairs == ()
+        assert log.contracts == () == state.chain.blocks[-4].payload.contracts
 
     def test_distinct_miners_within_round(self):
         state, rng = fresh()
@@ -172,11 +201,11 @@ class TestRunRound:
                 for pid, p in state.participants.items()
             }
             state, log = run_round(state, params_for_simulation(config), config, rng)
-            assert log.matches.pairs  # matching happened under the second-price rule
-            assert len({p.trainer_id for p in log.matches.pairs}) == len(log.matches.pairs)
+            assert log.contracts  # matching happened under the second-price rule
+            assert len({c.trainer_id for c in log.contracts}) == len(log.contracts)
             for mo in log.assignment.mos:
-                block = [p.trainer_id for p in log.matches.pairs if p.mo_id == mo]
-                paid = [p.t_deposit for p in log.matches.pairs if p.mo_id == mo]
+                block = [c.trainer_id for c in log.contracts if c.mo_id == mo]
+                paid = [c.t_amount for c in log.contracts if c.mo_id == mo]
                 assert paid == [bid[t] for t in block[1:] + block[-1:]]
                 below_own_bid += sum(d < bid[t] for t, d in zip(block, paid))
         assert below_own_bid > 0
@@ -198,7 +227,7 @@ class TestSettle:
         lineage.record("b", 3, "a")
         lineage.record("t", 4, "b")
         participants["t"].model_version = 4
-        contracts = [DepositContract("b", "t", 0.1, 0.2, round=3)]
+        contracts = [ContractRecord("b", "t", 0.1, 0.2)]
         participants["b"].coins = 0.0
         coinbases = self._coinbases(0.001, 0.01, 0.001, 0.01)
         transfers, minted, forfeited, citations = settle(
@@ -209,7 +238,9 @@ class TestSettle:
         assert participants["g"].coins == 1.0
         assert participants["a"].coins == 1.0
         assert participants["b"].coins == pytest.approx(1.0 + 0.1)  # citation + returned escrow
-        assert contracts[0].status == CONTRACT_RETURNED
+        assert ("b", 0.1, "deposit_return_mo") in transfers
+        assert ("t", 0.2, "deposit_return_t") in transfers
+        assert forfeited == 0.0
 
     def test_non_top_successful_trainer_forfeits_both_deposits(self):
         participants = self._participants(["g", "t1", "t2", "m1", "m2", "m3", "m4"])
@@ -219,13 +250,15 @@ class TestSettle:
         participants["t1"].model_version = 2
         participants["t2"].model_version = 2
         contracts = [
-            DepositContract("g", "t1", 0.25, 1.0, round=1),
-            DepositContract("g", "t2", 0.25, 2.0, round=1),
+            ContractRecord("g", "t1", 0.25, 1.0),
+            ContractRecord("g", "t2", 0.25, 2.0),
         ]
         coinbases = self._coinbases(0.002, 0.002, 0.002, 0.002)
-        _, _, forfeited, _ = settle(participants, ["t1"], contracts, lineage, 1.0, coinbases)
-        assert contracts[0].status == CONTRACT_RETURNED
-        assert contracts[1].status == CONTRACT_FORFEITED
+        transfers, _, forfeited, _ = settle(
+            participants, ["t1"], contracts, lineage, 1.0, coinbases)
+        returns = [t for t in transfers if t[2].startswith("deposit_return")]
+        assert returns == [("g", 0.25, "deposit_return_mo"), ("t1", 1.0, "deposit_return_t")]
+        assert participants["t2"].coins == 0.0
         assert forfeited == pytest.approx(2.25)
 
     def test_dbm_reward_minted_per_contract(self):
@@ -247,11 +280,15 @@ class TestSettle:
         with pytest.raises(UnknownContract):
             settle(participants, ["t"], [], Lineage(), 1.0, coinbases)
 
-    def test_contract_transitions_once(self):
-        contract = DepositContract("a", "b", 0.1, 0.1, round=1)
-        contract.mark(CONTRACT_RETURNED)
-        with pytest.raises(ContractStateError):
-            contract.mark(CONTRACT_FORFEITED)
+    @pytest.mark.parametrize("top_set", [["b"], []], ids=["in-top-set", "not-in-top-set"])
+    def test_trainer_with_two_contracts_rejected(self, top_set):
+        # Returned once and forfeited once, or forfeited twice: either way
+        # one trainer's deposit would be settled twice.
+        participants = self._participants(["a", "c", "b", "m1", "m2", "m3", "m4"])
+        contracts = [ContractRecord("a", "b", 0.1, 0.1), ContractRecord("c", "b", 0.1, 0.1)]
+        with pytest.raises(ProtocolError, match="more than one deposit contract"):
+            settle(participants, top_set, contracts, Lineage(), 1.0, self._coinbases(0, 0, 0, 0))
+        assert all(p.coins == 0.0 for p in participants.values())
 
 
 def per_hop_citations(lineage, heads):
@@ -485,7 +522,13 @@ class TestRunInvariants:
         state, log = run_round(state, params_for_simulation(SMALL), SMALL, rng)
         data = json.loads(log.to_json())
         assert data["round"] == 1
-        assert set(data["block_digests"]) == {"DB", "EB", "TB", "SB"}
+        assert list(data) == [
+            "round", "assignment", "contracts", "miners", "training", "verified",
+            "rejected", "top_set", "transfers", "minted", "forfeited", "citation_coins"]
+        assert list(data["miners"]) == list(KINDS)
+        assert data["contracts"] == [
+            {"mo_id": c.mo_id, "trainer_id": c.trainer_id,
+             "mo_amount": c.mo_amount, "t_amount": c.t_amount} for c in log.contracts]
         assert data["rejected"] == []
 
     @pytest.mark.parametrize("mode", ["abstract", "concrete"])

@@ -62,12 +62,6 @@ class TestConfig:
         with pytest.raises(InvalidSimConfig):
             SimConfig(q_total_participants=8, q_miners=q_miners, q_mo_and_t=q_mo_and_t)
 
-    def test_round_robin_pools_may_be_empty_not_negative(self):
-        SimConfig(q_total_participants=8, q_miners=8, q_mo_and_t=0, round_robin_variant=True)
-        with pytest.raises(InvalidSimConfig):
-            SimConfig(q_total_participants=8, q_miners=-1, q_mo_and_t=9,
-                      round_robin_variant=True)
-
     def test_probability_bounds(self):
         with pytest.raises(InvalidSimConfig):
             SimConfig(pr_training=1.5)
@@ -133,12 +127,8 @@ class TestRoundRobinVariant:
                 record.upload_index, 8
             )
 
-    def test_reachable_through_run_simulation(self):
-        config = SimConfig(
-            q_total_participants=8, q_miners=0, q_mo_and_t=8,
-            rounds=24, round_robin_variant=True,
-        )
-        metrics = run_simulation(config)
+    def test_sustainability_analysis_checks_the_closed_form(self):
+        metrics = run_round_robin(8, 24)
         assert metrics.uploads is not None
         assert metrics.rounds == 24
         report = analyze_sustainability(metrics)
@@ -302,14 +292,13 @@ def reference_csv(metrics):
 
 
 class TestMetricsCsv:
-    @pytest.mark.parametrize("config", [
-        SimConfig(seed=3, rounds=6, **SMALL),
-        SimConfig(seed=3, rounds=6, coin_unit=0.1, **SMALL),
-        SimConfig(q_total_participants=1001, q_miners=0, q_mo_and_t=1001, rounds=4,
-                  round_robin_variant=True),
+    @pytest.mark.parametrize("build", [
+        lambda: run_simulation(SimConfig(seed=3, rounds=6, **SMALL)),
+        lambda: run_simulation(SimConfig(seed=3, rounds=6, coin_unit=0.1, **SMALL)),
+        lambda: run_round_robin(1001, 4),
     ], ids=["abstract", "coin-unit-0.1", "round-robin-1001"])
-    def test_rows_equal_the_csv_writer_form(self, config):
-        metrics = run_simulation(config)
+    def test_rows_equal_the_csv_writer_form(self, build):
+        metrics = build()
         assert metrics.to_csv() == reference_csv(metrics)
 
     def test_special_floats_need_no_quoting(self):
