@@ -6,8 +6,6 @@ rewards cascading up each model's lineage."""
 
 from .auction import (
     Bid,
-    MatchPair,
-    MatchResult,
     SelectionResult,
     match_round,
     mo_deposit_per_trainer,

@@ -1,11 +1,15 @@
 """Trainer selection auction and greedy owner-trainer matching.
 
 Model owners publish a per-trainer deposit; prospective trainers submit
-sealed deposit bids. Selection follows a second-price rule over bids
-sorted descending: each selected trainer except the last deposits the
-next bid down, and the last selected trainer deposits its own bid.
-Round matching walks owners in rank order, handing each the next block
-of highest-bidding trainers.
+sealed deposit bids, each finite and >= 0. Round matching walks owners
+in rank order, handing each the next block of highest-bidding trainers
+as the deposit block's contracts. By default each matched trainer
+deposits its own bid; with second price it deposits as
+``select_trainers`` does.
+
+``select_trainers`` follows a second-price rule over bids sorted
+descending: each selected trainer except the last deposits the next bid
+down, and the last selected trainer deposits its own bid.
 
 All ties in bid amount break by ascending trainer id so results are
 deterministic under a fixed seed.
@@ -13,9 +17,11 @@ deterministic under a fixed seed.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
+
+from .chain import ContractRecord
 
 
 class AuctionError(ValueError):
@@ -34,6 +40,11 @@ class VersionOrder(AuctionError):
     """A bidder cannot hold a newer version than the latest one."""
 
 
+def _check_amount(name: str, value: float) -> None:
+    if not 0 <= value < math.inf:
+        raise AuctionError(f"{name} must be finite and >= 0, got {value}")
+
+
 @dataclass(frozen=True)
 class Bid:
     """A trainer's sealed deposit bid, in coins."""
@@ -42,8 +53,7 @@ class Bid:
     amount: float
 
     def __post_init__(self) -> None:
-        if self.amount < 0:
-            raise AuctionError(f"bid amount must be >= 0, got {self.amount}")
+        _check_amount("bid amount", self.amount)
 
 
 @dataclass(frozen=True)
@@ -53,58 +63,35 @@ class SelectionResult:
     selected: tuple[str, ...]
     deposits: tuple[float, ...]
 
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(
-            [
-                {"trainer_id": t, "deposit": d}
-                for t, d in zip(self.selected, self.deposits)
-            ],
-            indent=indent,
-        )
-
-
-@dataclass(frozen=True)
-class MatchPair:
-    """One matched owner-trainer pair with both escrow amounts."""
-
-    mo_id: str
-    trainer_id: str
-    mo_deposit: float
-    t_deposit: float
-
-
-@dataclass(frozen=True)
-class MatchResult:
-    """Greedy matching outcome: pairs plus trainers left without an owner."""
-
-    pairs: tuple[MatchPair, ...]
-    unmatched_trainers: tuple[str, ...]
-
 
 def _sort_bids(bids: Sequence[Bid]) -> list[Bid]:
     return sorted(bids, key=lambda b: (-b.amount, b.trainer_id))
 
 
+def _second_prices(ranked: Sequence[Bid]) -> list[float]:
+    """Each ranked bid pays the next one down, and the last pays its own."""
+    amounts = [b.amount for b in ranked]
+    return amounts[1:] + amounts[-1:]
+
+
 def select_trainers(bids: Sequence[Bid], b_mo: float, budget: float) -> SelectionResult:
     """Second-price selection of at most floor(budget / b_mo) trainers.
 
-    Bids are ranked descending (ties by ascending trainer id). The i-th
-    selected trainer deposits the (i+1)-th ranked bid; the last selected
-    trainer deposits its own bid.
+    Bids are ranked descending (ties by ascending trainer id). Each
+    selected trainer deposits the next bid down, and the last its own.
     """
-    if budget > 0 and b_mo <= 0:
+    _check_amount("b_mo", b_mo)
+    _check_amount("budget", budget)
+    if budget > 0 and b_mo == 0:
         raise ZeroUnitDeposit(
             f"budget {budget} cannot be split into deposits of {b_mo}"
         )
-    count = min(int(budget // b_mo), len(bids)) if b_mo > 0 else 0
-    if count <= 0:
-        return SelectionResult((), ())
-    ranked = _sort_bids(bids)
-    selected = tuple(b.trainer_id for b in ranked[:count])
-    deposits = tuple(ranked[i + 1].amount for i in range(count - 1)) + (
-        ranked[count - 1].amount,
+    # the quotient of two finite floats can still overflow to inf
+    count = int(min(budget // b_mo, len(bids))) if b_mo > 0 else 0
+    chosen = _sort_bids(bids)[:count]
+    return SelectionResult(
+        tuple(b.trainer_id for b in chosen), tuple(_second_prices(chosen))
     )
-    return SelectionResult(selected, deposits)
 
 
 def mo_deposit_per_trainer(budget: float, coins_owned: float, selection_limit: int) -> float:
@@ -133,29 +120,25 @@ def match_round(
     selection_limit: int,
     per_mo_deposit: Mapping[str, float],
     second_price: bool = False,
-) -> MatchResult:
-    """Greedy owner-trainer matching over bid-ranked trainers.
+) -> tuple[ContractRecord, ...]:
+    """The round's escrow contracts, by greedy matching over ranked bids.
 
     The first owner takes the ``selection_limit`` highest bidders, the
-    second the next block, and so on until owners or trainers run out.
-    Each matched trainer deposits its own bid; with ``second_price`` it
-    deposits the next bid down in its owner's block and the block's last
-    trainer its own bid, as ``select_trainers`` on that block. The owner
-    side deposits ``per_mo_deposit[mo_id]``.
+    second the next block, and so on until owners or trainers run out; a
+    bidder that no contract names is unmatched. Each matched trainer
+    deposits its own bid, or with ``second_price`` what
+    ``select_trainers`` on its owner's block would charge. The owner side
+    deposits ``per_mo_deposit[mo_id]``.
     """
     if selection_limit < 1:
         raise ZeroLimit(f"selection_limit must be >= 1, got {selection_limit}")
     ranked = _sort_bids(trainer_bids)
-    pairs: list[MatchPair] = []
-    cursor = 0
-    for mo_id in ranked_mos:
-        if cursor >= len(ranked):
-            break
-        deposit = per_mo_deposit[mo_id]
-        block = ranked[cursor:cursor + selection_limit]
-        payers = block[1:] + block[-1:] if second_price else block
-        for bid, payer in zip(block, payers):
-            pairs.append(MatchPair(mo_id, bid.trainer_id, deposit, payer.amount))
-        cursor += selection_limit
-    unmatched = tuple(b.trainer_id for b in ranked[cursor:])
-    return MatchResult(tuple(pairs), unmatched)
+    contracts: list[ContractRecord] = []
+    for start, mo_id in zip(range(0, len(ranked), selection_limit), ranked_mos):
+        block = ranked[start:start + selection_limit]
+        pays = _second_prices(block) if second_price else [b.amount for b in block]
+        contracts.extend(
+            ContractRecord(mo_id, bid.trainer_id, per_mo_deposit[mo_id], pay)
+            for bid, pay in zip(block, pays)
+        )
+    return tuple(contracts)

@@ -493,17 +493,13 @@ def run_round(
         ))
         for pid in assignment.candidates
     ]
-    matches = auction.match_round(
-        list(assignment.mos), bids, config.q_selection_limit, mo_deposits,
+    contracts = auction.match_round(
+        assignment.mos, bids, config.q_selection_limit, mo_deposits,
         second_price=config.second_price_deposits,
     )
 
-    # (2) contracts with escrow, as the deposit block holds them
+    # (2) escrow of the contracts, as the deposit block holds them
     transfers: list[Transfer] = []
-    contracts = tuple(
-        chainmod.ContractRecord(pair.mo_id, pair.trainer_id, pair.mo_deposit, pair.t_deposit)
-        for pair in matches.pairs
-    )
     for contract in contracts:
         _debit(participants[contract.mo_id], contract.mo_amount, "deposit_escrow_mo", transfers)
         _debit(participants[contract.trainer_id], contract.t_amount, "deposit_escrow_t",

@@ -163,6 +163,20 @@ class Metrics:
     def rounds(self) -> int:
         return len(self.coins)
 
+    def add_round(
+        self, coins: list[float], versions: list[int], trainers: int, mos: int,
+        successes: int, minted: float, forfeited: float, citations: float,
+    ) -> None:
+        """Append one settled round to every per-round series."""
+        self.coins.append(coins)
+        self.versions.append(versions)
+        self.trainer_count.append(trainers)
+        self.mo_count.append(mos)
+        self.success_count.append(successes)
+        self.minted_cumulative.append(minted)
+        self.forfeited_cumulative.append(forfeited)
+        self.citation_cumulative.append(citations)
+
     def to_csv(self) -> str:
         """Plot-ready rows: (round, participant_id, coins, model_version).
 
@@ -229,14 +243,13 @@ def simulate_run(config: SimConfig) -> SimRun:
         minted += log.minted
         forfeited += log.forfeited
         citations += log.citation_coins
-        metrics.coins.append([p.coins for p in state.participants.values()])
-        metrics.versions.append([p.model_version for p in state.participants.values()])
-        metrics.trainer_count.append(len(log.contracts))
-        metrics.mo_count.append(len(log.assignment.mos))
-        metrics.success_count.append(sum(success for _, _, _, success, _ in log.training))
-        metrics.minted_cumulative.append(minted)
-        metrics.forfeited_cumulative.append(forfeited)
-        metrics.citation_cumulative.append(citations)
+        metrics.add_round(
+            [p.coins for p in state.participants.values()],
+            [p.model_version for p in state.participants.values()],
+            len(log.contracts), len(log.assignment.mos),
+            sum(success for _, _, _, success, _ in log.training),
+            minted, forfeited, citations,
+        )
     return SimRun(config, state, metrics, logs)
 
 
@@ -275,14 +288,8 @@ def run_round_robin(
             upload_index=upload_counts[uploader],
             cumulative_citation_coins=coins[uploader],
         ))
-        metrics.coins.append(list(coins))
-        metrics.versions.append(list(upload_counts))
-        metrics.trainer_count.append(1)
-        metrics.mo_count.append(1 if lineage_owners else 0)
-        metrics.success_count.append(1)
-        metrics.minted_cumulative.append(citations)
-        metrics.forfeited_cumulative.append(0.0)
-        metrics.citation_cumulative.append(citations)
+        # one owner hands the lineage's head to one trainer, who succeeds
+        metrics.add_round(list(coins), list(upload_counts), 1, 1, 1, citations, 0.0, citations)
     return metrics
 
 

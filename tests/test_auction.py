@@ -1,12 +1,13 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from relaysim.auction import (
+    AuctionError,
     Bid,
-    MatchResult,
     SelectionResult,
     VersionOrder,
     ZeroLimit,
@@ -16,6 +17,7 @@ from relaysim.auction import (
     select_trainers,
     trainer_bid,
 )
+from relaysim.chain import ContractRecord
 
 
 def bids_of(mapping):
@@ -35,6 +37,13 @@ def selection_oracle(bids, b_mo, budget):
     chosen = ranked[:k]
     payments = [ranked[i + 1].amount for i in range(k - 1)] + [ranked[k - 1].amount]
     return [b.trainer_id for b in chosen], payments
+
+
+class TestBid:
+    @pytest.mark.parametrize("amount", [math.nan, math.inf, -math.inf, -1.0])
+    def test_amount_must_be_finite_and_non_negative(self, amount):
+        with pytest.raises(AuctionError, match="bid amount"):
+            Bid("A", amount)
 
 
 class TestSelectTrainers:
@@ -61,15 +70,17 @@ class TestSelectTrainers:
         assert result.selected == ("a", "b")
         assert result.deposits == (3.0, 3.0)
 
-    def test_selection_trace_json(self):
-        import json
+    @pytest.mark.parametrize("b_mo, budget", [
+        (1.0, math.inf), (1.0, math.nan), (1.0, -1.0),
+        (math.inf, 1.0), (math.nan, 1.0), (-1.0, 1.0), (-1.0, 0.0),
+    ])
+    def test_non_finite_or_negative_budget_or_unit_deposit(self, b_mo, budget):
+        with pytest.raises(AuctionError, match="must be finite and >= 0"):
+            select_trainers([Bid("A", 1.0)], b_mo, budget)
 
-        result = select_trainers(bids_of({"A": 5, "B": 4, "C": 3}), 1.0, 2.0)
-        trace = json.loads(result.to_json())
-        assert trace == [
-            {"trainer_id": "A", "deposit": 4.0},
-            {"trainer_id": "B", "deposit": 4.0},
-        ]
+    def test_quotient_overflow_selects_every_bidder(self):
+        result = select_trainers(bids_of({"A": 5, "B": 4}), 1e-300, 1e300)
+        assert result == SelectionResult(("A", "B"), (4.0, 4.0))
 
     def test_matches_oracle_on_random_instances(self):
         import random
@@ -133,33 +144,43 @@ class TestTrainerBid:
             trainer_bid(10.0, 3, 4)
 
 
+def unmatched(bids, contracts):
+    named = {c.trainer_id for c in contracts}
+    return {b.trainer_id for b in bids} - named
+
+
 class TestMatchRound:
     def test_greedy_walk(self):
         bids = bids_of({"a": 5, "b": 4, "c": 3, "d": 2, "e": 1})
-        result = match_round(["mo1", "mo2"], bids, 2, {"mo1": 0.25, "mo2": 0.25})
-        assert [(p.mo_id, p.trainer_id) for p in result.pairs] == [
-            ("mo1", "a"), ("mo1", "b"), ("mo2", "c"), ("mo2", "d"),
-        ]
-        assert result.unmatched_trainers == ("e",)
-        assert all(p.t_deposit == dict(a=5, b=4, c=3, d=2)[p.trainer_id] for p in result.pairs)
+        contracts = match_round(["mo1", "mo2"], bids, 2, {"mo1": 0.25, "mo2": 0.25})
+        assert contracts == tuple(
+            ContractRecord(mo, t, 0.25, amount) for mo, t, amount in [
+                ("mo1", "a", 5), ("mo1", "b", 4), ("mo2", "c", 3), ("mo2", "d", 2),
+            ]
+        )
+        assert unmatched(bids, contracts) == {"e"}
 
     def test_no_mos_leaves_everyone_unmatched(self):
         bids = bids_of({"a": 5, "b": 4})
-        result = match_round([], bids, 2, {})
-        assert result.pairs == ()
-        assert set(result.unmatched_trainers) == {"a", "b"}
+        contracts = match_round([], bids, 2, {})
+        assert contracts == ()
+        assert unmatched(bids, contracts) == {"a", "b"}
 
     def test_capacity_exceeds_supply(self):
         bids = bids_of({"a": 5, "b": 4})
-        result = match_round(["mo1", "mo2", "mo3"], bids, 4, {"mo1": 0.1, "mo2": 0.2, "mo3": 0.3})
-        assert [(p.mo_id, p.trainer_id) for p in result.pairs] == [("mo1", "a"), ("mo1", "b")]
-        assert result.unmatched_trainers == ()
+        contracts = match_round(["mo1", "mo2", "mo3"], bids, 4, {"mo1": 0.1, "mo2": 0.2, "mo3": 0.3})
+        assert [(c.mo_id, c.trainer_id) for c in contracts] == [("mo1", "a"), ("mo1", "b")]
+        assert unmatched(bids, contracts) == set()
 
     def test_per_mo_deposit_mapping(self):
         bids = bids_of({"a": 5, "b": 4})
-        result = match_round(["m1", "m2"], bids, 1, {"m1": 0.5, "m2": 0.125})
-        assert result.pairs[0].mo_deposit == 0.5
-        assert result.pairs[1].mo_deposit == 0.125
+        contracts = match_round(["m1", "m2"], bids, 1, {"m1": 0.5, "m2": 0.125})
+        assert contracts[0].mo_amount == 0.5
+        assert contracts[1].mo_amount == 0.125
+
+    def test_zero_limit(self):
+        with pytest.raises(ZeroLimit):
+            match_round(["m1"], bids_of({"a": 5}), 0, {"m1": 0.5})
 
     def test_second_price_blocks_match_select_trainers(self):
         for size in range(0, 7):
@@ -171,17 +192,18 @@ class TestMatchRound:
                     deposits = dict.fromkeys(mos, 0.5)
                     first = match_round(mos, bids, limit, deposits)
                     second = match_round(mos, bids, limit, deposits, second_price=True)
-                    assert second.unmatched_trainers == first.unmatched_trainers
-                    assert [(p.mo_id, p.trainer_id, p.mo_deposit) for p in second.pairs] == [
-                        (p.mo_id, p.trainer_id, p.mo_deposit) for p in first.pairs
+                    assert unmatched(bids, second) == unmatched(bids, first)
+                    assert [(c.mo_id, c.trainer_id, c.mo_amount) for c in second] == [
+                        (c.mo_id, c.trainer_id, c.mo_amount) for c in first
                     ]
+                    assert all(c.t_amount == by_id[c.trainer_id].amount for c in first)
                     for mo in mos:
-                        block = [p for p in second.pairs if p.mo_id == mo]
+                        block = [c for c in second if c.mo_id == mo]
                         want = select_trainers(
-                            [by_id[p.trainer_id] for p in block], 1.0, float(len(block))
+                            [by_id[c.trainer_id] for c in block], 1.0, float(len(block))
                         )
-                        assert tuple(p.trainer_id for p in block) == want.selected
-                        assert tuple(p.t_deposit for p in block) == want.deposits
+                        assert tuple(c.trainer_id for c in block) == want.selected
+                        assert tuple(c.t_amount for c in block) == want.deposits
 
     @given(
         amounts=st.lists(st.floats(0.0, 9.0), max_size=12),
@@ -199,6 +221,6 @@ class TestMatchRound:
         shuffled = list(bids)
         random.Random(seed).shuffle(shuffled)
         assert match_round(mos, shuffled, limit, deposits) == baseline
-        assert len(baseline.pairs) == min(len(bids), mo_count * limit)
-        matched = [p.trainer_id for p in baseline.pairs]
+        assert len(baseline) == min(len(bids), mo_count * limit)
+        matched = [c.trainer_id for c in baseline]
         assert len(set(matched)) == len(matched)
