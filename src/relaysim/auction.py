@@ -7,9 +7,13 @@ as the deposit block's contracts. By default each matched trainer
 deposits its own bid; with second price it deposits as
 ``select_trainers`` does.
 
-``select_trainers`` follows a second-price rule over bids sorted
-descending: each selected trainer except the last deposits the next bid
-down, and the last selected trainer deposits its own bid.
+``select_trainers`` is the paper's reference selection rule, a
+second-price rule over bids sorted descending: each selected trainer
+except the last deposits the next bid down, and the last selected trainer
+deposits its own bid. The round engine does not call it; it runs
+``match_round``. The rule is kept as the oracle that
+``match_round(second_price=True)`` is tested against, and acceptance
+criterion 6 checks it exhaustively.
 
 All ties in bid amount break by ascending trainer id so results are
 deterministic under a fixed seed.
@@ -79,6 +83,10 @@ def select_trainers(bids: Sequence[Bid], b_mo: float, budget: float) -> Selectio
 
     Bids are ranked descending (ties by ascending trainer id). Each
     selected trainer deposits the next bid down, and the last its own.
+
+    This is the paper's reference rule, kept as the oracle for
+    ``match_round(second_price=True)`` and checked by acceptance criterion
+    6; the round engine runs ``match_round``.
     """
     _check_amount("b_mo", b_mo)
     _check_amount("budget", budget)

@@ -24,7 +24,9 @@ mutation of the tip is as detectable as one in the middle. A line and
 each object within it hold exactly the codec's keys, and each value is in
 the one form the encoder writes: an integer is not a float or a boolean,
 a float is not an integer or a string, a list is a JSON array, and bytes
-are lower-case hex.
+are lower-case hex. Every object's keys come out in sorted order because
+the encoder builds each object with its keys in that order, sorted once
+at import; ``json`` writes them as they come and sorts nothing.
 
 One codec, derived from the dataclasses below, gives both the hash input
 and the dump form of a block. A field's name is its dump key and the
@@ -277,11 +279,15 @@ class _Codec:
         hints = typing.get_type_hints(cls)
         self.cls = cls
         self.names = tuple(f.name for f in dataclasses.fields(cls))
-        self.plans, self.encoders, self.decoders = zip(
+        self.plans, encoders, self.decoders = zip(
             *(_field_codec(hints[name]) for name in self.names)
         )
-        self.attrgetters = tuple(map(attrgetter, self.names))
         self.itemgetters = tuple(map(itemgetter, self.names))
+        # The JSON encoder writes the fields in sorted key order, so each
+        # object it builds is already in the order of a sorted-key dump.
+        self.keys = tuple(sorted(self.names))
+        self.key_getters = tuple(map(attrgetter, self.keys))
+        self.key_encoders = tuple(encoders[self.names.index(key)] for key in self.keys)
         # The field values in declaration order, as a tuple.
         self.row = attrgetter(*self.names)
         if len(self.names) == 1:
@@ -305,10 +311,14 @@ class _Codec:
         """The canonical encoding of each instance: the list of its fields."""
         return pack(self.plan(objs), len(objs)) if objs else []
 
+    def columns(self, objs: Sequence) -> list[list]:
+        """The JSON values of each field of ``objs``, one list per field in
+        the order of ``keys``."""
+        return _columns(objs, self.key_getters, self.key_encoders)
+
     def encode(self, objs: Sequence) -> list[dict]:
-        """One JSON object per instance, keyed by field name."""
-        columns = _columns(objs, self.attrgetters, self.encoders)
-        return [dict(zip(self.names, row)) for row in zip(*columns)]
+        """One JSON object per instance, keyed by field name in sorted order."""
+        return [dict(zip(self.keys, row)) for row in zip(*self.columns(objs))]
 
     def decode(self, items: Sequence) -> list:
         """Instances rebuilt from JSON objects; raises on a malformed one,
@@ -370,7 +380,8 @@ class Chain:
     ``block_digest(blocks[i])``: the blocks a chain is built with are hashed
     here, and each appended block once, as it is appended. Only
     ``verify_chain_dump`` appends to both lists itself, for the partial
-    chain it checks each line against.
+    chain it checks each line against. That chain, the caller's or the new
+    one it makes when given none, keeps every block it parses.
     """
 
     blocks: list[Block] = field(default_factory=list)
@@ -510,17 +521,28 @@ def mine_winner(candidates: Sequence[str], rng: random.Random) -> str:
 
 # --- dump format ---------------------------------------------------------
 
+# The keys of a dump line, sorted: the header's fields, the payload and the
+# block's digest.
+_LINE_KEYS = tuple(sorted((*_HEADER_CODEC.names, "payload", "digest")))
+# Compact separators: with no whitespace in a line, every byte is semantic,
+# so any single-byte mutation is detectable. The codec builds fresh trees of
+# dicts, lists and scalars, which hold no cycle to check for.
+_LINE_ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
+
+
 def chain_to_jsonl(chain: Chain) -> str:
     """One JSON object per block per line, digests hex lowercase."""
-    lines = []
-    for block, digest in zip(chain.blocks, chain.digests):
-        data = _HEADER_CODEC.encode((block.header,))[0]
-        data["payload"] = _PAYLOAD_CODECS[block.header.kind].encode((block.payload,))[0]
-        data["digest"] = digest.hex()
-        # Compact separators: with no whitespace in a line, every byte is
-        # semantic, so any single-byte mutation is detectable.
-        lines.append(json.dumps(data, sort_keys=True, separators=(",", ":")))
-    return "\n".join(lines) + "\n"
+    blocks = chain.blocks
+    columns = dict(zip(_HEADER_CODEC.keys, _HEADER_CODEC.columns([b.header for b in blocks])))
+    # Each line's payload object is built as the line is encoded, so only
+    # one line's tree is alive at a time.
+    columns["payload"] = (_PAYLOAD_CODECS[b.header.kind].encode((b.payload,))[0] for b in blocks)
+    columns["digest"] = map(bytes.hex, chain.digests)
+    rows = zip(*map(columns.get, _LINE_KEYS))
+    lines = [_LINE_ENCODER.encode(dict(zip(_LINE_KEYS, row))) for row in rows]
+    # Joined with an empty last line, so the dump ends in a newline without
+    # a second copy of it; the dump of no blocks is one empty line.
+    return "\n".join([*lines, ""]) if lines else "\n"
 
 
 def _parse_line(line: str) -> tuple[Block, bytes]:
@@ -556,10 +578,11 @@ def verify_chain_dump(text: str, partial: Chain | None = None) -> list[str]:
         if not line.strip():
             continue
         try:
+            # A line nested deeper than the recursion limit fails here.
             block, recorded = _parse_line(line)
             # A string that is not valid UTF-8 (a lone surrogate) fails here.
             actual = block_digest(block)
-        except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
             violations.append(f"Unparseable: line {lineno}: {exc}")
             continue
         if actual != recorded:

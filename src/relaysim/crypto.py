@@ -139,16 +139,6 @@ def train_toward(m: ModelWeights, target: ModelWeights, rate: float) -> ModelWei
     return ModelWeights(m.version + 1, new_weights)
 
 
-def perturb_with_noise(m: ModelWeights, rng: random.Random, scale: float) -> ModelWeights:
-    """A lazy worker's move: add white noise so the digest changes.
-
-    Produces a model that passes the hash-difference filter while its
-    test error stays at the predecessor's level instead of improving.
-    """
-    new_weights = tuple(w + rng.gauss(0.0, scale) for w in m.weights)
-    return ModelWeights(m.version + 1, new_weights)
-
-
 # --- mock homomorphic scheme ---------------------------------------------
 
 _PK_MAGIC = b"mockfhe-pk:"

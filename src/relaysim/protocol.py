@@ -81,8 +81,9 @@ class Lineage:
 
     A model is the node ``(owner, version)``; the parent of a trained model
     is the node ``(parents[node], version - 1)``, and genesis-version nodes
-    have none. ``citations`` counts a round's ancestors in one pass over
-    the nodes; ``ancestors`` is the hop-by-hop walk it must agree with.
+    have none. A node's ancestors are the owners met walking the parent
+    pointers from it back to a genesis-version node; ``citations`` counts
+    a round's ancestors in one pass over the nodes.
     """
 
     parents: dict[tuple[str, int], str] = field(default_factory=dict)
@@ -95,19 +96,10 @@ class Lineage:
             raise LineageError(f"trained model version must exceed {GENESIS_VERSION}")
         self.parents[key] = parent_id
 
-    def ancestors(self, owner_id: str, version: int) -> list[str]:
-        """All predecessor owners from the direct parent back to genesis."""
-        result = []
-        key = (owner_id, version)
-        while key in self.parents:
-            parent = self.parents[key]
-            result.append(parent)
-            key = (parent, key[1] - 1)
-        return result
-
     def citations(self, heads: Iterable[tuple[str, int]]) -> dict[str, int]:
-        """How often each owner appears across the ``ancestors`` walks of
-        ``heads``, keyed in order of first appearance.
+        """How often each owner appears across the walks up the parent
+        pointers from each of ``heads``, one head after another, keyed in
+        order of first appearance.
 
         Each ``(owner, version)`` node is visited once. A head's walk enters
         one pass at its parent node and climbs until it reaches a node that

@@ -42,6 +42,7 @@ from relaysim.sim import (
     simulate_run,
     trainer_fixed_point,
 )
+from test_crypto import perturb_with_noise
 
 TABLE_CONFIG = SimConfig(rounds=200, seed=7)
 
@@ -300,7 +301,7 @@ def test_criterion_7_settlement_verification_concrete():
 
         # white-noise lazy worker: passes the hash-difference filter but
         # ranks strictly below the improved honest trainer
-        lazy = crypto.perturb_with_noise(start, rng, scale=1e-3)
+        lazy = perturb_with_noise(start, rng, scale=1e-3)
         assert crypto.model_digest(lazy) != crypto.model_digest(start)
         lazy_ct = crypto.fhe_encrypt(pair.pk, lazy)
         lazy_outputs = [crypto.evaluate(lazy, x) for x in inputs]

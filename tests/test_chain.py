@@ -5,7 +5,7 @@ import random
 import typing
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -122,44 +122,62 @@ MIXED = {
 }
 
 
-def column(kind, rows):
+# Values of exactly each field's type, the only values a dump can hold:
+# non-ASCII and empty ids, non-finite floats, bytes of any length.
+EXACT = {
+    str: st.one_of(UNIFORM[str], st.text(max_size=6), st.sampled_from(["", "é", "genesis"])),
+    float: UNIFORM[float],
+    bytes: st.binary(max_size=40),
+}
+
+
+def column(kind, rows, mixed=MIXED):
     return st.booleans().flatmap(lambda uniform: st.lists(
-        (UNIFORM if uniform else MIXED)[kind], min_size=rows, max_size=rows))
+        (UNIFORM if uniform else mixed)[kind], min_size=rows, max_size=rows))
 
 
-def records(cls, min_size=0, max_size=6):
+def records(cls, min_size=0, max_size=6, mixed=MIXED):
     """A tuple of ``cls`` records, built one column at a time."""
     kinds = typing.get_type_hints(cls).values()
     return st.integers(min_size, max_size).flatmap(lambda rows: st.tuples(
-        *(column(kind, rows) for kind in kinds)).map(lambda cols: tuple(map(cls, *cols))))
+        *(column(kind, rows, mixed) for kind in kinds)).map(lambda cols: tuple(map(cls, *cols))))
 
 
-def cases():
+def cases(mixed=MIXED):
     """Testing inputs or truths: up to 5 cases of widths 0, 1 and 7, either
     all of one width or mixed."""
     widths = st.sampled_from([0, 1, 7])
     return widths.flatmap(lambda width: st.lists(
         st.one_of(st.just(width), widths), max_size=5)).flatmap(lambda sizes: st.tuples(
-            *(column(float, size).map(tuple) for size in sizes)))
+            *(column(float, size, mixed).map(tuple) for size in sizes)))
 
 
-PAYLOADS = {
-    "DB": st.builds(DepositPayload, records(ContractRecord),
-                    records(Coinbase, 1, 1).map(lambda one: one[0])),
-    "EB": st.builds(EncryptionPayload, MIXED[bytes], records(TrainingRecord)),
-    "TB": st.builds(TestingPayload, records(EncryptedModelDigest), cases(), cases()),
-    "SB": st.builds(SettlementPayload, records(VerifiedRecord),
-                    st.integers(0, 6).flatmap(lambda n: column(str, n)).map(tuple)),
-}
+def payloads(mixed):
+    """Per kind, payloads whose columns are either uniform or drawn from
+    ``mixed``."""
+    return {
+        "DB": st.builds(DepositPayload, records(ContractRecord, mixed=mixed),
+                        records(Coinbase, 1, 1, mixed).map(lambda one: one[0])),
+        "EB": st.builds(EncryptionPayload, mixed[bytes], records(TrainingRecord, mixed=mixed)),
+        "TB": st.builds(TestingPayload, records(EncryptedModelDigest, mixed=mixed),
+                        cases(mixed), cases(mixed)),
+        "SB": st.builds(SettlementPayload, records(VerifiedRecord, mixed=mixed),
+                        st.integers(0, 6).flatmap(lambda n: column(str, n, mixed)).map(tuple)),
+    }
+
+
+MIXED_PAYLOADS, EXACT_PAYLOADS = payloads(MIXED), payloads(EXACT)
 U64 = st.integers(0, 2**64 - 1)
 
 
 @st.composite
-def blocks(draw):
+def blocks(draw, exact=False):
+    """A block of any kind; with ``exact``, one whose values all have exactly
+    their field's type, so that it can be dumped."""
     kind = draw(st.sampled_from(chainmod.KINDS))
     header = BlockHeader(draw(U64), draw(U64), kind, draw(st.binary(min_size=32, max_size=32)),
                          draw(U64), draw(U64))
-    return Block(header, draw(PAYLOADS[kind]))
+    return Block(header, draw((EXACT_PAYLOADS if exact else MIXED_PAYLOADS)[kind]))
 
 
 def leaves(value, path=()):
@@ -536,6 +554,40 @@ class TestDumpFormat:
             assert violations, f"undetected mutation at byte {pos}"
 
 
+def sorted_line(line):
+    """``line`` as ``json`` writes its object with sorted keys."""
+    return json.dumps(json.loads(line), sort_keys=True, separators=(",", ":"))
+
+
+class TestKeyOrder:
+    """The encoder builds every object with its keys in sorted order, so
+    each dump line is the sorted-key encoding of its own object."""
+
+    @pytest.mark.parametrize("mode", ["abstract", "concrete"])
+    @pytest.mark.parametrize("seed", [7, 1009])
+    def test_simulated_dump_lines(self, seed, mode):
+        chain = simulate_run(SimConfig(seed=seed, rounds=20, mode=mode)).state.chain
+        lines = chain_to_jsonl(chain).splitlines()
+        assert len(lines) == 81
+        for line in lines:
+            assert line == sorted_line(line)
+
+    @settings(max_examples=300, deadline=None)
+    @given(blocks(exact=True))
+    @example(Block(BlockHeader(1, 1, "DB", ZERO_DIGEST, 0, 1),
+                   DepositPayload((), Coinbase("\U0001d11e-é", 0.0))))
+    @example(Block(BlockHeader(3, 1, "TB", ZERO_DIGEST, 0, 3), TestingPayload(
+        (EncryptedModelDigest("é", b""),), ((math.nan, math.inf, -math.inf), ()), ((), ()))))
+    def test_block_lines(self, block):
+        dump = chain_to_jsonl(Chain(blocks=[block]))
+        line, = dump.splitlines()
+        assert dump == line + "\n"
+        assert line == sorted_line(line)
+
+    def test_dump_of_no_blocks_is_one_empty_line(self):
+        assert chain_to_jsonl(Chain(blocks=[])) == "\n"
+
+
 class TestTamperedValues:
     """Values a tampered dump can carry are reported, never raised."""
 
@@ -583,6 +635,13 @@ class TestTamperedValues:
         assert lines[line].count(old) >= 1 and verify_chain_dump(text) == []
         violations = verify_chain_dump(text.replace(old, new, 1))
         assert [v.split(":")[:2] for v in violations] == [["Unparseable", f" line {line}"]]
+
+    def test_deeply_nested_line_is_unparseable(self, seed_7_blocks):
+        lines = chain_to_jsonl(Chain(blocks=list(seed_7_blocks))).splitlines(keepends=True)
+        lines[1] = "[" * 100_000 + "]" * 100_000 + "\n"
+        violations = verify_chain_dump("".join(lines))
+        assert violations[0].startswith("Unparseable: line 1: maximum recursion depth")
+        assert all(not v.startswith("Unparseable") for v in violations[1:])
 
     @pytest.mark.parametrize("name", ["height", "round", "nonce", "timestamp"])
     def test_header_ints_are_unsigned_64_bit(self, name):

@@ -297,6 +297,19 @@ class TestExportVerb:
         status = main(["export", "--config", str(tmp_path / "none.jsonl")])
         assert status == 2
 
+    def test_deeply_nested_line_reported(self, tmp_path, capsys):
+        assert main(["simulate", "--rounds", "1", "--seed", "7",
+                     "--out", str(tmp_path / "run")]) == 0
+        lines = (tmp_path / "run" / "chain.jsonl").read_text().splitlines(keepends=True)
+        lines[1] = "[" * 100_000 + "]" * 100_000 + "\n"
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(lines))
+        capsys.readouterr()
+        out = tmp_path / "x.jsonl"
+        assert main(["export", "--config", str(bad), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("export: Unparseable: line 1: ")
+        assert not out.exists()
+
 
 class TestExportOnePass:
     """export writes the chain its verifying pass built: one hash per block,

@@ -291,12 +291,24 @@ class TestSettle:
         assert all(p.coins == 0.0 for p in participants.values())
 
 
+def ancestors(lineage, owner_id, version):
+    """All predecessor owners of the model ``(owner_id, version)``, from its
+    direct parent back to genesis, one hop at a time."""
+    result = []
+    key = (owner_id, version)
+    while key in lineage.parents:
+        parent = lineage.parents[key]
+        result.append(parent)
+        key = (parent, key[1] - 1)
+    return result
+
+
 def per_hop_citations(lineage, heads):
     """Hop counts from one ``ancestors`` walk per head, the way settlement
     once counted them: keyed by owner in order of first appearance."""
     counts = {}
     for owner, version in heads:
-        for ancestor in lineage.ancestors(owner, version):
+        for ancestor in ancestors(lineage, owner, version):
             counts[ancestor] = counts.get(ancestor, 0) + 1
     return counts
 
@@ -354,7 +366,7 @@ class TestCitations:
                         for trainer_id, _, _, _, new_version in log.training}
             totals = {}
             for trainer_id in log.top_set:
-                for ancestor in lineage.ancestors(trainer_id, versions[trainer_id]):
+                for ancestor in ancestors(lineage, trainer_id, versions[trainer_id]):
                     totals[ancestor] = totals.get(ancestor, 0.0) + coin_unit
             coins = 0.0
             for amount in totals.values():
@@ -471,13 +483,13 @@ class TestRunInvariants:
         run = simulate_run(config)
         lineage = run.state.lineage
         for log in run.logs:
-            ancestors = set()
+            cited = set()
             for trainer_id in log.top_set:
                 new_version = next(v for t, _, _, _, v in log.training if t == trainer_id)
-                ancestors.update(lineage.ancestors(trainer_id, new_version))
+                cited.update(ancestors(lineage, trainer_id, new_version))
             for participant_id, _, reason in log.transfers:
                 if reason == "citation":
-                    assert participant_id in ancestors
+                    assert participant_id in cited
 
     def test_lineage_edges_point_to_strictly_older_versions(self):
         config = SimConfig(
@@ -488,9 +500,9 @@ class TestRunInvariants:
         lineage = run.state.lineage
         for (owner, version) in lineage.parents:
             assert version >= 2
-            ancestors = lineage.ancestors(owner, version)
-            assert 1 <= len(ancestors) <= version - 1
-            assert ancestors[-1] == run.state.genesis_id
+            path = ancestors(lineage, owner, version)
+            assert 1 <= len(path) <= version - 1
+            assert path[-1] == run.state.genesis_id
 
     @pytest.mark.parametrize("mode", ["abstract", "concrete"])
     def test_db_coinbase_is_the_db_miner_credit(self, mode):
