@@ -146,7 +146,7 @@ def match_round(
         block = ranked[start:start + selection_limit]
         pays = _second_prices(block) if second_price else [b.amount for b in block]
         contracts.extend(
-            ContractRecord(mo_id, bid.trainer_id, per_mo_deposit[mo_id], pay)
+            (mo_id, bid.trainer_id, per_mo_deposit[mo_id], pay)
             for bid, pay in zip(block, pays)
         )
     return tuple(contracts)

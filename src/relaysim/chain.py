@@ -28,11 +28,19 @@ are lower-case hex. Every object's keys come out in sorted order because
 the encoder builds each object with its keys in that order, sorted once
 at import; ``json`` writes them as they come and sorts nothing.
 
-One codec, derived from the dataclasses below, gives both the hash input
-and the dump form of a block. A field's name is its dump key and the
-order of declaration is the order it is hashed in, so renaming or
-reordering a field of ``BlockHeader`` or of a payload class changes the
-format, and every digest, and must be versioned.
+One codec, derived from the declarations below, gives both the hash input
+and the dump form of a block. The header, the payloads and the block are
+dataclasses. The records a payload holds (contracts, the coinbase,
+training records, encrypted-model digests, verified records) are exact
+tuples of scalars, each type declared once as its field types annotated
+with its dump keys. A 200-round chain holds some 64,000 records, and
+CPython's cyclic collector stops tracking an exact tuple of scalars at the
+first collection that sees it, where it would walk a dataclass instance
+or a ``NamedTuple`` on every full collection. A record is hashed, like a
+dataclass, as the list of its fields. A field's name is its dump key and
+the order of declaration is the order it is hashed in, so renaming or
+reordering a field of ``BlockHeader``, of a payload class or of a record
+changes the format, and every digest, and must be versioned.
 
 A block's digest is the SHA-256 of the canonical encoding of
 ``["block", *header fields, [kind, *payload fields]]``. ``_Codec.pack``
@@ -55,7 +63,7 @@ import random
 import typing
 from dataclasses import dataclass, field
 from operator import attrgetter, countOf, itemgetter
-from typing import Any, Callable, Sequence
+from typing import Annotated, Any, Callable, Sequence
 
 from .serialize import (DIGEST_SIZE, ZERO_DIGEST, Plan, PlanFn, canonical_bytes, encode_str,
                         list_head, pack, scalar_plan, sequence_plan)
@@ -103,20 +111,27 @@ class BlockHeader:
                 raise ChainError(f"{name} must be in [0, 2**64), got {value}")
 
 
-@dataclass(frozen=True)
-class ContractRecord:
-    """Escrow amounts of one deposit contract as stored on-chain."""
+# --- records -------------------------------------------------------------
+#
+# Each record type is the tuple of its field types, annotated with its dump
+# keys in field order. A record is an exact tuple built in that order, never
+# a subclass, so that the collector untracks it (see the module docstring).
 
-    mo_id: str
-    trainer_id: str
-    mo_amount: float
-    t_amount: float
+# Escrow amounts of one deposit contract as stored on-chain.
+ContractRecord = Annotated[tuple[str, str, float, float],
+                           ("mo_id", "trainer_id", "mo_amount", "t_amount")]
+Coinbase = Annotated[tuple[str, float], ("miner_id", "amount")]
+# A trained-model claim: previous owner, trainer, new model digest.
+TrainingRecord = Annotated[tuple[str, str, bytes],
+                           ("prev_owner_id", "trainer_id", "model_digest")]
+EncryptedModelDigest = Annotated[tuple[str, bytes], ("trainer_id", "digest")]
+VerifiedRecord = Annotated[tuple[str, str, float],
+                           ("prev_owner_id", "trainer_id", "performance")]
 
 
-@dataclass(frozen=True)
-class Coinbase:
-    miner_id: str
-    amount: float
+def record_keys(record: Any) -> tuple[str, ...]:
+    """The dump keys of a record type, in field order."""
+    return record.__metadata__[0]
 
 
 @dataclass(frozen=True)
@@ -126,24 +141,9 @@ class DepositPayload:
 
 
 @dataclass(frozen=True)
-class TrainingRecord:
-    """A trained-model claim: previous owner, trainer, new model digest."""
-
-    prev_owner_id: str
-    trainer_id: str
-    model_digest: bytes
-
-
-@dataclass(frozen=True)
 class EncryptionPayload:
     pk: bytes
     records: tuple[TrainingRecord, ...]
-
-
-@dataclass(frozen=True)
-class EncryptedModelDigest:
-    trainer_id: str
-    digest: bytes
 
 
 @dataclass(frozen=True)
@@ -153,13 +153,6 @@ class TestingPayload:
     encrypted_model_digests: tuple[EncryptedModelDigest, ...]
     testing_inputs: tuple[tuple[float, ...], ...]
     testing_truths: tuple[tuple[float, ...], ...]
-
-
-@dataclass(frozen=True)
-class VerifiedRecord:
-    prev_owner_id: str
-    trainer_id: str
-    performance: float
 
 
 @dataclass(frozen=True)
@@ -241,7 +234,7 @@ def _field_codec(hint: Any) -> tuple[PlanFn, _Converter | None, _Converter]:
         return scalar_plan(hint), None, _typed(hint)
     if hint is bytes:
         return scalar_plan(bytes), _mapped(bytes.hex), _hex
-    if dataclasses.is_dataclass(hint):
+    if dataclasses.is_dataclass(hint) or typing.get_origin(hint) is Annotated:
         codec = _Codec(hint)
         return codec.plan, codec.encode, codec.decode
     args = typing.get_args(hint)
@@ -273,37 +266,51 @@ def _columns(items: Sequence, getters: Sequence[Callable],
 
 
 class _Codec:
-    """Hash encoder, JSON encoder and JSON decoder of one block dataclass."""
+    """Hash encoder, JSON encoder and JSON decoder of one block dataclass or
+    record type."""
 
-    def __init__(self, cls: type) -> None:
-        hints = typing.get_type_hints(cls)
-        self.cls = cls
-        self.names = tuple(f.name for f in dataclasses.fields(cls))
-        self.plans, encoders, self.decoders = zip(
-            *(_field_codec(hints[name]) for name in self.names)
-        )
+    def __init__(self, cls: Any) -> None:
+        if dataclasses.is_dataclass(cls):
+            hints = typing.get_type_hints(cls, include_extras=True)
+            self.names = tuple(f.name for f in dataclasses.fields(cls))
+            kinds = tuple(hints[name] for name in self.names)
+            self.label = f"a {cls.__name__}"
+            # The field values in declaration order, as a tuple.
+            self.row: Callable | None = attrgetter(*self.names)
+            if len(self.names) == 1:
+                self.row = lambda obj: (getattr(obj, self.names[0]),)
+            self.build: Callable[[list[list]], list] = lambda columns: list(map(cls, *columns))
+        else:
+            # A record is its own row, and each row of its columns a record.
+            fields, self.names = typing.get_args(cls)
+            kinds = typing.get_args(fields)
+            self.label = f"a record of {', '.join(self.names)}"
+            self.row = None
+            self.build = lambda columns: list(zip(*columns))
+        self.plans, encoders, self.decoders = zip(*map(_field_codec, kinds))
         self.itemgetters = tuple(map(itemgetter, self.names))
         # The JSON encoder writes the fields in sorted key order, so each
         # object it builds is already in the order of a sorted-key dump.
         self.keys = tuple(sorted(self.names))
-        self.key_getters = tuple(map(attrgetter, self.keys))
+        self.key_getters = tuple(
+            attrgetter(key) if self.row else itemgetter(self.names.index(key))
+            for key in self.keys
+        )
         self.key_encoders = tuple(encoders[self.names.index(key)] for key in self.keys)
-        # The field values in declaration order, as a tuple.
-        self.row = attrgetter(*self.names)
-        if len(self.names) == 1:
-            self.row = lambda obj: (getattr(obj, self.names[0]),)
         self.head = ("9s", [list_head(len(self.names))])
-        self.flat = all(hints[name] in (str, int, float, bytes) for name in self.names)
+        self.flat = all(kind in (str, int, float, bytes) for kind in kinds)
 
     def plan(self, objs: Sequence) -> Plan:
         """The plan of a non-empty sequence of instances: the field count,
         then each field, one column at a time. Column work pays off over
         many rows, so a lone instance whose fields are all scalars (a header,
-        a coinbase) is encoded in one ``canonical_bytes`` call."""
-        if self.flat and len(objs) == 1:
-            return [(None, [[canonical_bytes(self.row(objs[0]))]])]
+        a coinbase) is encoded in one ``canonical_bytes`` call. A record
+        with more or fewer fields than its type is a ``ValueError``."""
+        rows = objs if self.row is None else list(map(self.row, objs))
+        if self.flat and len(rows) == 1:
+            return [(None, [[canonical_bytes(rows[0])]])]
         plan = [self.head]
-        for field_plan, column in zip(self.plans, zip(*map(self.row, objs))):
+        for field_plan, column in zip(self.plans, zip(*rows, strict=True), strict=True):
             plan += field_plan(column)
         return plan
 
@@ -328,8 +335,8 @@ class _Codec:
         # another key exactly when the objects hold more keys in all.
         if sum(map(len, items)) != len(items) * len(self.names):
             unknown = sorted(set().union(*items) - set(self.names))
-            raise ValueError(f"unknown key(s) {unknown} in a {self.cls.__name__}")
-        return list(map(self.cls, *columns))
+            raise ValueError(f"unknown key(s) {unknown} in {self.label}")
+        return self.build(columns)
 
 
 _HEADER_CODEC = _Codec(BlockHeader)
@@ -414,29 +421,27 @@ def validate_block(chain: Chain, block: Block) -> list[str]:
     violations: list[str] = []
     payload = block.payload
     if isinstance(payload, DepositPayload):
-        for c in payload.contracts:
-            if not (0.0 <= c.mo_amount < math.inf and 0.0 <= c.t_amount < math.inf):
+        for mo_id, trainer_id, mo_amount, t_amount in payload.contracts:
+            if not (0.0 <= mo_amount < math.inf and 0.0 <= t_amount < math.inf):
                 violations.append(
-                    f"InvalidAmount: contract {c.mo_id}->{c.trainer_id} escrows "
-                    f"{c.mo_amount!r} and {c.t_amount!r}"
+                    f"InvalidAmount: contract {mo_id}->{trainer_id} escrows "
+                    f"{mo_amount!r} and {t_amount!r}"
                 )
-        if not 0.0 <= payload.coinbase.amount < math.inf:
-            violations.append(
-                f"InvalidAmount: coinbase of {payload.coinbase.miner_id} is "
-                f"{payload.coinbase.amount!r}"
-            )
+        miner_id, amount = payload.coinbase
+        if not 0.0 <= amount < math.inf:
+            violations.append(f"InvalidAmount: coinbase of {miner_id} is {amount!r}")
     elif isinstance(payload, EncryptionPayload):
         prior: dict[str, bytes] = {}
         for prev in reversed(chain.blocks):
             if isinstance(prev.payload, EncryptionPayload):
-                prior = {r.trainer_id: r.model_digest for r in prev.payload.records}
+                prior = {trainer_id: digest for _, trainer_id, digest in prev.payload.records}
                 break
-        for record in payload.records:
-            previous_digest = prior.get(record.prev_owner_id)
-            if previous_digest is not None and previous_digest == record.model_digest:
+        for prev_owner_id, trainer_id, model_digest in payload.records:
+            previous_digest = prior.get(prev_owner_id)
+            if previous_digest is not None and previous_digest == model_digest:
                 violations.append(
-                    f"HashUnchanged: trainer {record.trainer_id} resubmitted the "
-                    f"digest of {record.prev_owner_id}'s model"
+                    f"HashUnchanged: trainer {trainer_id} resubmitted the "
+                    f"digest of {prev_owner_id}'s model"
                 )
     elif isinstance(payload, TestingPayload):
         if len(payload.testing_inputs) != len(payload.testing_truths):
@@ -445,12 +450,10 @@ def validate_block(chain: Chain, block: Block) -> list[str]:
                 f"{len(payload.testing_truths)} truths"
             )
     elif isinstance(payload, SettlementPayload):
-        for record in payload.verified:
-            if not math.isfinite(record.performance):
-                violations.append(
-                    f"NonFinitePerformance: {record.trainer_id} has {record.performance!r}"
-                )
-        verified_ids = {r.trainer_id for r in payload.verified}
+        for _, trainer_id, performance in payload.verified:
+            if not math.isfinite(performance):
+                violations.append(f"NonFinitePerformance: {trainer_id} has {performance!r}")
+        verified_ids = set(map(itemgetter(1), payload.verified))
         for trainer_id in payload.top_set:
             if trainer_id not in verified_ids:
                 violations.append(f"UnverifiedInTopSet: {trainer_id}")
@@ -566,20 +569,26 @@ def verify_chain_dump(text: str, partial: Chain | None = None) -> list[str]:
 
     Detects any single-byte mutation: unparseable lines, recorded digests
     that differ from the recomputed one, and every broken rule of
-    ``_violations`` as ``<error class>: line N: <message>``. Each parsed
-    block is appended, with its recomputed digest, to ``partial``, an empty
-    chain (a new one if none is given); when the result is empty,
-    ``partial`` is the dumped chain, each of its blocks hashed once.
+    ``_violations`` as ``<error class>: line N: <message>``. Lines are
+    split at line feeds only, the dump must end in one, and each line is
+    one JSON object with nothing around it, so a line feed turned into any
+    other byte is reported too. Each parsed block is appended, with its
+    recomputed digest, to ``partial``, an empty chain (a new one if none is
+    given); when the result is empty, ``partial`` is the dumped chain, each
+    of its blocks hashed once.
     """
     violations: list[str] = []
     if partial is None:
         partial = Chain(blocks=[])
-    for lineno, line in enumerate(text.splitlines()):
-        if not line.strip():
-            continue
+    # Each line ends in a line break; the dump of no blocks is one alone.
+    lines = text.removesuffix("\n").split("\n") if text != "\n" else []
+    for lineno, line in enumerate(lines):
         try:
             # A line nested deeper than the recursion limit fails here.
             block, recorded = _parse_line(line)
+            # JSON whitespace around the object parses too.
+            if line[0] != "{" or line[-1] != "}":
+                raise ValueError("whitespace around the object")
             # A string that is not valid UTF-8 (a lone surrogate) fails here.
             actual = block_digest(block)
         except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
@@ -595,6 +604,8 @@ def verify_chain_dump(text: str, partial: Chain | None = None) -> list[str]:
         # line's rules are checked against them.
         partial.blocks.append(block)
         partial.digests.append(actual)
+    if not text.endswith("\n"):
+        violations.append("Unterminated: the dump does not end in a line break")
     if not partial.blocks:
         violations.append("EmptyChain: no blocks")
     return violations

@@ -234,7 +234,8 @@ def _run_export(cmd: Command) -> int:
         raise MissingConfig("export requires --config with the chain dump to read")
     if cmd.output_path is None:
         raise MissingConfig("export requires --out for the re-serialized dump")
-    text = _input_file(cmd, "chain dump").read_text(encoding="utf-8")
+    # Read as bytes, so that no line break is translated before the check.
+    text = _input_file(cmd, "chain dump").read_bytes().decode("utf-8")
     out = _output_file(cmd)
     chain = Chain(blocks=[])
     violations = verify_chain_dump(text, chain)

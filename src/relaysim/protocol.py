@@ -41,12 +41,15 @@ GENESIS_VERSION = 1
 Rejection = tuple[str, str]
 # A signed balance change (a credit is positive) and a matched trainer's
 # step (5), new version None on failure. Both are exact tuples of scalars,
-# which the cyclic collector stops tracking; ``RoundLog.to_json`` writes each
+# like the chain's records, which the cyclic collector stops tracking;
+# ``RoundLog.to_json`` writes each, and each contract and verified record,
 # as an object with these keys.
 Transfer = tuple[str, float, str]
 TRANSFER_KEYS = ("participant_id", "amount", "reason")
 TrainingOutcome = tuple[str, str, int, bool, int | None]
 TRAINING_KEYS = ("trainer_id", "mo_id", "received_version", "success", "new_version")
+CONTRACT_KEYS = chainmod.record_keys(chainmod.ContractRecord)
+VERIFIED_KEYS = chainmod.record_keys(chainmod.VerifiedRecord)
 
 
 class ProtocolError(ValueError):
@@ -157,8 +160,10 @@ class RoundLog:
     citation_coins: float
 
     def to_json(self, indent: int | None = None) -> str:
-        """The dataclass layout, each transfer and outcome an object."""
+        """The dataclass layout, each record, transfer and outcome an object."""
         data = asdict(self)
+        data["contracts"] = [dict(zip(CONTRACT_KEYS, c)) for c in self.contracts]
+        data["verified"] = [dict(zip(VERIFIED_KEYS, v)) for v in self.verified]
         data["training"] = [dict(zip(TRAINING_KEYS, t)) for t in self.training]
         data["transfers"] = [dict(zip(TRANSFER_KEYS, t)) for t in self.transfers]
         return json.dumps(data, indent=indent)
@@ -241,9 +246,9 @@ def rank_and_select(
     """Best performers first: floor(s * verified), clamped to at least one."""
     if not verified:
         return []
-    ranked = sorted(verified, key=lambda r: (r.performance, r.trainer_id))
+    ranked = sorted(verified, key=itemgetter(2, 1))  # performance, then trainer id
     count = max(1, int(s * len(verified)))
-    return [r.trainer_id for r in ranked[:count]]
+    return list(map(itemgetter(1), ranked[:count]))
 
 
 @dataclass(frozen=True)
@@ -276,7 +281,7 @@ def collect_verified(
             rejected.append((sub.trainer_id, verdict.reason))
             continue
         perf = crypto.performance_index(sub.claimed_outputs, testing_truths)
-        verified.append(chainmod.VerifiedRecord(sub.mo_id, sub.trainer_id, perf))
+        verified.append((sub.mo_id, sub.trainer_id, perf))
     return verified, rejected
 
 
@@ -310,8 +315,8 @@ class AbstractModels:
     def verify(self, sealed: Sequence[tuple], participants, pk: bytes, inputs, truths,
                rng: random.Random) -> tuple[list[chainmod.VerifiedRecord], list[Rejection]]:
         return [
-            chainmod.VerifiedRecord(record.prev_owner_id, record.trainer_id, rng.random())
-            for record, _, _ in sealed
+            (prev_owner_id, trainer_id, rng.random())
+            for (prev_owner_id, trainer_id, _), _, _ in sealed
         ], []
 
 
@@ -361,10 +366,10 @@ class ConcreteModels:
         """Step (10), each trainer's claimed outputs, then the SB check."""
         submissions = [
             Submission(
-                record.prev_owner_id, record.trainer_id, digest, ct,
-                crypto.evaluate_cases(participants[record.trainer_id].model, inputs),
+                prev_owner_id, trainer_id, digest, ct,
+                crypto.evaluate_cases(participants[trainer_id].model, inputs),
             )
-            for record, ct, digest in sealed
+            for (prev_owner_id, trainer_id, _), ct, digest in sealed
         ]
         return collect_verified(submissions, pk, inputs, truths)
 
@@ -421,21 +426,19 @@ def settle(
     """
     transfers: list[Transfer] = []
     top = set(top_set)
-    by_trainer = {c.trainer_id: c for c in contracts}
-    if len(by_trainer) != len(contracts):
+    trainers = set(map(itemgetter(1), contracts))
+    if len(trainers) != len(contracts):
         raise ProtocolError("a trainer holds more than one deposit contract")
     for trainer_id in top_set:
-        if trainer_id not in by_trainer:
+        if trainer_id not in trainers:
             raise UnknownContract(f"no contract for top-set trainer {trainer_id}")
     forfeited = 0.0
-    for contract in contracts:
-        if contract.trainer_id in top:
-            _credit(participants[contract.mo_id], contract.mo_amount,
-                    "deposit_return_mo", transfers)
-            _credit(participants[contract.trainer_id], contract.t_amount,
-                    "deposit_return_t", transfers)
+    for mo_id, trainer_id, mo_amount, t_amount in contracts:
+        if trainer_id in top:
+            _credit(participants[mo_id], mo_amount, "deposit_return_mo", transfers)
+            _credit(participants[trainer_id], t_amount, "deposit_return_t", transfers)
         else:
-            forfeited += contract.mo_amount + contract.t_amount
+            forfeited += mo_amount + t_amount
     hops = lineage.citations(
         (trainer_id, participants[trainer_id].model_version) for trainer_id in top_set
     )
@@ -448,10 +451,9 @@ def settle(
         _credit(participants[ancestor_id], amount, "citation", transfers)
         citation_coins += amount
     minted = citation_coins
-    for kind, coinbase in zip(chainmod.KINDS, coinbases, strict=True):
-        _credit(participants[coinbase.miner_id], coinbase.amount,
-                f"miner_reward_{kind.lower()}", transfers)
-        minted += coinbase.amount
+    for kind, (miner_id, amount) in zip(chainmod.KINDS, coinbases, strict=True):
+        _credit(participants[miner_id], amount, f"miner_reward_{kind.lower()}", transfers)
+        minted += amount
     return transfers, minted, forfeited, citation_coins
 
 
@@ -492,10 +494,9 @@ def run_round(
 
     # (2) escrow of the contracts, as the deposit block holds them
     transfers: list[Transfer] = []
-    for contract in contracts:
-        _debit(participants[contract.mo_id], contract.mo_amount, "deposit_escrow_mo", transfers)
-        _debit(participants[contract.trainer_id], contract.t_amount, "deposit_escrow_t",
-               transfers)
+    for mo_id, trainer_id, mo_amount, t_amount in contracts:
+        _debit(participants[mo_id], mo_amount, "deposit_escrow_mo", transfers)
+        _debit(participants[trainer_id], t_amount, "deposit_escrow_t", transfers)
 
     miner_pool = list(assignment.miners)
     miners: dict[str, str] = {}
@@ -507,7 +508,7 @@ def run_round(
 
     def pay(kind: str, amount: float) -> chainmod.Coinbase:
         """The reward of the miner of the round's ``kind`` block."""
-        coinbases.append(chainmod.Coinbase(miners[kind], amount))
+        coinbases.append((miners[kind], amount))
         return coinbases[-1]
 
     # (3) deposit block
@@ -520,18 +521,17 @@ def run_round(
     # version still replaces the weights, since training continues from the
     # received model
     received: dict[str, int] = {}
-    for contract in contracts:
-        mo = participants[contract.mo_id]
-        trainer = participants[contract.trainer_id]
-        received[contract.trainer_id] = mo.model_version
+    for mo_id, trainer_id, _, _ in contracts:
+        mo = participants[mo_id]
+        trainer = participants[trainer_id]
+        received[trainer_id] = mo.model_version
         if mo.model_version >= trainer.model_version:
             _hand_over(mo, trainer)
 
     # (5) training
     outcomes: list[TrainingOutcome] = []
     new_digests: dict[str, bytes] = {}
-    for contract in contracts:
-        mo_id, trainer_id = contract.mo_id, contract.trainer_id
+    for mo_id, trainer_id, _, _ in contracts:
         success = rng.random() < config.pr_training
         v_rec = received[trainer_id]
         new_version = None
@@ -549,7 +549,7 @@ def run_round(
     keypair = crypto.fhe_keygen(rng)
     miners["EB"] = _draw_miner(miner_pool, rng, config.distinct_miners_per_round)
     eb_records = tuple(
-        chainmod.TrainingRecord(mo_id, trainer_id, new_digests[trainer_id])
+        (mo_id, trainer_id, new_digests[trainer_id])
         for trainer_id, mo_id, _, success, _ in outcomes
         if success and new_digests[trainer_id] != participants[mo_id].model_digest
     )
@@ -559,13 +559,10 @@ def run_round(
     # (8-9) encryption and the testing block; a sealed entry is
     # (EB record, ciphertext or None, committed encrypted-model digest)
     sealed = [
-        (record, *models.encrypt(keypair.pk, participants[record.trainer_id]))
+        (record, *models.encrypt(keypair.pk, participants[record[1]]))
         for record in eb_records
     ]
-    enc_digests = tuple(
-        chainmod.EncryptedModelDigest(record.trainer_id, digest)
-        for record, _, digest in sealed
-    )
+    enc_digests = tuple((trainer_id, digest) for (_, trainer_id, _), _, digest in sealed)
     miners["TB"] = _draw_miner(miner_pool, rng, config.distinct_miners_per_round)
     testing_inputs, testing_truths = models.testing_cases(state.target_model, config, rng)
     mine(chainmod.TestingPayload(

@@ -314,11 +314,8 @@ def test_criterion_7_settlement_verification_concrete():
         perf_lazy = crypto.performance_index(lazy_outputs, truths)
         assert perf_honest < perf_old  # honest training improved
         assert perf_lazy > perf_honest  # lazy strictly below honest
-        from relaysim.chain import VerifiedRecord
-
         ranking = rank_and_select(
-            [VerifiedRecord("mo", "honest", perf_honest),
-             VerifiedRecord("mo", "lazy", perf_lazy)],
+            [("mo", "honest", perf_honest), ("mo", "lazy", perf_lazy)],
             s=0.5,
         )
         assert ranking == ["honest"]
@@ -352,12 +349,11 @@ def test_criterion_8_chain_integrity():
 
     # every wrong-successor kind pair is rejected
     from relaysim.chain import (
-        Coinbase, DepositPayload, EncryptionPayload, SettlementPayload,
-        TestingPayload, new_chain,
+        DepositPayload, EncryptionPayload, SettlementPayload, TestingPayload, new_chain,
     )
 
     empty = {
-        "DB": DepositPayload((), Coinbase("m", 0.0)),
+        "DB": DepositPayload((), ("m", 0.0)),
         "EB": EncryptionPayload(b"pk", ()),
         "TB": TestingPayload((), (), ()),
         "SB": SettlementPayload((), ()),

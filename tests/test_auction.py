@@ -17,7 +17,6 @@ from relaysim.auction import (
     select_trainers,
     trainer_bid,
 )
-from relaysim.chain import ContractRecord
 
 
 def bids_of(mapping):
@@ -145,7 +144,7 @@ class TestTrainerBid:
 
 
 def unmatched(bids, contracts):
-    named = {c.trainer_id for c in contracts}
+    named = {trainer_id for _, trainer_id, _, _ in contracts}
     return {b.trainer_id for b in bids} - named
 
 
@@ -153,10 +152,9 @@ class TestMatchRound:
     def test_greedy_walk(self):
         bids = bids_of({"a": 5, "b": 4, "c": 3, "d": 2, "e": 1})
         contracts = match_round(["mo1", "mo2"], bids, 2, {"mo1": 0.25, "mo2": 0.25})
-        assert contracts == tuple(
-            ContractRecord(mo, t, 0.25, amount) for mo, t, amount in [
-                ("mo1", "a", 5), ("mo1", "b", 4), ("mo2", "c", 3), ("mo2", "d", 2),
-            ]
+        assert contracts == (
+            ("mo1", "a", 0.25, 5), ("mo1", "b", 0.25, 4),
+            ("mo2", "c", 0.25, 3), ("mo2", "d", 0.25, 2),
         )
         assert unmatched(bids, contracts) == {"e"}
 
@@ -169,14 +167,15 @@ class TestMatchRound:
     def test_capacity_exceeds_supply(self):
         bids = bids_of({"a": 5, "b": 4})
         contracts = match_round(["mo1", "mo2", "mo3"], bids, 4, {"mo1": 0.1, "mo2": 0.2, "mo3": 0.3})
-        assert [(c.mo_id, c.trainer_id) for c in contracts] == [("mo1", "a"), ("mo1", "b")]
+        assert [(mo_id, t) for mo_id, t, _, _ in contracts] == [("mo1", "a"), ("mo1", "b")]
         assert unmatched(bids, contracts) == set()
 
     def test_per_mo_deposit_mapping(self):
         bids = bids_of({"a": 5, "b": 4})
         contracts = match_round(["m1", "m2"], bids, 1, {"m1": 0.5, "m2": 0.125})
-        assert contracts[0].mo_amount == 0.5
-        assert contracts[1].mo_amount == 0.125
+        (_, _, first_mo_amount, _), (_, _, second_mo_amount, _) = contracts
+        assert first_mo_amount == 0.5
+        assert second_mo_amount == 0.125
 
     def test_zero_limit(self):
         with pytest.raises(ZeroLimit):
@@ -193,17 +192,15 @@ class TestMatchRound:
                     first = match_round(mos, bids, limit, deposits)
                     second = match_round(mos, bids, limit, deposits, second_price=True)
                     assert unmatched(bids, second) == unmatched(bids, first)
-                    assert [(c.mo_id, c.trainer_id, c.mo_amount) for c in second] == [
-                        (c.mo_id, c.trainer_id, c.mo_amount) for c in first
-                    ]
-                    assert all(c.t_amount == by_id[c.trainer_id].amount for c in first)
+                    assert [c[:3] for c in second] == [c[:3] for c in first]
+                    assert all(t_amount == by_id[t].amount for _, t, _, t_amount in first)
                     for mo in mos:
-                        block = [c for c in second if c.mo_id == mo]
+                        block = [(t, t_amount) for mo_id, t, _, t_amount in second if mo_id == mo]
                         want = select_trainers(
-                            [by_id[c.trainer_id] for c in block], 1.0, float(len(block))
+                            [by_id[t] for t, _ in block], 1.0, float(len(block))
                         )
-                        assert tuple(c.trainer_id for c in block) == want.selected
-                        assert tuple(c.t_amount for c in block) == want.deposits
+                        assert tuple(t for t, _ in block) == want.selected
+                        assert tuple(t_amount for _, t_amount in block) == want.deposits
 
     @given(
         amounts=st.lists(st.floats(0.0, 9.0), max_size=12),
@@ -222,5 +219,5 @@ class TestMatchRound:
         random.Random(seed).shuffle(shuffled)
         assert match_round(mos, shuffled, limit, deposits) == baseline
         assert len(baseline) == min(len(bids), mo_count * limit)
-        matched = [c.trainer_id for c in baseline]
+        matched = [trainer_id for _, trainer_id, _, _ in baseline]
         assert len(set(matched)) == len(matched)

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import math
 import random
@@ -37,6 +38,7 @@ from relaysim.chain import (
     mine_winner,
     new_chain,
     next_header,
+    record_keys,
     verify_chain_dump,
 )
 from relaysim.protocol import participant_ids
@@ -61,7 +63,7 @@ def _next_header(chain, kind, nonce=0):
 
 def _empty_payload(kind):
     return {
-        "DB": DepositPayload((), Coinbase("m0", 0.0)),
+        "DB": DepositPayload((), ("m0", 0.0)),
         "EB": EncryptionPayload(b"pk", ()),
         "TB": TestingPayload((), (), ()),
         "SB": SettlementPayload((), ()),
@@ -136,11 +138,11 @@ def column(kind, rows, mixed=MIXED):
         (UNIFORM if uniform else mixed)[kind], min_size=rows, max_size=rows))
 
 
-def records(cls, min_size=0, max_size=6, mixed=MIXED):
-    """A tuple of ``cls`` records, built one column at a time."""
-    kinds = typing.get_type_hints(cls).values()
+def records(record, min_size=0, max_size=6, mixed=MIXED):
+    """A tuple of records of the type ``record``, built one column at a time."""
+    kinds = typing.get_args(typing.get_args(record)[0])
     return st.integers(min_size, max_size).flatmap(lambda rows: st.tuples(
-        *(column(kind, rows, mixed) for kind in kinds)).map(lambda cols: tuple(map(cls, *cols))))
+        *(column(kind, rows, mixed) for kind in kinds)).map(lambda cols: tuple(zip(*cols))))
 
 
 def cases(mixed=MIXED):
@@ -226,10 +228,8 @@ class TestColumnPacker:
     def test_ids_of_two_widths_and_an_int_amount(self):
         # One id is 7 bytes and the others 4, so that column is encoded value
         # by value, and the int amount keeps its tag 'I'.
-        contracts = (ContractRecord("p000", "p001", 0.5, 1.0),
-                     ContractRecord("genesis", "p002", 2, -0.0))
-        block = Block(_next_header(new_chain(), "DB"),
-                      DepositPayload(contracts, Coinbase("m0", 0.001)))
+        contracts = (("p000", "p001", 0.5, 1.0), ("genesis", "p002", 2, -0.0))
+        block = Block(_next_header(new_chain(), "DB"), DepositPayload(contracts, ("m0", 0.001)))
         assert block_digest(block) == reference_block_digest(block)
 
 
@@ -281,10 +281,10 @@ class TestValidate:
     def test_eb_reusing_predecessor_digest(self):
         chain = new_chain()
         stale = canonical_digest(["abstract-model", "mo1", 1])
-        build_round(chain, records=[TrainingRecord("genesis", "mo1", stale)],
-                    verified=[VerifiedRecord("genesis", "mo1", 0.1)], top=["mo1"])
+        build_round(chain, records=[("genesis", "mo1", stale)],
+                    verified=[("genesis", "mo1", 0.1)], top=["mo1"])
         append_block(chain, Block(_next_header(chain, "DB"), _empty_payload("DB")))
-        lazy = EncryptionPayload(b"pk", (TrainingRecord("mo1", "t2", stale),))
+        lazy = EncryptionPayload(b"pk", (("mo1", "t2", stale),))
         with pytest.raises(PayloadInvariantViolation, match="HashUnchanged"):
             append_block(chain, Block(_next_header(chain, "EB"), lazy))
 
@@ -302,9 +302,7 @@ class TestValidate:
         chain = new_chain()
         for k in ("DB", "EB", "TB"):
             append_block(chain, Block(_next_header(chain, k), _empty_payload(k)))
-        bad = SettlementPayload(
-            (VerifiedRecord("g", "t1", 0.5),), ("t1", "intruder")
-        )
+        bad = SettlementPayload((("g", "t1", 0.5),), ("t1", "intruder"))
         with pytest.raises(PayloadInvariantViolation, match="UnverifiedInTopSet"):
             append_block(chain, Block(_next_header(chain, "SB"), bad))
 
@@ -330,22 +328,28 @@ class TestImpossibleAmounts:
 
     @staticmethod
     def _contract(value, field):
+        index = record_keys(ContractRecord).index(field)
+
         def tamper(payload):
-            first = dataclasses.replace(payload.contracts[0], **{field: value})
+            first = replaced(payload.contracts[0], (index,), value)
             return dataclasses.replace(payload, contracts=(first, *payload.contracts[1:]))
         return 1, "InvalidAmount", tamper
 
     @staticmethod
     def _coinbase(value):
+        index = record_keys(Coinbase).index("amount")
+
         def tamper(payload):
-            return dataclasses.replace(
-                payload, coinbase=dataclasses.replace(payload.coinbase, amount=value))
+            coinbase = replaced(payload.coinbase, (index,), value)
+            return dataclasses.replace(payload, coinbase=coinbase)
         return 1, "InvalidAmount", tamper
 
     @staticmethod
     def _performance(value):
+        index = record_keys(VerifiedRecord).index("performance")
+
         def tamper(payload):
-            first = dataclasses.replace(payload.verified[0], performance=value)
+            first = replaced(payload.verified[0], (index,), value)
             return dataclasses.replace(payload, verified=(first, *payload.verified[1:]))
         return 4, "NonFinitePerformance", tamper
 
@@ -499,17 +503,17 @@ class TestDumpFormat:
         d1 = canonical_digest(["m", 1])
         d2 = canonical_digest(["m", 2])
         append_block(chain, Block(_next_header(chain, "DB"), DepositPayload(
-            (ContractRecord("mo", "t1", 0.25, 1.0),), Coinbase("m0", 0.001)
+            (("mo", "t1", 0.25, 1.0),), ("m0", 0.001)
         )))
         append_block(chain, Block(_next_header(chain, "EB"), EncryptionPayload(
-            b"public-key-bytes", (TrainingRecord("mo", "t1", d1),)
+            b"public-key-bytes", (("mo", "t1", d1),)
         )))
         append_block(chain, Block(_next_header(chain, "TB"), TestingPayload(
-            (EncryptedModelDigest("t1", d2),),
+            (("t1", d2),),
             ((0.5, -1.25),), ((2.0,),),
         )))
         append_block(chain, Block(_next_header(chain, "SB"), SettlementPayload(
-            (VerifiedRecord("mo", "t1", 0.125),), ("t1",)
+            (("mo", "t1", 0.125),), ("t1",)
         )))
         return chain
 
@@ -554,6 +558,87 @@ class TestDumpFormat:
             assert violations, f"undetected mutation at byte {pos}"
 
 
+class TestLineBreaks:
+    """A dump's lines end in a line feed, and only there."""
+
+    @pytest.fixture(scope="class")
+    def dump(self):
+        return chain_to_jsonl(simulate_run(SimConfig(seed=7, rounds=1)).state.chain)
+
+    def test_every_line_feed_turned_into_any_other_ascii_byte(self, dump):
+        assert verify_chain_dump(dump) == []
+        breaks = [i for i, char in enumerate(dump) if char == "\n"]
+        assert len(breaks) == 5 and breaks[-1] == len(dump) - 1
+        for i in breaks:
+            for code in range(128):
+                if code == ord("\n"):
+                    continue
+                mutated = dump[:i] + chr(code) + dump[i + 1:]
+                assert verify_chain_dump(mutated), f"undetected {code:#04x} at byte {i}"
+
+    @pytest.mark.parametrize("tamper", ["crlf", "blank-line", "leading-space", "no-last-break"])
+    def test_reported_line_forms(self, dump, tamper):
+        lines = dump.split("\n")[:-1]
+        if tamper == "crlf":
+            violations = verify_chain_dump("\r\n".join([*lines, ""]))
+            assert violations == [
+                f"Unparseable: line {i}: whitespace around the object" for i in range(5)
+            ] + ["EmptyChain: no blocks"]
+            return
+        if tamper == "no-last-break":
+            assert verify_chain_dump(dump[:-1]) == [
+                "Unterminated: the dump does not end in a line break"]
+            return
+        line = "" if tamper == "blank-line" else " " + lines[3]
+        violations = verify_chain_dump("\n".join([*lines[:3], line, *lines[4:], ""]))
+        assert violations[0].startswith("Unparseable: line 3: ")
+        assert not any(v.startswith("Unparseable") for v in violations[1:])
+
+    def test_dump_of_no_blocks_reports_only_the_empty_chain(self):
+        assert verify_chain_dump(chain_to_jsonl(Chain(blocks=[]))) == ["EmptyChain: no blocks"]
+
+
+def chain_records(chain):
+    """Every record the payloads of ``chain``'s blocks hold."""
+    found = []
+    for block in chain.blocks:
+        payload = block.payload
+        if isinstance(payload, DepositPayload):
+            found += [*payload.contracts, payload.coinbase]
+        elif isinstance(payload, EncryptionPayload):
+            found += payload.records
+        elif isinstance(payload, TestingPayload):
+            found += payload.encrypted_model_digests
+        else:
+            found += payload.verified
+    return found
+
+
+class TestRecordsLeaveTheCollector:
+    """Records are exact tuples of scalars, which the cyclic collector stops
+    tracking, so a kept chain costs no full collection a walk of them."""
+
+    @staticmethod
+    def _untracked(chain):
+        gc.collect()
+        records = chain_records(chain)
+        assert len(records) > 100
+        assert all(type(record) is tuple for record in records)
+        return not any(map(gc.is_tracked, records))
+
+    @pytest.mark.parametrize("mode", ["abstract", "concrete"])
+    def test_simulated_chain(self, mode):
+        chain = simulate_run(SimConfig(seed=7, rounds=12, mode=mode)).state.chain
+        assert self._untracked(chain)
+
+    def test_parsed_and_verified_chains(self):
+        dump = chain_to_jsonl(simulate_run(SimConfig(seed=7, rounds=12)).state.chain)
+        assert self._untracked(chain_from_jsonl(dump))
+        partial = Chain(blocks=[])
+        assert verify_chain_dump(dump, partial) == []
+        assert self._untracked(partial)
+
+
 def sorted_line(line):
     """``line`` as ``json`` writes its object with sorted keys."""
     return json.dumps(json.loads(line), sort_keys=True, separators=(",", ":"))
@@ -575,9 +660,9 @@ class TestKeyOrder:
     @settings(max_examples=300, deadline=None)
     @given(blocks(exact=True))
     @example(Block(BlockHeader(1, 1, "DB", ZERO_DIGEST, 0, 1),
-                   DepositPayload((), Coinbase("\U0001d11e-é", 0.0))))
+                   DepositPayload((), ("\U0001d11e-é", 0.0))))
     @example(Block(BlockHeader(3, 1, "TB", ZERO_DIGEST, 0, 3), TestingPayload(
-        (EncryptedModelDigest("é", b""),), ((math.nan, math.inf, -math.inf), ()), ((), ()))))
+        (("é", b""),), ((math.nan, math.inf, -math.inf), ()), ((), ()))))
     def test_block_lines(self, block):
         dump = chain_to_jsonl(Chain(blocks=[block]))
         line, = dump.splitlines()

@@ -297,6 +297,19 @@ class TestExportVerb:
         status = main(["export", "--config", str(tmp_path / "none.jsonl")])
         assert status == 2
 
+    def test_line_feed_turned_carriage_return_reported(self, tmp_path, capsys):
+        # Text mode would read the lone carriage return back as a line feed.
+        assert main(["simulate", "--rounds", "1", "--seed", "7",
+                     "--out", str(tmp_path / "run")]) == 0
+        raw = (tmp_path / "run" / "chain.jsonl").read_bytes()
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(raw.replace(b"\n", b"\r", 1))
+        capsys.readouterr()
+        out = tmp_path / "x.jsonl"
+        assert main(["export", "--config", str(bad), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("export: Unparseable: line 0: ")
+        assert not out.exists()
+
     def test_deeply_nested_line_reported(self, tmp_path, capsys):
         assert main(["simulate", "--rounds", "1", "--seed", "7",
                      "--out", str(tmp_path / "run")]) == 0

@@ -8,14 +8,7 @@ from hypothesis import strategies as st
 
 from relaysim import crypto, protocol
 from relaysim.auction import trainer_bid
-from relaysim.chain import (
-    KINDS,
-    Coinbase,
-    ContractRecord,
-    DepositPayload,
-    EncryptionPayload,
-    VerifiedRecord,
-)
+from relaysim.chain import KINDS, DepositPayload, EncryptionPayload
 from relaysim.protocol import (
     GENESIS_VERSION,
     MODELS,
@@ -94,11 +87,11 @@ class TestAllocateRoles:
 
 class TestRankAndSelect:
     def test_floor_applied(self):
-        verified = [VerifiedRecord("g", f"t{i}", 0.1 * i) for i in range(7)]
+        verified = [("g", f"t{i}", 0.1 * i) for i in range(7)]
         assert len(rank_and_select(verified, 0.5)) == 3
 
     def test_clamps_to_one(self):
-        verified = [VerifiedRecord("g", "t0", 0.9)]
+        verified = [("g", "t0", 0.9)]
         assert rank_and_select(verified, 0.5) == ["t0"]
 
     def test_empty(self):
@@ -106,9 +99,9 @@ class TestRankAndSelect:
 
     def test_orders_by_mse_then_id(self):
         verified = [
-            VerifiedRecord("g", "b", 0.2),
-            VerifiedRecord("g", "a", 0.2),
-            VerifiedRecord("g", "c", 0.1),
+            ("g", "b", 0.2),
+            ("g", "a", 0.2),
+            ("g", "c", 0.1),
         ]
         assert rank_and_select(verified, 0.7) == ["c", "a"]
 
@@ -133,12 +126,12 @@ class TestRunRound:
             assert isinstance(db_block.payload, DepositPayload)
             assert log.contracts
             assert log.contracts is db_block.payload.contracts
-            assert {c.trainer_id for c in log.contracts} <= set(log.assignment.candidates)
+            assert {c[1] for c in log.contracts} <= set(log.assignment.candidates)
             escrow = [t for t in log.transfers if t[2].startswith("deposit_escrow")]
             assert escrow == [
-                entry for c in log.contracts for entry in (
-                    (c.mo_id, -c.mo_amount, "deposit_escrow_mo"),
-                    (c.trainer_id, -c.t_amount, "deposit_escrow_t"),
+                entry for mo_id, trainer_id, mo_amount, t_amount in log.contracts for entry in (
+                    (mo_id, -mo_amount, "deposit_escrow_mo"),
+                    (trainer_id, -t_amount, "deposit_escrow_t"),
                 ) if entry[1]
             ]
             escrowed += len(escrow)
@@ -168,7 +161,8 @@ class TestRunRound:
         assert log.contracts
         assert not [reason for _, _, reason in log.transfers
                     if reason.startswith("deposit_return")]
-        assert log.forfeited == sum(c.mo_amount + c.t_amount for c in log.contracts)
+        assert log.forfeited == sum(
+            mo_amount + t_amount for _, _, mo_amount, t_amount in log.contracts)
 
     def test_zero_candidates_still_emits_four_blocks(self):
         config = SimConfig(
@@ -202,10 +196,10 @@ class TestRunRound:
             }
             state, log = run_round(state, params_for_simulation(config), config, rng)
             assert log.contracts  # matching happened under the second-price rule
-            assert len({c.trainer_id for c in log.contracts}) == len(log.contracts)
+            assert len({c[1] for c in log.contracts}) == len(log.contracts)
             for mo in log.assignment.mos:
-                block = [c.trainer_id for c in log.contracts if c.mo_id == mo]
-                paid = [c.t_amount for c in log.contracts if c.mo_id == mo]
+                block = [trainer_id for mo_id, trainer_id, _, _ in log.contracts if mo_id == mo]
+                paid = [t_amount for mo_id, _, _, t_amount in log.contracts if mo_id == mo]
                 assert paid == [bid[t] for t in block[1:] + block[-1:]]
                 below_own_bid += sum(d < bid[t] for t, d in zip(block, paid))
         assert below_own_bid > 0
@@ -218,7 +212,7 @@ class TestSettle:
     @staticmethod
     def _coinbases(*amounts):
         """A round's coinbases in DB, EB, TB, SB order, mined by m1 to m4."""
-        return [Coinbase(f"m{i}", amount) for i, amount in enumerate(amounts, start=1)]
+        return [(f"m{i}", amount) for i, amount in enumerate(amounts, start=1)]
 
     def test_citation_cascade_depth_three(self):
         participants = self._participants(["g", "a", "b", "t", "m1", "m2", "m3", "m4"])
@@ -227,7 +221,7 @@ class TestSettle:
         lineage.record("b", 3, "a")
         lineage.record("t", 4, "b")
         participants["t"].model_version = 4
-        contracts = [ContractRecord("b", "t", 0.1, 0.2)]
+        contracts = [("b", "t", 0.1, 0.2)]
         participants["b"].coins = 0.0
         coinbases = self._coinbases(0.001, 0.01, 0.001, 0.01)
         transfers, minted, forfeited, citations = settle(
@@ -250,8 +244,8 @@ class TestSettle:
         participants["t1"].model_version = 2
         participants["t2"].model_version = 2
         contracts = [
-            ContractRecord("g", "t1", 0.25, 1.0),
-            ContractRecord("g", "t2", 0.25, 2.0),
+            ("g", "t1", 0.25, 1.0),
+            ("g", "t2", 0.25, 2.0),
         ]
         coinbases = self._coinbases(0.002, 0.002, 0.002, 0.002)
         transfers, _, forfeited, _ = settle(
@@ -276,7 +270,7 @@ class TestSettle:
 
     def test_unknown_contract(self):
         participants = self._participants(["t"])
-        coinbases = [Coinbase("t", 0.0)] * 4
+        coinbases = [("t", 0.0)] * 4
         with pytest.raises(UnknownContract):
             settle(participants, ["t"], [], Lineage(), 1.0, coinbases)
 
@@ -285,7 +279,7 @@ class TestSettle:
         # Returned once and forfeited once, or forfeited twice: either way
         # one trainer's deposit would be settled twice.
         participants = self._participants(["a", "c", "b", "m1", "m2", "m3", "m4"])
-        contracts = [ContractRecord("a", "b", 0.1, 0.1), ContractRecord("c", "b", 0.1, 0.1)]
+        contracts = [("a", "b", 0.1, 0.1), ("c", "b", 0.1, 0.1)]
         with pytest.raises(ProtocolError, match="more than one deposit contract"):
             settle(participants, top_set, contracts, Lineage(), 1.0, self._coinbases(0, 0, 0, 0))
         assert all(p.coins == 0.0 for p in participants.values())
@@ -465,7 +459,7 @@ class TestRunInvariants:
         )
         run = simulate_run(config)
         for log in run.logs:
-            parties = {c.mo_id for c in log.contracts} | {c.trainer_id for c in log.contracts}
+            parties = {c[0] for c in log.contracts} | {c[1] for c in log.contracts}
             miners = set(log.miners.values())
             for participant_id, _, reason in log.transfers:
                 if reason.startswith("deposit_"):
@@ -513,12 +507,12 @@ class TestRunInvariants:
         run = simulate_run(config)
         deposit_blocks = [b for b in run.state.chain.blocks if b.header.kind == "DB"]
         for log, block in zip(run.logs, deposit_blocks, strict=True):
-            coinbase = block.payload.coinbase
+            miner_id, coinbase_amount = block.payload.coinbase
             credits = [(pid, amount) for pid, amount, reason in log.transfers
                        if reason == "miner_reward_db"]
-            assert coinbase.miner_id == log.miners["DB"]
-            assert credits == ([(coinbase.miner_id, coinbase.amount)] if coinbase.amount else [])
-        assert sum(bool(b.payload.coinbase.amount) for b in deposit_blocks) > 1
+            assert miner_id == log.miners["DB"]
+            assert credits == ([(miner_id, coinbase_amount)] if coinbase_amount else [])
+        assert sum(bool(b.payload.coinbase[1]) for b in deposit_blocks) > 1
 
     def test_identical_seeds_identical_round_logs(self):
         config = SimConfig(
@@ -539,8 +533,8 @@ class TestRunInvariants:
             "rejected", "top_set", "transfers", "minted", "forfeited", "citation_coins"]
         assert list(data["miners"]) == list(KINDS)
         assert data["contracts"] == [
-            {"mo_id": c.mo_id, "trainer_id": c.trainer_id,
-             "mo_amount": c.mo_amount, "t_amount": c.t_amount} for c in log.contracts]
+            {"mo_id": mo_id, "trainer_id": trainer_id, "mo_amount": mo_amount, "t_amount": t_amount}
+            for mo_id, trainer_id, mo_amount, t_amount in log.contracts]
         assert data["rejected"] == []
 
     @pytest.mark.parametrize("mode", ["abstract", "concrete"])
@@ -566,6 +560,7 @@ class TestRunInvariants:
         dumps = [json.loads(log.to_json()) for log in run.logs]
         training = [t for data in dumps for t in data["training"]]
         transfers = [t for data in dumps for t in data["transfers"]]
+        verified = [v for data in dumps for v in data["verified"]]
         assert {t["success"] for t in training} == {True, False}
         for item in training:
             assert list(item) == [
@@ -578,6 +573,11 @@ class TestRunInvariants:
             t for log in run.logs for t in log.training]
         assert [tuple(t.values()) for t in transfers] == [
             t for log in run.logs for t in log.transfers]
+        assert verified
+        for item in verified:
+            assert list(item) == ["prev_owner_id", "trainer_id", "performance"]
+        assert [tuple(v.values()) for v in verified] == [
+            v for log in run.logs for v in log.verified]
 
 
 class TestDishonestExclusion:
@@ -599,7 +599,7 @@ class TestDishonestExclusion:
                 "mo", f"t{i}", crypto.ciphertext_digest(ct), ct, tuple(outputs)
             ))
         verified, rejected = collect_verified(submissions, pair.pk, inputs, truths)
-        verified_ids = {v.trainer_id for v in verified}
+        verified_ids = {trainer_id for _, trainer_id, _ in verified}
         assert "t0" not in verified_ids
         assert verified_ids == {"t1", "t2", "t3"}
         assert "t0" not in rank_and_select(verified, 0.5)
