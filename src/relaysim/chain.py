@@ -234,7 +234,7 @@ def _field_codec(hint: Any) -> tuple[PlanFn, _Converter | None, _Converter]:
         return scalar_plan(hint), None, _typed(hint)
     if hint is bytes:
         return scalar_plan(bytes), _mapped(bytes.hex), _hex
-    if dataclasses.is_dataclass(hint) or typing.get_origin(hint) is Annotated:
+    if typing.get_origin(hint) is Annotated:
         codec = _Codec(hint)
         return codec.plan, codec.encode, codec.decode
     args = typing.get_args(hint)
@@ -277,8 +277,6 @@ class _Codec:
             self.label = f"a {cls.__name__}"
             # The field values in declaration order, as a tuple.
             self.row: Callable | None = attrgetter(*self.names)
-            if len(self.names) == 1:
-                self.row = lambda obj: (getattr(obj, self.names[0]),)
             self.build: Callable[[list[list]], list] = lambda columns: list(map(cls, *columns))
         else:
             # A record is its own row, and each row of its columns a record.
@@ -307,7 +305,7 @@ class _Codec:
         a coinbase) is encoded in one ``canonical_bytes`` call. A record
         with more or fewer fields than its type is a ``ValueError``."""
         rows = objs if self.row is None else list(map(self.row, objs))
-        if self.flat and len(rows) == 1:
+        if self.flat and len(rows) == 1 and len(rows[0]) == len(self.names):
             return [(None, [[canonical_bytes(rows[0])]])]
         plan = [self.head]
         for field_plan, column in zip(self.plans, zip(*rows, strict=True), strict=True):

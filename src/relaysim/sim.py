@@ -108,8 +108,6 @@ class SimConfig:
             raise InvalidSimConfig(
                 f"mode must be one of {', '.join(protocol.MODELS)}, got {self.mode!r}"
             )
-        if self.q_total_participants < 1:
-            raise InvalidSimConfig("q_total_participants must be >= 1")
         if self.model_dim < 1:
             raise InvalidSimConfig("model_dim must be >= 1")
         if not 0.0 < self.training_rate < 1.0:
@@ -322,28 +320,28 @@ def analyze_sustainability(metrics: Metrics) -> SustainabilityReport:
     """Does citation income accelerate over rounds?
 
     Computes the mean second difference of cumulative citation coins
-    over the last half of the run (positive means accelerating), fits a
-    quadratic to each participant's cumulative-coin curve, and, for
-    round-robin variant metrics, checks the closed form exactly at
-    every upload.
+    over the last half of the run (positive means accelerating), the mean
+    over the Q participants of the leading coefficient of a least-squares
+    quadratic fit to each one's cumulative coins, and, for round-robin
+    variant metrics, checks the closed form exactly at every upload. Over
+    rounds r = 1..n, w_r = (r - (n+1)/2)**2 - (n*n-1)/12 is orthogonal to
+    1 and r, so the fitted mean is sum(w_r * sum(coins_r)) / (Q *
+    sum(w_r**2)). Every sum is a correctly rounded ``math.fsum``.
     """
     n = metrics.rounds
     if n < 20:
         raise InsufficientData(f"need >= 20 rounds, got {n}")
-    # Imported here, not at module load: no other code needs numpy, so a
-    # process that never runs this analysis never loads it.
-    import numpy as np
-
-    series = np.asarray(metrics.citation_cumulative, dtype=float)
-    second = np.diff(series, n=2)
+    c = metrics.citation_cumulative
+    second = [(c[i + 2] - c[i + 1]) - (c[i + 1] - c[i]) for i in range(n - 2)]
     tail = second[len(second) // 2:]
-    mean_second = float(tail.mean())
-    coins = np.asarray(metrics.coins, dtype=float)
-    rounds_axis = np.arange(1, n + 1, dtype=float)
-    quad_coeffs = np.polyfit(rounds_axis, coins, deg=2)[0]
+    mean_second = math.fsum(tail) / len(tail)
+    centre, spread = (n + 1) / 2, (n * n - 1) / 12
+    weights = [(r - centre) ** 2 - spread for r in range(1, n + 1)]
+    q = len(metrics.participant_ids)
+    quad_coeff = math.fsum(w * math.fsum(coins) for w, coins in zip(weights, metrics.coins)) / (
+        q * math.fsum(w * w for w in weights))
     closed_form_exact = None
     if metrics.uploads is not None:
-        q = len(metrics.participant_ids)
         closed_form_exact = all(
             u.cumulative_citation_coins == closed_form_coins(u.upload_index, q)
             for u in metrics.uploads
@@ -351,7 +349,7 @@ def analyze_sustainability(metrics: Metrics) -> SustainabilityReport:
     return SustainabilityReport(
         mean_second_difference=mean_second,
         accelerating=mean_second > 0.0,
-        per_participant_quadratic_coeff=float(np.mean(quad_coeffs)),
+        per_participant_quadratic_coeff=quad_coeff,
         closed_form_exact=closed_form_exact,
     )
 

@@ -232,6 +232,20 @@ class TestColumnPacker:
         block = Block(_next_header(new_chain(), "DB"), DepositPayload(contracts, ("m0", 0.001)))
         assert block_digest(block) == reference_block_digest(block)
 
+    @pytest.mark.parametrize("contracts, coinbase", [
+        ((), ("m0", 0.0, "x")),
+        ((("a", "b", 0.0),), ("m0", 0.0)),
+        ((("a", "b", 0.0), ("c", "d", 1.0)), ("m0", 0.0)),
+    ], ids=["lone-coinbase", "lone-contract", "two-contracts"])
+    def test_record_of_the_wrong_length_is_not_hashed(self, contracts, coinbase):
+        # Hashed, such a record would be dumped without its extra field or
+        # with a missing key, and the dump would fail its own verification.
+        block = Block(_next_header(new_chain(), "DB"), DepositPayload(contracts, coinbase))
+        with pytest.raises(ValueError, match=r"zip\(\)"):
+            block_digest(block)
+        with pytest.raises(ValueError, match=r"zip\(\)"):
+            Chain(blocks=[block])
+
 
 class TestAppend:
     def test_db_follows_genesis_sb(self):

@@ -534,8 +534,9 @@ class TestClosedStdout:
 
 
 class TestNumpyFree:
-    """Only the sustainability analysis loads numpy: importing the package
-    and exporting a chain do not."""
+    """The package runs on the standard library alone: importing it and
+    exporting a chain load no numpy, and each verb that writes files runs
+    with numpy unimportable and writes the same bytes as with it."""
 
     SCRIPT = (
         "import sys\n"
@@ -543,6 +544,25 @@ class TestNumpyFree:
         "status = relaysim.cli.main(['export', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
         "print(status, sorted(m for m in sys.modules if m.partition('.')[0] == 'numpy'))\n"
     )
+    BLOCKED = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from relaysim.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    # The arguments of each verb, given its output directory and a dump to
+    # export, and the files it writes there.
+    VERBS = {
+        "simulate": (lambda out, dump: ["simulate", "--rounds", "30", "--seed", "7",
+                                        "--out", str(out)],
+                     ["chain.jsonl", "metrics.csv", "summary.json"]),
+        "trace-round": (lambda out, dump: ["trace-round", "--seed", "7",
+                                           "--out", str(out / "log.json")],
+                        ["log.json"]),
+        "export": (lambda out, dump: ["export", "--config", str(dump),
+                                      "--out", str(out / "copy.jsonl")],
+                   ["copy.jsonl"]),
+    }
 
     def test_import_and_export_load_no_numpy(self, tmp_path):
         run = sim.simulate_run(sim.SimConfig(seed=7, rounds=3))
@@ -555,3 +575,26 @@ class TestNumpyFree:
         )
         assert result.stdout.splitlines()[-1] == "0 []"
         assert copy.read_bytes() == dump.read_bytes()
+
+    @pytest.mark.parametrize("verb", list(VERBS))
+    def test_verb_runs_with_numpy_blocked(self, verb, tmp_path, capsys):
+        run = sim.simulate_run(sim.SimConfig(seed=7, rounds=3))
+        dump = tmp_path / "chain.jsonl"
+        dump.write_text(chain.chain_to_jsonl(run.state.chain), encoding="utf-8")
+        argv, names = self.VERBS[verb]
+        blocked, free = tmp_path / "blocked", tmp_path / "free"
+        blocked.mkdir()
+        free.mkdir()
+        result = subprocess.run(
+            [sys.executable, "-c", self.BLOCKED, *argv(blocked, dump)],
+            capture_output=True, text=True, env=_package_env(), timeout=120,
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        assert main(argv(free, dump)) == 0
+        stdout = capsys.readouterr().out
+        assert sorted(p.name for p in blocked.iterdir()) == names
+        assert sorted(p.name for p in free.iterdir()) == names
+        for name in names:
+            assert (blocked / name).read_bytes() == (free / name).read_bytes()
+        # the same report, but for the output directory it may name
+        assert result.stdout.replace(str(blocked), str(free)) == stdout
