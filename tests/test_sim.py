@@ -374,6 +374,18 @@ class TestGoldenOutputs:
         self._check(SimConfig(seed=7, rounds=6, mode="concrete", model_dim=model_dim),
                     chain_sha, csv_sha)
 
+    # Rounds 8-20 of these runs verify 74-86 submissions each: the steady
+    # state of the reference setting, past the cold start the pins above
+    # stop in.
+    @pytest.mark.parametrize("seed, chain_sha, csv_sha", [
+        (7, "0a77bb5f139babbb51477bb4ea6fbfbb7740b7011c1c05305fdd1dd225445ec4",
+         "d2f80abfc159280454a84f796402b437a222543461046ac1e6930c8ada93662b"),
+        (1009, "010aa57d0722c00f7b5a8dc2c2def4739196af88d13a24d487478720164af0a2",
+         "39f3e36bba2c2ae2666eadab82bf8935bb4f287bcd8002715cd23d9402f72fd7"),
+    ])
+    def test_concrete_steady_state_digests(self, seed, chain_sha, csv_sha):
+        self._check(SimConfig(seed=seed, rounds=20, mode="concrete"), chain_sha, csv_sha)
+
     @staticmethod
     def _check(config, chain_sha, csv_sha):
         run = simulate_run(config)
