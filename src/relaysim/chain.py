@@ -407,17 +407,45 @@ def new_chain() -> Chain:
     return Chain(blocks=[genesis_block()])
 
 
+def _record_fields(cls: type) -> tuple[tuple[str, int, bool], ...]:
+    """(name, record length, whether it holds one record rather than a
+    tuple of them) of each field of payload ``cls`` that holds records."""
+    hints = typing.get_type_hints(cls, include_extras=True)
+    found = []
+    for f in dataclasses.fields(cls):
+        hint = hints[f.name]
+        lone = typing.get_origin(hint) is Annotated
+        if typing.get_origin(hint) is tuple:
+            hint = typing.get_args(hint)[0]
+        if typing.get_origin(hint) is Annotated:
+            found.append((f.name, len(record_keys(hint)), lone))
+    return tuple(found)
+
+
+_RECORD_FIELDS = {cls: _record_fields(cls) for cls in _PAYLOAD_KIND}
+
+
 def validate_block(chain: Chain, block: Block) -> list[str]:
     """Kind-specific payload checks; an empty list means valid.
 
-    DB contract and coinbase amounts must be finite and >= 0; EB records
-    must differ from the predecessor model's digest recorded in the
-    previous round's EB; TB input/truth case counts must match; SB
-    performances must be finite, top-set members must be verified, and
-    there are 1 to all of them (none without verified records).
+    Every record must have its type's number of fields; a block with one
+    that does not is checked no further, since the other rules read the
+    records field by field. DB contract and coinbase amounts must be
+    finite and >= 0; EB records must differ from the predecessor model's
+    digest recorded in the previous round's EB; TB input/truth case counts
+    must match; SB performances must be finite, top-set members must be
+    verified, and there are 1 to all of them (none without verified
+    records).
     """
     violations: list[str] = []
     payload = block.payload
+    for name, width, lone in _RECORD_FIELDS[type(payload)]:
+        records = (getattr(payload, name),) if lone else getattr(payload, name)
+        if countOf(map(len, records), width) != len(records):
+            wrong = next(len(record) for record in records if len(record) != width)
+            violations.append(f"RecordLength: a record in {name} has {wrong} fields, not {width}")
+    if violations:
+        return violations
     if isinstance(payload, DepositPayload):
         for mo_id, trainer_id, mo_amount, t_amount in payload.contracts:
             if not (0.0 <= mo_amount < math.inf and 0.0 <= t_amount < math.inf):
@@ -500,8 +528,11 @@ def append_block(chain: Chain, block: Block) -> Chain:
     if found:
         error = found[0][0]
         raise error("; ".join(message for cls, message in found if cls is error))
+    # Hashed before either list grows, so a block that fails to hash leaves
+    # the chain as it was.
+    digest = block_digest(block)
     chain.blocks.append(block)
-    chain.digests.append(block_digest(block))
+    chain.digests.append(digest)
     return chain
 
 

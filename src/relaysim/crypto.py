@@ -20,13 +20,22 @@ Encryption XORs the packed plaintext with a keystream fixed by the key,
 and an opened payload decodes only from its canonical packing, so two
 ciphertexts under one key are equal exactly when their packed
 plaintexts are. ``verify_submission`` relies on this: it opens the
-model once, maps it over every testing input with ``evaluate_cases``
-(the one evaluation kernel; ``evaluate`` is one case of it), and
-compares the packed doubles of all claims with those of all outputs in
-one bytes comparison. That is the same check as comparing
-``fhe_encrypt(pk, claim)`` with ``fhe_eval``'s result case by case,
-without encrypting every case twice. The bytes are compared, not the
-floats, so a claimed ``-0.0`` still differs from a true ``0.0``.
+model once, maps it over every testing input with the one evaluation
+kernel (under ``evaluate_cases`` and ``evaluate`` too), and compares the
+packed doubles of all claims with those of all outputs in one bytes
+comparison. That is the same check as comparing ``fhe_encrypt(pk, claim)``
+with ``fhe_eval``'s result case by case, without encrypting every case
+twice. The bytes are compared, not the floats, so a claimed ``-0.0``
+still differs from a true ``0.0``.
+
+What depends only on the round is done once per round, in ``case_table``:
+the round key is parsed, the inputs' widths are collected and the inputs
+transposed into columns, and the truths are flattened. Every submission
+of the round, its claimed outputs (step 10), its verification and its
+mean squared error (step 11), reads that one ``CaseTable``, so each
+submission costs only its tag, its digest, one open of its model, a
+check of the model's dimension against the table's widths, one kernel
+pass, one bytes comparison and one pass of the error.
 """
 
 from __future__ import annotations
@@ -99,22 +108,73 @@ def model_digest(m: ModelWeights) -> bytes:
     return canonical_digest(["model", m.version, list(m.weights)])
 
 
-def evaluate_cases(m: ModelWeights, inputs: Sequence[Sequence[float]]) -> tuple[Vector, ...]:
-    """Plaintext evaluation of the linear map on every input: ``(w . x + b,)``.
+@dataclass(frozen=True)
+class CaseTable:
+    """A round's testing cases, prepared once for all of its submissions.
 
-    Every input's length is checked before any arithmetic. The outputs are
-    built one weight at a time across all cases, so each case still
-    accumulates ``acc = b``, then ``acc += w_i * x_i`` for i = 1..d, left
-    to right: the same floats as a per-case loop.
+    ``columns`` holds the inputs transposed, one tuple per input position,
+    and ``widths`` the distinct input lengths; ``truths`` holds the truths'
+    components in case order, and ``truth_widths`` each truth's length.
+    ``key_id`` is the id of the round's public key, None when the table was
+    made without a well-formed key, so that nothing verifies against it.
+    """
+
+    key_id: int | None
+    count: int
+    widths: frozenset[int]
+    columns: tuple[tuple[float, ...], ...]
+    truth_widths: tuple[int, ...]
+    truths: tuple[float, ...]
+
+
+def case_table(
+    inputs: Sequence[Sequence[float]] = (),
+    truths: Sequence[Sequence[float]] = (),
+    pk: bytes | None = None,
+) -> CaseTable:
+    """The table of ``inputs`` and ``truths`` under the public key ``pk``."""
+    key_id = None
+    if pk is not None:
+        try:
+            key_id = _parse_key(pk, _PK_MAGIC)
+        except UnknownKey:
+            pass
+    return CaseTable(
+        key_id, len(inputs), frozenset(map(len, inputs)), tuple(zip(*inputs)),
+        tuple(map(len, truths)), tuple(chain.from_iterable(truths)),
+    )
+
+
+def _outputs(m: ModelWeights, cases: CaseTable) -> list[float]:
+    """The one evaluation kernel: the model's output on every case.
+
+    The model's dimension is checked against every input width before any
+    arithmetic. The outputs are built one weight at a time across all
+    cases, from the table's columns, so each case still accumulates
+    ``acc = b``, then ``acc += w_i * x_i`` for i = 1..d, left to right: the
+    same floats as a per-case loop.
     """
     *ws, bias = m.weights
-    bad_widths = set(map(len, inputs)) - {len(ws)}
+    bad_widths = cases.widths - {len(ws)}
     if bad_widths:
         raise LengthMismatch(f"model expects {len(ws)} inputs, got {sorted(bad_widths)}")
-    accs = [bias] * len(inputs)
-    for w, column in zip(ws, zip(*inputs)):
+    accs = [bias] * cases.count
+    for w, column in zip(ws, cases.columns):
         accs = [acc + w * xi for acc, xi in zip(accs, column)]
-    return tuple(zip(accs))
+    return accs
+
+
+def evaluate_cases(
+    m: ModelWeights, inputs: CaseTable | Sequence[Sequence[float]]
+) -> tuple[Vector, ...]:
+    """Plaintext evaluation of the linear map on every input: ``(w . x + b,)``.
+
+    ``inputs`` is a sequence of input vectors, or a ``CaseTable`` already
+    made of them.
+    """
+    if not isinstance(inputs, CaseTable):
+        inputs = case_table(inputs)
+    return tuple(zip(_outputs(m, inputs)))
 
 
 def evaluate(m: ModelWeights, x: Sequence[float]) -> Vector:
@@ -319,10 +379,15 @@ def verify_submission(
     committed_digest: bytes,
     enc_model: Ciphertext,
     claimed_outputs: Sequence[Sequence[float]],
-    pk: bytes,
-    testing_inputs: Sequence[Sequence[float]],
+    cases: CaseTable,
 ) -> Verdict:
     """Two-part check of a trainer's submission; verdicts are data.
+
+    ``cases`` is the round's ``CaseTable``, made once with the round's
+    public key and read by every submission: the key is parsed and the
+    inputs are checked for width and transposed there, not here. What is
+    left is the work that depends on the submission: its tag, its committed
+    digest, its claims, one open of its model and one pass of the kernel.
 
     Part 1 binds the submitted ciphertext to the digest committed in the
     testing block. Part 2 accepts the submission exactly when, for every
@@ -331,62 +396,61 @@ def verify_submission(
     of the claim and of the model's output are equal (see the module
     docstring). A model has one output, so a claim of any other length
     fails; the rest are checked as one vector: the model is opened once
-    (only if there is a case), ``evaluate_cases`` maps it over all inputs,
-    and the packed doubles of all claims are compared with those of all
+    (only if there is a case), its dimension is checked against the
+    table's input widths, the kernel maps it over the table's columns, and
+    the packed doubles of all claims are compared with those of all
     outputs in one bytes comparison. With one double per case the
     concatenations are equal exactly when every case is. Bytes, not
     floats: a claimed ``-0.0`` against a true ``0.0`` is rejected, where
     float ``==`` would accept it. A non-finite claimed output is
     rejected: it has no place in the ranking by mean squared error.
     """
-    try:
-        key_id = _parse_key(pk, _PK_MAGIC)
-    except UnknownKey:
-        return Verdict.reject(VERDICT_KEY_MISMATCH)
-    if enc_model.key_id != key_id or not ciphertext_ok(enc_model):
+    if enc_model.key_id != cases.key_id or not ciphertext_ok(enc_model):
         return Verdict.reject(VERDICT_KEY_MISMATCH)
     if ciphertext_digest(enc_model) != committed_digest:
         return Verdict.reject(VERDICT_HASH_MISMATCH)
-    if len(claimed_outputs) != len(testing_inputs):
+    if len(claimed_outputs) != cases.count:
         return Verdict.reject(VERDICT_OUTPUT_MISMATCH)
-    if not testing_inputs:
+    if not cases.count:
         return Verdict.ok()
-    if set(map(len, claimed_outputs)) != {1}:
+    try:
+        claims = [claim for (claim,) in claimed_outputs]
+    except ValueError:  # a claim of other than one output
         return Verdict.reject(VERDICT_OUTPUT_MISMATCH)
-    claims = list(chain.from_iterable(claimed_outputs))
     if not all(map(math.isfinite, claims)):
         return Verdict.reject(VERDICT_OUTPUT_MISMATCH)
     try:
-        actual = evaluate_cases(_open_model(enc_model), testing_inputs)
+        actual = _outputs(_open_model(enc_model), cases)
     except (InvalidCiphertext, LengthMismatch):
         return Verdict.reject(VERDICT_OUTPUT_MISMATCH)
-    packing = f"<{len(claims)}d"
-    if struct.pack(packing, *claims) != struct.pack(packing, *chain.from_iterable(actual)):
+    packing = f"<{cases.count}d"
+    if struct.pack(packing, *claims) != struct.pack(packing, *actual):
         return Verdict.reject(VERDICT_OUTPUT_MISMATCH)
     return Verdict.ok()
 
 
 def performance_index(
-    outputs: Sequence[Sequence[float]], truths: Sequence[Sequence[float]]
+    outputs: Sequence[Sequence[float]], truths: CaseTable | Sequence[Sequence[float]]
 ) -> float:
     """Mean squared error over all output components; lower is better.
 
-    One pass over the float components, case by case and left to right,
-    as ``total += (o - t) ** 2``: a fixed order, so the index has the same
-    bits on every Python version (``sum`` of floats is compensated from
-    Python 3.12 and rounds differently).
+    ``truths`` is a sequence of truth vectors, or a ``CaseTable`` already
+    made of them. One pass over the float components, case by case and
+    left to right, as ``total += (o - t) ** 2``: a fixed order, so the
+    index has the same bits on every Python version (``sum`` of floats is
+    compensated from Python 3.12 and rounds differently).
     """
-    if len(outputs) != len(truths):
-        raise LengthMismatch(f"{len(outputs)} outputs vs {len(truths)} truths")
+    if not isinstance(truths, CaseTable):
+        truths = case_table(truths=truths)
+    if len(outputs) != len(truths.truth_widths):
+        raise LengthMismatch(f"{len(outputs)} outputs vs {len(truths.truth_widths)} truths")
     if not outputs:
         raise EmptyCases("performance index needs at least one case")
-    if list(map(len, outputs)) != list(map(len, truths)):
+    if tuple(map(len, outputs)) != truths.truth_widths:
         raise LengthMismatch("case dimensions differ between outputs and truths")
-    total = 0.0
-    count = 0
-    for o, t in zip(chain.from_iterable(outputs), chain.from_iterable(truths)):
-        total += (o - t) ** 2
-        count += 1
-    if count == 0:
+    if not truths.truths:
         raise EmptyCases("cases carry no components")
-    return total / count
+    total = 0.0
+    for o, t in zip(chain.from_iterable(outputs), truths.truths):
+        total += (o - t) ** 2
+    return total / len(truths.truths)

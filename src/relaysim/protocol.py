@@ -263,24 +263,22 @@ class Submission:
 
 
 def collect_verified(
-    submissions: Sequence[Submission],
-    pk: bytes,
-    testing_inputs: Sequence[Sequence[float]],
-    testing_truths: Sequence[Sequence[float]],
+    submissions: Sequence[Submission], cases: crypto.CaseTable
 ) -> tuple[list[chainmod.VerifiedRecord], list[Rejection]]:
     """Settlement-side filter: only submissions passing both verification
     parts enter the verified list (and thus become eligible for the top set).
-    Every other submission is returned as a ``Rejection``."""
+    Every other submission is returned as a ``Rejection``. ``cases`` is the
+    round's table, made once with its key, inputs and truths; each
+    submission is checked and ranked against it."""
     verified, rejected = [], []
     for sub in submissions:
         verdict = crypto.verify_submission(
-            sub.committed_digest, sub.ciphertext, sub.claimed_outputs,
-            pk, testing_inputs,
+            sub.committed_digest, sub.ciphertext, sub.claimed_outputs, cases
         )
         if not verdict.accepted:
             rejected.append((sub.trainer_id, verdict.reason))
             continue
-        perf = crypto.performance_index(sub.claimed_outputs, testing_truths)
+        perf = crypto.performance_index(sub.claimed_outputs, cases)
         verified.append((sub.mo_id, sub.trainer_id, perf))
     return verified, rejected
 
@@ -363,15 +361,17 @@ class ConcreteModels:
 
     def verify(self, sealed: Sequence[tuple], participants, pk: bytes, inputs, truths,
                rng: random.Random) -> tuple[list[chainmod.VerifiedRecord], list[Rejection]]:
-        """Step (10), each trainer's claimed outputs, then the SB check."""
+        """Step (10), each trainer's claimed outputs, then the SB check; all
+        read one table of the round's cases."""
+        cases = crypto.case_table(inputs, truths, pk)
         submissions = [
             Submission(
                 prev_owner_id, trainer_id, digest, ct,
-                crypto.evaluate_cases(participants[trainer_id].model, inputs),
+                crypto.evaluate_cases(participants[trainer_id].model, cases),
             )
             for (prev_owner_id, trainer_id, _), ct, digest in sealed
         ]
-        return collect_verified(submissions, pk, inputs, truths)
+        return collect_verified(submissions, cases)
 
 
 MODELS = {"abstract": AbstractModels(), "concrete": ConcreteModels()}

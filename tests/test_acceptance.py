@@ -271,21 +271,18 @@ def test_criterion_7_settlement_verification_concrete():
         )
         inputs = [tuple(rng.uniform(-1, 1) for _ in range(dim)) for _ in range(10)]
         truths = [crypto.evaluate(target, x) for x in inputs]
+        cases = crypto.case_table(inputs, pk=pair.pk)
 
         honest = crypto.train_toward(start, target, 0.5)
         honest_ct = crypto.fhe_encrypt(pair.pk, honest)
         honest_committed = crypto.ciphertext_digest(honest_ct)
         honest_outputs = [crypto.evaluate(honest, x) for x in inputs]
-        verdict = crypto.verify_submission(
-            honest_committed, honest_ct, honest_outputs, pair.pk, inputs
-        )
+        verdict = crypto.verify_submission(honest_committed, honest_ct, honest_outputs, cases)
         assert verdict.accepted and verdict.reason == "Ok"
 
         # output substitution: commits its model but claims other outputs
         substituted = [crypto.evaluate(start, x) for x in inputs]
-        verdict = crypto.verify_submission(
-            honest_committed, honest_ct, substituted, pair.pk, inputs
-        )
+        verdict = crypto.verify_submission(honest_committed, honest_ct, substituted, cases)
         assert verdict.reason == "OutputMismatch"
 
         # post-commitment swap: different ciphertext than committed
@@ -295,7 +292,7 @@ def test_criterion_7_settlement_verification_concrete():
         swapped_ct = crypto.fhe_encrypt(pair.pk, swapped)
         verdict = crypto.verify_submission(
             honest_committed, swapped_ct,
-            [crypto.evaluate(swapped, x) for x in inputs], pair.pk, inputs,
+            [crypto.evaluate(swapped, x) for x in inputs], cases,
         )
         assert verdict.reason == "HashMismatch"
 
@@ -306,7 +303,7 @@ def test_criterion_7_settlement_verification_concrete():
         lazy_ct = crypto.fhe_encrypt(pair.pk, lazy)
         lazy_outputs = [crypto.evaluate(lazy, x) for x in inputs]
         verdict = crypto.verify_submission(
-            crypto.ciphertext_digest(lazy_ct), lazy_ct, lazy_outputs, pair.pk, inputs
+            crypto.ciphertext_digest(lazy_ct), lazy_ct, lazy_outputs, cases
         )
         assert verdict.accepted  # consistency alone does not prove training
         perf_old = crypto.performance_index([crypto.evaluate(start, x) for x in inputs], truths)

@@ -23,6 +23,7 @@ from relaysim.chain import (
     EmptyCandidateSet,
     EncryptedModelDigest,
     EncryptionPayload,
+    KINDS,
     KindOrderViolation,
     PayloadInvariantViolation,
     SettlementPayload,
@@ -289,6 +290,26 @@ class TestAppend:
         bad_tb = TestingPayload((), ((1.0,),), ())
         with pytest.raises(PayloadInvariantViolation):
             append_block(chain, Block(_next_header(chain, "TB"), bad_tb))
+
+    @pytest.mark.parametrize("payload", [
+        DepositPayload((), ("m", 0.0, "x")),
+        DepositPayload((("a", "b", 0.0),), ("m0", 0.0)),
+        EncryptionPayload(b"pk", (("mo", "t"),)),
+        TestingPayload((("t", bytes(32), "x"),), (), ()),
+        SettlementPayload((("g", "t1"),), ()),
+    ], ids=["db-coinbase", "db-contract", "eb-record", "tb-digest", "sb-verified"])
+    def test_record_of_the_wrong_length_leaves_the_chain_unchanged(self, payload):
+        chain = new_chain()
+        kind = chainmod._PAYLOAD_KIND[type(payload)]
+        for k in KINDS[:KINDS.index(kind)]:
+            append_block(chain, Block(_next_header(chain, k), _empty_payload(k)))
+        blocks, digests = list(chain.blocks), list(chain.digests)
+        with pytest.raises(PayloadInvariantViolation, match="RecordLength"):
+            append_block(chain, Block(_next_header(chain, kind), payload))
+        assert len(chain.blocks) == len(chain.digests)
+        assert (chain.blocks, chain.digests) == (blocks, digests)
+        # the chain still takes the right block in that slot
+        append_block(chain, Block(_next_header(chain, kind), _empty_payload(kind)))
 
 
 class TestValidate:

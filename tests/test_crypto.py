@@ -20,6 +20,7 @@ from relaysim.crypto import (
     VERDICT_HASH_MISMATCH,
     VERDICT_KEY_MISMATCH,
     VERDICT_OUTPUT_MISMATCH,
+    case_table,
     ciphertext_digest,
     ciphertext_ok,
     evaluate,
@@ -185,13 +186,14 @@ class TestVerifySubmission:
 
     def test_honest_pipeline_accepted(self):
         pair, _, _, inputs, ct, committed, outputs = self._setup()
-        verdict = verify_submission(committed, ct, outputs, pair.pk, inputs)
+        verdict = verify_submission(committed, ct, outputs, case_table(inputs, pk=pair.pk))
         assert verdict.accepted and verdict.reason == "Ok"
 
     def test_output_substitution_rejected(self):
         pair, _, start, inputs, ct, committed, _ = self._setup()
         predecessor_outputs = [evaluate(start, x) for x in inputs]
-        verdict = verify_submission(committed, ct, predecessor_outputs, pair.pk, inputs)
+        cases = case_table(inputs, pk=pair.pk)
+        verdict = verify_submission(committed, ct, predecessor_outputs, cases)
         assert not verdict.accepted and verdict.reason == VERDICT_OUTPUT_MISMATCH
 
     def test_model_swap_after_commitment_rejected(self):
@@ -202,14 +204,14 @@ class TestVerifySubmission:
         swapped_ct = fhe_encrypt(pair.pk, swapped)
         verdict = verify_submission(
             committed, swapped_ct,
-            [evaluate(swapped, x) for x in inputs], pair.pk, inputs,
+            [evaluate(swapped, x) for x in inputs], case_table(inputs, pk=pair.pk),
         )
         assert not verdict.accepted and verdict.reason == VERDICT_HASH_MISMATCH
 
     def test_wrong_key_rejected(self):
         pair, _, _, inputs, ct, committed, outputs = self._setup()
         other = fhe_keygen(random.Random(1234))
-        verdict = verify_submission(committed, ct, outputs, other.pk, inputs)
+        verdict = verify_submission(committed, ct, outputs, case_table(inputs, pk=other.pk))
         assert not verdict.accepted and verdict.reason == VERDICT_KEY_MISMATCH
 
     def test_soundness_exhaustive_small_grid(self):
@@ -222,7 +224,7 @@ class TestVerifySubmission:
             true_out = evaluate(model, (x,))
             for claimed in grid:
                 verdict = verify_submission(
-                    committed, ct, [(claimed,)], pair.pk, [(x,)]
+                    committed, ct, [(claimed,)], case_table([(x,)], pk=pair.pk)
                 )
                 if (claimed,) == true_out:
                     assert verdict.accepted
@@ -239,7 +241,8 @@ class TestVerifySubmission:
                 for i, b in enumerate(ct.payload)
             )
             tampered = Ciphertext(ct.key_id, flipped, ct.tag)
-            verdict = verify_submission(committed, tampered, outputs, pair.pk, inputs)
+            cases = case_table(inputs, pk=pair.pk)
+            verdict = verify_submission(committed, tampered, outputs, cases)
             assert not verdict.accepted
 
 
@@ -337,7 +340,7 @@ class TestVerifierEquivalence:
         claims = [_claim(kind, model, x) for kind, x in zip(kinds, inputs)]
         if few and claims:
             claims.pop()
-        verdict = verify_submission(committed, enc_model, claims, pk, inputs)
+        verdict = verify_submission(committed, enc_model, claims, case_table(inputs, pk=pk))
         assert verdict.reason == _reference_verdict(committed, enc_model, claims, pk, inputs)
         assert verdict.accepted == (verdict.reason == crypto.VERDICT_OK)
 
@@ -347,9 +350,11 @@ class TestVerifierEquivalence:
         ct = fhe_encrypt(pair.pk, model)
         inputs = [(1.0,)]
         assert evaluate(model, inputs[0]) == (0.0,) == (-0.0,)
-        honest = verify_submission(ciphertext_digest(ct), ct, [(0.0,)], pair.pk, inputs)
+        cases = case_table(inputs, pk=pair.pk)
+        honest = verify_submission(ciphertext_digest(ct), ct, [(0.0,)], cases)
         assert honest.accepted
-        verdict = verify_submission(ciphertext_digest(ct), ct, [(-0.0,)], pair.pk, inputs)
+        cases = case_table(inputs, pk=pair.pk)
+        verdict = verify_submission(ciphertext_digest(ct), ct, [(-0.0,)], cases)
         assert not verdict.accepted and verdict.reason == VERDICT_OUTPUT_MISMATCH
 
 
@@ -458,7 +463,7 @@ class TestVectorVerifier:
             claims.pop()
         elif count == "more":
             claims.append((0.0,))
-        verdict = verify_submission(committed, enc_model, claims, pk, inputs)
+        verdict = verify_submission(committed, enc_model, claims, case_table(inputs, pk=pk))
         assert verdict == _per_case_verdict(committed, enc_model, claims, pk, inputs)
 
     @staticmethod
@@ -482,9 +487,10 @@ class TestVectorVerifier:
         model = ModelWeights(1, (0.0, 0.0, 0.0))
         ct = fhe_encrypt(pair.pk, model)
         inputs = [(1.0, 2.0)] * 3
+        cases = case_table(inputs, pk=pair.pk)
         for claims, accepted in [([(0.0,)] * 3, True), ([(0.0,), (-0.0,), (0.0,)], False),
                                  ([(0,)] * 3, True)]:
-            verdict = verify_submission(ciphertext_digest(ct), ct, claims, pair.pk, inputs)
+            verdict = verify_submission(ciphertext_digest(ct), ct, claims, cases)
             assert verdict.accepted is accepted
             assert verdict == _per_case_verdict(ciphertext_digest(ct), ct, claims, pair.pk, inputs)
 
@@ -493,7 +499,8 @@ class TestVectorVerifier:
         model = ModelWeights(1, (2.0, 1.0))
         ct = fhe_encrypt(pair.pk, model)
         inputs = [(1.0,), (2.0,)]
-        verdict = verify_submission(ciphertext_digest(ct), ct, [(3.0, 5.0), ()], pair.pk, inputs)
+        cases = case_table(inputs, pk=pair.pk)
+        verdict = verify_submission(ciphertext_digest(ct), ct, [(3.0, 5.0), ()], cases)
         assert verdict == Verdict.reject(VERDICT_OUTPUT_MISMATCH)
 
 
@@ -530,7 +537,7 @@ class TestUndecodablePlaintext:
         ct = _forged(pair, self.PAYLOADS[name])
         assert ciphertext_ok(ct)
         verdict = verify_submission(
-            ciphertext_digest(ct), ct, [(0.0,)], pair.pk, [(1.0, 2.0)]
+            ciphertext_digest(ct), ct, [(0.0,)], case_table([(1.0, 2.0)], pk=pair.pk)
         )
         assert not verdict.accepted and verdict.reason == VERDICT_OUTPUT_MISMATCH
         with pytest.raises(InvalidCiphertext):
@@ -550,7 +557,8 @@ class TestNonCanonicalPlaintext:
         with pytest.raises(InvalidCiphertext):
             fhe_decrypt_model(pair.sk, ct)
         outputs = [evaluate(model, x) for x in inputs]
-        verdict = verify_submission(ciphertext_digest(ct), ct, outputs, pair.pk, inputs)
+        cases = case_table(inputs, pk=pair.pk)
+        verdict = verify_submission(ciphertext_digest(ct), ct, outputs, cases)
         assert not verdict.accepted and verdict.reason == VERDICT_OUTPUT_MISMATCH
 
     def test_vector_with_one_padding_byte_rejected(self):
@@ -574,7 +582,8 @@ class TestNonFiniteOutputs:
         ct = fhe_encrypt(pair.pk, model)
         outputs = [evaluate(model, x) for x in inputs]
         assert not math.isfinite(outputs[0][0])
-        verdict = verify_submission(ciphertext_digest(ct), ct, outputs, pair.pk, inputs)
+        cases = case_table(inputs, pk=pair.pk)
+        verdict = verify_submission(ciphertext_digest(ct), ct, outputs, cases)
         assert not verdict.accepted and verdict.reason == VERDICT_OUTPUT_MISMATCH
 
 

@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from relaysim.protocol import (
     settle,
 )
 from relaysim.sim import SimConfig, params_for_simulation, simulate_run
+from test_crypto import _claim, _evaluate_one, _mostly, _reference_verdict, _tampered
 
 SMALL = SimConfig(
     q_total_participants=16, q_miners=8, q_mo_and_t=8,
@@ -598,7 +600,8 @@ class TestDishonestExclusion:
             submissions.append(Submission(
                 "mo", f"t{i}", crypto.ciphertext_digest(ct), ct, tuple(outputs)
             ))
-        verified, rejected = collect_verified(submissions, pair.pk, inputs, truths)
+        verified, rejected = collect_verified(
+            submissions, crypto.case_table(inputs, truths, pair.pk))
         verified_ids = {trainer_id for _, trainer_id, _ in verified}
         assert "t0" not in verified_ids
         assert verified_ids == {"t1", "t2", "t3"}
@@ -631,3 +634,83 @@ class TestDishonestExclusion:
         assert log.rejected == [(sealed[0], crypto.VERDICT_HASH_MISMATCH),
                                 (sealed[1], crypto.VERDICT_OUTPUT_MISMATCH)]
         assert log.verified == [] and log.top_set == []
+
+
+_ELEMENT = st.one_of(st.floats(-10, 10), st.integers(-5, 5))
+
+
+class TestRoundVerification:
+    """Settling a whole round against its one case table gives, per
+    submission, the verdict of the ciphertext comparison."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        dim=st.integers(0, 3),
+        widths=_mostly("one", "mixed"),
+        cases=_mostly(4, 0, 1),
+        key=_mostly("round", "other", "garbage"),
+        submissions=st.integers(1, 6),
+        seed=st.integers(0, 2**32),
+        data=st.data(),
+    )
+    def test_matches_reference_per_submission(self, dim, widths, cases, key, submissions,
+                                              seed, data):
+        rng = random.Random(seed)
+        pair, other = crypto.fhe_keygen(rng), crypto.fhe_keygen(rng)
+        pk = {"round": pair.pk, "other": other.pk, "garbage": b"not-a-key"}[key]
+        width = st.just(dim) if widths == "one" else st.sampled_from([dim, dim + 1])
+        inputs = data.draw(st.lists(width.flatmap(lambda n: st.tuples(*[_ELEMENT] * n)),
+                                    min_size=cases, max_size=cases))
+        truths = data.draw(st.lists(st.tuples(st.floats(-10, 10)),
+                                    min_size=cases, max_size=cases))
+        table = crypto.case_table(inputs, truths, pk)
+        round_subs = []
+        for i in range(submissions):
+            model_dim = data.draw(_mostly(dim, dim + 1))  # or a wrong-dimension model
+            # an all-zero model outputs 0.0, which a negated claim turns into -0.0
+            weights = data.draw(st.lists(st.floats(-5, 5) | st.integers(-3, 3).map(float),
+                                         min_size=model_dim + 1, max_size=model_dim + 1)
+                                | st.just([0.0] * (model_dim + 1)))
+            model = crypto.ModelWeights(2, tuple(weights))
+            self._check_kernel(model, inputs, table)
+            sealed = crypto.fhe_encrypt(pair.pk, model)
+            ct = _tampered(sealed, data.draw(
+                _mostly("none", "payload", "payload_retagged", "tag", "key")))
+            committed = crypto.ciphertext_digest(data.draw(_mostly(ct, sealed)))
+            kinds = data.draw(st.lists(_mostly("honest", "one_ulp", "negated", "too_wide"),
+                                       min_size=cases, max_size=cases))
+            claims = tuple(_claim(kind, model, x) for kind, x in zip(kinds, inputs))
+            round_subs.append(Submission("mo", f"t{i}", committed, ct, claims))
+        reasons = [
+            _reference_verdict(sub.committed_digest, sub.ciphertext, sub.claimed_outputs,
+                               pk, inputs)
+            for sub in round_subs
+        ]
+        accepted = [sub for sub, reason in zip(round_subs, reasons)
+                    if reason == crypto.VERDICT_OK]
+        if accepted and not inputs:
+            # Every claim checks out on no cases, but there is nothing to rank by.
+            with pytest.raises(crypto.EmptyCases):
+                collect_verified(round_subs, table)
+            return
+        verified, rejected = collect_verified(round_subs, table)
+        assert rejected == [(sub.trainer_id, reason) for sub, reason in zip(round_subs, reasons)
+                            if reason != crypto.VERDICT_OK]
+        assert [record[:2] for record in verified] == [
+            (sub.mo_id, sub.trainer_id) for sub in accepted]
+        for (_, _, performance), sub in zip(verified, accepted):
+            expected = crypto.performance_index(sub.claimed_outputs, truths)
+            assert struct.pack("<d", performance) == struct.pack("<d", expected)
+
+    @staticmethod
+    def _check_kernel(model, inputs, table):
+        """The table's column kernel gives the per-case loop's floats."""
+        try:
+            expected = [_evaluate_one(model, x) for x in inputs]
+        except crypto.LengthMismatch:
+            with pytest.raises(crypto.LengthMismatch):
+                crypto.evaluate_cases(model, table)
+            return
+        outputs = crypto.evaluate_cases(model, table)
+        assert [struct.pack("<d", y) for (y,) in outputs] == [
+            struct.pack("<d", y) for (y,) in expected]
