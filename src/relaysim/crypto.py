@@ -384,8 +384,8 @@ def verify_submission(
     """Two-part check of a trainer's submission; verdicts are data.
 
     ``cases`` is the round's ``CaseTable``, made once with the round's
-    public key and read by every submission: the key is parsed and the
-    inputs are checked for width and transposed there, not here. What is
+    public key and read by every submission: the key is parsed, the input
+    widths collected and the inputs transposed there, not here. What is
     left is the work that depends on the submission: its tag, its committed
     digest, its claims, one open of its model and one pass of the kernel.
 
