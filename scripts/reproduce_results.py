@@ -56,7 +56,7 @@ def main() -> None:
     with (out / "version_buckets.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["round", *BUCKET_LABELS])
-        for r, shares in enumerate(acc.bucket_share_series, start=1):
+        for r, shares in enumerate(metrics.bucket_shares, start=1):
             writer.writerow([r] + [f"{shares[label]:.6f}" for label in BUCKET_LABELS])
 
     with (out / "trainer_counts.csv").open("w", newline="") as fh:

@@ -182,7 +182,7 @@ def _run_trace_round(cmd: Command) -> int:
     out = _output_file(cmd)
     run = sim.simulate_run(replace(config, rounds=1))
     log, = run.logs
-    after = dict(zip(run.metrics.participant_ids, run.metrics.coins[0]))
+    after = {pid: p.coins for pid, p in run.state.participants.items()}
     _print_trace(log, run.state.chain, after, config)
     if out is not None:
         out.write_text(log.to_json(indent=2) + "\n", encoding="utf-8")

@@ -311,14 +311,18 @@ def ciphertext_ok(ct: Ciphertext) -> bool:
     return _tag(ct.key_id, ct.payload) == ct.tag
 
 
-def _open(ct: Ciphertext) -> ModelWeights | Vector:
-    if not ciphertext_ok(ct):
-        raise InvalidCiphertext("authentication tag does not verify")
+def _decrypt(ct: Ciphertext) -> ModelWeights | Vector:
+    """The plaintext of a ciphertext whose tag the caller has checked."""
     return _decode_plaintext(_xor_stream(ct.payload, ct.key_id))
 
 
-def _open_model(ct: Ciphertext) -> ModelWeights:
-    value = _open(ct)
+def _open(ct: Ciphertext) -> ModelWeights | Vector:
+    if not ciphertext_ok(ct):
+        raise InvalidCiphertext("authentication tag does not verify")
+    return _decrypt(ct)
+
+
+def _model(value: ModelWeights | Vector) -> ModelWeights:
     if not isinstance(value, ModelWeights):
         raise InvalidCiphertext("ciphertext does not hold a model")
     return value
@@ -345,7 +349,7 @@ def fhe_decrypt_model(sk: bytes, ct: Ciphertext) -> ModelWeights:
     key_id = _parse_key(sk, _SK_MAGIC)
     if key_id != ct.key_id:
         raise KeyMismatch(f"secret key {key_id} != ciphertext key {ct.key_id}")
-    return _open_model(ct)
+    return _model(_open(ct))
 
 
 def ciphertext_digest(ct: Ciphertext) -> bytes:
@@ -420,7 +424,8 @@ def verify_submission(
     if not all(map(math.isfinite, claims)):
         return Verdict.reject(VERDICT_OUTPUT_MISMATCH)
     try:
-        actual = _outputs(_open_model(enc_model), cases)
+        # the tag was checked above
+        actual = _outputs(_model(_decrypt(enc_model)), cases)
     except (InvalidCiphertext, LengthMismatch):
         return Verdict.reject(VERDICT_OUTPUT_MISMATCH)
     packing = f"<{cases.count}d"

@@ -136,19 +136,19 @@ def params_for_simulation(config: SimConfig) -> EconomicParams:
 class UploadRecord:
     """One upload event in the round-robin variant."""
 
-    round: int
-    participant_id: str
     upload_index: int
     cumulative_citation_coins: float
 
 
 @dataclass
 class Metrics:
-    """Per-round time series captured after each settlement."""
+    """Per-round series captured after each settlement: of the balances
+    and versions, only each round's CSV rows, balance total and bucket shares."""
 
     participant_ids: list[str]
-    coins: list[list[float]] = field(default_factory=list)
-    versions: list[list[int]] = field(default_factory=list)
+    csv_rows: list[str] = field(default_factory=list)
+    coin_totals: list[float] = field(default_factory=list)
+    bucket_shares: list[dict[str, float]] = field(default_factory=list)
     trainer_count: list[int] = field(default_factory=list)
     mo_count: list[int] = field(default_factory=list)
     success_count: list[int] = field(default_factory=list)
@@ -159,15 +159,22 @@ class Metrics:
 
     @property
     def rounds(self) -> int:
-        return len(self.coins)
+        return len(self.coin_totals)
 
     def add_round(
         self, coins: list[float], versions: list[int], trainers: int, mos: int,
         successes: int, minted: float, forfeited: float, citations: float,
     ) -> None:
-        """Append one settled round to every per-round series."""
-        self.coins.append(coins)
-        self.versions.append(versions)
+        """Append one settled round to every per-round series. Generated
+        participant ids, integers and ``repr`` of a float hold no comma,
+        quote or line break, so no CSV field needs quoting."""
+        round_number = len(self.coin_totals) + 1
+        self.csv_rows.append("".join(
+            f"{round_number},{pid},{coin!r},{version}\n"
+            for pid, coin, version in zip(self.participant_ids, coins, versions)
+        ))
+        self.coin_totals.append(math.fsum(coins))
+        self.bucket_shares.append(bucket_shares(versions))
         self.trainer_count.append(trainers)
         self.mo_count.append(mos)
         self.success_count.append(successes)
@@ -176,21 +183,8 @@ class Metrics:
         self.citation_cumulative.append(citations)
 
     def to_csv(self) -> str:
-        """Plot-ready rows: (round, participant_id, coins, model_version).
-
-        Rows are formatted directly: generated participant ids, integers
-        and ``repr`` of a float hold no comma, quote or line break, so no
-        field needs CSV quoting.
-        """
-        rows = ["round,participant_id,coins,model_version\n"]
-        for round_number, (coins, versions) in enumerate(
-            zip(self.coins, self.versions), start=1
-        ):
-            rows.extend(
-                f"{round_number},{pid},{coin!r},{version}\n"
-                for pid, coin, version in zip(self.participant_ids, coins, versions)
-            )
-        return "".join(rows)
+        """Plot-ready rows: (round, participant_id, coins, model_version)."""
+        return "round,participant_id,coins,model_version\n" + "".join(self.csv_rows)
 
 
 def version_buckets(versions: Sequence[int]) -> dict[str, int]:
@@ -281,13 +275,11 @@ def run_round_robin(
         lineage_owners.append(uploader)
         upload_counts[uploader] += 1
         metrics.uploads.append(UploadRecord(
-            round=round_index,
-            participant_id=ids[uploader],
             upload_index=upload_counts[uploader],
             cumulative_citation_coins=coins[uploader],
         ))
         # one owner hands the lineage's head to one trainer, who succeeds
-        metrics.add_round(list(coins), list(upload_counts), 1, 1, 1, citations, 0.0, citations)
+        metrics.add_round(coins, upload_counts, 1, 1, 1, citations, 0.0, citations)
     return metrics
 
 
@@ -325,7 +317,7 @@ def analyze_sustainability(metrics: Metrics) -> SustainabilityReport:
     quadratic fit to each one's cumulative coins, and, for round-robin
     variant metrics, checks the closed form exactly at every upload. Over
     rounds r = 1..n, w_r = (r - (n+1)/2)**2 - (n*n-1)/12 is orthogonal to
-    1 and r, so the fitted mean is sum(w_r * sum(coins_r)) / (Q *
+    1 and r, so the fitted mean is sum(w_r * coin_totals_r) / (Q *
     sum(w_r**2)). Every sum is a correctly rounded ``math.fsum``.
     """
     n = metrics.rounds
@@ -338,7 +330,7 @@ def analyze_sustainability(metrics: Metrics) -> SustainabilityReport:
     centre, spread = (n + 1) / 2, (n * n - 1) / 12
     weights = [(r - centre) ** 2 - spread for r in range(1, n + 1)]
     q = len(metrics.participant_ids)
-    quad_coeff = math.fsum(w * math.fsum(coins) for w, coins in zip(weights, metrics.coins)) / (
+    quad_coeff = math.fsum(w * total for w, total in zip(weights, metrics.coin_totals)) / (
         q * math.fsum(w * w for w in weights))
     closed_form_exact = None
     if metrics.uploads is not None:
@@ -361,16 +353,9 @@ class AccessibilityReport:
     relative_deviation: float
     converged: bool
     bucket_shares_last: dict[str, float]
-    bucket_share_series: list[dict[str, float]]
 
     def to_dict(self) -> dict:
-        return {
-            "fixed_point": self.fixed_point,
-            "mean_trainer_count": self.mean_trainer_count,
-            "relative_deviation": self.relative_deviation,
-            "converged": self.converged,
-            "bucket_shares_last": self.bucket_shares_last,
-        }
+        return asdict(self)
 
 
 def analyze_accessibility(metrics: Metrics, config: SimConfig) -> AccessibilityReport:
@@ -378,8 +363,9 @@ def analyze_accessibility(metrics: Metrics, config: SimConfig) -> AccessibilityR
 
     Reports the mean matched-trainer count over the last quartile
     against the Q/(1+s) fixed point (converged when within 10% of it)
-    and the per-round shares of participants holding each of the latest
-    ten versions, an older one, or none.
+    and the last round's shares of participants holding each of the
+    latest ten versions, an older one, or none; ``metrics.bucket_shares``
+    holds every round's.
     """
     n = metrics.rounds
     if n < ACCESSIBILITY_ROUNDS:
@@ -390,14 +376,12 @@ def analyze_accessibility(metrics: Metrics, config: SimConfig) -> AccessibilityR
     # the same bits as numpy's float64 mean of the same counts.
     mean_count = sum(tail) / len(tail)
     deviation = abs(mean_count - fixed) / fixed if fixed > 0 else float("inf")
-    shares = [bucket_shares(v) for v in metrics.versions]
     return AccessibilityReport(
         fixed_point=fixed,
         mean_trainer_count=mean_count,
         relative_deviation=deviation,
         converged=deviation <= 0.10,
-        bucket_shares_last=shares[-1],
-        bucket_share_series=shares,
+        bucket_shares_last=metrics.bucket_shares[-1],
     )
 
 

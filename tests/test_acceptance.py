@@ -89,10 +89,8 @@ def test_criterion_3_accessibility_fixed_point(reference_run):
 
 
 def test_criterion_4_version_distribution_stabilizes(reference_run):
-    from relaysim.sim import bucket_shares
-
     run, _ = reference_run
-    shares_by_round = [bucket_shares(v) for v in run.metrics.versions]
+    shares_by_round = run.metrics.bucket_shares
     at_150 = shares_by_round[149]
     assert at_150["none"] == 0.0
     latest_ten = sum(

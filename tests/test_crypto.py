@@ -245,6 +245,26 @@ class TestVerifySubmission:
             verdict = verify_submission(committed, tampered, outputs, cases)
             assert not verdict.accepted
 
+    def test_one_tag_check_per_verified_submission(self, monkeypatch):
+        # The model is opened without checking its tag a second time; the
+        # other openers still check it.
+        pair, _, _, inputs, ct, committed, outputs = self._setup()
+        cases = case_table(inputs, pk=pair.pk)
+        tag, calls = crypto._tag, []
+
+        def counted(key_id, payload):
+            calls.append(payload)
+            return tag(key_id, payload)
+
+        monkeypatch.setattr(crypto, "_tag", counted)
+        assert verify_submission(committed, ct, outputs, cases).accepted
+        assert calls == [ct.payload]
+        bad_tag = Ciphertext(ct.key_id, ct.payload, ct.tag[::-1])
+        with pytest.raises(InvalidCiphertext):
+            fhe_decrypt_model(pair.sk, bad_tag)
+        with pytest.raises(InvalidCiphertext):
+            fhe_eval(bad_tag, fhe_encrypt(pair.pk, inputs[0]))
+
 
 def _forged(pair, plaintext: bytes) -> Ciphertext:
     """An authentic ciphertext over arbitrary plaintext bytes: the mock tag
@@ -389,7 +409,7 @@ def _per_case_verdict(committed_digest, enc_model, claimed_outputs, pk, testing_
         x = tuple(map(float, x))
         try:
             if model is None:
-                model = crypto._open_model(enc_model)
+                model = crypto._model(crypto._open(enc_model))
             actual = _evaluate_one(model, x)
         except (InvalidCiphertext, LengthMismatch):
             return Verdict.reject(VERDICT_OUTPUT_MISMATCH)

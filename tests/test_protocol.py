@@ -29,6 +29,7 @@ from relaysim.protocol import (
 )
 from relaysim.sim import SimConfig, params_for_simulation, simulate_run
 from test_crypto import _claim, _evaluate_one, _mostly, _reference_verdict, _tampered
+from test_sim import csv_history
 
 SMALL = SimConfig(
     q_total_participants=16, q_miners=8, q_mo_and_t=8,
@@ -427,8 +428,9 @@ class TestRunInvariants:
             q_selection_limit=2, q_cases=5, rounds=25, seed=9,
         )
         run = simulate_run(config)
+        coins, _ = csv_history(run.metrics)
         for r in range(run.metrics.rounds):
-            total = sum(run.metrics.coins[r])
+            total = sum(coins[r])
             expected = (
                 run.metrics.minted_cumulative[r] - run.metrics.forfeited_cumulative[r]
             )
@@ -450,7 +452,7 @@ class TestRunInvariants:
             q_selection_limit=2, q_cases=5, rounds=25, seed=4,
         )
         run = simulate_run(config)
-        versions = run.metrics.versions
+        _, versions = csv_history(run.metrics)
         for earlier, later in zip(versions, versions[1:]):
             assert all(b >= a for a, b in zip(earlier, later))
 

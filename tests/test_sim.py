@@ -1,14 +1,17 @@
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relaysim import protocol
 from relaysim.chain import chain_to_jsonl, verify_chain_dump
 from relaysim.sim import (
     BUCKET_LABELS,
@@ -21,6 +24,7 @@ from relaysim.sim import (
     bucket_shares,
     closed_form_coins,
     config_from_mapping,
+    params_for_simulation,
     run_round_robin,
     run_simulation,
     simulate_run,
@@ -33,6 +37,21 @@ SMALL = dict(
     q_total_participants=16, q_miners=8, q_mo_and_t=8,
     q_selection_limit=2, q_cases=5,
 )
+
+
+def csv_history(metrics):
+    """Each round's balances and versions, read back from ``to_csv()``.
+
+    ``repr`` round-trips a float, so the balances are exact.
+    """
+    coins, versions = [], []
+    for row in csv.DictReader(io.StringIO(metrics.to_csv())):
+        if int(row["round"]) > len(coins):
+            coins.append([])
+            versions.append([])
+        coins[-1].append(float(row["coins"]))
+        versions[-1].append(int(row["model_version"]))
+    return coins, versions
 
 
 class TestConfig:
@@ -140,7 +159,8 @@ class TestRunSimulation:
     def test_zero_rounds_empty_series(self):
         metrics = run_simulation(SimConfig(rounds=0, **SMALL))
         assert metrics.rounds == 0
-        assert metrics.coins == [] and metrics.trainer_count == []
+        assert metrics.csv_rows == [] and metrics.coin_totals == []
+        assert metrics.bucket_shares == [] and metrics.trainer_count == []
 
     def test_seed_determinism_bit_identical_metrics(self):
         config = SimConfig(rounds=12, seed=77, **SMALL)
@@ -174,35 +194,41 @@ class TestRunSimulation:
     def test_version_buckets_partition(self):
         config = SimConfig(rounds=20, seed=5, **SMALL)
         m = run_simulation(config)
-        for versions in m.versions:
+        for versions in csv_history(m)[1]:
             counts = version_buckets(versions)
             assert sum(counts.values()) == config.q_total_participants
             assert set(counts) == set(BUCKET_LABELS)
 
+    @pytest.mark.parametrize("build", [
+        lambda: run_simulation(SimConfig(rounds=20, seed=5, **SMALL)),
+        lambda: run_round_robin(8, 30, coin_unit=0.1),
+    ], ids=["abstract", "round-robin"])
+    def test_totals_and_shares_follow_the_rows(self, build):
+        metrics = build()
+        coins, versions = csv_history(metrics)
+        assert metrics.rounds == len(coins)
+        assert metrics.coin_totals == [math.fsum(c) for c in coins]
+        assert metrics.bucket_shares == [bucket_shares(v) for v in versions]
+
     def test_minted_equals_sum_of_round_logs(self):
-        run = simulate_run(SimConfig(rounds=15, seed=5, **SMALL))
-        assert run.metrics.minted_cumulative[-1] == pytest.approx(
-            sum(log.minted for log in run.logs)
-        )
-        assert run.metrics.citation_cumulative[-1] == pytest.approx(
-            sum(log.citation_coins for log in run.logs)
-        )
+        # Both sides add the round logs' fields left to right, so they are
+        # equal exactly.
+        for seed in (5, 7, 1009):
+            run = simulate_run(SimConfig(rounds=40, seed=seed, **SMALL))
+            for series, name in [
+                (run.metrics.minted_cumulative, "minted"),
+                (run.metrics.forfeited_cumulative, "forfeited"),
+                (run.metrics.citation_cumulative, "citation_coins"),
+            ]:
+                assert series == list(itertools.accumulate(getattr(log, name) for log in run.logs))
 
 
 def _synthetic_metrics(values, participants=4):
-    per_participant = [[v / participants] * participants for v in values]
-    versions = [[1] * participants for _ in values]
-    return Metrics(
-        participant_ids=[f"p{i}" for i in range(participants)],
-        coins=per_participant,
-        versions=versions,
-        trainer_count=[2] * len(values),
-        mo_count=[1] * len(values),
-        success_count=[2] * len(values),
-        minted_cumulative=list(values),
-        forfeited_cumulative=[0.0] * len(values),
-        citation_cumulative=list(values),
-    )
+    metrics = Metrics(participant_ids=[f"p{i}" for i in range(participants)])
+    for v in values:
+        metrics.add_round([v / participants] * participants, [1] * participants,
+                          2, 1, 2, v, 0.0, v)
+    return metrics
 
 
 class TestAnalyzeSustainability:
@@ -238,7 +264,7 @@ class TestAnalyzeSustainability:
         report = analyze_sustainability(metrics)
         second = np.diff(np.asarray(metrics.citation_cumulative), n=2)
         rounds = np.arange(1, metrics.rounds + 1, dtype=float)
-        quad = np.polyfit(rounds, np.asarray(metrics.coins), deg=2)[0]
+        quad = np.polyfit(rounds, np.asarray(csv_history(metrics)[0]), deg=2)[0]
         assert report.mean_second_difference == pytest.approx(
             float(second[len(second) // 2:].mean()), rel=1e-12)
         assert report.per_participant_quadratic_coeff == pytest.approx(
@@ -272,7 +298,8 @@ class TestAnalyzeAccessibility:
         config = SimConfig(rounds=55, seed=3, **SMALL)
         metrics = run_simulation(config)
         report = analyze_accessibility(metrics, config)
-        assert len(report.bucket_share_series) == 55
+        assert len(metrics.bucket_shares) == 55
+        assert report.bucket_shares_last == metrics.bucket_shares[-1]
         assert math.isclose(sum(report.bucket_shares_last.values()), 1.0)
 
 
@@ -294,40 +321,67 @@ class TestBuckets:
         assert shares["older"] == pytest.approx(0.5)
 
 
-def reference_csv(metrics):
+def reference_csv(participant_ids, coins, versions):
     """``Metrics.to_csv`` as the ``csv.writer`` form it replaced."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["round", "participant_id", "coins", "model_version"])
-    for round_index in range(metrics.rounds):
-        for i, pid in enumerate(metrics.participant_ids):
-            writer.writerow([
-                round_index + 1, pid,
-                repr(metrics.coins[round_index][i]),
-                metrics.versions[round_index][i],
-            ])
+    for round_number, (round_coins, round_versions) in enumerate(zip(coins, versions), start=1):
+        for pid, coin, version in zip(participant_ids, round_coins, round_versions):
+            writer.writerow([round_number, pid, repr(coin), version])
     return buffer.getvalue()
 
 
+def simulated_history(config):
+    """Each round's balances and versions, copied after each round of a
+    loop over ``protocol.run_round`` seeded as ``simulate_run`` seeds it."""
+    rng = random.Random(config.seed)
+    state = protocol.init_state(config, rng)
+    params = params_for_simulation(config)
+    coins, versions = [], []
+    for _ in range(config.rounds):
+        state, _ = protocol.run_round(state, params, config, rng)
+        coins.append([p.coins for p in state.participants.values()])
+        versions.append([p.model_version for p in state.participants.values()])
+    return list(state.participants), coins, versions
+
+
+def round_robin_history(q_participants, rounds):
+    """``run_round_robin``'s balances and upload counts after each round:
+    the r-th upload cites the owners of the r - 1 before it."""
+    coins, uploads = [0.0] * q_participants, [0] * q_participants
+    coin_rows, upload_rows = [], []
+    for r in range(rounds):
+        for earlier in range(r):
+            coins[earlier % q_participants] += 1.0
+        uploads[r % q_participants] += 1
+        coin_rows.append(list(coins))
+        upload_rows.append(list(uploads))
+    return protocol.participant_ids(q_participants), coin_rows, upload_rows
+
+
 class TestMetricsCsv:
-    @pytest.mark.parametrize("build", [
-        lambda: run_simulation(SimConfig(seed=3, rounds=6, **SMALL)),
-        lambda: run_simulation(SimConfig(seed=3, rounds=6, coin_unit=0.1, **SMALL)),
-        lambda: run_round_robin(1001, 4),
+    @pytest.mark.parametrize("run, history, args", [
+        (run_simulation, simulated_history, (SimConfig(seed=3, rounds=6, **SMALL),)),
+        (run_simulation, simulated_history,
+         (SimConfig(seed=3, rounds=6, coin_unit=0.1, **SMALL),)),
+        (run_round_robin, round_robin_history, (1001, 4)),
     ], ids=["abstract", "coin-unit-0.1", "round-robin-1001"])
-    def test_rows_equal_the_csv_writer_form(self, build):
-        metrics = build()
-        assert metrics.to_csv() == reference_csv(metrics)
+    def test_rows_equal_the_csv_writer_form(self, run, history, args):
+        assert run(*args).to_csv() == reference_csv(*history(*args))
 
     def test_special_floats_need_no_quoting(self):
-        metrics = Metrics(participant_ids=["p000", "p001", "p002"],
-                          coins=[[float("inf"), -0.0, 1e-300], [float("nan"), 0.1, 2.5e16]],
-                          versions=[[0, 1, 2], [3, 4, 5]])
-        assert metrics.to_csv() == reference_csv(metrics)
+        ids = ["p000", "p001", "p002"]
+        coins = [[float("inf"), -0.0, 1e-300], [float("nan"), 0.1, 2.5e16]]
+        versions = [[0, 1, 2], [3, 4, 5]]
+        metrics = Metrics(participant_ids=ids)
+        for round_coins, round_versions in zip(coins, versions):
+            metrics.add_round(round_coins, round_versions, 0, 0, 0, 0.0, 0.0, 0.0)
+        assert metrics.to_csv() == reference_csv(ids, coins, versions)
 
     def test_no_rounds_gives_the_header_only(self):
         metrics = Metrics(participant_ids=["p000"])
-        assert metrics.to_csv() == reference_csv(metrics) == (
+        assert metrics.to_csv() == reference_csv(["p000"], [], []) == (
             "round,participant_id,coins,model_version\n"
         )
 
