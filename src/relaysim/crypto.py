@@ -164,22 +164,14 @@ def _outputs(m: ModelWeights, cases: CaseTable) -> list[float]:
     return accs
 
 
-def evaluate_cases(
-    m: ModelWeights, inputs: CaseTable | Sequence[Sequence[float]]
-) -> tuple[Vector, ...]:
-    """Plaintext evaluation of the linear map on every input: ``(w . x + b,)``.
-
-    ``inputs`` is a sequence of input vectors, or a ``CaseTable`` already
-    made of them.
-    """
-    if not isinstance(inputs, CaseTable):
-        inputs = case_table(inputs)
-    return tuple(zip(_outputs(m, inputs)))
+def evaluate_cases(m: ModelWeights, cases: CaseTable) -> tuple[Vector, ...]:
+    """Plaintext evaluation of the linear map on every case: ``(w . x + b,)``."""
+    return tuple(zip(_outputs(m, cases)))
 
 
 def evaluate(m: ModelWeights, x: Sequence[float]) -> Vector:
     """Plaintext evaluation of the linear map on one input: (w . x + b,)."""
-    return evaluate_cases(m, (x,))[0]
+    return evaluate_cases(m, case_table((x,)))[0]
 
 
 def train_toward(m: ModelWeights, target: ModelWeights, rate: float) -> ModelWeights:
@@ -363,6 +355,8 @@ VERDICT_OK = "Ok"
 VERDICT_HASH_MISMATCH = "HashMismatch"
 VERDICT_OUTPUT_MISMATCH = "OutputMismatch"
 VERDICT_KEY_MISMATCH = "KeyMismatch"
+# a submission that verifies against a table of no cases has nothing to rank it by
+VERDICT_NO_CASES = "NoCases"
 
 
 @dataclass(frozen=True)
@@ -434,19 +428,15 @@ def verify_submission(
     return Verdict.ok()
 
 
-def performance_index(
-    outputs: Sequence[Sequence[float]], truths: CaseTable | Sequence[Sequence[float]]
-) -> float:
+def performance_index(outputs: Sequence[Sequence[float]], truths: CaseTable) -> float:
     """Mean squared error over all output components; lower is better.
 
-    ``truths`` is a sequence of truth vectors, or a ``CaseTable`` already
-    made of them. One pass over the float components, case by case and
-    left to right, as ``total += (o - t) ** 2``: a fixed order, so the
-    index has the same bits on every Python version (``sum`` of floats is
-    compensated from Python 3.12 and rounds differently).
+    ``truths`` is the table of the cases' truths. One pass over the float
+    components, case by case and left to right, as ``total += (o - t) ** 2``:
+    a fixed order, so the index has the same bits on every Python version
+    (``sum`` of floats is compensated from Python 3.12 and rounds
+    differently).
     """
-    if not isinstance(truths, CaseTable):
-        truths = case_table(truths=truths)
     if len(outputs) != len(truths.truth_widths):
         raise LengthMismatch(f"{len(outputs)} outputs vs {len(truths.truth_widths)} truths")
     if not outputs:

@@ -176,8 +176,8 @@ class SimState:
     lineage: Lineage
     genesis_id: str
     round_index: int = 0
-    prev_top: list[str] = field(default_factory=list)
-    prev_mos: list[str] = field(default_factory=list)
+    # the next round's MOs: the genesis initiator, then each round's top set
+    next_mos: list[str] = field(default_factory=list)
     target_model: crypto.ModelWeights | None = None
 
     def head_version(self) -> int:
@@ -204,29 +204,20 @@ def init_state(config, rng: random.Random) -> SimState:
         chain=chainmod.new_chain(),
         lineage=Lineage(),
         genesis_id=genesis_id,
+        next_mos=[genesis_id],
         target_model=target,
     )
 
 
 def allocate_roles(state: SimState, config, rng: random.Random) -> RoleAssignment:
-    """Per-round role split: pinned MOs, then a fresh miner/candidate draw.
-
-    Round one has exactly the genesis initiator as sole MO; afterwards
-    the MOs are the previous round's top-ranked trainers. A round with
-    no previous winners retains the best previous MO so the chain never
-    loses all model owners.
-    """
+    """Per-round role split: the pinned MOs of ``state.next_mos``, then a
+    fresh miner/candidate draw from everyone else."""
     if len(state.participants) != config.q_total_participants:
         raise PoolSizeMismatch(
             f"state has {len(state.participants)} participants, config says "
             f"{config.q_total_participants}"
         )
-    if state.round_index == 0:
-        mos = [state.genesis_id]
-    elif state.prev_top:
-        mos = list(state.prev_top)
-    else:
-        mos = [state.prev_mos[0]]
+    mos = list(state.next_mos)
     mo_set = set(mos)
     others = [pid for pid in state.participants if pid not in mo_set]
     if len(others) < config.q_miners:
@@ -267,9 +258,10 @@ def collect_verified(
 ) -> tuple[list[chainmod.VerifiedRecord], list[Rejection]]:
     """Settlement-side filter: only submissions passing both verification
     parts enter the verified list (and thus become eligible for the top set).
-    Every other submission is returned as a ``Rejection``. ``cases`` is the
-    round's table, made once with its key, inputs and truths; each
-    submission is checked and ranked against it."""
+    Every other submission is returned as a ``Rejection``, and so is one
+    that verifies against no cases, which leave nothing to rank it by.
+    ``cases`` is the round's table, made once with its key, inputs and
+    truths; each submission is checked and ranked against it."""
     verified, rejected = [], []
     for sub in submissions:
         verdict = crypto.verify_submission(
@@ -277,9 +269,11 @@ def collect_verified(
         )
         if not verdict.accepted:
             rejected.append((sub.trainer_id, verdict.reason))
-            continue
-        perf = crypto.performance_index(sub.claimed_outputs, cases)
-        verified.append((sub.mo_id, sub.trainer_id, perf))
+        elif not cases.count:
+            rejected.append((sub.trainer_id, crypto.VERDICT_NO_CASES))
+        else:
+            perf = crypto.performance_index(sub.claimed_outputs, cases)
+            verified.append((sub.mo_id, sub.trainer_id, perf))
     return verified, rejected
 
 
@@ -357,7 +351,7 @@ class ConcreteModels:
             tuple(rng.uniform(-1.0, 1.0) for _ in range(target.input_dim))
             for _ in range(config.q_cases)
         )
-        return inputs, crypto.evaluate_cases(target, inputs)
+        return inputs, crypto.evaluate_cases(target, crypto.case_table(inputs))
 
     def verify(self, sealed: Sequence[tuple], participants, pk: bytes, inputs, truths,
                rng: random.Random) -> tuple[list[chainmod.VerifiedRecord], list[Rejection]]:
@@ -596,8 +590,9 @@ def run_round(
         if best.model_version > ebm.model_version:
             _hand_over(best, ebm)
 
-    state.prev_top = list(top_set)
-    state.prev_mos = list(assignment.mos)
+    # a round with no winner keeps its best MO, so the chain never loses
+    # all model owners
+    state.next_mos = list(top_set) or [assignment.mos[0]]
     state.round_index = round_index
 
     log = RoundLog(

@@ -132,14 +132,6 @@ def params_for_simulation(config: SimConfig) -> EconomicParams:
     )
 
 
-@dataclass(frozen=True)
-class UploadRecord:
-    """One upload event in the round-robin variant."""
-
-    upload_index: int
-    cumulative_citation_coins: float
-
-
 @dataclass
 class Metrics:
     """Per-round series captured after each settlement: of the balances
@@ -155,7 +147,8 @@ class Metrics:
     minted_cumulative: list[float] = field(default_factory=list)
     forfeited_cumulative: list[float] = field(default_factory=list)
     citation_cumulative: list[float] = field(default_factory=list)
-    uploads: list[UploadRecord] | None = None
+    # round-robin variant only: does every upload so far earn x(x-1)q/2?
+    closed_form_exact: bool | None = None
 
     @property
     def rounds(self) -> int:
@@ -254,32 +247,29 @@ def run_round_robin(
 ) -> Metrics:
     """Deterministic single-lineage variant: one upload per round.
 
-    Participants take turns extending one model lineage; every upload
-    succeeds and pays one coin unit to each prior owner in the lineage.
-    Cumulative citation coins then follow the x(x-1)q/2 closed form at
-    each participant's x-th upload.
+    Participants take turns extending one model lineage: the r-th upload
+    is version r, made by participant (r-1) % q, and pays one coin unit to
+    the owner of each of the r - 1 versions before it. Cumulative citation
+    coins then follow the x(x-1)q/2 closed form at each participant's x-th
+    upload, which ``closed_form_exact`` checks as the rounds run.
     """
     if q_participants < 1:
         raise SimError("q_participants must be >= 1")
     ids = protocol.participant_ids(q_participants)
     coins = [0.0] * q_participants
-    upload_counts = [0] * q_participants
-    lineage_owners: list[int] = []
-    metrics = Metrics(participant_ids=ids, uploads=[])
+    versions = [0] * q_participants
+    metrics = Metrics(participant_ids=ids, closed_form_exact=True)
     citations = 0.0
-    for round_index in range(1, rounds + 1):
-        uploader = (round_index - 1) % q_participants
-        for owner in lineage_owners:
-            coins[owner] += coin_unit
+    for r in range(1, rounds + 1):
+        uploader = (r - 1) % q_participants
+        for earlier in range(r - 1):
+            coins[earlier % q_participants] += coin_unit
             citations += coin_unit
-        lineage_owners.append(uploader)
-        upload_counts[uploader] += 1
-        metrics.uploads.append(UploadRecord(
-            upload_index=upload_counts[uploader],
-            cumulative_citation_coins=coins[uploader],
-        ))
+        versions[uploader] = r
+        x = (r - 1) // q_participants + 1
+        metrics.closed_form_exact &= coins[uploader] == closed_form_coins(x, q_participants)
         # one owner hands the lineage's head to one trainer, who succeeds
-        metrics.add_round(coins, upload_counts, 1, 1, 1, citations, 0.0, citations)
+        metrics.add_round(coins, versions, 1, 1, 1, citations, 0.0, citations)
     return metrics
 
 
@@ -315,7 +305,7 @@ def analyze_sustainability(metrics: Metrics) -> SustainabilityReport:
     over the last half of the run (positive means accelerating), the mean
     over the Q participants of the leading coefficient of a least-squares
     quadratic fit to each one's cumulative coins, and, for round-robin
-    variant metrics, checks the closed form exactly at every upload. Over
+    variant metrics, whether every upload met the closed form exactly. Over
     rounds r = 1..n, w_r = (r - (n+1)/2)**2 - (n*n-1)/12 is orthogonal to
     1 and r, so the fitted mean is sum(w_r * coin_totals_r) / (Q *
     sum(w_r**2)). Every sum is a correctly rounded ``math.fsum``.
@@ -332,17 +322,11 @@ def analyze_sustainability(metrics: Metrics) -> SustainabilityReport:
     q = len(metrics.participant_ids)
     quad_coeff = math.fsum(w * total for w, total in zip(weights, metrics.coin_totals)) / (
         q * math.fsum(w * w for w in weights))
-    closed_form_exact = None
-    if metrics.uploads is not None:
-        closed_form_exact = all(
-            u.cumulative_citation_coins == closed_form_coins(u.upload_index, q)
-            for u in metrics.uploads
-        )
     return SustainabilityReport(
         mean_second_difference=mean_second,
         accelerating=mean_second > 0.0,
         per_participant_quadratic_coeff=quad_coeff,
-        closed_form_exact=closed_form_exact,
+        closed_form_exact=metrics.closed_form_exact,
     )
 
 

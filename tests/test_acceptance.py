@@ -43,6 +43,7 @@ from relaysim.sim import (
     trainer_fixed_point,
 )
 from test_crypto import perturb_with_noise
+from test_sim import round_robin_uploads
 
 TABLE_CONFIG = SimConfig(rounds=200, seed=7)
 
@@ -59,10 +60,10 @@ def test_criterion_1_closed_form_sustainability():
     start = time.perf_counter()
     metrics = run_round_robin(q_participants=8, rounds=80)
     elapsed = time.perf_counter() - start
-    assert metrics.uploads is not None and len(metrics.uploads) == 80
-    for record in metrics.uploads:
-        expected = closed_form_coins(record.upload_index, 8)
-        assert record.cumulative_citation_coins == expected  # zero tolerance
+    uploads = list(round_robin_uploads(metrics))
+    assert len(uploads) == 80
+    for _, coins, x in uploads:
+        assert coins == closed_form_coins(x, 8)  # zero tolerance
     assert elapsed < 1.0
 
 
@@ -268,7 +269,7 @@ def test_criterion_7_settlement_verification_concrete():
             4, tuple(t + o * scale for t, o in zip(target.weights, offset))
         )
         inputs = [tuple(rng.uniform(-1, 1) for _ in range(dim)) for _ in range(10)]
-        truths = [crypto.evaluate(target, x) for x in inputs]
+        truths = crypto.case_table(truths=[crypto.evaluate(target, x) for x in inputs])
         cases = crypto.case_table(inputs, pk=pair.pk)
 
         honest = crypto.train_toward(start, target, 0.5)

@@ -165,7 +165,7 @@ class TestTraining:
         trained = train_toward(model, target, 0.25)
         assert trained.version == 2
         inputs = [(0.5, 2.0), (-1.0, 1.0), (3.0, 0.0)]
-        truths = [evaluate(target, x) for x in inputs]
+        truths = case_table(truths=[evaluate(target, x) for x in inputs])
         before = performance_index([evaluate(model, x) for x in inputs], truths)
         after = performance_index([evaluate(trained, x) for x in inputs], truths)
         assert after == pytest.approx(before * 0.75**2)
@@ -536,9 +536,9 @@ class TestEvaluateCases:
             expected = [_evaluate_one(model, x) for x in inputs]
         except LengthMismatch:
             with pytest.raises(LengthMismatch):
-                evaluate_cases(model, inputs)
+                evaluate_cases(model, case_table(inputs))
             return
-        outputs = evaluate_cases(model, inputs)
+        outputs = evaluate_cases(model, case_table(inputs))
         assert [struct.pack("<d", y) for (y,) in outputs] == [
             struct.pack("<d", y) for (y,) in expected]
         assert [evaluate(model, x) for x in inputs] == list(outputs)
@@ -609,24 +609,25 @@ class TestNonFiniteOutputs:
 
 class TestPerformanceIndex:
     def test_perfect_outputs(self):
-        assert performance_index([(1.0,), (2.0,)], [(1.0,), (2.0,)]) == 0.0
+        assert performance_index([(1.0,), (2.0,)], case_table(truths=[(1.0,), (2.0,)])) == 0.0
 
     def test_hand_mse(self):
-        assert performance_index([(1.0,), (2.0,)], [(2.0,), (4.0,)]) == pytest.approx(2.5)
+        assert performance_index(
+            [(1.0,), (2.0,)], case_table(truths=[(2.0,), (4.0,)])) == pytest.approx(2.5)
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            performance_index([(1.0,)] * 3, [(1.0,)] * 4)
+            performance_index([(1.0,)] * 3, case_table(truths=[(1.0,)] * 4))
 
     def test_empty_cases(self):
         with pytest.raises(EmptyCases):
-            performance_index([], [])
+            performance_index([], case_table())
 
     def test_case_width_mismatch(self):
         with pytest.raises(LengthMismatch):
-            performance_index([(1.0,), (1.0, 2.0)], [(1.0, 2.0), (1.0,)])
+            performance_index([(1.0,), (1.0, 2.0)], case_table(truths=[(1.0, 2.0), (1.0,)]))
         with pytest.raises(EmptyCases):
-            performance_index([(), ()], [(), ()])
+            performance_index([(), ()], case_table(truths=[(), ()]))
 
     @given(cases=st.lists(st.integers(0, 3).flatmap(lambda n: st.tuples(
         st.tuples(*[st.floats(-1e3, 1e3)] * n), st.tuples(*[st.floats(-1e3, 1e3)] * n))),
@@ -637,7 +638,8 @@ class TestPerformanceIndex:
             for o, t in zip(out, truth):
                 total += (o - t) ** 2
                 count += 1
-        index = performance_index([o for o, _ in cases], [t for _, t in cases])
+        index = performance_index(
+            [o for o, _ in cases], case_table(truths=[t for _, t in cases]))
         assert struct.pack("<d", index) == struct.pack("<d", total / count)
 
     @given(
@@ -650,10 +652,10 @@ class TestPerformanceIndex:
     def test_permutation_invariant(self, pairs, seed):
         outputs = [(a,) for a, _ in pairs]
         truths = [(b,) for _, b in pairs]
-        baseline = performance_index(outputs, truths)
+        baseline = performance_index(outputs, case_table(truths=truths))
         order = list(range(len(pairs)))
         random.Random(seed).shuffle(order)
         shuffled = performance_index(
-            [outputs[i] for i in order], [truths[i] for i in order]
+            [outputs[i] for i in order], case_table(truths=[truths[i] for i in order])
         )
         assert shuffled == pytest.approx(baseline, rel=1e-12, abs=1e-12)

@@ -55,20 +55,32 @@ class TestAllocateRoles:
 
     def test_previous_top_carry_over(self):
         state, rng = fresh()
-        state.round_index = 1
-        state.prev_top = [f"p{i:03d}" for i in range(2, 8)]
-        state.prev_mos = ["p000"]
+        state.next_mos = [f"p{i:03d}" for i in range(2, 8)]
         assignment = allocate_roles(state, SMALL, rng)
-        assert assignment.mos == tuple(state.prev_top)
+        assert assignment.mos == tuple(state.next_mos)
         assert len(assignment.mos) == 6
 
+    def test_round_hands_its_top_set_on(self):
+        config = SimConfig(
+            q_total_participants=16, q_miners=8, q_mo_and_t=8,
+            q_selection_limit=2, q_cases=5, rounds=0, seed=1, pr_training=1.0,
+        )
+        state, rng = fresh(config)
+        state, log = run_round(state, params_for_simulation(config), config, rng)
+        assert log.top_set and state.next_mos == log.top_set
+        assert allocate_roles(state, config, rng).mos == tuple(log.top_set)
+
     def test_zero_success_round_retains_one_mo(self):
-        state, rng = fresh()
-        state.round_index = 3
-        state.prev_top = []
-        state.prev_mos = ["p005", "p002"]
-        assignment = allocate_roles(state, SMALL, rng)
-        assert assignment.mos == ("p005",)
+        config = SimConfig(
+            q_total_participants=16, q_miners=8, q_mo_and_t=8,
+            q_selection_limit=2, q_cases=5, rounds=0, seed=1, pr_training=0.0,
+        )
+        state, rng = fresh(config)
+        state.next_mos = ["p005", "p002"]
+        state, log = run_round(state, params_for_simulation(config), config, rng)
+        assert log.assignment.mos == ("p005", "p002") and log.top_set == []
+        assert state.next_mos == [log.assignment.mos[0]]
+        assert allocate_roles(state, config, rng).mos == ("p005",)
 
     def test_pool_size_mismatch(self):
         state, rng = fresh()
@@ -610,6 +622,17 @@ class TestDishonestExclusion:
         assert "t0" not in rank_and_select(verified, 0.5)
         assert rejected == [("t0", crypto.VERDICT_OUTPUT_MISMATCH)]
 
+    def test_verified_submission_on_no_cases_is_rejected(self):
+        pair = crypto.fhe_keygen(random.Random(4))
+        ct = crypto.fhe_encrypt(pair.pk, crypto.ModelWeights(2, (0.5, 0.1)))
+        honest = Submission("mo", "t0", crypto.ciphertext_digest(ct), ct, ())
+        tampered = Submission("mo", "t1", b"\0" * 32, ct, ())
+        verified, rejected = collect_verified(
+            [honest, tampered], crypto.case_table(pk=pair.pk))
+        assert verified == []
+        assert rejected == [("t0", crypto.VERDICT_NO_CASES),
+                            ("t1", crypto.VERDICT_HASH_MISMATCH)]
+
     def test_round_log_keeps_each_rejection_with_its_reason(self, monkeypatch):
         config = SimConfig(
             q_total_participants=16, q_miners=8, q_mo_and_t=8, q_selection_limit=2,
@@ -688,20 +711,20 @@ class TestRoundVerification:
                                pk, inputs)
             for sub in round_subs
         ]
+        if not inputs:
+            # Every claim checks out on no cases, but there is nothing to rank by.
+            reasons = [crypto.VERDICT_NO_CASES if reason == crypto.VERDICT_OK else reason
+                       for reason in reasons]
         accepted = [sub for sub, reason in zip(round_subs, reasons)
                     if reason == crypto.VERDICT_OK]
-        if accepted and not inputs:
-            # Every claim checks out on no cases, but there is nothing to rank by.
-            with pytest.raises(crypto.EmptyCases):
-                collect_verified(round_subs, table)
-            return
         verified, rejected = collect_verified(round_subs, table)
         assert rejected == [(sub.trainer_id, reason) for sub, reason in zip(round_subs, reasons)
                             if reason != crypto.VERDICT_OK]
         assert [record[:2] for record in verified] == [
             (sub.mo_id, sub.trainer_id) for sub in accepted]
         for (_, _, performance), sub in zip(verified, accepted):
-            expected = crypto.performance_index(sub.claimed_outputs, truths)
+            expected = crypto.performance_index(
+                sub.claimed_outputs, crypto.case_table(truths=truths))
             assert struct.pack("<d", performance) == struct.pack("<d", expected)
 
     @staticmethod

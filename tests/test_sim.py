@@ -1,3 +1,4 @@
+import collections
 import csv
 import hashlib
 import io
@@ -137,22 +138,45 @@ class TestClosedForms:
         assert trainer_fixed_point(0, 0.5) == 0.0
 
 
+def round_robin_uploads(metrics):
+    """Each round's uploader, read back from ``to_csv()`` as the one holder
+    of that round's version, with its balance and upload index then."""
+    coins, versions = csv_history(metrics)
+    upload_counts = collections.Counter()
+    for r, (balances, held) in enumerate(zip(coins, versions), start=1):
+        uploader = held.index(r)
+        upload_counts[uploader] += 1
+        yield uploader, balances[uploader], upload_counts[uploader]
+
+
 class TestRoundRobinVariant:
     def test_every_upload_matches_closed_form(self):
         metrics = run_round_robin(8, 40)
-        assert metrics.uploads is not None
-        for record in metrics.uploads:
-            assert record.cumulative_citation_coins == closed_form_coins(
-                record.upload_index, 8
-            )
+        uploads = list(round_robin_uploads(metrics))
+        assert [uploader for uploader, _, _ in uploads] == [r % 8 for r in range(40)]
+        for _, coins, x in uploads:
+            assert coins == closed_form_coins(x, 8)  # zero tolerance
 
     def test_sustainability_analysis_checks_the_closed_form(self):
         metrics = run_round_robin(8, 24)
-        assert metrics.uploads is not None
         assert metrics.rounds == 24
         report = analyze_sustainability(metrics)
         assert report.closed_form_exact is True
         assert report.accelerating
+        # twice the coin unit pays twice the closed form
+        assert analyze_sustainability(
+            run_round_robin(8, 24, coin_unit=2.0)).closed_form_exact is False
+        assert analyze_sustainability(
+            run_simulation(SimConfig(rounds=20, seed=5, **SMALL))).closed_form_exact is None
+
+    def test_rows_hold_the_uploaded_versions(self):
+        metrics = run_round_robin(8, 10)
+        versions = csv_history(metrics)[1][-1]
+        # p001 made version 10 and p000 version 9; p002..p007 made 3..8
+        assert versions == [9, 10, 3, 4, 5, 6, 7, 8]
+        assert metrics.bucket_shares[-1] == bucket_shares(versions) == {
+            label: 0.125 if label in ("latest", *(f"latest-{k}" for k in range(1, 8)))
+            else 0.0 for label in BUCKET_LABELS}
 
 
 class TestRunSimulation:
@@ -347,17 +371,18 @@ def simulated_history(config):
 
 
 def round_robin_history(q_participants, rounds):
-    """``run_round_robin``'s balances and upload counts after each round:
-    the r-th upload cites the owners of the r - 1 before it."""
-    coins, uploads = [0.0] * q_participants, [0] * q_participants
-    coin_rows, upload_rows = [], []
+    """``run_round_robin``'s balances and held versions after each round:
+    the r-th upload is version r, made by participant (r - 1) % q, and
+    cites the owners of the r - 1 before it."""
+    coins, versions = [0.0] * q_participants, [0] * q_participants
+    coin_rows, version_rows = [], []
     for r in range(rounds):
         for earlier in range(r):
             coins[earlier % q_participants] += 1.0
-        uploads[r % q_participants] += 1
+        versions[r % q_participants] = r + 1
         coin_rows.append(list(coins))
-        upload_rows.append(list(uploads))
-    return protocol.participant_ids(q_participants), coin_rows, upload_rows
+        version_rows.append(list(versions))
+    return protocol.participant_ids(q_participants), coin_rows, version_rows
 
 
 class TestMetricsCsv:
