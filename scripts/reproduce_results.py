@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Reproduce the reference simulation results.
 
-Runs the default 200-round setting (256 participants, 128 miners per
-round, owner budget 0.001, success probability 0.9, selection rate 0.5),
-writes plot-ready CSVs, and prints the sustainability and accessibility
-analyses:
+Runs the default 200-round setting (128 miners per round and 128
+owners-and-trainers, so 256 participants, owner budget 0.001, success
+probability 0.9, selection rate 0.5), writes plot-ready CSVs, and
+prints the sustainability and accessibility analyses:
 
   - per-participant coins over rounds (coin growth accelerates),
   - model-version distribution over rounds (stabilizes with everyone
@@ -13,7 +13,9 @@ analyses:
   - the exact closed-form check on the round-robin variant.
 
 The accessibility analysis needs at least 50 rounds, so a shorter
---rounds is rejected before anything runs.
+--rounds is rejected before anything runs, and so is a config the
+simulator rejects (a seed outside [0, 2**64)): both exit 2 and write
+nothing.
 
 Usage: python scripts/reproduce_results.py [OUT_DIR] [--seed N] [--rounds N]
 """
@@ -26,6 +28,7 @@ from relaysim.sim import (
     ACCESSIBILITY_ROUNDS,
     BUCKET_LABELS,
     SimConfig,
+    SimError,
     analyze_accessibility,
     analyze_sustainability,
     run_round_robin,
@@ -42,10 +45,15 @@ def main() -> None:
     if args.rounds < ACCESSIBILITY_ROUNDS:
         parser.error(f"--rounds must be at least {ACCESSIBILITY_ROUNDS}, got {args.rounds}")
 
+    # a config the simulator rejects is a bad invocation, found before
+    # the output directory is made
+    try:
+        config = SimConfig(rounds=args.rounds, seed=args.seed)
+    except SimError as exc:
+        parser.error(str(exc))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    config = SimConfig(rounds=args.rounds, seed=args.seed)
     print(f"running {config.rounds} rounds, seed {config.seed} ...")
     metrics = simulate_run(config).metrics
     sust = analyze_sustainability(metrics)

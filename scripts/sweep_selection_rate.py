@@ -24,7 +24,7 @@ from relaysim.sim import (
     ACCESSIBILITY_ROUNDS,
     SimConfig,
     analyze_accessibility,
-    run_simulation,
+    simulate_run,
 )
 
 
@@ -44,7 +44,7 @@ def main() -> None:
         reports = []
         for seed in range(args.seeds):
             config = SimConfig(rounds=args.rounds, seed=seed, s=s)
-            reports.append(analyze_accessibility(run_simulation(config), config))
+            reports.append(analyze_accessibility(simulate_run(config).metrics, config))
         predicted = reports[0].fixed_point
         means = [report.mean_trainer_count for report in reports]
         mean = statistics.mean(means)

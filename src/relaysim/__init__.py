@@ -32,7 +32,6 @@ from .sim import (
     analyze_sustainability,
     closed_form_coins,
     run_round_robin,
-    run_simulation,
     simulate_run,
     trainer_fixed_point,
 )

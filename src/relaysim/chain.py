@@ -399,9 +399,6 @@ class Chain:
     def tip(self) -> Block:
         return self.blocks[-1]
 
-    def __len__(self) -> int:
-        return len(self.blocks)
-
 
 def new_chain() -> Chain:
     return Chain(blocks=[genesis_block()])

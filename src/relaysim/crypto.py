@@ -359,27 +359,14 @@ VERDICT_KEY_MISMATCH = "KeyMismatch"
 VERDICT_NO_CASES = "NoCases"
 
 
-@dataclass(frozen=True)
-class Verdict:
-    accepted: bool
-    reason: str
-
-    @staticmethod
-    def ok() -> "Verdict":
-        return Verdict(True, VERDICT_OK)
-
-    @staticmethod
-    def reject(reason: str) -> "Verdict":
-        return Verdict(False, reason)
-
-
 def verify_submission(
     committed_digest: bytes,
     enc_model: Ciphertext,
     claimed_outputs: Sequence[Sequence[float]],
     cases: CaseTable,
-) -> Verdict:
-    """Two-part check of a trainer's submission; verdicts are data.
+) -> str:
+    """Two-part check of a trainer's submission: ``VERDICT_OK``, or the
+    ``VERDICT_*`` reason it is rejected for.
 
     ``cases`` is the round's ``CaseTable``, made once with the round's
     public key and read by every submission: the key is parsed, the input
@@ -404,28 +391,28 @@ def verify_submission(
     rejected: it has no place in the ranking by mean squared error.
     """
     if enc_model.key_id != cases.key_id or not ciphertext_ok(enc_model):
-        return Verdict.reject(VERDICT_KEY_MISMATCH)
+        return VERDICT_KEY_MISMATCH
     if ciphertext_digest(enc_model) != committed_digest:
-        return Verdict.reject(VERDICT_HASH_MISMATCH)
+        return VERDICT_HASH_MISMATCH
     if len(claimed_outputs) != cases.count:
-        return Verdict.reject(VERDICT_OUTPUT_MISMATCH)
+        return VERDICT_OUTPUT_MISMATCH
     if not cases.count:
-        return Verdict.ok()
+        return VERDICT_OK
     try:
         claims = [claim for (claim,) in claimed_outputs]
     except ValueError:  # a claim of other than one output
-        return Verdict.reject(VERDICT_OUTPUT_MISMATCH)
+        return VERDICT_OUTPUT_MISMATCH
     if not all(map(math.isfinite, claims)):
-        return Verdict.reject(VERDICT_OUTPUT_MISMATCH)
+        return VERDICT_OUTPUT_MISMATCH
     try:
         # the tag was checked above
         actual = _outputs(_model(_decrypt(enc_model)), cases)
     except (InvalidCiphertext, LengthMismatch):
-        return Verdict.reject(VERDICT_OUTPUT_MISMATCH)
+        return VERDICT_OUTPUT_MISMATCH
     packing = f"<{cases.count}d"
     if struct.pack(packing, *claims) != struct.pack(packing, *actual):
-        return Verdict.reject(VERDICT_OUTPUT_MISMATCH)
-    return Verdict.ok()
+        return VERDICT_OUTPUT_MISMATCH
+    return VERDICT_OK
 
 
 def performance_index(outputs: Sequence[Sequence[float]], truths: CaseTable) -> float:

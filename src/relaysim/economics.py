@@ -24,7 +24,6 @@ clamp at zero.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields, replace
 from typing import Callable
@@ -358,9 +357,6 @@ class ConditionReport:
     def failed(self) -> list[str]:
         return [e.condition for e in self.entries if not e.satisfied]
 
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps([e.to_dict() for e in self.entries], indent=indent)
-
 
 @dataclass(frozen=True)
 class DominanceRow:
@@ -489,9 +485,6 @@ class HalfPlane:
     c: float
     x_name: str
     y_name: str
-
-    def contains(self, x: float, y: float) -> bool:
-        return self.a * x + self.b * y >= self.c
 
     def equal_split(self) -> tuple[float, float]:
         """A feasible point paying half of the requirement through each rate.

@@ -174,7 +174,6 @@ class SimState:
     participants: dict[str, Participant]
     chain: chainmod.Chain
     lineage: Lineage
-    genesis_id: str
     round_index: int = 0
     # the next round's MOs: the genesis initiator, then each round's top set
     next_mos: list[str] = field(default_factory=list)
@@ -191,7 +190,7 @@ def participant_ids(count: int) -> list[str]:
 
 def init_state(config, rng: random.Random) -> SimState:
     """Fresh state: all balances zero, genesis model held by the initiator."""
-    ids = participant_ids(config.q_total_participants)
+    ids = participant_ids(config.q_miners + config.q_mo_and_t)
     participants = {pid: Participant(id=pid) for pid in ids}
     genesis_id = ids[0]
     models = MODELS[config.mode]
@@ -203,7 +202,6 @@ def init_state(config, rng: random.Random) -> SimState:
         participants=participants,
         chain=chainmod.new_chain(),
         lineage=Lineage(),
-        genesis_id=genesis_id,
         next_mos=[genesis_id],
         target_model=target,
     )
@@ -212,10 +210,10 @@ def init_state(config, rng: random.Random) -> SimState:
 def allocate_roles(state: SimState, config, rng: random.Random) -> RoleAssignment:
     """Per-round role split: the pinned MOs of ``state.next_mos``, then a
     fresh miner/candidate draw from everyone else."""
-    if len(state.participants) != config.q_total_participants:
+    if len(state.participants) != config.q_miners + config.q_mo_and_t:
         raise PoolSizeMismatch(
             f"state has {len(state.participants)} participants, config says "
-            f"{config.q_total_participants}"
+            f"{config.q_miners} + {config.q_mo_and_t}"
         )
     mos = list(state.next_mos)
     mo_set = set(mos)
@@ -224,10 +222,9 @@ def allocate_roles(state: SimState, config, rng: random.Random) -> RoleAssignmen
         raise PoolSizeMismatch(
             f"{len(others)} non-MO participants cannot fill {config.q_miners} miner slots"
         )
-    shuffled = list(others)
-    rng.shuffle(shuffled)
-    miners = shuffled[:config.q_miners]
-    candidates = shuffled[config.q_miners:]
+    rng.shuffle(others)
+    miners = others[:config.q_miners]
+    candidates = others[config.q_miners:]
     return RoleAssignment(tuple(mos), tuple(miners), tuple(candidates))
 
 
@@ -267,8 +264,8 @@ def collect_verified(
         verdict = crypto.verify_submission(
             sub.committed_digest, sub.ciphertext, sub.claimed_outputs, cases
         )
-        if not verdict.accepted:
-            rejected.append((sub.trainer_id, verdict.reason))
+        if verdict != crypto.VERDICT_OK:
+            rejected.append((sub.trainer_id, verdict))
         elif not cases.count:
             rejected.append((sub.trainer_id, crypto.VERDICT_NO_CASES))
         else:

@@ -1,10 +1,10 @@
 """Multi-round simulation, metrics collection, and result analysis.
 
-The default configuration matches the reference parameter set: 256
-participants (128 miners per round, 128 owners-and-trainers), owner
-budget 0.001 coins, training success probability 0.9, 100 testing
-cases, selection rate 0.5, and a 0.001-coin base for all six miner
-reward rates.
+The default configuration matches the reference parameter set: 128
+miners per round and 128 owners-and-trainers (the participant count is
+always ``q_miners + q_mo_and_t``, so 256), owner budget 0.001 coins,
+training success probability 0.9, 100 testing cases, selection rate
+0.5, and a 0.001-coin base for all six miner reward rates.
 
 Two closed forms anchor the analyses. Citation coins of a participant
 at its x-th upload in the round-robin setting equal x(x-1)q/2, so
@@ -47,7 +47,6 @@ class InsufficientData(SimError):
 class SimConfig:
     """Simulation parameters; defaults reproduce the reference setting."""
 
-    q_total_participants: int = 256
     q_miners: int = 128
     q_mo_and_t: int = 128
     q_selection_limit: int = 4
@@ -74,11 +73,6 @@ class SimConfig:
         for f in fields(self):
             if f.type == "float" and type(getattr(self, f.name)) is int:
                 object.__setattr__(self, f.name, float(getattr(self, f.name)))
-        if self.q_total_participants != self.q_miners + self.q_mo_and_t:
-            raise InvalidSimConfig(
-                f"q_total_participants ({self.q_total_participants}) must equal "
-                f"q_miners + q_mo_and_t ({self.q_miners} + {self.q_mo_and_t})"
-            )
         # the full protocol needs a miner to mine each block and the
         # genesis owner in the owner-and-trainer pool
         if min(self.q_miners, self.q_mo_and_t) < 1:
@@ -236,10 +230,6 @@ def simulate_run(config: SimConfig) -> SimRun:
             minted, forfeited, citations,
         )
     return SimRun(config, state, metrics, logs)
-
-
-def run_simulation(config: SimConfig) -> Metrics:
-    return simulate_run(config).metrics
 
 
 def run_round_robin(

@@ -252,7 +252,7 @@ class TestAppend:
     def test_db_follows_genesis_sb(self):
         chain = new_chain()
         append_block(chain, Block(_next_header(chain, "DB"), _empty_payload("DB")))
-        assert len(chain) == 2 and chain.tip.header.kind == "DB"
+        assert len(chain.blocks) == 2 and chain.tip.header.kind == "DB"
 
     def test_tb_after_db_is_kind_violation(self):
         chain = new_chain()
@@ -460,7 +460,7 @@ class TestRuleList:
         with pytest.raises(ChainError) as raised:
             append_block(chain, block)
         assert type(raised.value) is error
-        assert len(chain) == 3
+        assert len(chain.blocks) == 3
         # The same block in a chain built without append_block.
         dump = chain_to_jsonl(Chain(blocks=[*chain.blocks, block]))
         assert verify_chain_dump(dump) == [f"{error.__name__}: line 3: {raised.value}"]
@@ -494,7 +494,7 @@ class TestHashOnce:
         monkeypatch.setattr(chainmod, "block_digest", counting_block_digest)
         chain = simulate_run(SimConfig(mode="abstract", rounds=20, seed=7)).state.chain
         dump = chain_to_jsonl(chain)
-        assert len(chain) == 81
+        assert len(chain.blocks) == 81
         assert len(calls) == 81
         assert calls == chain.blocks
         assert chain.digests == [block_digest(b) for b in chain.blocks]
@@ -567,7 +567,7 @@ class TestDumpFormat:
         chain = self._sample_chain()
         text = chain_to_jsonl(chain)
         loaded = chain_from_jsonl(text)
-        assert len(loaded) == len(chain)
+        assert len(loaded.blocks) == len(chain.blocks)
         for a, b in zip(chain.blocks, loaded.blocks):
             assert block_digest(a) == block_digest(b)
         assert verify_chain_dump(text) == []

@@ -21,7 +21,6 @@ from relaysim.cli import (
 
 SMALL_SIM_CFG = """
 # small but complete run
-q_total_participants = 16
 q_miners = 8
 q_mo_and_t = 8
 q_selection_limit = 2
@@ -129,6 +128,14 @@ class TestSimulateVerb:
         assert main(["simulate", "--config", str(cfg), "--out", str(out_a)]) == 0
         assert main(["simulate", "--config", str(cfg), "--out", str(out_b)]) == 0
         assert (out_a / "metrics.csv").read_bytes() == (out_b / "metrics.csv").read_bytes()
+
+    def test_participant_count_is_the_sum_of_the_two_pools(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        status = main(["simulate", "--rounds", "3", "--set", "q_miners=8",
+                       "--set", "q_mo_and_t=8", "--out", str(out)])
+        assert status == 0
+        assert "(16 participants, seed 0)" in capsys.readouterr().out
+        assert json.loads((out / "summary.json").read_text())["participants"] == 16
 
 
 class TestCheckIncentivesVerb:
@@ -495,6 +502,13 @@ class TestBoundaries:
         assert err == "relaysim: unknown SimConfig parameter 'round_robin_variant'\n"
         assert not out.exists()
 
+    def test_removed_participant_count_key_is_unknown(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        err = self._exit_two(
+            ["simulate", "--set", "q_total_participants=16", "--out", str(out)], capsys)
+        assert err == "relaysim: unknown SimConfig parameter 'q_total_participants'\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("raw", [" 0.5", "0.5 ", "0.5\n"])
     def test_float_with_surrounding_whitespace_rejected(self, raw):
         # float() alone strips the whitespace and reads 0.5.
@@ -531,6 +545,22 @@ class TestClosedStdout:
         finally:
             os.close(write_end)
         assert (result.returncode, result.stderr) == (1, b"")
+
+
+class TestReproduceScript:
+    SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_results.py"
+
+    def test_bad_seed_exits_two_and_writes_nothing(self, tmp_path):
+        out = tmp_path / "results"
+        result = subprocess.run(
+            [sys.executable, str(self.SCRIPT), str(out), "--seed", "-1"],
+            capture_output=True, text=True, env=_package_env(), timeout=60,
+        )
+        assert result.returncode == 2
+        assert result.stderr.splitlines()[-1] == (
+            "reproduce_results.py: error: seed must be in [0, 2**64), got -1")
+        assert "Traceback" not in result.stderr and result.stdout == ""
+        assert not out.exists()
 
 
 class TestNumpyFree:

@@ -16,9 +16,9 @@ from relaysim.crypto import (
     ModelWeights,
     NonFiniteWeight,
     UnknownKey,
-    Verdict,
     VERDICT_HASH_MISMATCH,
     VERDICT_KEY_MISMATCH,
+    VERDICT_OK,
     VERDICT_OUTPUT_MISMATCH,
     case_table,
     ciphertext_digest,
@@ -187,14 +187,14 @@ class TestVerifySubmission:
     def test_honest_pipeline_accepted(self):
         pair, _, _, inputs, ct, committed, outputs = self._setup()
         verdict = verify_submission(committed, ct, outputs, case_table(inputs, pk=pair.pk))
-        assert verdict.accepted and verdict.reason == "Ok"
+        assert verdict == VERDICT_OK
 
     def test_output_substitution_rejected(self):
         pair, _, start, inputs, ct, committed, _ = self._setup()
         predecessor_outputs = [evaluate(start, x) for x in inputs]
         cases = case_table(inputs, pk=pair.pk)
         verdict = verify_submission(committed, ct, predecessor_outputs, cases)
-        assert not verdict.accepted and verdict.reason == VERDICT_OUTPUT_MISMATCH
+        assert verdict == VERDICT_OUTPUT_MISMATCH
 
     def test_model_swap_after_commitment_rejected(self):
         pair, model, _, inputs, _, committed, outputs = self._setup()
@@ -206,13 +206,13 @@ class TestVerifySubmission:
             committed, swapped_ct,
             [evaluate(swapped, x) for x in inputs], case_table(inputs, pk=pair.pk),
         )
-        assert not verdict.accepted and verdict.reason == VERDICT_HASH_MISMATCH
+        assert verdict == VERDICT_HASH_MISMATCH
 
     def test_wrong_key_rejected(self):
         pair, _, _, inputs, ct, committed, outputs = self._setup()
         other = fhe_keygen(random.Random(1234))
         verdict = verify_submission(committed, ct, outputs, case_table(inputs, pk=other.pk))
-        assert not verdict.accepted and verdict.reason == VERDICT_KEY_MISMATCH
+        assert verdict == VERDICT_KEY_MISMATCH
 
     def test_soundness_exhaustive_small_grid(self):
         pair = fhe_keygen(random.Random(2))
@@ -227,9 +227,9 @@ class TestVerifySubmission:
                     committed, ct, [(claimed,)], case_table([(x,)], pk=pair.pk)
                 )
                 if (claimed,) == true_out:
-                    assert verdict.accepted
+                    assert verdict == VERDICT_OK
                 else:
-                    assert verdict.reason == VERDICT_OUTPUT_MISMATCH
+                    assert verdict == VERDICT_OUTPUT_MISMATCH
 
     def test_binding_any_payload_byte(self):
         pair, _, _, inputs, ct, committed, outputs = self._setup()
@@ -243,7 +243,7 @@ class TestVerifySubmission:
             tampered = Ciphertext(ct.key_id, flipped, ct.tag)
             cases = case_table(inputs, pk=pair.pk)
             verdict = verify_submission(committed, tampered, outputs, cases)
-            assert not verdict.accepted
+            assert verdict != VERDICT_OK
 
     def test_one_tag_check_per_verified_submission(self, monkeypatch):
         # The model is opened without checking its tag a second time; the
@@ -257,7 +257,7 @@ class TestVerifySubmission:
             return tag(key_id, payload)
 
         monkeypatch.setattr(crypto, "_tag", counted)
-        assert verify_submission(committed, ct, outputs, cases).accepted
+        assert verify_submission(committed, ct, outputs, cases) == VERDICT_OK
         assert calls == [ct.payload]
         bad_tag = Ciphertext(ct.key_id, ct.payload, ct.tag[::-1])
         with pytest.raises(InvalidCiphertext):
@@ -296,7 +296,7 @@ def _reference_verdict(committed, enc_model, claimed_outputs, pk, testing_inputs
             return VERDICT_OUTPUT_MISMATCH
         if fhe_encrypt(pk, claimed) != actual:
             return VERDICT_OUTPUT_MISMATCH
-    return crypto.VERDICT_OK
+    return VERDICT_OK
 
 
 def _claim(kind, model, x):
@@ -361,8 +361,7 @@ class TestVerifierEquivalence:
         if few and claims:
             claims.pop()
         verdict = verify_submission(committed, enc_model, claims, case_table(inputs, pk=pk))
-        assert verdict.reason == _reference_verdict(committed, enc_model, claims, pk, inputs)
-        assert verdict.accepted == (verdict.reason == crypto.VERDICT_OK)
+        assert verdict == _reference_verdict(committed, enc_model, claims, pk, inputs)
 
     def test_negative_zero_claim_rejected_although_float_equal(self):
         pair = fhe_keygen(random.Random(3))
@@ -372,10 +371,10 @@ class TestVerifierEquivalence:
         assert evaluate(model, inputs[0]) == (0.0,) == (-0.0,)
         cases = case_table(inputs, pk=pair.pk)
         honest = verify_submission(ciphertext_digest(ct), ct, [(0.0,)], cases)
-        assert honest.accepted
+        assert honest == VERDICT_OK
         cases = case_table(inputs, pk=pair.pk)
         verdict = verify_submission(ciphertext_digest(ct), ct, [(-0.0,)], cases)
-        assert not verdict.accepted and verdict.reason == VERDICT_OUTPUT_MISMATCH
+        assert verdict == VERDICT_OUTPUT_MISMATCH
 
 
 def _evaluate_one(m, x):
@@ -395,27 +394,27 @@ def _per_case_verdict(committed_digest, enc_model, claimed_outputs, pk, testing_
     try:
         key_id = crypto._parse_key(pk, crypto._PK_MAGIC)
     except UnknownKey:
-        return Verdict.reject(VERDICT_KEY_MISMATCH)
+        return VERDICT_KEY_MISMATCH
     if enc_model.key_id != key_id or not ciphertext_ok(enc_model):
-        return Verdict.reject(VERDICT_KEY_MISMATCH)
+        return VERDICT_KEY_MISMATCH
     if ciphertext_digest(enc_model) != committed_digest:
-        return Verdict.reject(VERDICT_HASH_MISMATCH)
+        return VERDICT_HASH_MISMATCH
     if len(claimed_outputs) != len(testing_inputs):
-        return Verdict.reject(VERDICT_OUTPUT_MISMATCH)
+        return VERDICT_OUTPUT_MISMATCH
     model = None
     for claimed, x in zip(claimed_outputs, testing_inputs):
         if not all(map(math.isfinite, claimed)):
-            return Verdict.reject(VERDICT_OUTPUT_MISMATCH)
+            return VERDICT_OUTPUT_MISMATCH
         x = tuple(map(float, x))
         try:
             if model is None:
                 model = crypto._model(crypto._open(enc_model))
             actual = _evaluate_one(model, x)
         except (InvalidCiphertext, LengthMismatch):
-            return Verdict.reject(VERDICT_OUTPUT_MISMATCH)
+            return VERDICT_OUTPUT_MISMATCH
         if crypto._encode_plaintext(claimed) != crypto._encode_plaintext(actual):
-            return Verdict.reject(VERDICT_OUTPUT_MISMATCH)
-    return Verdict.ok()
+            return VERDICT_OUTPUT_MISMATCH
+    return VERDICT_OK
 
 
 def _tampered(ct, how):
@@ -511,7 +510,7 @@ class TestVectorVerifier:
         for claims, accepted in [([(0.0,)] * 3, True), ([(0.0,), (-0.0,), (0.0,)], False),
                                  ([(0,)] * 3, True)]:
             verdict = verify_submission(ciphertext_digest(ct), ct, claims, cases)
-            assert verdict.accepted is accepted
+            assert (verdict == VERDICT_OK) is accepted
             assert verdict == _per_case_verdict(ciphertext_digest(ct), ct, claims, pair.pk, inputs)
 
     def test_shifted_components_rejected(self):
@@ -521,7 +520,7 @@ class TestVectorVerifier:
         inputs = [(1.0,), (2.0,)]
         cases = case_table(inputs, pk=pair.pk)
         verdict = verify_submission(ciphertext_digest(ct), ct, [(3.0, 5.0), ()], cases)
-        assert verdict == Verdict.reject(VERDICT_OUTPUT_MISMATCH)
+        assert verdict == VERDICT_OUTPUT_MISMATCH
 
 
 class TestEvaluateCases:
@@ -559,7 +558,7 @@ class TestUndecodablePlaintext:
         verdict = verify_submission(
             ciphertext_digest(ct), ct, [(0.0,)], case_table([(1.0, 2.0)], pk=pair.pk)
         )
-        assert not verdict.accepted and verdict.reason == VERDICT_OUTPUT_MISMATCH
+        assert verdict == VERDICT_OUTPUT_MISMATCH
         with pytest.raises(InvalidCiphertext):
             fhe_decrypt_model(pair.sk, ct)
 
@@ -579,7 +578,7 @@ class TestNonCanonicalPlaintext:
         outputs = [evaluate(model, x) for x in inputs]
         cases = case_table(inputs, pk=pair.pk)
         verdict = verify_submission(ciphertext_digest(ct), ct, outputs, cases)
-        assert not verdict.accepted and verdict.reason == VERDICT_OUTPUT_MISMATCH
+        assert verdict == VERDICT_OUTPUT_MISMATCH
 
     def test_vector_with_one_padding_byte_rejected(self):
         pair = fhe_keygen(random.Random(9))
@@ -604,7 +603,7 @@ class TestNonFiniteOutputs:
         assert not math.isfinite(outputs[0][0])
         cases = case_table(inputs, pk=pair.pk)
         verdict = verify_submission(ciphertext_digest(ct), ct, outputs, cases)
-        assert not verdict.accepted and verdict.reason == VERDICT_OUTPUT_MISMATCH
+        assert verdict == VERDICT_OUTPUT_MISMATCH
 
 
 class TestPerformanceIndex:

@@ -32,7 +32,7 @@ from test_crypto import _claim, _evaluate_one, _mostly, _reference_verdict, _tam
 from test_sim import csv_history
 
 SMALL = SimConfig(
-    q_total_participants=16, q_miners=8, q_mo_and_t=8,
+    q_miners=8, q_mo_and_t=8,
     q_selection_limit=2, q_cases=5, rounds=0, seed=1,
 )
 
@@ -49,7 +49,7 @@ class TestAllocateRoles:
         config = TABLE_DEFAULTS
         state, rng = fresh(config)
         assignment = allocate_roles(state, config, rng)
-        assert assignment.mos == (state.genesis_id,)
+        assert assignment.mos == (participant_ids(config.q_miners + config.q_mo_and_t)[0],)
         assert len(assignment.miners) == 128
         assert len(assignment.candidates) == 127
 
@@ -62,7 +62,7 @@ class TestAllocateRoles:
 
     def test_round_hands_its_top_set_on(self):
         config = SimConfig(
-            q_total_participants=16, q_miners=8, q_mo_and_t=8,
+            q_miners=8, q_mo_and_t=8,
             q_selection_limit=2, q_cases=5, rounds=0, seed=1, pr_training=1.0,
         )
         state, rng = fresh(config)
@@ -72,7 +72,7 @@ class TestAllocateRoles:
 
     def test_zero_success_round_retains_one_mo(self):
         config = SimConfig(
-            q_total_participants=16, q_miners=8, q_mo_and_t=8,
+            q_miners=8, q_mo_and_t=8,
             q_selection_limit=2, q_cases=5, rounds=0, seed=1, pr_training=0.0,
         )
         state, rng = fresh(config)
@@ -85,7 +85,7 @@ class TestAllocateRoles:
     def test_pool_size_mismatch(self):
         state, rng = fresh()
         other = SimConfig(
-            q_total_participants=9, q_miners=4, q_mo_and_t=5,
+            q_miners=4, q_mo_and_t=5,
             q_selection_limit=2, q_cases=5, rounds=0,
         )
         with pytest.raises(PoolSizeMismatch):
@@ -126,7 +126,7 @@ class TestRunRound:
         state, rng = fresh()
         params = params_for_simulation(SMALL)
         state, log = run_round(state, params, SMALL, rng)
-        assert len(state.chain) == 5
+        assert len(state.chain.blocks) == 5
         assert [b.header.kind for b in state.chain.blocks] == ["SB", "DB", "EB", "TB", "SB"]
         assert len(set(state.chain.digests)) == 5
 
@@ -154,7 +154,7 @@ class TestRunRound:
 
     def test_certain_training_fills_eb_records(self):
         config = SimConfig(
-            q_total_participants=16, q_miners=8, q_mo_and_t=8,
+            q_miners=8, q_mo_and_t=8,
             q_selection_limit=2, q_cases=5, rounds=0, seed=3, pr_training=1.0,
         )
         state, rng = fresh(config, seed=3)
@@ -165,7 +165,7 @@ class TestRunRound:
 
     def test_impossible_training_forfeits_everything(self):
         config = SimConfig(
-            q_total_participants=16, q_miners=8, q_mo_and_t=8,
+            q_miners=8, q_mo_and_t=8,
             q_selection_limit=2, q_cases=5, rounds=0, seed=3, pr_training=0.0,
         )
         state, rng = fresh(config, seed=3)
@@ -181,13 +181,13 @@ class TestRunRound:
 
     def test_zero_candidates_still_emits_four_blocks(self):
         config = SimConfig(
-            q_total_participants=9, q_miners=8, q_mo_and_t=1,
+            q_miners=8, q_mo_and_t=1,
             q_selection_limit=2, q_cases=5, rounds=0, seed=3,
         )
         rng = random.Random(3)
         state = init_state(config, rng)
         state, log = run_round(state, params_for_simulation(config), config, rng)
-        assert len(state.chain) == 5
+        assert len(state.chain.blocks) == 5
         assert log.contracts == () == state.chain.blocks[-4].payload.contracts
 
     def test_distinct_miners_within_round(self):
@@ -197,7 +197,7 @@ class TestRunRound:
 
     def test_second_price_deposits_path(self):
         config = SimConfig(
-            q_total_participants=16, q_miners=8, q_mo_and_t=8,
+            q_miners=8, q_mo_and_t=8,
             q_selection_limit=2, q_cases=5, rounds=0, seed=5,
             second_price_deposits=True,
         )
@@ -364,7 +364,7 @@ class TestCitations:
     @pytest.mark.parametrize("coin_unit", [0.1, 0.3, 1 / 3])
     def test_settle_transfers_match_the_per_hop_sums(self, coin_unit):
         config = SimConfig(
-            q_total_participants=16, q_miners=8, q_mo_and_t=8,
+            q_miners=8, q_mo_and_t=8,
             q_selection_limit=2, q_cases=5, rounds=40, seed=12, coin_unit=coin_unit,
         )
         run = simulate_run(config)
@@ -408,18 +408,19 @@ class TestModelDigests:
     @pytest.mark.parametrize("mode, rounds", [("abstract", 30), ("concrete", 12)])
     def test_each_holder_carries_the_digest_of_its_model(self, mode, rounds):
         config = SimConfig(
-            q_total_participants=16, q_miners=8, q_mo_and_t=8,
+            q_miners=8, q_mo_and_t=8,
             q_selection_limit=2, q_cases=5, rounds=0, seed=4, mode=mode,
         )
         state, rng = fresh(config, seed=4)
         params = params_for_simulation(config)
+        genesis_id = participant_ids(config.q_miners + config.q_mo_and_t)[0]
         ebm_copies = 0
         for _ in range(rounds):
             before = {pid: p.model_version for pid, p in state.participants.items()}
             state, log = run_round(state, params, config, rng)
             ebm = log.miners["EB"]
             ebm_copies += state.participants[ebm].model_version != before[ebm]
-            labels = {(state.genesis_id, GENESIS_VERSION), *state.lineage.parents}
+            labels = {(genesis_id, GENESIS_VERSION), *state.lineage.parents}
             for p in state.participants.values():
                 if p.model_version == 0:
                     assert p.model_digest is None
@@ -436,7 +437,7 @@ class TestModelDigests:
 class TestRunInvariants:
     def test_escrow_conservation_each_round(self):
         config = SimConfig(
-            q_total_participants=16, q_miners=8, q_mo_and_t=8,
+            q_miners=8, q_mo_and_t=8,
             q_selection_limit=2, q_cases=5, rounds=25, seed=9,
         )
         run = simulate_run(config)
@@ -450,7 +451,7 @@ class TestRunInvariants:
 
     def test_round_credits_minus_debits_equals_minted_minus_forfeited(self):
         config = SimConfig(
-            q_total_participants=16, q_miners=8, q_mo_and_t=8,
+            q_miners=8, q_mo_and_t=8,
             q_selection_limit=2, q_cases=5, rounds=15, seed=2,
         )
         run = simulate_run(config)
@@ -460,7 +461,7 @@ class TestRunInvariants:
 
     def test_version_monotonicity(self):
         config = SimConfig(
-            q_total_participants=16, q_miners=8, q_mo_and_t=8,
+            q_miners=8, q_mo_and_t=8,
             q_selection_limit=2, q_cases=5, rounds=25, seed=4,
         )
         run = simulate_run(config)
@@ -470,7 +471,7 @@ class TestRunInvariants:
 
     def test_transfers_touch_only_entitled_parties(self):
         config = SimConfig(
-            q_total_participants=16, q_miners=8, q_mo_and_t=8,
+            q_miners=8, q_mo_and_t=8,
             q_selection_limit=2, q_cases=5, rounds=12, seed=6,
         )
         run = simulate_run(config)
@@ -487,7 +488,7 @@ class TestRunInvariants:
 
     def test_citation_credits_go_to_lineage_ancestors_only(self):
         config = SimConfig(
-            q_total_participants=16, q_miners=8, q_mo_and_t=8,
+            q_miners=8, q_mo_and_t=8,
             q_selection_limit=2, q_cases=5, rounds=12, seed=6,
         )
         run = simulate_run(config)
@@ -503,21 +504,22 @@ class TestRunInvariants:
 
     def test_lineage_edges_point_to_strictly_older_versions(self):
         config = SimConfig(
-            q_total_participants=16, q_miners=8, q_mo_and_t=8,
+            q_miners=8, q_mo_and_t=8,
             q_selection_limit=2, q_cases=5, rounds=20, seed=8,
         )
         run = simulate_run(config)
         lineage = run.state.lineage
+        genesis_id = participant_ids(config.q_miners + config.q_mo_and_t)[0]
         for (owner, version) in lineage.parents:
             assert version >= 2
             path = ancestors(lineage, owner, version)
             assert 1 <= len(path) <= version - 1
-            assert path[-1] == run.state.genesis_id
+            assert path[-1] == genesis_id
 
     @pytest.mark.parametrize("mode", ["abstract", "concrete"])
     def test_db_coinbase_is_the_db_miner_credit(self, mode):
         config = SimConfig(
-            q_total_participants=16, q_miners=8, q_mo_and_t=8,
+            q_miners=8, q_mo_and_t=8,
             q_selection_limit=2, q_cases=5, rounds=12, seed=6, mode=mode,
         )
         run = simulate_run(config)
@@ -532,7 +534,7 @@ class TestRunInvariants:
 
     def test_identical_seeds_identical_round_logs(self):
         config = SimConfig(
-            q_total_participants=16, q_miners=8, q_mo_and_t=8,
+            q_miners=8, q_mo_and_t=8,
             q_selection_limit=2, q_cases=5, rounds=10, seed=21,
         )
         first = simulate_run(config)
@@ -558,7 +560,7 @@ class TestRunInvariants:
         # A run keeps every round's log; the collector must not walk these
         # records on each full pass.
         config = SimConfig(
-            q_total_participants=16, q_miners=8, q_mo_and_t=8,
+            q_miners=8, q_mo_and_t=8,
             q_selection_limit=2, q_cases=5, rounds=4, seed=3, mode=mode,
         )
         run = simulate_run(config)
@@ -569,7 +571,7 @@ class TestRunInvariants:
 
     def test_round_log_json_names_each_field(self):
         config = SimConfig(
-            q_total_participants=16, q_miners=8, q_mo_and_t=8, q_selection_limit=2,
+            q_miners=8, q_mo_and_t=8, q_selection_limit=2,
             q_cases=5, rounds=3, seed=5, mode="concrete", pr_training=0.5,
         )
         run = simulate_run(config)
@@ -635,7 +637,7 @@ class TestDishonestExclusion:
 
     def test_round_log_keeps_each_rejection_with_its_reason(self, monkeypatch):
         config = SimConfig(
-            q_total_participants=16, q_miners=8, q_mo_and_t=8, q_selection_limit=2,
+            q_miners=8, q_mo_and_t=8, q_selection_limit=2,
             q_cases=5, rounds=0, seed=3, pr_training=1.0, mode="concrete",
         )
         backend = MODELS["concrete"]

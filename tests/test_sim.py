@@ -27,7 +27,6 @@ from relaysim.sim import (
     config_from_mapping,
     params_for_simulation,
     run_round_robin,
-    run_simulation,
     simulate_run,
     summary_json,
     trainer_fixed_point,
@@ -35,7 +34,7 @@ from relaysim.sim import (
 )
 
 SMALL = dict(
-    q_total_participants=16, q_miners=8, q_mo_and_t=8,
+    q_miners=8, q_mo_and_t=8,
     q_selection_limit=2, q_cases=5,
 )
 
@@ -58,7 +57,6 @@ def csv_history(metrics):
 class TestConfig:
     def test_defaults_are_reference_setting(self):
         config = SimConfig()
-        assert config.q_total_participants == 256
         assert config.q_miners == 128
         assert config.q_mo_and_t == 128
         assert config.q_selection_limit == 4
@@ -68,10 +66,6 @@ class TestConfig:
         assert config.s == 0.5
         assert config.reward_base == 0.001
 
-    def test_pool_sum_invariant(self):
-        with pytest.raises(InvalidSimConfig):
-            SimConfig(q_total_participants=256, q_miners=100, q_mo_and_t=100)
-
     @pytest.mark.parametrize("seed", [-7, 2**64])
     def test_seed_outside_u64_rejected(self, seed):
         with pytest.raises(InvalidSimConfig):
@@ -80,7 +74,7 @@ class TestConfig:
     @pytest.mark.parametrize("q_miners, q_mo_and_t", [(-1, 9), (0, 8), (8, 0)])
     def test_empty_or_negative_pool_rejected(self, q_miners, q_mo_and_t):
         with pytest.raises(InvalidSimConfig):
-            SimConfig(q_total_participants=8, q_miners=q_miners, q_mo_and_t=q_mo_and_t)
+            SimConfig(q_miners=q_miners, q_mo_and_t=q_mo_and_t)
 
     def test_probability_bounds(self):
         with pytest.raises(InvalidSimConfig):
@@ -167,7 +161,7 @@ class TestRoundRobinVariant:
         assert analyze_sustainability(
             run_round_robin(8, 24, coin_unit=2.0)).closed_form_exact is False
         assert analyze_sustainability(
-            run_simulation(SimConfig(rounds=20, seed=5, **SMALL))).closed_form_exact is None
+            simulate_run(SimConfig(rounds=20, seed=5, **SMALL)).metrics).closed_form_exact is None
 
     def test_rows_hold_the_uploaded_versions(self):
         metrics = run_round_robin(8, 10)
@@ -181,33 +175,33 @@ class TestRoundRobinVariant:
 
 class TestRunSimulation:
     def test_zero_rounds_empty_series(self):
-        metrics = run_simulation(SimConfig(rounds=0, **SMALL))
+        metrics = simulate_run(SimConfig(rounds=0, **SMALL)).metrics
         assert metrics.rounds == 0
         assert metrics.csv_rows == [] and metrics.coin_totals == []
         assert metrics.bucket_shares == [] and metrics.trainer_count == []
 
     def test_seed_determinism_bit_identical_metrics(self):
         config = SimConfig(rounds=12, seed=77, **SMALL)
-        first = run_simulation(config)
-        second = run_simulation(config)
+        first = simulate_run(config).metrics
+        second = simulate_run(config).metrics
         assert first.to_csv() == second.to_csv()
         assert first.citation_cumulative == second.citation_cumulative
 
     def test_different_seeds_diverge(self):
-        a = run_simulation(SimConfig(rounds=12, seed=1, **SMALL))
-        b = run_simulation(SimConfig(rounds=12, seed=2, **SMALL))
+        a = simulate_run(SimConfig(rounds=12, seed=1, **SMALL)).metrics
+        b = simulate_run(SimConfig(rounds=12, seed=2, **SMALL)).metrics
         assert a.to_csv() != b.to_csv()
 
     def test_mo_count_follows_selection_recurrence(self):
         config = SimConfig(rounds=30, seed=5, **SMALL)
-        m = run_simulation(config)
+        m = simulate_run(config).metrics
         for r in range(m.rounds - 1):
             expected = max(1, int(config.s * m.success_count[r]))
             assert m.mo_count[r + 1] == expected
 
     def test_deterministic_recurrence_once_capacity_unbinds(self):
         config = SimConfig(rounds=60, seed=5, pr_training=1.0)
-        m = run_simulation(config)
+        m = simulate_run(config).metrics
         for r in range(30, m.rounds - 1):
             q_mo_next = max(1, int(config.s * m.trainer_count[r]))
             capacity = q_mo_next * config.q_selection_limit
@@ -217,14 +211,14 @@ class TestRunSimulation:
 
     def test_version_buckets_partition(self):
         config = SimConfig(rounds=20, seed=5, **SMALL)
-        m = run_simulation(config)
+        m = simulate_run(config).metrics
         for versions in csv_history(m)[1]:
             counts = version_buckets(versions)
-            assert sum(counts.values()) == config.q_total_participants
+            assert sum(counts.values()) == config.q_miners + config.q_mo_and_t
             assert set(counts) == set(BUCKET_LABELS)
 
     @pytest.mark.parametrize("build", [
-        lambda: run_simulation(SimConfig(rounds=20, seed=5, **SMALL)),
+        lambda: simulate_run(SimConfig(rounds=20, seed=5, **SMALL)).metrics,
         lambda: run_round_robin(8, 30, coin_unit=0.1),
     ], ids=["abstract", "round-robin"])
     def test_totals_and_shares_follow_the_rows(self, build):
@@ -273,12 +267,12 @@ class TestAnalyzeSustainability:
         assert report.per_participant_quadratic_coeff == pytest.approx(0.5 / 4, rel=1e-6)
 
     def test_stochastic_reference_run_accelerates(self):
-        metrics = run_simulation(SimConfig(rounds=60, seed=11, **SMALL))
+        metrics = simulate_run(SimConfig(rounds=60, seed=11, **SMALL)).metrics
         assert analyze_sustainability(metrics).accelerating
 
     @pytest.mark.parametrize("metrics", [
-        lambda: run_simulation(SimConfig(rounds=200, seed=7)),
-        lambda: run_simulation(SimConfig(rounds=200, seed=1009)),
+        lambda: simulate_run(SimConfig(rounds=200, seed=7)).metrics,
+        lambda: simulate_run(SimConfig(rounds=200, seed=1009)).metrics,
         lambda: run_round_robin(8, 80),
         lambda: run_round_robin(5, 400),
     ], ids=["seed-7", "seed-1009", "round-robin-8x80", "round-robin-5x400"])
@@ -304,7 +298,7 @@ class TestAnalyzeAccessibility:
 
     def test_collapse_flagged_as_non_converged(self):
         config = SimConfig(rounds=60, seed=3, pr_training=0.0, **SMALL)
-        metrics = run_simulation(config)
+        metrics = simulate_run(config).metrics
         report = analyze_accessibility(metrics, config)
         assert not report.converged
         assert report.mean_trainer_count <= config.q_selection_limit
@@ -320,7 +314,7 @@ class TestAnalyzeAccessibility:
 
     def test_bucket_series_lengths(self):
         config = SimConfig(rounds=55, seed=3, **SMALL)
-        metrics = run_simulation(config)
+        metrics = simulate_run(config).metrics
         report = analyze_accessibility(metrics, config)
         assert len(metrics.bucket_shares) == 55
         assert report.bucket_shares_last == metrics.bucket_shares[-1]
@@ -387,8 +381,9 @@ def round_robin_history(q_participants, rounds):
 
 class TestMetricsCsv:
     @pytest.mark.parametrize("run, history, args", [
-        (run_simulation, simulated_history, (SimConfig(seed=3, rounds=6, **SMALL),)),
-        (run_simulation, simulated_history,
+        (lambda c: simulate_run(c).metrics, simulated_history,
+         (SimConfig(seed=3, rounds=6, **SMALL),)),
+        (lambda c: simulate_run(c).metrics, simulated_history,
          (SimConfig(seed=3, rounds=6, coin_unit=0.1, **SMALL),)),
         (run_round_robin, round_robin_history, (1001, 4)),
     ], ids=["abstract", "coin-unit-0.1", "round-robin-1001"])
