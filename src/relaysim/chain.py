@@ -422,6 +422,12 @@ def _record_fields(cls: type) -> tuple[tuple[str, int, bool], ...]:
 _RECORD_FIELDS = {cls: _record_fields(cls) for cls in _PAYLOAD_KIND}
 
 
+def ranked_ids(verified: Sequence[VerifiedRecord]) -> list[str]:
+    """The trainer ids of ``verified``, best first: by performance, then by
+    trainer id. A settlement block's top set is a prefix of this ranking."""
+    return list(map(itemgetter(1), sorted(verified, key=itemgetter(2, 1))))
+
+
 def validate_block(chain: Chain, block: Block) -> list[str]:
     """Kind-specific payload checks; an empty list means valid.
 
@@ -432,7 +438,8 @@ def validate_block(chain: Chain, block: Block) -> list[str]:
     digest recorded in the previous round's EB; TB input/truth case counts
     must match; SB performances must be finite, top-set members must be
     verified, and there are 1 to all of them (none without verified
-    records).
+    records). An SB that keeps those rules must hold a prefix of
+    ``ranked_ids``; its length, which depends on ``s``, is not checked.
     """
     violations: list[str] = []
     payload = block.payload
@@ -488,6 +495,9 @@ def validate_block(chain: Chain, block: Block) -> list[str]:
                 )
         elif payload.top_set:
             violations.append("TopSetSizeInvalid: non-empty top set without verified records")
+        size = len(payload.top_set)
+        if not violations and list(payload.top_set) != ranked_ids(payload.verified)[:size]:
+            violations.append(f"UnrankedTopSet: the top set is not the {size} best verified")
     return violations
 
 

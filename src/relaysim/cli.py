@@ -16,18 +16,23 @@ the flags each verb takes, and any other flag is an error. Override
 precedence: command line > config file > built-in defaults. A bad
 invocation or an unusable --config or --out path exits 2 before any
 work is done.
+
+A config file holds one key=value per line, keyed by the field names of
+``sim.SimConfig`` or ``economics.EconomicParams``; blank lines and '#'
+comments are ignored, and an unknown key is an error.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, get_type_hints
 
-from . import configio, economics, sim
+from . import economics, sim
 from .chain import Chain, chain_to_jsonl, verify_chain_dump
 
 
@@ -117,29 +122,100 @@ def _output_file(cmd: Command) -> Path | None:
     return path
 
 
-def _built(cmd: Command, build: Callable[[dict[str, str]], Any]) -> Any:
-    """``build`` applied to the config file's values under the command
-    line's; a malformed line or a bad value is a bad invocation."""
+# The spellings of each number type: an int is an optional '+' and ASCII
+# digits with no leading zero, a float is ASCII with no '_' or outer space.
+_SPELLED = {int: re.compile(r"\+?(0|[1-9][0-9]*)").fullmatch,
+            float: lambda raw: raw.isascii() and "_" not in raw and raw == raw.strip()}
+
+
+def parse_kv_text(text: str) -> dict[str, str]:
+    mapping: dict[str, str] = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise BadOverride(f"line {lineno}: expected key=value, got {line!r}")
+        key, _, value = stripped.partition("=")
+        key, value = key.strip(), value.strip()
+        if not key:
+            raise BadOverride(f"line {lineno}: empty key")
+        if key in mapping:
+            raise BadOverride(f"line {lineno}: duplicate key {key!r}")
+        mapping[key] = value
+    return mapping
+
+
+def load_kv_file(path: str | Path) -> dict[str, str]:
+    return parse_kv_text(Path(path).read_text(encoding="utf-8"))
+
+
+def coerce_fields(cls: type, mapping: dict[str, str]) -> dict[str, Any]:
+    """Keyword arguments for dataclass ``cls`` parsed from string values.
+
+    Each value is parsed by its field's annotated type: ``bool`` from
+    true/1/yes or false/0/no, ``int`` with ``int()`` (exact for 64-bit
+    seeds), ``float`` with ``float()``; any other field keeps the stripped
+    string. An int must have its one spelling (``_SPELLED``): ``int()``
+    alone also reads '07', ' 7', '0_7' or an Arabic-Indic seven as 7. A
+    float keeps ``float()``'s spellings ('0.5', '.5', '5e-1' and '+0.50'
+    are one value), because the check in front of it and ``cls`` close
+    every gap that matters: ASCII with no '_' and no outer whitespace
+    rejects Unicode digits and separators, the range checks of
+    ``SimConfig`` and ``EconomicParams`` reject 'nan' and 'inf', and no
+    output echoes the spelling, only the parsed value. An unknown key or
+    an unparseable value raises ``BadOverride``; range checks are left to
+    ``cls``.
+    """
+    hints = get_type_hints(cls)
+    names = {f.name for f in fields(cls)}
+    kwargs: dict[str, Any] = {}
+    for key, raw in mapping.items():
+        if key not in names:
+            raise BadOverride(f"unknown {cls.__name__} parameter {key!r}")
+        kind = hints[key]
+        if kind is bool:
+            lowered = raw.strip().lower()
+            if lowered not in ("true", "1", "yes", "false", "0", "no"):
+                raise BadOverride(f"{key}: cannot parse {raw!r} as a boolean")
+            kwargs[key] = lowered in ("true", "1", "yes")
+        elif kind in _SPELLED:
+            try:
+                if not _SPELLED[kind](raw):
+                    raise ValueError(raw)
+                kwargs[key] = kind(raw)
+            except ValueError as exc:
+                raise BadOverride(f"{key}: cannot parse {raw!r} as {kind.__name__}") from exc
+        else:
+            kwargs[key] = raw.strip()
+    return kwargs
+
+
+def _built(cmd: Command, cls: type) -> Any:
+    """``cls`` built from the config file's values under the command line's;
+    an undecodable file or a value ``cls`` rejects is a bad invocation."""
     path = None if cmd.config_path is None else _input_file(cmd, "config file")
     try:
-        mapping = {} if path is None else configio.load_kv_file(path)
-        return build({**mapping, **cmd.overrides})
+        mapping = {} if path is None else load_kv_file(path)
+        return cls(**coerce_fields(cls, {**mapping, **cmd.overrides}))
     except ValueError as exc:
         raise BadOverride(str(exc)) from exc
 
 
-def _sim_config(cmd: Command) -> sim.SimConfig:
-    return _built(cmd, sim.config_from_mapping)
-
-
-def _econ_params(cmd: Command) -> economics.EconomicParams:
+def _evaluated(cmd: Command, evaluate: Callable[[economics.EconomicParams], Any]) -> Any:
+    """``evaluate`` applied to the command's economic parameters; a set it
+    cannot evaluate is a bad invocation, so exit 1 means only unsatisfied."""
     if cmd.config_path is None:
         raise MissingConfig(f"{cmd.verb} requires --config with economic parameters")
-    return _built(cmd, economics.params_from_mapping)
+    params = _built(cmd, economics.EconomicParams)
+    try:
+        return evaluate(params)
+    except economics.EconomicsError as exc:
+        raise BadOverride(str(exc)) from exc
 
 
 def _run_simulate(cmd: Command) -> int:
-    config = _sim_config(cmd)
+    config = _built(cmd, sim.SimConfig)
     out_dir = Path(cmd.output_path or "out")
     out_dir.mkdir(parents=True, exist_ok=True)
     run = sim.simulate_run(config)
@@ -152,8 +228,7 @@ def _run_simulate(cmd: Command) -> int:
 
 
 def _run_check_incentives(cmd: Command) -> int:
-    params = _econ_params(cmd)
-    ir, ic = economics.evaluate_conditions(params)
+    ir, ic = _evaluated(cmd, economics.evaluate_conditions)
     satisfied = ir.all_satisfied and ic.all_satisfied
     print(json.dumps({
         "conditions": [e.to_dict() for e in ir.entries + ic.conditions.entries],
@@ -167,18 +242,20 @@ def _run_check_incentives(cmd: Command) -> int:
 
 
 def _run_min_rewards(cmd: Command) -> int:
-    params = _econ_params(cmd)
-    miner = economics.minimal_miner_rewards(params)
-    print(json.dumps({
-        "r_cited_min": economics.minimal_citation_reward(params),
-        "citation_bounds": economics.citation_reward_bounds(params),
-        **miner.to_dict(),
-    }, indent=2))
+    def report(params: economics.EconomicParams) -> dict[str, Any]:
+        miner = economics.minimal_miner_rewards(params)
+        return {
+            "r_cited_min": economics.minimal_citation_reward(params),
+            "citation_bounds": economics.citation_reward_bounds(params),
+            **miner.to_dict(),
+        }
+
+    print(json.dumps(_evaluated(cmd, report), indent=2))
     return 0
 
 
 def _run_trace_round(cmd: Command) -> int:
-    config = _sim_config(cmd)
+    config = _built(cmd, sim.SimConfig)
     out = _output_file(cmd)
     run = sim.simulate_run(replace(config, rounds=1))
     log, = run.logs

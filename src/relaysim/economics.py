@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass, fields, replace
 from typing import Callable
 
-from . import configio
 
 class EconomicsError(ValueError):
     """Base class for economic-parameter and evaluation errors."""
@@ -583,9 +582,3 @@ def minimal_rewards(p: EconomicParams, margin: float = 0.0) -> EconomicParams:
         r_verified_m=r_verified_m + margin,
         r_verify=r_verify + margin,
     )
-
-
-def params_from_mapping(mapping: dict[str, str]) -> EconomicParams:
-    """Build parameters from string key=value pairs (snake_case field names)."""
-    kwargs = configio.coerce_fields(EconomicParams, mapping, InvalidEconomicParams)
-    return EconomicParams(**kwargs)

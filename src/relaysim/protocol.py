@@ -231,12 +231,10 @@ def allocate_roles(state: SimState, config, rng: random.Random) -> RoleAssignmen
 def rank_and_select(
     verified: Sequence[chainmod.VerifiedRecord], s: float
 ) -> list[str]:
-    """Best performers first: floor(s * verified), clamped to at least one."""
+    """The best floor(s * verified) of ``chain.ranked_ids``, at least one."""
     if not verified:
         return []
-    ranked = sorted(verified, key=itemgetter(2, 1))  # performance, then trainer id
-    count = max(1, int(s * len(verified)))
-    return list(map(itemgetter(1), ranked[:count]))
+    return chainmod.ranked_ids(verified)[:max(1, int(s * len(verified)))]
 
 
 @dataclass(frozen=True)

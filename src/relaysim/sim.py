@@ -21,7 +21,7 @@ import random
 from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence
 
-from . import configio, protocol
+from . import protocol
 from .economics import EconomicParams
 
 BUCKET_LABELS = tuple(
@@ -380,8 +380,3 @@ def summary_json(run: SimRun) -> str:
     except InsufficientData:
         payload["accessibility"] = None
     return json.dumps(payload, indent=2)
-
-
-def config_from_mapping(mapping: dict[str, str]) -> SimConfig:
-    """The defaults with string key=value pairs layered over them."""
-    return SimConfig(**configio.coerce_fields(SimConfig, mapping, InvalidSimConfig))

@@ -42,7 +42,7 @@ from relaysim.chain import (
     record_keys,
     verify_chain_dump,
 )
-from relaysim.protocol import participant_ids
+from relaysim.protocol import participant_ids, rank_and_select
 from relaysim.serialize import ZERO_DIGEST, digest as canonical_digest
 from relaysim.sim import SimConfig, simulate_run
 from test_serialize import Label, outcome, reference_digest
@@ -420,6 +420,42 @@ class TestImpossibleAmounts:
                                   self._performance(-1e300)):
             blocks[height] = Block(blocks[height].header, tamper(blocks[height].payload))
         assert verify_chain_dump(chain_to_jsonl(_relinked(blocks))) == []
+
+
+class TestRankedTopSet:
+    """An SB's top set is a prefix of the verified records ranked by
+    performance, then trainer id: the settlement miner cannot mis-rank it."""
+
+    def test_top_set_of_outsiders_rejected(self):
+        blocks = simulate_run(SimConfig(seed=7, rounds=20)).state.chain.blocks
+        tip = blocks[-1].payload
+        outsiders = tuple(t for _, t, _ in tip.verified if t not in tip.top_set)[:40]
+        assert len(tip.top_set) == len(outsiders) == 40
+        forged = Block(blocks[-1].header, dataclasses.replace(tip, top_set=outsiders))
+        with pytest.raises(PayloadInvariantViolation, match="UnrankedTopSet"):
+            append_block(Chain(blocks=blocks[:-1]), forged)
+        violations = verify_chain_dump(chain_to_jsonl(Chain(blocks=[*blocks[:-1], forged])))
+        assert [v.split(": ")[:3] for v in violations] == [
+            ["PayloadInvariantViolation", "line 80", "UnrankedTopSet"]
+        ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.text(max_size=3), st.sampled_from([-1.5, -0.0, 0.0, 0.25])),
+                    min_size=2, max_size=12, unique_by=lambda row: row[0]),
+           st.floats(0.0, 1.0), st.data())
+    def test_only_the_engine_top_set_passes(self, rows, s, data):
+        verified = tuple(("mo", trainer_id, performance) for trainer_id, performance in rows)
+        header = BlockHeader(4, 1, "SB", ZERO_DIGEST, 0, 4)
+        top_set = tuple(rank_and_select(verified, s))
+        assert chainmod.validate_block(new_chain(), Block(header, SettlementPayload(
+            verified, top_set))) == []
+        # the same number of verified trainers, reordered or swapped for others
+        other = data.draw(st.permutations([trainer_id for trainer_id, _ in rows]))
+        other = tuple(other[:len(top_set)])
+        assume(other != top_set)
+        assert chainmod.validate_block(new_chain(), Block(header, SettlementPayload(
+            verified, other))) == [f"UnrankedTopSet: the top set is not the {len(top_set)} "
+                                   "best verified"]
 
 
 class TestRuleList:

@@ -14,6 +14,7 @@ from relaysim.cli import (
     BadOverride,
     MissingConfig,
     UnknownVerb,
+    coerce_fields,
     execute,
     main,
     parse_invocation,
@@ -87,9 +88,9 @@ class TestPrecedence:
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("rounds = 5\nseed = 1\n")
         cmd = parse_invocation(["simulate", "--config", str(cfg), "--rounds", "3"])
-        from relaysim.cli import _sim_config
+        from relaysim.cli import _built
 
-        config = _sim_config(cmd)
+        config = _built(cmd, sim.SimConfig)
         assert config.rounds == 3      # command line wins
         assert config.seed == 1        # file beats defaults
         assert config.q_cases == 100   # untouched default
@@ -403,6 +404,20 @@ class TestExitCodes:
         assert "seed" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("verb, override, err", [
+        ("check-incentives", "q_deposit=1", "NPA evaluation requires 0 < q_deposit_less "
+         "< q_deposit, got q_deposit_less=16, q_deposit=1"),
+        ("min-rewards", "q_deposit=0", "T3 bound requires q_deposit > 0"),
+        ("min-rewards", "beta=0", "T2/T8 bounds require beta > 0"),
+    ], ids=["npa-deposit-counts", "zero-deposit-count", "zero-discount-rate"])
+    def test_unevaluable_params_exit_two(self, verb, override, err, tmp_path, capsys):
+        # Exit 1 means "unsatisfied"; a set that cannot be evaluated is a
+        # bad invocation, with nothing on stdout.
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(ECON_CFG)
+        assert main([verb, "--config", str(cfg), "--set", override]) == 2
+        assert capsys.readouterr() == ("", f"relaysim: {err}\n")
+
 
 class TestBoundaries:
     """Bad paths and flags exit 2 with a one-line message, before any work."""
@@ -483,15 +498,16 @@ class TestBoundaries:
         assert self._exit_two(argv, capsys) == f"relaysim: {err}\n"
 
     def test_plain_numbers_still_parse(self):
-        config = sim.config_from_mapping(
-            {"seed": "+7", "budget_mo": "1e-3", "s": "0.5", "rounds": "12"})
+        config = sim.SimConfig(**coerce_fields(
+            sim.SimConfig, {"seed": "+7", "budget_mo": "1e-3", "s": "0.5", "rounds": "12"}))
         assert (config.seed, config.budget_mo, config.s, config.rounds) == (7, 1e-3, 0.5, 12)
-        assert sim.config_from_mapping({"seed": "0"}).seed == 0
+        assert sim.SimConfig(**coerce_fields(sim.SimConfig, {"seed": "0"})).seed == 0
 
     def test_float_spellings_of_one_value_build_equal_configs(self):
         # float() is the boundary past the ASCII check: each spelling of one
         # value gives the same config, so no output can tell them apart.
-        configs = [sim.config_from_mapping({"s": raw}) for raw in ("0.5", ".5", "5e-1", "+0.50")]
+        configs = [sim.SimConfig(**coerce_fields(sim.SimConfig, {"s": raw}))
+                   for raw in ("0.5", ".5", "5e-1", "+0.50")]
         assert all(config == configs[0] for config in configs)
         assert configs[0].s == 0.5
 
@@ -512,8 +528,8 @@ class TestBoundaries:
     @pytest.mark.parametrize("raw", [" 0.5", "0.5 ", "0.5\n"])
     def test_float_with_surrounding_whitespace_rejected(self, raw):
         # float() alone strips the whitespace and reads 0.5.
-        with pytest.raises(sim.InvalidSimConfig, match="s: cannot parse"):
-            sim.config_from_mapping({"s": raw})
+        with pytest.raises(BadOverride, match="s: cannot parse"):
+            coerce_fields(sim.SimConfig, {"s": raw})
 
     @pytest.mark.parametrize("verb", ["simulate", "trace-round", "check-incentives",
                                       "min-rewards"])

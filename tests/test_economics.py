@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relaysim.cli import BadOverride, coerce_fields
 from relaysim.economics import (
     ROLE_STRATEGIES,
     ConditionReport,
@@ -23,7 +24,6 @@ from relaysim.economics import (
     minimal_citation_reward,
     minimal_miner_rewards,
     minimal_rewards,
-    params_from_mapping,
     strategy_utility,
 )
 
@@ -382,22 +382,23 @@ class TestFeasibleRegion:
 
 class TestParamsFromMapping:
     def test_round_trip(self):
-        p = params_from_mapping({"beta": "0.4", "q_deposit": "16", "r_cited": "0.25"})
+        p = EconomicParams(**coerce_fields(
+            EconomicParams, {"beta": "0.4", "q_deposit": "16", "r_cited": "0.25"}))
         assert p.beta == 0.4 and p.q_deposit == 16 and p.r_cited == 0.25
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(InvalidEconomicParams):
-            params_from_mapping({"bogus": "1"})
+        with pytest.raises(BadOverride):
+            coerce_fields(EconomicParams, {"bogus": "1"})
 
     def test_non_numeric_rejected(self):
-        with pytest.raises(InvalidEconomicParams):
-            params_from_mapping({"beta": "fast"})
+        with pytest.raises(BadOverride):
+            coerce_fields(EconomicParams, {"beta": "fast"})
 
     def test_non_integer_count_rejected(self):
-        with pytest.raises(InvalidEconomicParams):
-            params_from_mapping({"q_deposit": "1.5"})
-        with pytest.raises(InvalidEconomicParams):
-            params_from_mapping({"q_deposit": "16.0"})
+        with pytest.raises(BadOverride):
+            coerce_fields(EconomicParams, {"q_deposit": "1.5"})
+        with pytest.raises(BadOverride):
+            coerce_fields(EconomicParams, {"q_deposit": "16.0"})
 
 
 def _golden_params(rng: random.Random) -> EconomicParams:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from relaysim import protocol
 from relaysim.chain import chain_to_jsonl, verify_chain_dump
+from relaysim.cli import BadOverride, coerce_fields
 from relaysim.sim import (
     BUCKET_LABELS,
     InsufficientData,
@@ -24,7 +25,6 @@ from relaysim.sim import (
     analyze_sustainability,
     bucket_shares,
     closed_form_coins,
-    config_from_mapping,
     params_for_simulation,
     run_round_robin,
     simulate_run,
@@ -99,20 +99,20 @@ class TestConfig:
 
     def test_non_finite_mapping_rejected(self):
         with pytest.raises(InvalidSimConfig):
-            config_from_mapping({"coin_unit": "nan"})
+            SimConfig(**coerce_fields(SimConfig, {"coin_unit": "nan"}))
 
     def test_mapping_layering(self):
-        layered = config_from_mapping({"rounds": "7", "seed": "9"})
+        layered = SimConfig(**coerce_fields(SimConfig, {"rounds": "7", "seed": "9"}))
         assert layered.rounds == 7 and layered.seed == 9
         assert layered.q_cases == SimConfig().q_cases
 
     def test_unknown_key(self):
-        with pytest.raises(InvalidSimConfig):
-            config_from_mapping({"round": "7"})
+        with pytest.raises(BadOverride):
+            coerce_fields(SimConfig, {"round": "7"})
 
     def test_bad_value(self):
-        with pytest.raises(InvalidSimConfig):
-            config_from_mapping({"rounds": "abc"})
+        with pytest.raises(BadOverride):
+            coerce_fields(SimConfig, {"rounds": "abc"})
 
 
 class TestClosedForms:
