@@ -1,12 +1,11 @@
 """Four-stage block chain: deposit, encryption, testing, settlement.
 
 Each training round appends exactly four blocks in a fixed kind cycle
-DB -> EB -> TB -> SB. Blocks link by SHA-256 digests over a canonical
-byte serialization, so any payload mutation breaks either its own
-recorded digest or the successor's back link. Proof-of-work is
-simulated: the winner of each block is a uniform seeded draw from the
-candidate miners, with a nonce field retained so a real puzzle could be
-slotted in later.
+DB -> EB -> TB -> SB. Blocks link by SHA-256 digests of their canonical
+JSON encoding, so any payload mutation breaks either its own recorded
+digest or the successor's back link. Proof-of-work is simulated: the
+winner of each block is a uniform seeded draw from the candidate miners,
+with a nonce field retained so a real puzzle could be slotted in later.
 
 ``_violations`` is the one list of rules for the next block: kind
 cycle, height tip+1, back link to the tip's digest, round
@@ -18,38 +17,40 @@ Each block is hashed once, when it joins a ``Chain``: ``Chain.digests``
 runs parallel to the append-only ``Chain.blocks``, and the back links,
 the round log and the dump all read the digest from there.
 
-The dump format is one JSON object per block per line, digests
-hex-encoded lowercase. Each line carries the block's own digest so a
-mutation of the tip is as detectable as one in the middle. A line and
-each object within it hold exactly the codec's keys, and each value is in
-the one form the encoder writes: an integer is not a float or a boolean,
-a float is not an integer or a string, a list is a JSON array, and bytes
-are lower-case hex. Every object's keys come out in sorted order because
-the encoder builds each object with its keys in that order, sorted once
-at import; ``json`` writes them as they come and sorts nothing.
+A block has one encoding, which is hashed, dumped and verified. Its body
+(``block_body``) is the compact JSON object of the header's fields and
+``payload``, the object of the payload's fields, every object's keys in
+sorted order. A record is the JSON array of its fields in declaration
+order, a tuple is an array, and bytes are lower-case hex. ``json`` writes
+the body with ``ensure_ascii=False``, and the block's digest is the
+SHA-256 of its UTF-8 bytes, so a string that is not valid UTF-8 (a lone
+surrogate) cannot be hashed. A dump line is ``{"digest":"<hex>",``
+followed by the body without its opening brace: one line per block, each
+ending in a line feed.
 
-One codec, derived from the declarations below, gives both the hash input
-and the dump form of a block. The header, the payloads and the block are
-dataclasses. The records a payload holds (contracts, the coinbase,
-training records, encrypted-model digests, verified records) are exact
-tuples of scalars, each type declared once as its field types annotated
-with its dump keys. A 200-round chain holds some 64,000 records, and
-CPython's cyclic collector stops tracking an exact tuple of scalars at the
-first collection that sees it, where it would walk a dataclass instance
-or a ``NamedTuple`` on every full collection. A record is hashed, like a
-dataclass, as the list of its fields. A field's name is its dump key and
-the order of declaration is the order it is hashed in, so renaming or
-reordering a field of ``BlockHeader``, of a payload class or of a record
-changes the format, and every digest, and must be versioned.
+A line is canonical when it is the line its own block encodes to, and
+only a canonical line verifies: ``verify_chain_dump`` decodes each line,
+encodes the block again and compares the two byte for byte, so a repeated
+key, a space, an escaped letter or another spelling of a number is
+reported, and the bytes it compared are the bytes it hashes. The decoder
+rejects the values that re-encode to the same text but are not the
+block's: an integer is not a float or a boolean, a float is not an
+integer or a string, an object holds exactly its keys and a record
+exactly its fields.
 
-A block's digest is the SHA-256 of the canonical encoding of
-``["block", *header fields, [kind, *payload fields]]``. ``_Codec.pack``
-makes each record's encoding one column of fields at a time with the
-column packer of ``serialize``: a fixed-width column goes into one cached
-``struct.Struct`` per record, and any other column is encoded value by
-value. A lone record whose fields are all scalars (the header, a coinbase)
-is encoded in one ``canonical_bytes`` call, since column work pays off only
-over many records.
+The header, the payloads and the block are dataclasses, and the codec is
+derived from their declarations. The records a payload holds (contracts,
+the coinbase, training records, encrypted-model digests, verified
+records) are exact tuples of scalars, each type declared once as its
+field types annotated with its field names (which round logs use as
+keys). A 200-round chain holds some 64,000 records, and CPython's cyclic
+collector stops tracking an exact tuple of scalars at the first
+collection that sees it, where it would walk a dataclass instance or a
+``NamedTuple`` on every full collection; a tuple of scalars is also
+written by ``json`` as an array with no conversion. A dataclass field's
+name is its key, and a record's order of declaration is the order of its
+array, so renaming or reordering a field of ``BlockHeader``, of a payload
+class or of a record changes the format, and every digest.
 """
 
 from __future__ import annotations
@@ -65,8 +66,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter, countOf, itemgetter
 from typing import Annotated, Any, Callable, Sequence
 
-from .serialize import (DIGEST_SIZE, ZERO_DIGEST, Plan, PlanFn, canonical_bytes, encode_str,
-                        list_head, pack, scalar_plan, sequence_plan)
+from .serialize import DIGEST_SIZE, ZERO_DIGEST
 
 KINDS = ("DB", "EB", "TB", "SB")
 
@@ -113,8 +113,8 @@ class BlockHeader:
 
 # --- records -------------------------------------------------------------
 #
-# Each record type is the tuple of its field types, annotated with its dump
-# keys in field order. A record is an exact tuple built in that order, never
+# Each record type is the tuple of its field types, annotated with its field
+# names in field order. A record is an exact tuple built in that order, never
 # a subclass, so that the collector untracks it (see the module docstring).
 
 # Escrow amounts of one deposit contract as stored on-chain.
@@ -130,7 +130,7 @@ VerifiedRecord = Annotated[tuple[str, str, float],
 
 
 def record_keys(record: Any) -> tuple[str, ...]:
-    """The dump keys of a record type, in field order."""
+    """The field names of a record type, in field order."""
     return record.__metadata__[0]
 
 
@@ -187,11 +187,11 @@ class Block:
 
 # --- block codec ---------------------------------------------------------
 #
-# Built once per dataclass at import from its fields and type hints. The
-# JSON encoder and decoder work column-wise: a sequence of records is
-# converted one field at a time.
+# Built once per type at import from its fields and type hints. A converter
+# maps a list of values to a list of JSON values or back, so that a sequence
+# of records is converted one field at a time.
 
-_Converter = Callable[[list], list]
+_Converter = Callable[[Sequence], Sequence]
 
 
 def _mapped(fn: Callable) -> _Converter:
@@ -202,7 +202,7 @@ def _typed(kind: type) -> _Converter:
     """The check that a column holds only JSON values of exactly ``kind``:
     no integer for a float, no float or boolean for an integer, no number
     for a string."""
-    def check(column: list) -> list:
+    def check(column: Sequence) -> Sequence:
         if countOf(map(type, column), kind) != len(column):
             wrong = next(value for value in column if type(value) is not kind)
             raise TypeError(f"expected {kind.__name__}, got {wrong!r}")
@@ -210,7 +210,7 @@ def _typed(kind: type) -> _Converter:
     return check
 
 
-def _hex(column: list) -> list[bytes]:
+def _hex(column: Sequence) -> list[bytes]:
     """The bytes of a column of lower-case hex strings with no spaces, the
     only form ``bytes.hex`` writes."""
     values = list(map(bytes.fromhex, column))
@@ -221,146 +221,104 @@ def _hex(column: list) -> list[bytes]:
     return values
 
 
-def _field_codec(hint: Any) -> tuple[PlanFn, _Converter | None, _Converter]:
-    """(plan, encode, decode) for values annotated ``hint``.
-
-    ``plan`` maps a non-empty column of values to their hash encodings (see
-    ``serialize.pack``); ``encode`` and ``decode`` map a list of values to a
-    list of JSON values and back, and ``decode`` rejects any JSON value that
-    ``encode`` does not write. An encode of None stands for values that pass
-    unchanged.
-    """
+def _field_codec(hint: Any) -> tuple[_Converter | None, _Converter]:
+    """(encode, decode) for values annotated ``hint``: each maps a list of
+    values to a list of JSON values and back, and ``decode`` rejects any
+    JSON value that ``encode`` does not write. An encode of None stands for
+    values that ``json`` writes as they are (a tuple as an array)."""
     if hint in (str, int, float):
-        return scalar_plan(hint), None, _typed(hint)
+        return None, _typed(hint)
     if hint is bytes:
-        return scalar_plan(bytes), _mapped(bytes.hex), _hex
+        return _mapped(bytes.hex), _hex
     if typing.get_origin(hint) is Annotated:
-        codec = _Codec(hint)
-        return codec.plan, codec.encode, codec.decode
+        return _record_codec(hint)
     args = typing.get_args(hint)
     if typing.get_origin(hint) is not tuple or len(args) != 2 or args[1] is not Ellipsis:
         raise TypeError(f"no block codec for field type {hint!r}")
-    plan, encode, decode = _field_codec(args[0])
+    encode, decode = _field_codec(args[0])
     is_list = _typed(list)
 
-    def decode_tuples(column: list) -> list[tuple]:
+    def decode_tuples(column: Sequence) -> list[tuple]:
         # One decode of the elements of every list in the column, then one
         # tuple per list.
         values = iter(decode(list(itertools.chain.from_iterable(is_list(column)))))
         return [tuple(itertools.islice(values, len(items))) for items in column]
-    return (
-        sequence_plan(plan),
-        None if encode is None else _mapped(encode),
-        decode_tuples,
-    )
+    return None if encode is None else _mapped(encode), decode_tuples
 
 
-def _columns(items: Sequence, getters: Sequence[Callable],
-             converters: Sequence[_Converter | None]) -> list[list]:
-    """One list per field: the field's value in each item, converted."""
-    columns = []
-    for get, convert in zip(getters, converters):
-        column = list(map(get, items))
-        columns.append(column if convert is None else convert(column))
-    return columns
+def _record_codec(record: Any) -> tuple[_Converter | None, _Converter]:
+    """(encode, decode) for records of type ``record``, each the JSON array
+    of its fields, converted one field column at a time. A record with more
+    or fewer fields than its type is a ``ValueError``."""
+    kinds = typing.get_args(typing.get_args(record)[0])
+    width = len(kinds)
+    encoders, decoders = zip(*map(_field_codec, kinds))
+    is_list = _typed(list)
+
+    def fields(rows: Sequence) -> list[tuple]:
+        # zip would cut every row to the shortest one
+        if countOf(map(len, rows), width) != len(rows):
+            raise ValueError(f"a record of {', '.join(record_keys(record))} must "
+                             f"have {width} fields")
+        return list(zip(*rows))
+
+    def encode(rows: Sequence) -> list[tuple]:
+        return list(zip(*(column if convert is None else convert(column)
+                          for convert, column in zip(encoders, fields(rows)))))
+
+    def decode(rows: Sequence) -> list[tuple]:
+        return list(zip(*(convert(column)
+                          for convert, column in zip(decoders, fields(is_list(rows))))))
+    return None if encoders.count(None) == width else encode, decode
 
 
 class _Codec:
-    """Hash encoder, JSON encoder and JSON decoder of one block dataclass or
-    record type."""
+    """JSON encoder and decoder of one block dataclass: an instance is the
+    JSON object of its fields."""
 
-    def __init__(self, cls: Any) -> None:
-        if dataclasses.is_dataclass(cls):
-            hints = typing.get_type_hints(cls, include_extras=True)
-            self.names = tuple(f.name for f in dataclasses.fields(cls))
-            kinds = tuple(hints[name] for name in self.names)
-            self.label = f"a {cls.__name__}"
-            # The field values in declaration order, as a tuple.
-            self.row: Callable | None = attrgetter(*self.names)
-            self.build: Callable[[list[list]], list] = lambda columns: list(map(cls, *columns))
-        else:
-            # A record is its own row, and each row of its columns a record.
-            fields, self.names = typing.get_args(cls)
-            kinds = typing.get_args(fields)
-            self.label = f"a record of {', '.join(self.names)}"
-            self.row = None
-            self.build = lambda columns: list(zip(*columns))
-        self.plans, encoders, self.decoders = zip(*map(_field_codec, kinds))
-        self.itemgetters = tuple(map(itemgetter, self.names))
-        # The JSON encoder writes the fields in sorted key order, so each
-        # object it builds is already in the order of a sorted-key dump.
-        self.keys = tuple(sorted(self.names))
-        self.key_getters = tuple(
-            attrgetter(key) if self.row else itemgetter(self.names.index(key))
-            for key in self.keys
-        )
-        self.key_encoders = tuple(encoders[self.names.index(key)] for key in self.keys)
-        self.head = ("9s", [list_head(len(self.names))])
-        self.flat = all(kind in (str, int, float, bytes) for kind in kinds)
+    def __init__(self, cls: type) -> None:
+        hints = typing.get_type_hints(cls, include_extras=True)
+        self.cls = cls
+        self.names = tuple(f.name for f in dataclasses.fields(cls))
+        self.keys = frozenset(self.names)
+        # The field values in declaration order, as a tuple.
+        self.values = attrgetter(*self.names)
+        self.encoders, self.decoders = zip(*(_field_codec(hints[name]) for name in self.names))
 
-    def plan(self, objs: Sequence) -> Plan:
-        """The plan of a non-empty sequence of instances: the field count,
-        then each field, one column at a time. Column work pays off over
-        many rows, so a lone instance whose fields are all scalars (a header,
-        a coinbase) is encoded in one ``canonical_bytes`` call. A record
-        with more or fewer fields than its type is a ``ValueError``."""
-        rows = objs if self.row is None else list(map(self.row, objs))
-        if self.flat and len(rows) == 1 and len(rows[0]) == len(self.names):
-            return [(None, [[canonical_bytes(rows[0])]])]
-        plan = [self.head]
-        for field_plan, column in zip(self.plans, zip(*rows, strict=True), strict=True):
-            plan += field_plan(column)
-        return plan
+    def encode(self, obj: Any) -> dict:
+        return {name: value if encode is None else encode((value,))[0]
+                for name, encode, value in zip(self.names, self.encoders, self.values(obj))}
 
-    def pack(self, objs: Sequence) -> list[bytes]:
-        """The canonical encoding of each instance: the list of its fields."""
-        return pack(self.plan(objs), len(objs)) if objs else []
-
-    def columns(self, objs: Sequence) -> list[list]:
-        """The JSON values of each field of ``objs``, one list per field in
-        the order of ``keys``."""
-        return _columns(objs, self.key_getters, self.key_encoders)
-
-    def encode(self, objs: Sequence) -> list[dict]:
-        """One JSON object per instance, keyed by field name in sorted order."""
-        return [dict(zip(self.keys, row)) for row in zip(*self.columns(objs))]
-
-    def decode(self, items: Sequence) -> list:
-        """Instances rebuilt from JSON objects; raises on a malformed one,
-        or on one that holds a key the codec does not define."""
-        columns = _columns(items, self.itemgetters, self.decoders)
-        # Every codec key was read from each object, so an object holds
-        # another key exactly when the objects hold more keys in all.
-        if sum(map(len, items)) != len(items) * len(self.names):
-            unknown = sorted(set().union(*items) - set(self.names))
-            raise ValueError(f"unknown key(s) {unknown} in {self.label}")
-        return self.build(columns)
+    def decode(self, data: Any) -> Any:
+        """The instance a JSON object holds; raises on a malformed one, or
+        on one that holds a key the codec does not define."""
+        data, = _typed(dict)((data,))
+        if data.keys() != self.keys:
+            raise ValueError(f"keys {sorted(data)} in a {self.cls.__name__}, "
+                             f"expected {sorted(self.keys)}")
+        return self.cls(*(decode((data[name],))[0]
+                          for name, decode in zip(self.names, self.decoders)))
 
 
 _HEADER_CODEC = _Codec(BlockHeader)
 _PAYLOAD_CODECS = {kind: _Codec(cls) for cls, kind in _PAYLOAD_KIND.items()}
+# Compact separators: with no whitespace in a line, every byte is semantic,
+# so any single-byte mutation is detectable. The trees the codec builds hold
+# no cycle to check for.
+_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":"),
+                            check_circular=False)
 
 
-# The encoding of ["block", *header fields, [kind, *payload fields]] is the
-# head below, the header's encoding after its field count, the kind's head,
-# then the payload's encoding after its field count.
-_BLOCK_HEAD = list_head(len(_HEADER_CODEC.names) + 2) + encode_str("block")
-_KIND_HEADS = {
-    kind: list_head(len(codec.names) + 1) + encode_str(kind)
-    for kind, codec in _PAYLOAD_CODECS.items()
-}
+def block_body(block: Block) -> str:
+    """The canonical JSON of ``block``: its dump line without the digest."""
+    body = _HEADER_CODEC.encode(block.header)
+    body["payload"] = _PAYLOAD_CODECS[block.header.kind].encode(block.payload)
+    return _ENCODER.encode(body)
 
 
 def block_digest(block: Block) -> bytes:
-    """Deterministic 32-byte digest over the canonical header + payload."""
-    kind = block.header.kind
-    header, = _HEADER_CODEC.pack((block.header,))
-    payload, = _PAYLOAD_CODECS[kind].pack((block.payload,))
-    hasher = hashlib.sha256(_BLOCK_HEAD)
-    hasher.update(memoryview(header)[9:])
-    hasher.update(_KIND_HEADS[kind])
-    hasher.update(memoryview(payload)[9:])
-    return hasher.digest()
+    """The SHA-256 of the UTF-8 bytes of ``block_body(block)``."""
+    return hashlib.sha256(block_body(block).encode()).digest()
 
 
 def expected_kind(height: int) -> str:
@@ -535,8 +493,8 @@ def append_block(chain: Chain, block: Block) -> Chain:
     if found:
         error = found[0][0]
         raise error("; ".join(message for cls, message in found if cls is error))
-    # Hashed before either list grows, so a block that fails to hash leaves
-    # the chain as it was.
+    # Encoded and hashed before either list grows, so a block that fails to
+    # encode or hash leaves the chain as it was.
     digest = block_digest(block)
     chain.blocks.append(block)
     chain.digests.append(digest)
@@ -560,25 +518,17 @@ def mine_winner(candidates: Sequence[str], rng: random.Random) -> str:
 
 # --- dump format ---------------------------------------------------------
 
-# The keys of a dump line, sorted: the header's fields, the payload and the
-# block's digest.
-_LINE_KEYS = tuple(sorted((*_HEADER_CODEC.names, "payload", "digest")))
-# Compact separators: with no whitespace in a line, every byte is semantic,
-# so any single-byte mutation is detectable. The codec builds fresh trees of
-# dicts, lists and scalars, which hold no cycle to check for.
-_LINE_ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
+
+def _line(digest: bytes, body: str) -> str:
+    """The dump line of a block with ``digest`` and ``body``; "digest" sorts
+    before every key of the body."""
+    return f'{{"digest":"{digest.hex()}",{body[1:]}'
 
 
 def chain_to_jsonl(chain: Chain) -> str:
-    """One JSON object per block per line, digests hex lowercase."""
-    blocks = chain.blocks
-    columns = dict(zip(_HEADER_CODEC.keys, _HEADER_CODEC.columns([b.header for b in blocks])))
-    # Each line's payload object is built as the line is encoded, so only
-    # one line's tree is alive at a time.
-    columns["payload"] = (_PAYLOAD_CODECS[b.header.kind].encode((b.payload,))[0] for b in blocks)
-    columns["digest"] = map(bytes.hex, chain.digests)
-    rows = zip(*map(columns.get, _LINE_KEYS))
-    lines = [_LINE_ENCODER.encode(dict(zip(_LINE_KEYS, row))) for row in rows]
+    """One line per block (see the module docstring), each block encoded
+    again and its digest read from ``chain.digests``."""
+    lines = list(map(_line, chain.digests, map(block_body, chain.blocks)))
     # Joined with an empty last line, so the dump ends in a newline without
     # a second copy of it; the dump of no blocks is one empty line.
     return "\n".join([*lines, ""]) if lines else "\n"
@@ -587,17 +537,17 @@ def chain_to_jsonl(chain: Chain) -> str:
 def _parse_line(line: str) -> tuple[Block, bytes]:
     """The block on one dump line, and the digest the line records. The
     line, like each object within it, holds exactly the codec's keys."""
-    data = json.loads(line)
-    if type(data) is not dict:
-        raise TypeError(f"expected an object, got {data!r}")
-    payload, recorded = data.pop("payload"), _hex([data.pop("digest")])[0]
-    header = _HEADER_CODEC.decode((data,))[0]
-    return Block(header, _PAYLOAD_CODECS[header.kind].decode((payload,))[0]), recorded
+    data, = _typed(dict)((json.loads(line),))
+    recorded, = _hex((data.pop("digest"),))
+    payload = data.pop("payload")
+    header = _HEADER_CODEC.decode(data)
+    return Block(header, _PAYLOAD_CODECS[header.kind].decode(payload)), recorded
 
 
 def chain_from_jsonl(text: str) -> Chain:
-    """Parse a dump without integrity checking (see ``verify_chain_dump``)."""
-    return Chain(blocks=[_parse_line(line)[0] for line in text.splitlines() if line.strip()])
+    """Parse a dump without integrity checking (see ``verify_chain_dump``).
+    Lines are split at line feeds only: an id may hold another line break."""
+    return Chain(blocks=[_parse_line(line)[0] for line in text.split("\n") if line.strip()])
 
 
 def verify_chain_dump(text: str, partial: Chain | None = None) -> list[str]:
@@ -606,12 +556,12 @@ def verify_chain_dump(text: str, partial: Chain | None = None) -> list[str]:
     Detects any single-byte mutation: unparseable lines, recorded digests
     that differ from the recomputed one, and every broken rule of
     ``_violations`` as ``<error class>: line N: <message>``. Lines are
-    split at line feeds only, the dump must end in one, and each line is
-    one JSON object with nothing around it, so a line feed turned into any
-    other byte is reported too. Each parsed block is appended, with its
-    recomputed digest, to ``partial``, an empty chain (a new one if none is
-    given); when the result is empty, ``partial`` is the dumped chain, each
-    of its blocks hashed once.
+    split at line feeds only and the dump must end in one. A line must be
+    the canonical line of the block it decodes to, so a line feed turned
+    into any other byte is reported too. Each parsed block is appended,
+    with its recomputed digest, to ``partial``, an empty chain (a new one if
+    none is given); when the result is empty, ``partial`` is the dumped
+    chain, each of its blocks encoded and hashed once.
     """
     violations: list[str] = []
     if partial is None:
@@ -622,11 +572,11 @@ def verify_chain_dump(text: str, partial: Chain | None = None) -> list[str]:
         try:
             # A line nested deeper than the recursion limit fails here.
             block, recorded = _parse_line(line)
-            # JSON whitespace around the object parses too.
-            if line[0] != "{" or line[-1] != "}":
-                raise ValueError("whitespace around the object")
+            body = block_body(block)
+            if line != _line(recorded, body):
+                raise ValueError("not the canonical line of its block")
             # A string that is not valid UTF-8 (a lone surrogate) fails here.
-            actual = block_digest(block)
+            actual = hashlib.sha256(body.encode()).digest()
         except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
             violations.append(f"Unparseable: line {lineno}: {exc}")
             continue

@@ -25,6 +25,7 @@ clamp at zero.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields, replace
 from typing import Callable
 
@@ -107,10 +108,14 @@ class EconomicParams:
             raise InvalidEconomicParams(
                 f"k_expand must be finite and >= 1, got {self.k_expand}"
             )
+        # An integer count past the largest float overflows where the bounds
+        # use it as a float.
+        largest = sys.float_info.max
         for name in _NON_NEGATIVE_FIELDS:
             value = getattr(self, name)
-            if not 0 <= value < math.inf:
-                raise InvalidEconomicParams(f"{name} must be finite and >= 0, got {value}")
+            if not 0 <= value <= largest:
+                raise InvalidEconomicParams(
+                    f"{name} must be >= 0 and at most the largest finite float, got {value}")
         if self.v_rec_m < self.v_now_t:
             raise InvalidEconomicParams(
                 f"v_rec_m ({self.v_rec_m}) cannot be older than v_now_t ({self.v_now_t})"
@@ -121,7 +126,7 @@ class EconomicParams:
             )
 
 
-# Every field but the three range-checked above must be finite and >= 0.
+# Every field but the three range-checked above must be a float-sized number >= 0.
 _NON_NEGATIVE_FIELDS = tuple(
     f.name for f in fields(EconomicParams) if f.name not in ("beta", "s", "k_expand")
 )

@@ -1,8 +1,11 @@
 import dataclasses
 import gc
+import hashlib
 import json
 import math
 import random
+import re
+import types
 import typing
 
 import pytest
@@ -31,6 +34,7 @@ from relaysim.chain import (
     TrainingRecord,
     VerifiedRecord,
     append_block,
+    block_body,
     block_digest,
     chain_from_jsonl,
     chain_to_jsonl,
@@ -45,9 +49,8 @@ from relaysim.chain import (
 from relaysim.protocol import participant_ids, rank_and_select
 from relaysim.serialize import ZERO_DIGEST, digest as canonical_digest
 from relaysim.sim import SimConfig, simulate_run
-from test_serialize import Label, outcome, reference_digest
 
-GENESIS_DIGEST_HEX = "c182288e4ee4318007122e1fc03e22eae7311f5c235453bd420cf395b69e1d1e"
+GENESIS_DIGEST_HEX = "58a7de395f1921208edfd5441abe859fdccdba59c690f9c445d3e9c02e40ede5"
 
 
 def _next_header(chain, kind, nonce=0):
@@ -95,104 +98,68 @@ class TestDigest:
         assert block_digest(genesis_block()).hex() == GENESIS_DIGEST_HEX
 
 
-def reference_structure(value):
-    """A block value as the nested lists the block digest once encoded: a
-    record as the list of its fields in declaration order."""
+def reference_json(value):
+    """A block value as plain JSON values: a dataclass as the object of its
+    fields, a record (or any tuple) as the list of its items, bytes as hex."""
     if dataclasses.is_dataclass(value):
-        return [reference_structure(getattr(value, f.name)) for f in dataclasses.fields(value)]
-    if isinstance(value, (list, tuple)):
-        return [reference_structure(item) for item in value]
+        return {f.name: reference_json(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, tuple):
+        return [reference_json(item) for item in value]
+    if isinstance(value, bytes):
+        return value.hex()
     return value
 
 
-def reference_block_digest(block):
-    return reference_digest(["block", *reference_structure(block.header),
-                             [block.header.kind, *reference_structure(block.payload)]])
+def reference_body(block, ensure_ascii=False):
+    """The block's header fields and payload as compact, key-sorted JSON."""
+    body = {**reference_json(block.header), "payload": reference_json(block.payload)}
+    return json.dumps(body, sort_keys=True, separators=(",", ":"), ensure_ascii=ensure_ascii)
 
 
-# Per column, either values of one encoded width, which the column packer
-# packs with one struct, or values of mixed widths and types, which it
-# encodes one by one. "p000" and "\U0001d11e" are both 4 bytes in UTF-8.
-UNIFORM = {
-    str: st.sampled_from(["p000", "p255", "\U0001d11e", Label("abcd")]),
-    float: st.one_of(st.floats(), st.sampled_from([-0.0, math.nan, math.inf, -math.inf])),
-    bytes: st.binary(min_size=32, max_size=32),
-}
-MIXED = {
-    str: st.one_of(UNIFORM[str], st.text(max_size=6), st.sampled_from(["", "genesis"])),
-    float: st.one_of(UNIFORM[float], st.integers(0, 2**64 - 1), st.booleans()),
-    bytes: st.one_of(st.binary(max_size=40), st.binary(max_size=40).map(bytearray)),
-}
+def reference_line(block, ensure_ascii=False):
+    """The dump line of ``block``: its digest, then the body's keys."""
+    body = reference_body(block, ensure_ascii)
+    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    return f'{{"digest":"{digest}",{body[1:]}'
 
 
 # Values of exactly each field's type, the only values a dump can hold:
 # non-ASCII and empty ids, non-finite floats, bytes of any length.
 EXACT = {
-    str: st.one_of(UNIFORM[str], st.text(max_size=6), st.sampled_from(["", "é", "genesis"])),
-    float: UNIFORM[float],
+    str: st.one_of(st.text(max_size=6), st.sampled_from(["", "é", "\U0001d11e", "p000"])),
+    float: st.one_of(st.floats(), st.sampled_from([-0.0, math.nan, math.inf, -math.inf])),
     bytes: st.binary(max_size=40),
 }
 
 
-def column(kind, rows, mixed=MIXED):
-    return st.booleans().flatmap(lambda uniform: st.lists(
-        (UNIFORM if uniform else mixed)[kind], min_size=rows, max_size=rows))
-
-
-def records(record, min_size=0, max_size=6, mixed=MIXED):
-    """A tuple of records of the type ``record``, built one column at a time."""
+def records(record, min_size=0, max_size=6):
+    """A tuple of records of the type ``record``."""
     kinds = typing.get_args(typing.get_args(record)[0])
-    return st.integers(min_size, max_size).flatmap(lambda rows: st.tuples(
-        *(column(kind, rows, mixed) for kind in kinds)).map(lambda cols: tuple(zip(*cols))))
+    return st.lists(st.tuples(*(EXACT[kind] for kind in kinds)),
+                    min_size=min_size, max_size=max_size).map(tuple)
 
 
-def cases(mixed=MIXED):
-    """Testing inputs or truths: up to 5 cases of widths 0, 1 and 7, either
-    all of one width or mixed."""
-    widths = st.sampled_from([0, 1, 7])
-    return widths.flatmap(lambda width: st.lists(
-        st.one_of(st.just(width), widths), max_size=5)).flatmap(lambda sizes: st.tuples(
-            *(column(float, size, mixed).map(tuple) for size in sizes)))
-
-
-def payloads(mixed):
-    """Per kind, payloads whose columns are either uniform or drawn from
-    ``mixed``."""
-    return {
-        "DB": st.builds(DepositPayload, records(ContractRecord, mixed=mixed),
-                        records(Coinbase, 1, 1, mixed).map(lambda one: one[0])),
-        "EB": st.builds(EncryptionPayload, mixed[bytes], records(TrainingRecord, mixed=mixed)),
-        "TB": st.builds(TestingPayload, records(EncryptedModelDigest, mixed=mixed),
-                        cases(mixed), cases(mixed)),
-        "SB": st.builds(SettlementPayload, records(VerifiedRecord, mixed=mixed),
-                        st.integers(0, 6).flatmap(lambda n: column(str, n, mixed)).map(tuple)),
-    }
-
-
-MIXED_PAYLOADS, EXACT_PAYLOADS = payloads(MIXED), payloads(EXACT)
+# Testing inputs or truths: up to 5 cases of up to 7 values each.
+CASES = st.lists(st.lists(EXACT[float], max_size=7).map(tuple), max_size=5).map(tuple)
+PAYLOADS = {
+    "DB": st.builds(DepositPayload, records(ContractRecord),
+                    records(Coinbase, 1, 1).map(lambda one: one[0])),
+    "EB": st.builds(EncryptionPayload, EXACT[bytes], records(TrainingRecord)),
+    "TB": st.builds(TestingPayload, records(EncryptedModelDigest), CASES, CASES),
+    "SB": st.builds(SettlementPayload, records(VerifiedRecord),
+                    st.lists(EXACT[str], max_size=6).map(tuple)),
+}
 U64 = st.integers(0, 2**64 - 1)
 
 
 @st.composite
-def blocks(draw, exact=False):
-    """A block of any kind; with ``exact``, one whose values all have exactly
-    their field's type, so that it can be dumped."""
+def blocks(draw):
+    """A block of any kind whose values all have exactly their field's type,
+    so that it can be dumped."""
     kind = draw(st.sampled_from(chainmod.KINDS))
     header = BlockHeader(draw(U64), draw(U64), kind, draw(st.binary(min_size=32, max_size=32)),
                          draw(U64), draw(U64))
-    return Block(header, draw((EXACT_PAYLOADS if exact else MIXED_PAYLOADS)[kind]))
-
-
-def leaves(value, path=()):
-    """The path (field names and tuple indices) to each scalar in ``value``."""
-    if dataclasses.is_dataclass(value):
-        for f in dataclasses.fields(value):
-            yield from leaves(getattr(value, f.name), (*path, f.name))
-    elif isinstance(value, tuple):
-        for i, item in enumerate(value):
-            yield from leaves(item, (*path, i))
-    else:
-        yield path
+    return Block(header, draw(PAYLOADS[kind]))
 
 
 def replaced(value, path, new):
@@ -205,47 +172,77 @@ def replaced(value, path, new):
     return (*value[:key], replaced(value[key], rest, new), *value[key + 1:])
 
 
-class TestColumnPacker:
-    """The column packer hashes every block exactly as the recursive encoder
-    of the nested ``["block", *header, [kind, *payload]]`` lists did."""
+def _chain_before(kind):
+    """A chain whose next block is the first block of ``kind``."""
+    chain = new_chain()
+    for k in KINDS[:KINDS.index(kind)]:
+        append_block(chain, Block(_next_header(chain, k), _empty_payload(k)))
+    return chain
+
+
+# One payload per kind whose first record has a field too few or too many.
+WRONG_LENGTH = {
+    "db-coinbase": DepositPayload((), ("m", 0.0, "x")),
+    "db-contract": DepositPayload((("a", "b", 0.0),), ("m0", 0.0)),
+    "eb-record": EncryptionPayload(b"pk", (("mo", "t"),)),
+    "tb-digest": TestingPayload((("t", bytes(32), "x"),), (), ()),
+    "sb-verified": SettlementPayload((("g", "t1"),), ()),
+}
+
+
+class TestJsonReference:
+    """A block's digest is the SHA-256 of its dump line's body, which is the
+    compact, key-sorted JSON a plain recursive encoder writes."""
 
     @settings(max_examples=400, deadline=None)
     @given(blocks())
-    def test_same_digest_as_the_nested_encoding(self, block):
-        assert block_digest(block) == reference_block_digest(block)
+    @example(Block(BlockHeader(1, 1, "DB", ZERO_DIGEST, 0, 1),
+                   DepositPayload((), ("\U0001d11e-é", 0.0))))
+    @example(Block(BlockHeader(3, 1, "TB", ZERO_DIGEST, 0, 3), TestingPayload(
+        (("é", b""),), ((math.nan, math.inf, -math.inf), ()), ((), ()))))
+    # line breaks other than a line feed, which ``json`` writes unescaped
+    @example(Block(BlockHeader(4, 1, "SB", ZERO_DIGEST, 0, 4), SettlementPayload(
+        (("\x85", "\u2028", 0.5),), ("\u2029",))))
+    def test_digest_and_line_match_the_reference(self, block):
+        assert block_body(block) == reference_body(block)
+        assert block_digest(block) == hashlib.sha256(reference_body(block).encode()).digest()
+        dump = chain_to_jsonl(Chain(blocks=[block]))
+        assert dump == reference_line(block) + "\n"
+        # each block round-trips: parsed, hashed and dumped again
+        parsed = chain_from_jsonl(dump)
+        assert parsed.digests == [block_digest(block)]
+        assert chain_to_jsonl(parsed) == dump
 
-    @settings(max_examples=300, deadline=None)
-    @given(blocks(), st.data())
-    def test_one_bad_value_raises_the_reference_error(self, block, data):
-        paths = list(leaves(block.payload))
-        assume(paths)
-        path = data.draw(st.sampled_from(paths))
-        bad = data.draw(st.sampled_from(["\ud800", "a\udfff", None]))
-        block = Block(block.header, replaced(block.payload, path, bad))
-        expected = outcome(reference_block_digest, block)
-        assert isinstance(expected, type) and issubclass(expected, Exception)
-        assert outcome(block_digest, block) is expected
+    @pytest.mark.parametrize("kind, payload", [
+        ("DB", DepositPayload((("\ud800", "t", 0.0, 0.0),), ("m0", 0.0))),
+        ("DB", DepositPayload((), ("a\udfff", 0.0))),
+        ("EB", EncryptionPayload(b"pk", (("mo", "\ud800", bytes(32)),))),
+        ("TB", TestingPayload((("\ud800", bytes(32)),), (), ())),
+        ("SB", SettlementPayload((("g", "\ud800", 0.5),), ("\ud800",))),
+    ], ids=["db-contract", "db-coinbase", "eb-record", "tb-digest", "sb-verified"])
+    def test_lone_surrogate_refused_on_append_and_in_a_dump(self, kind, payload):
+        chain = _chain_before(kind)
+        blocks, digests = list(chain.blocks), list(chain.digests)
+        block = Block(_next_header(chain, kind), payload)
+        with pytest.raises(UnicodeEncodeError):
+            append_block(chain, block)
+        assert (chain.blocks, chain.digests) == (blocks, digests)
+        # its line with the surrogate escaped, and the digest of that text
+        dump = chain_to_jsonl(chain) + reference_line(block, ensure_ascii=True) + "\n"
+        violations = verify_chain_dump(dump)
+        assert [v.split(":")[:2] for v in violations] == [["Unparseable", f" line {len(blocks)}"]]
 
-    def test_ids_of_two_widths_and_an_int_amount(self):
-        # One id is 7 bytes and the others 4, so that column is encoded value
-        # by value, and the int amount keeps its tag 'I'.
-        contracts = (("p000", "p001", 0.5, 1.0), ("genesis", "p002", 2, -0.0))
-        block = Block(_next_header(new_chain(), "DB"), DepositPayload(contracts, ("m0", 0.001)))
-        assert block_digest(block) == reference_block_digest(block)
-
-    @pytest.mark.parametrize("contracts, coinbase", [
-        ((), ("m0", 0.0, "x")),
-        ((("a", "b", 0.0),), ("m0", 0.0)),
-        ((("a", "b", 0.0), ("c", "d", 1.0)), ("m0", 0.0)),
-    ], ids=["lone-coinbase", "lone-contract", "two-contracts"])
-    def test_record_of_the_wrong_length_is_not_hashed(self, contracts, coinbase):
-        # Hashed, such a record would be dumped without its extra field or
-        # with a missing key, and the dump would fail its own verification.
-        block = Block(_next_header(new_chain(), "DB"), DepositPayload(contracts, coinbase))
-        with pytest.raises(ValueError, match=r"zip\(\)"):
-            block_digest(block)
-        with pytest.raises(ValueError, match=r"zip\(\)"):
-            Chain(blocks=[block])
+    @pytest.mark.parametrize("case", sorted(WRONG_LENGTH))
+    def test_record_of_the_wrong_length_refused_in_a_dump(self, case):
+        # The line of such a block, with the digest of its own text.
+        payload = WRONG_LENGTH[case]
+        kind = chainmod._PAYLOAD_KIND[type(payload)]
+        chain = _chain_before(kind)
+        line = reference_line(Block(_next_header(chain, kind), payload))
+        violations = verify_chain_dump(chain_to_jsonl(chain) + line + "\n")
+        assert len(violations) == 1
+        assert re.fullmatch(rf"Unparseable: line {len(chain.blocks)}: "
+                            r"a record of [a-z_, ]+ must have [234] fields", violations[0])
 
 
 class TestAppend:
@@ -291,18 +288,11 @@ class TestAppend:
         with pytest.raises(PayloadInvariantViolation):
             append_block(chain, Block(_next_header(chain, "TB"), bad_tb))
 
-    @pytest.mark.parametrize("payload", [
-        DepositPayload((), ("m", 0.0, "x")),
-        DepositPayload((("a", "b", 0.0),), ("m0", 0.0)),
-        EncryptionPayload(b"pk", (("mo", "t"),)),
-        TestingPayload((("t", bytes(32), "x"),), (), ()),
-        SettlementPayload((("g", "t1"),), ()),
-    ], ids=["db-coinbase", "db-contract", "eb-record", "tb-digest", "sb-verified"])
-    def test_record_of_the_wrong_length_leaves_the_chain_unchanged(self, payload):
-        chain = new_chain()
+    @pytest.mark.parametrize("case", list(WRONG_LENGTH))
+    def test_record_of_the_wrong_length_leaves_the_chain_unchanged(self, case):
+        payload = WRONG_LENGTH[case]
         kind = chainmod._PAYLOAD_KIND[type(payload)]
-        for k in KINDS[:KINDS.index(kind)]:
-            append_block(chain, Block(_next_header(chain, k), _empty_payload(k)))
+        chain = _chain_before(kind)
         blocks, digests = list(chain.blocks), list(chain.digests)
         with pytest.raises(PayloadInvariantViolation, match="RecordLength"):
             append_block(chain, Block(_next_header(chain, kind), payload))
@@ -521,20 +511,28 @@ class TestRuleList:
 
 class TestHashOnce:
     def test_each_block_is_hashed_once_from_run_to_dump(self, monkeypatch):
-        calls = []
+        # Every encoding goes through block_body and every SHA-256 of the
+        # chain module through its hashlib: count both in each pass.
+        encoded, hashed = [], []
+        body, sha256 = chainmod.block_body, chainmod.hashlib.sha256
+        monkeypatch.setattr(chainmod, "block_body", lambda b: encoded.append(b) or body(b))
+        monkeypatch.setattr(chainmod, "hashlib", types.SimpleNamespace(
+            sha256=lambda data: hashed.append(data) or sha256(data)))
 
-        def counting_block_digest(block):
-            calls.append(block)
-            return block_digest(block)
+        def counts(run, *args):
+            encoded.clear(), hashed.clear()
+            return run(*args), len(encoded), len(hashed)
 
-        monkeypatch.setattr(chainmod, "block_digest", counting_block_digest)
-        chain = simulate_run(SimConfig(mode="abstract", rounds=20, seed=7)).state.chain
-        dump = chain_to_jsonl(chain)
+        run, *run_counts = counts(simulate_run, SimConfig(mode="abstract", rounds=20, seed=7))
+        chain = run.state.chain
         assert len(chain.blocks) == 81
-        assert len(calls) == 81
-        assert calls == chain.blocks
-        assert chain.digests == [block_digest(b) for b in chain.blocks]
-        assert verify_chain_dump(dump) == []
+        assert run_counts == [81, 81] and encoded == chain.blocks
+        dump, *dump_counts = counts(chain_to_jsonl, chain)
+        assert dump_counts == [81, 0]
+        partial = Chain(blocks=[])
+        violations, *verify_counts = counts(verify_chain_dump, dump, partial)
+        assert violations == [] and verify_counts == [81, 81]
+        assert partial.digests == chain.digests == [block_digest(b) for b in chain.blocks]
 
     def test_a_chain_built_from_blocks_hashes_each_of_them(self):
         chain = simulate_run(SimConfig(mode="abstract", rounds=20, seed=7)).state.chain
@@ -589,14 +587,15 @@ class TestDumpFormat:
         return chain
 
     def test_golden_block_digests(self):
-        # Declaration order of the block dataclasses is hash order: these
-        # pin it for every kind with non-empty payload fields.
+        # The field names of the block dataclasses and the field order of
+        # each record are hashed: these pin them for every kind with
+        # non-empty payload fields.
         digests = {b.header.kind: block_digest(b).hex() for b in self._sample_chain().blocks[1:]}
         assert digests == {
-            "DB": "a47fa986347d2948ed21f25b1fd3ee254e179249d19f10c63043fd898eae1cc5",
-            "EB": "f7a5e3608b208fe7f500940967162f5737f7a43878fb4a8d4b95dce412261b7e",
-            "TB": "2063999a9fb28e4dfc4377b60bb1f5c5517b4b9e5d4522867bee1b2e652043ab",
-            "SB": "ceb270bfff81a740efbf7c00d61644ba76dea3e432820449c1ffa4945af42573",
+            "DB": "68350b1203a751b46a1fb3e0978f3dca4391eb638c9db51dfd96ee7504a1da81",
+            "EB": "6c1be0c0803a1f67974b69f6975d8bf6f2340e8b4c9b728b15e987f64a119680",
+            "TB": "dfb7b38de9d666dfea64ab36c1852c7f31ddb188be1c56ae3c214c39f0735582",
+            "SB": "0370f16999bc72cce7e74ec2fd43bb4725efdfd251bad9aeb4ff8740af37f02e",
         }
 
     def test_round_trip_preserves_digests(self):
@@ -653,7 +652,7 @@ class TestLineBreaks:
         if tamper == "crlf":
             violations = verify_chain_dump("\r\n".join([*lines, ""]))
             assert violations == [
-                f"Unparseable: line {i}: whitespace around the object" for i in range(5)
+                f"Unparseable: line {i}: not the canonical line of its block" for i in range(5)
             ] + ["EmptyChain: no blocks"]
             return
         if tamper == "no-last-break":
@@ -712,12 +711,11 @@ class TestRecordsLeaveTheCollector:
 
 def sorted_line(line):
     """``line`` as ``json`` writes its object with sorted keys."""
-    return json.dumps(json.loads(line), sort_keys=True, separators=(",", ":"))
+    return json.dumps(json.loads(line), sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
 class TestKeyOrder:
-    """The encoder builds every object with its keys in sorted order, so
-    each dump line is the sorted-key encoding of its own object."""
+    """Each dump line is the compact sorted-key encoding of its own object."""
 
     @pytest.mark.parametrize("mode", ["abstract", "concrete"])
     @pytest.mark.parametrize("seed", [7, 1009])
@@ -729,15 +727,15 @@ class TestKeyOrder:
             assert line == sorted_line(line)
 
     @settings(max_examples=300, deadline=None)
-    @given(blocks(exact=True))
+    @given(blocks())
     @example(Block(BlockHeader(1, 1, "DB", ZERO_DIGEST, 0, 1),
                    DepositPayload((), ("\U0001d11e-é", 0.0))))
     @example(Block(BlockHeader(3, 1, "TB", ZERO_DIGEST, 0, 3), TestingPayload(
         (("é", b""),), ((math.nan, math.inf, -math.inf), ()), ((), ()))))
     def test_block_lines(self, block):
         dump = chain_to_jsonl(Chain(blocks=[block]))
-        line, = dump.splitlines()
-        assert dump == line + "\n"
+        line, end = dump.split("\n")
+        assert end == ""
         assert line == sorted_line(line)
 
     def test_dump_of_no_blocks_is_one_empty_line(self):
@@ -759,9 +757,9 @@ class TestTamperedValues:
         ('"nonce":7342', '"nonce":Infinity'),
         ('"height":1,', '"height":1e999,'),
         ('"nonce":7342', '"nonce":73420000000000000000'),
-        ('"miner_id":"m0"', '"miner_id":"\\ud800"'),
-        # These decode to the same block, so its digest matches: only the
-        # decoder can reject them.
+        pytest.param('"coinbase":["m0"', '"coinbase":["\\ud800"', id="lone-surrogate-miner-id"),
+        # The decoder rejects each of these: a value of another type than
+        # its field's, or a key the object does not define.
         ('"round":1,', '"round":1.9,'),
         ('"round":1,', '"round":true,'),
         ('"height":1,', '"height":1.0,'),
@@ -777,20 +775,54 @@ class TestTamperedValues:
         assert [v.split(":")[0] for v in violations] == ["Unparseable"]
 
     @pytest.mark.parametrize("line, old, new", [
-        (1, '"mo_amount":0.0,', '"mo_amount":"0.0",'),
+        (1, ',0.0,0.0]', ',"0.0",0.0]'),
         (2, '"pk":"6d6f636b', '"pk":"6D6F636B'),
-        (1, '{"mo_amount"', '{"extra":5,"mo_amount"'),
-        (1, '"digest":"89da', '"digest":"89DA'),
+        (1, '["p000","p006",0.0,0.0]', '["p000","p006",0.0,0.0,0.0]'),
+        (1, '"digest":"2645db', '"digest":"2645DB'),
     ], ids=["float-as-string", "upper-case-bytes", "unknown-key-in-a-contract",
             "upper-case-digest"])
     def test_records_decode_strictly(self, seed_7_blocks, line, old, new):
-        # The dump up to the tampered line, which is its tip; each change
-        # decodes to the same block, so only the decoder can reject it.
+        # The dump up to the tampered line, which is its tip; each change is
+        # rejected before any digest or rule is checked.
         lines = chain_to_jsonl(Chain(blocks=list(seed_7_blocks))).splitlines(keepends=True)
         text = "".join(lines[:line + 1])
         assert lines[line].count(old) >= 1 and verify_chain_dump(text) == []
         violations = verify_chain_dump(text.replace(old, new, 1))
         assert [v.split(":")[:2] for v in violations] == [["Unparseable", f" line {line}"]]
+
+    @pytest.mark.parametrize("old, new", [
+        ('"height":1,', '"height":1,"height":1,'),
+        ('"kind":"DB"', '"kind": "DB"'),
+        (',"kind":"DB"', ', "kind":"DB"'),
+        ('"kind":"DB"', '"kind":"\\u0044B"'),
+        ('"p006",0.0,', '"p006",0.00,'),
+        ('"p006",0.0,', '"p006",0.000000e+00,'),
+    ], ids=["repeated-key", "space-after-colon", "space-after-comma", "escaped-letter",
+            "float-with-two-zeros", "float-with-an-exponent"])
+    def test_non_canonical_line_is_unparseable(self, seed_7_blocks, old, new):
+        # Each line decodes to the block of the untampered one, whose digest
+        # it records; only its canonical line verifies.
+        lines = chain_to_jsonl(Chain(blocks=list(seed_7_blocks[:2]))).splitlines(keepends=True)
+        assert lines[1].count(old) == 1 and verify_chain_dump("".join(lines)) == []
+        assert chain_from_jsonl(lines[1].replace(old, new)).blocks == [seed_7_blocks[1]]
+        assert verify_chain_dump(lines[0] + lines[1].replace(old, new)) == [
+            "Unparseable: line 1: not the canonical line of its block"]
+
+    def test_dump_of_the_binary_hash_encoding_is_refused(self):
+        # The dump of ``_dump``'s chain when a digest hashed a binary
+        # encoding and records were JSON objects: the genesis line has no
+        # record, so only its digest differs.
+        old = (
+            '{"digest":"c182288e4ee4318007122e1fc03e22eae7311f5c235453bd420cf395b69e1d1e",'
+            '"height":0,"kind":"SB","nonce":0,"payload":{"top_set":[],"verified":[]},'
+            '"prev_digest":"' + "0" * 64 + '","round":0,"timestamp":0}\n'
+            '{"digest":"e51aafead8936c8c4c5f2d69f81e58a9ebb0308deb8def54708ad422f535bfab",'
+            '"height":1,"kind":"DB","nonce":7342,"payload":{"coinbase":{"amount":0.0,'
+            '"miner_id":"m0"},"contracts":[]},"prev_digest":"c182288e4ee4318007122e1fc03e22eae7'
+            '311f5c235453bd420cf395b69e1d1e","round":1,"timestamp":15}\n')
+        assert verify_chain_dump(old) == [
+            "DigestMismatch: line 0",
+            "Unparseable: line 1: expected list, got {'amount': 0.0, 'miner_id': 'm0'}"]
 
     def test_deeply_nested_line_is_unparseable(self, seed_7_blocks):
         lines = chain_to_jsonl(Chain(blocks=list(seed_7_blocks))).splitlines(keepends=True)

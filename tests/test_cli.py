@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import types
 from pathlib import Path
 
 import pytest
@@ -184,15 +185,15 @@ class TestTraceRoundVerb:
             round 1 trace (mode abstract, seed 7)
              (1) bidding: 1 MO(s) ['p000'], 127 candidate trainer(s), 128 miner(s)
              (2) contracts: 4 escrowed
-             (3) deposit block mined by p005: 4 contract(s) packed, digest 89da62959bae0832...
+             (3) deposit block mined by p005: 4 contract(s) packed, digest 2645db2720001eba...
              (4) transmission: 4 trainer(s) received a model
              (5) training: 4/4 succeeded
              (6) hash broadcast: 4 digest(s)
-             (7) encryption block mined by p038: 4 record(s), digest cb4900a44c759b4e...
+             (7) encryption block mined by p038: 4 record(s), digest 839d77431f840d65...
              (8) encryption: 4 model(s) encrypted
-             (9) testing block mined by p199: 100 case(s), digest ce1f48b6e41e4bc9...
+             (9) testing block mined by p199: 100 case(s), digest 56c6d1f2b4c6da55...
             (10) outputs: 4 submission(s), 0 rejected
-            (11) settlement block mined by p118: 4 verified, top set ['p006', 'p011'], digest 2d0f31e83c50f015...
+            (11) settlement block mined by p118: 4 verified, top set ['p006', 'p011'], digest 50f60f9de85ced92...
                  minted 2.516000, forfeited 0.000000, citation coins 2.000000
             balances before -> after (5 changed):
               p000: 0.000000 -> 2.000000
@@ -205,15 +206,15 @@ class TestTraceRoundVerb:
             round 1 trace (mode concrete, seed 7)
              (1) bidding: 1 MO(s) ['p000'], 127 candidate trainer(s), 128 miner(s)
              (2) contracts: 4 escrowed
-             (3) deposit block mined by p085: 4 contract(s) packed, digest 96ad1be0cb86c362...
+             (3) deposit block mined by p085: 4 contract(s) packed, digest 3ef921fcdc08a694...
              (4) transmission: 4 trainer(s) received a model
              (5) training: 3/4 succeeded
              (6) hash broadcast: 3 digest(s)
-             (7) encryption block mined by p131: 3 record(s), digest 1acf9b282870819c...
+             (7) encryption block mined by p131: 3 record(s), digest 69620beba7de1195...
              (8) encryption: 3 model(s) encrypted
-             (9) testing block mined by p140: 100 case(s), digest 0db1bbb625081cbe...
+             (9) testing block mined by p140: 100 case(s), digest ed7d1bca70e4bb37...
             (10) outputs: 3 submission(s), 0 rejected
-            (11) settlement block mined by p204: 3 verified, top set ['p006'], digest 9c8e7befc8c7f15b...
+            (11) settlement block mined by p204: 3 verified, top set ['p006'], digest 4aa233a1d442b0f5...
                  minted 1.413000, forfeited 0.000000, citation coins 1.000000
             balances before -> after (5 changed):
               p000: 0.000000 -> 1.000000
@@ -352,14 +353,20 @@ class TestExportOnePass:
         return 0, chain.chain_to_jsonl(chain.chain_from_jsonl(text)), ""
 
     def test_each_block_hashed_once(self, tmp_path, monkeypatch):
+        # Every SHA-256 of the chain module goes through its hashlib, and
+        # every block encoding through block_body.
         dump = self._dump(tmp_path)
-        calls = []
-        digest = chain.block_digest
-        monkeypatch.setattr(chain, "block_digest", lambda b: calls.append(b) or digest(b))
+        hashed, encoded = [], []
+        sha256, body = chain.hashlib.sha256, chain.block_body
+        monkeypatch.setattr(chain, "hashlib", types.SimpleNamespace(
+            sha256=lambda data: hashed.append(data) or sha256(data)))
+        monkeypatch.setattr(chain, "block_body", lambda b: encoded.append(b) or body(b))
         assert main(["export", "--config", str(dump), "--out", str(tmp_path / "x.jsonl")]) == 0
         blocks = len(dump.read_text().splitlines())
         assert blocks == 4 * 6 + 1
-        assert len(calls) == blocks
+        assert len(hashed) == blocks
+        # one encoding per block in each pass: verify, then dump
+        assert len(encoded) == 2 * blocks
 
     def test_good_dump_output_unchanged(self, tmp_path, capsys):
         dump = self._dump(tmp_path)
@@ -403,6 +410,18 @@ class TestExitCodes:
         assert main(["simulate", "--config", str(cfg), "--seed", "-7", "--out", str(out)]) == 2
         assert "seed" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["check-incentives", "min-rewards"])
+    @pytest.mark.parametrize("name", ["q_deposit", "q_cases", "v_rec_m"])
+    def test_count_too_large_for_a_float_exit_two(self, verb, name, tmp_path, capsys):
+        # The bounds use each count as a float, so one past the largest
+        # float is refused with the parameters, not raised mid-evaluation.
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(ECON_CFG)
+        huge = "1" + "0" * 400
+        assert main([verb, "--config", str(cfg), "--set", f"{name}={huge}"]) == 2
+        assert capsys.readouterr() == ("", f"relaysim: {name} must be >= 0 and at most "
+                                           f"the largest finite float, got {huge}\n")
 
     @pytest.mark.parametrize("verb, override, err", [
         ("check-incentives", "q_deposit=1", "NPA evaluation requires 0 < q_deposit_less "

@@ -411,27 +411,27 @@ class TestGoldenOutputs:
 
     @pytest.mark.parametrize("mode, rounds, chain_sha, csv_sha", [
         ("abstract", 20,
-         "a1f0518a9a64934068e0c58e2c1ce2311d2aaf52d3e2fc8ffc8c67441e5d3752",
+         "051b0a0f2cb568c20ab7e5d9cc71ba9b3e3022b14d1bcb78a49ad9fe5a18b206",
          "b2a8f59364173e6907a174b691ed4b0e5445087c16f1d9bda224e9559efdff2c"),
         ("concrete", 4,
-         "968ba15587a743dc5cc3677c294f02ceb8147531a4124aceae2956d3ea0afb34",
+         "3ed6e3c8e0c3868b841ab5d4568a5d4772030c0d623797b8ec0932065758dd94",
          "767159e21f7aaa19798c020652e675f6b50133b9974b36623631053cc045eda6"),
-    ])
+    ], ids=["abstract-20", "concrete-4"])
     def test_seed_7_digests(self, mode, rounds, chain_sha, csv_sha):
         self._check(SimConfig(seed=7, rounds=rounds, mode=mode), chain_sha, csv_sha)
 
     @pytest.mark.parametrize("mode, rounds, toggle, chain_sha, csv_sha", [
         ("abstract", 20, dict(second_price_deposits=True),
-         "50c1c0e34da26046b2de17f78ae7c5b307265fa860cc8d04b48e2d78607bf82e",
+         "a9e0d1daf6450fdd5d24d626b8cc01722ca54b04f3793a548f2475bc420336dd",
          "18a65a440a8d219fdd4c93a620c702a58c5e10d864f5504a092bf64aebe8099d"),
         ("abstract", 20, dict(distinct_miners_per_round=False),
-         "a065b5c7826a28b329b6b8eea55231cde1d5272443160ae7ad3e37c33622376e",
+         "73fa2af29835f7723f4c8bc62a59fc043ee16a84c5432d69d446403caad4bad9",
          "215c9959a7530c720835586337cc9c5dfc2574a2804aba7f279a98484844a6e9"),
         ("concrete", 4, dict(second_price_deposits=True),
-         "d6de8c6b5181275082d842925273ba8ac32c184c1c35702ac2931cc212d8c7c8",
+         "51a78c5a4c14b4b9535c0460aaf88dcb7147d89ec2f737d3f77a98f28f3701da",
          "b4975f773aff5d0639049929f13227c64c6e3a9f3429ab0ed044306b46032823"),
         ("abstract", 40, dict(coin_unit=0.1),
-         "e0f98dc7f805ff9953ab4c51f1b8e2b705cbd778d16e326a88eba47e66063bdd",
+         "0fd64488c985d509f83fe196b52bcfd48f876792048d68c0eb0912948f391ad5",
          "2a129623e462a4d41a5821d4f558efcaa7b3430fa7390e31f00bf5dc0899d84f"),
     ], ids=["abstract-second-price", "abstract-shared-miners", "concrete-second-price",
             "abstract-coin-unit-0.1"])
@@ -439,11 +439,11 @@ class TestGoldenOutputs:
         self._check(SimConfig(seed=7, rounds=rounds, mode=mode, **toggle), chain_sha, csv_sha)
 
     @pytest.mark.parametrize("model_dim, chain_sha, csv_sha", [
-        (1, "e4ddc0ecd9a2e03b1f714f207803fdbe71c1b8269c1d9530af906faf4640960d",
+        (1, "9fc66e4b2e143563efd4605eac03350dbb6ccc58665f03f4ae5b6bbc51f707bc",
          "3b83b3357cd23860259873680137afadd42480fd4544c178e219575c10a0470a"),
-        (7, "a998f9fec2aed04c88ec789a2bd15f8b82294aeeb87d5814f5f8fb261724df9b",
+        (7, "d96a390dc40b10f1f64d9b8e007b0e20c339bb2c5370d31a189b4fd49ac81157",
          "043ccb93f7da311a62ddb435c814dce56aef427a41b26cf99d40c7f5ba9a85ed"),
-    ])
+    ], ids=["dim-1", "dim-7"])
     def test_seed_7_concrete_model_dims(self, model_dim, chain_sha, csv_sha):
         self._check(SimConfig(seed=7, rounds=6, mode="concrete", model_dim=model_dim),
                     chain_sha, csv_sha)
@@ -452,11 +452,11 @@ class TestGoldenOutputs:
     # state of the reference setting, past the cold start the pins above
     # stop in.
     @pytest.mark.parametrize("seed, chain_sha, csv_sha", [
-        (7, "0a77bb5f139babbb51477bb4ea6fbfbb7740b7011c1c05305fdd1dd225445ec4",
+        (7, "5ef33facc3fb14cfc682d488e3e3b1c8f66750b54f38a8a481fd2d3f0b862c7f",
          "d2f80abfc159280454a84f796402b437a222543461046ac1e6930c8ada93662b"),
-        (1009, "010aa57d0722c00f7b5a8dc2c2def4739196af88d13a24d487478720164af0a2",
+        (1009, "fe838964e7e0ce45980cf1ea274d5e9a1c2d59e00ad4207e246a6b8ba73a22d5",
          "39f3e36bba2c2ae2666eadab82bf8935bb4f287bcd8002715cd23d9402f72fd7"),
-    ])
+    ], ids=["seed-7", "seed-1009"])
     def test_concrete_steady_state_digests(self, seed, chain_sha, csv_sha):
         self._check(SimConfig(seed=seed, rounds=20, mode="concrete"), chain_sha, csv_sha)
 
