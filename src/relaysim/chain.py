@@ -13,9 +13,10 @@ cycle, height tip+1, back link to the tip's digest, round
 rules of ``validate_block``. ``append_block`` raises on them and
 ``verify_chain_dump`` reports them; ``next_header`` builds a linked header.
 
-Each block is hashed once, when it joins a ``Chain``: ``Chain.digests``
-runs parallel to the append-only ``Chain.blocks``, and the back links,
-the round log and the dump all read the digest from there.
+Each block is encoded and hashed once, when it joins a ``Chain``, whose
+``lines`` keep each block's dump line beside the append-only ``blocks``:
+the back links and the round log read the digest at the head of a line
+(``Chain.digest``), and the dump joins the lines.
 
 A block has one encoding, which is hashed, dumped and verified. Its body
 (``block_body``) is the compact JSON object of the header's fields and
@@ -107,8 +108,8 @@ class BlockHeader:
             raise ChainError(f"prev_digest must be {DIGEST_SIZE} bytes")
         for name in ("height", "round", "nonce", "timestamp"):
             value = getattr(self, name)
-            if not 0 <= value < 2**64:
-                raise ChainError(f"{name} must be in [0, 2**64), got {value}")
+            if type(value) is not int or not 0 <= value < 2**64:
+                raise ChainError(f"{name} must be an int in [0, 2**64), got {value!r}")
 
 
 # --- records -------------------------------------------------------------
@@ -321,6 +322,12 @@ def block_digest(block: Block) -> bytes:
     return hashlib.sha256(block_body(block).encode()).digest()
 
 
+def block_line(block: Block) -> str:
+    """The dump line of ``block`` without its line feed, from one encoding."""
+    body = block_body(block)
+    return _line(hashlib.sha256(body.encode()).digest(), body)
+
+
 def expected_kind(height: int) -> str:
     """Genesis holds the SB slot of round 0, then DB, EB, TB, SB repeat."""
     return KINDS[(height - 1) % 4]
@@ -339,8 +346,8 @@ def genesis_block() -> Block:
 class Chain:
     """Single-writer block list; reads of committed blocks are safe.
 
-    ``blocks`` is append-only, through ``append_block``. ``digests[i]`` is
-    ``block_digest(blocks[i])``: the blocks a chain is built with are hashed
+    ``blocks`` is append-only, through ``append_block``. ``lines[i]`` is
+    ``block_line(blocks[i])``: the blocks a chain is built with are encoded
     here, and each appended block once, as it is appended. Only
     ``verify_chain_dump`` appends to both lists itself, for the partial
     chain it checks each line against. That chain, the caller's or the new
@@ -348,14 +355,18 @@ class Chain:
     """
 
     blocks: list[Block] = field(default_factory=list)
-    digests: list[bytes] = field(init=False, repr=False, compare=False)
+    lines: list[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.digests = [block_digest(block) for block in self.blocks]
+        self.lines = list(map(block_line, self.blocks))
 
     @property
     def tip(self) -> Block:
         return self.blocks[-1]
+
+    def digest(self, index: int = -1) -> bytes:
+        """The digest of ``blocks[index]``: the hex after ``{"digest":"``."""
+        return bytes.fromhex(self.lines[index][11:75])
 
 
 def new_chain() -> Chain:
@@ -391,12 +402,13 @@ def validate_block(chain: Chain, block: Block) -> list[str]:
 
     Every record must have its type's number of fields; a block with one
     that does not is checked no further, since the other rules read the
-    records field by field. DB contract and coinbase amounts must be
-    finite and >= 0; EB records must differ from the predecessor model's
-    digest recorded in the previous round's EB; TB input/truth case counts
-    must match; SB performances must be finite, top-set members must be
-    verified, and there are 1 to all of them (none without verified
-    records). An SB that keeps those rules must hold a prefix of
+    records field by field. A float field holds a float, not an int or a
+    boolean its line would not decode to. DB contract and coinbase amounts
+    must be finite and >= 0; EB records must differ from the predecessor
+    model's digest recorded in the previous round's EB; TB input/truth
+    case counts must match; SB performances must be finite, top-set
+    members must be verified, and there are 1 to all of them (none without
+    verified records). An SB that keeps those rules must hold a prefix of
     ``ranked_ids``; its length, which depends on ``s``, is not checked.
     """
     violations: list[str] = []
@@ -410,13 +422,14 @@ def validate_block(chain: Chain, block: Block) -> list[str]:
         return violations
     if isinstance(payload, DepositPayload):
         for mo_id, trainer_id, mo_amount, t_amount in payload.contracts:
-            if not (0.0 <= mo_amount < math.inf and 0.0 <= t_amount < math.inf):
+            if not (type(mo_amount) is type(t_amount) is float
+                    and 0.0 <= mo_amount < math.inf and 0.0 <= t_amount < math.inf):
                 violations.append(
                     f"InvalidAmount: contract {mo_id}->{trainer_id} escrows "
                     f"{mo_amount!r} and {t_amount!r}"
                 )
         miner_id, amount = payload.coinbase
-        if not 0.0 <= amount < math.inf:
+        if type(amount) is not float or not 0.0 <= amount < math.inf:
             violations.append(f"InvalidAmount: coinbase of {miner_id} is {amount!r}")
     elif isinstance(payload, EncryptionPayload):
         prior: dict[str, bytes] = {}
@@ -432,6 +445,9 @@ def validate_block(chain: Chain, block: Block) -> list[str]:
                     f"digest of {prev_owner_id}'s model"
                 )
     elif isinstance(payload, TestingPayload):
+        cells = list(itertools.chain(*payload.testing_inputs, *payload.testing_truths))
+        if countOf(map(type, cells), float) != len(cells):
+            violations.append("InvalidCase: a testing input or truth is not a float")
         if len(payload.testing_inputs) != len(payload.testing_truths):
             violations.append(
                 f"CaseCountMismatch: {len(payload.testing_inputs)} inputs vs "
@@ -439,7 +455,7 @@ def validate_block(chain: Chain, block: Block) -> list[str]:
             )
     elif isinstance(payload, SettlementPayload):
         for _, trainer_id, performance in payload.verified:
-            if not math.isfinite(performance):
+            if type(performance) is not float or not math.isfinite(performance):
                 violations.append(f"NonFinitePerformance: {trainer_id} has {performance!r}")
         verified_ids = set(map(itemgetter(1), payload.verified))
         for trainer_id in payload.top_set:
@@ -464,7 +480,7 @@ def _violations(chain: Chain, block: Block) -> list[tuple[type, str]]:
     empty chain has a virtual tip at height -1 with digest ``ZERO_DIGEST``
     and accepts only ``genesis_block()``."""
     tip = chain.blocks[-1].header if chain.blocks else None
-    tip_digest = chain.digests[-1] if chain.blocks else ZERO_DIGEST
+    tip_digest = chain.digest() if chain.blocks else ZERO_DIGEST
     height, header = tip.height + 1 if tip else 0, block.header
     found = []
     if not tip and block != genesis_block():
@@ -495,9 +511,9 @@ def append_block(chain: Chain, block: Block) -> Chain:
         raise error("; ".join(message for cls, message in found if cls is error))
     # Encoded and hashed before either list grows, so a block that fails to
     # encode or hash leaves the chain as it was.
-    digest = block_digest(block)
+    line = block_line(block)
     chain.blocks.append(block)
-    chain.digests.append(digest)
+    chain.lines.append(line)
     return chain
 
 
@@ -506,7 +522,7 @@ def next_header(chain: Chain, nonce: int) -> BlockHeader:
     tip = chain.tip.header
     height = tip.height + 1
     return BlockHeader(height, expected_round(height), expected_kind(height),
-                       chain.digests[-1], nonce, tip.timestamp + 1)
+                       chain.digest(), nonce, tip.timestamp + 1)
 
 
 def mine_winner(candidates: Sequence[str], rng: random.Random) -> str:
@@ -526,12 +542,11 @@ def _line(digest: bytes, body: str) -> str:
 
 
 def chain_to_jsonl(chain: Chain) -> str:
-    """One line per block (see the module docstring), each block encoded
-    again and its digest read from ``chain.digests``."""
-    lines = list(map(_line, chain.digests, map(block_body, chain.blocks)))
+    """One line per block (see the module docstring): ``chain.lines``, with
+    no block encoded again."""
     # Joined with an empty last line, so the dump ends in a newline without
     # a second copy of it; the dump of no blocks is one empty line.
-    return "\n".join([*lines, ""]) if lines else "\n"
+    return "\n".join([*chain.lines, ""]) if chain.lines else "\n"
 
 
 def _parse_line(line: str) -> tuple[Block, bytes]:
@@ -558,10 +573,10 @@ def verify_chain_dump(text: str, partial: Chain | None = None) -> list[str]:
     ``_violations`` as ``<error class>: line N: <message>``. Lines are
     split at line feeds only and the dump must end in one. A line must be
     the canonical line of the block it decodes to, so a line feed turned
-    into any other byte is reported too. Each parsed block is appended,
-    with its recomputed digest, to ``partial``, an empty chain (a new one if
-    none is given); when the result is empty, ``partial`` is the dumped
-    chain, each of its blocks encoded and hashed once.
+    into any other byte is reported too. Each parsed block and its line,
+    with the recomputed digest, is appended to ``partial``, an empty chain
+    (a new one if none is given); when the result is empty, ``partial`` is
+    the dumped chain, each of its blocks encoded and hashed once.
     """
     violations: list[str] = []
     if partial is None:
@@ -589,7 +604,7 @@ def verify_chain_dump(text: str, partial: Chain | None = None) -> list[str]:
         # The line's block, whatever it breaks, and its own digest: the next
         # line's rules are checked against them.
         partial.blocks.append(block)
-        partial.digests.append(actual)
+        partial.lines.append(line if actual == recorded else _line(actual, body))
     if not text.endswith("\n"):
         violations.append("Unterminated: the dump does not end in a line break")
     if not partial.blocks:

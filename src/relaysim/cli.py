@@ -274,7 +274,7 @@ def _print_trace(log, chain, after: dict[str, float], config) -> None:
     # The round's four blocks end the chain. The EB drops successes whose
     # digest did not change, so the record and encrypted counts come from it.
     payloads = {block.header.kind: block.payload for block in chain.blocks[-4:]}
-    digests = {kind: digest.hex()[:16] for kind, digest in zip(payloads, chain.digests[-4:])}
+    digests = {kind: chain.digest(i).hex()[:16] for i, kind in enumerate(payloads, -4)}
     records = len(payloads["EB"].records)
     encrypted = len(payloads["TB"].encrypted_model_digests)
     submissions = len(log.verified) + len(log.rejected)

@@ -144,7 +144,7 @@ class RoleAssignment:
 class RoundLog:
     """What one round did. ``contracts`` is the tuple the deposit block
     holds; the candidates it leaves out went unmatched. The round's four
-    block digests are the last four of ``Chain.digests``."""
+    block digests head the last four of ``Chain.lines``."""
 
     round: int
     assignment: RoleAssignment

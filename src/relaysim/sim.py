@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence
 
@@ -69,10 +70,14 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         # An int in a float field would reach the chain as an int, which
-        # hashes apart from the float that the dump decodes.
+        # hashes apart from the float that the dump decodes. Settlement is
+        # done in floats, so a number past the largest float cannot be.
         for f in fields(self):
-            if f.type == "float" and type(getattr(self, f.name)) is int:
-                object.__setattr__(self, f.name, float(getattr(self, f.name)))
+            value = getattr(self, f.name)
+            if type(value) is int and value > sys.float_info.max:
+                raise InvalidSimConfig(f"{f.name} is too large for a float")
+            if f.type == "float" and type(value) is int:
+                object.__setattr__(self, f.name, float(value))
         # the full protocol needs a miner to mine each block and the
         # genesis owner in the owner-and-trainer pool
         if min(self.q_miners, self.q_mo_and_t) < 1:

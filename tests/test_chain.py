@@ -36,6 +36,7 @@ from relaysim.chain import (
     append_block,
     block_body,
     block_digest,
+    block_line,
     chain_from_jsonl,
     chain_to_jsonl,
     expected_kind,
@@ -210,7 +211,8 @@ class TestJsonReference:
         assert dump == reference_line(block) + "\n"
         # each block round-trips: parsed, hashed and dumped again
         parsed = chain_from_jsonl(dump)
-        assert parsed.digests == [block_digest(block)]
+        assert parsed.lines == [reference_line(block)]
+        assert parsed.digest() == block_digest(block)
         assert chain_to_jsonl(parsed) == dump
 
     @pytest.mark.parametrize("kind, payload", [
@@ -222,11 +224,11 @@ class TestJsonReference:
     ], ids=["db-contract", "db-coinbase", "eb-record", "tb-digest", "sb-verified"])
     def test_lone_surrogate_refused_on_append_and_in_a_dump(self, kind, payload):
         chain = _chain_before(kind)
-        blocks, digests = list(chain.blocks), list(chain.digests)
+        blocks, lines = list(chain.blocks), list(chain.lines)
         block = Block(_next_header(chain, kind), payload)
         with pytest.raises(UnicodeEncodeError):
             append_block(chain, block)
-        assert (chain.blocks, chain.digests) == (blocks, digests)
+        assert (chain.blocks, chain.lines) == (blocks, lines)
         # its line with the surrogate escaped, and the digest of that text
         dump = chain_to_jsonl(chain) + reference_line(block, ensure_ascii=True) + "\n"
         violations = verify_chain_dump(dump)
@@ -293,11 +295,11 @@ class TestAppend:
         payload = WRONG_LENGTH[case]
         kind = chainmod._PAYLOAD_KIND[type(payload)]
         chain = _chain_before(kind)
-        blocks, digests = list(chain.blocks), list(chain.digests)
+        blocks, lines = list(chain.blocks), list(chain.lines)
         with pytest.raises(PayloadInvariantViolation, match="RecordLength"):
             append_block(chain, Block(_next_header(chain, kind), payload))
-        assert len(chain.blocks) == len(chain.digests)
-        assert (chain.blocks, chain.digests) == (blocks, digests)
+        assert len(chain.blocks) == len(chain.lines)
+        assert (chain.blocks, chain.lines) == (blocks, lines)
         # the chain still takes the right block in that slot
         append_block(chain, Block(_next_header(chain, kind), _empty_payload(kind)))
 
@@ -342,9 +344,9 @@ def _relinked(blocks):
     who rewrote a block and every block after it would build it."""
     chain = Chain(blocks=[blocks[0]])
     for block in blocks[1:]:
-        header = dataclasses.replace(block.header, prev_digest=chain.digests[-1])
+        header = dataclasses.replace(block.header, prev_digest=chain.digest())
         chain.blocks.append(Block(header, block.payload))
-        chain.digests.append(block_digest(chain.blocks[-1]))
+        chain.lines.append(block_line(chain.blocks[-1]))
     return chain
 
 
@@ -528,11 +530,12 @@ class TestHashOnce:
         assert len(chain.blocks) == 81
         assert run_counts == [81, 81] and encoded == chain.blocks
         dump, *dump_counts = counts(chain_to_jsonl, chain)
-        assert dump_counts == [81, 0]
+        assert dump_counts == [0, 0]
         partial = Chain(blocks=[])
         violations, *verify_counts = counts(verify_chain_dump, dump, partial)
         assert violations == [] and verify_counts == [81, 81]
-        assert partial.digests == chain.digests == [block_digest(b) for b in chain.blocks]
+        assert partial.lines == chain.lines == list(map(reference_line, chain.blocks))
+        assert dump == "".join(line + "\n" for line in chain.lines)
 
     def test_a_chain_built_from_blocks_hashes_each_of_them(self):
         chain = simulate_run(SimConfig(mode="abstract", rounds=20, seed=7)).state.chain
@@ -543,6 +546,103 @@ class TestHashOnce:
         assert verify_chain_dump(dump) == [
             "BrokenLinkage: line 81: prev_digest does not match the current tip"
         ]
+
+
+# Amounts and performances that pass ``validate_block``.
+AMOUNT = st.floats(0.0, allow_infinity=False)
+PERFORMANCE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def appended_chains(draw):
+    """A chain grown from genesis by ``append_block``, up to two rounds."""
+    chain = new_chain()
+    for _ in range(draw(st.integers(1, 8))):
+        kind = expected_kind(len(chain.blocks))
+        if kind == "DB":
+            contracts = st.tuples(EXACT[str], EXACT[str], AMOUNT, AMOUNT)
+            payload = DepositPayload(draw(st.lists(contracts, max_size=4).map(tuple)),
+                                     (draw(EXACT[str]), draw(AMOUNT)))
+        elif kind == "EB":
+            payload = EncryptionPayload(draw(EXACT[bytes]), draw(records(TrainingRecord)))
+        elif kind == "TB":
+            count = draw(st.integers(0, 4))
+            cases = st.lists(st.lists(EXACT[float], max_size=3).map(tuple),
+                             min_size=count, max_size=count).map(tuple)
+            payload = TestingPayload(draw(records(EncryptedModelDigest)), draw(cases),
+                                     draw(cases))
+        else:
+            verified = st.tuples(EXACT[str], EXACT[str], PERFORMANCE)
+            verified = draw(st.lists(verified, max_size=4).map(tuple))
+            size = draw(st.integers(min(1, len(verified)), len(verified)))
+            payload = SettlementPayload(verified, tuple(chainmod.ranked_ids(verified)[:size]))
+        block = Block(next_header(chain, draw(U64)), payload)
+        # an EB that repeats the digest its previous owner's record holds
+        assume(chainmod.validate_block(chain, block) == [])
+        append_block(chain, block)
+    return chain
+
+
+class TestLines:
+    """A chain keeps each block's dump line, which the dump joins."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(appended_chains())
+    def test_appended_lines_are_the_reference_lines(self, chain):
+        assert chain.lines == list(map(reference_line, chain.blocks))
+        assert [chain.digest(i) for i in range(len(chain.blocks))] == list(
+            map(block_digest, chain.blocks))
+        dump = chain_to_jsonl(chain)
+        assert dump == "".join(line + "\n" for line in chain.lines)
+        assert verify_chain_dump(dump) == []
+
+    def test_a_wrong_digest_is_recomputed_in_the_partial_chain(self, seed_7_blocks):
+        # Line 2 keeps its recorded digest but not its nonce.
+        lines = chain_to_jsonl(Chain(blocks=list(seed_7_blocks))).splitlines()
+        nonce = seed_7_blocks[2].header.nonce
+        assert lines[2].count(f'"nonce":{nonce},') == 1
+        lines[2] = lines[2].replace(f'"nonce":{nonce},', f'"nonce":{nonce ^ 1},')
+        partial = Chain(blocks=[])
+        assert verify_chain_dump("".join(line + "\n" for line in lines), partial) == [
+            "DigestMismatch: line 2",
+            "BrokenLinkage: line 3: prev_digest does not match the current tip",
+        ]
+        tampered = partial.blocks[2]
+        assert tampered.header.nonce == nonce ^ 1
+        assert partial.lines[2] == reference_line(tampered) != lines[2]
+        assert partial.digest(2) == block_digest(tampered)
+        assert partial.lines[:2] + partial.lines[3:] == lines[:2] + lines[3:]
+
+
+class TestExactTypes:
+    """A value of another type than its field's is refused on append: the
+    block's line would not decode to it."""
+
+    @pytest.mark.parametrize("payload, reason", [
+        (DepositPayload((("mo", "t", 2, 0.0),), ("m0", 0.0)), "InvalidAmount"),
+        (DepositPayload((), ("m0", True)), "InvalidAmount"),
+        (TestingPayload((), ((1.0, 0),), ((0.5,),)), "InvalidCase"),
+        (SettlementPayload((("g", "t1", 1),), ("t1",)), "NonFinitePerformance"),
+    ], ids=["int-mo-amount", "bool-coinbase", "int-testing-input", "int-performance"])
+    def test_int_or_bool_in_a_float_field(self, payload, reason):
+        kind = chainmod._PAYLOAD_KIND[type(payload)]
+        chain = _chain_before(kind)
+        blocks, lines = list(chain.blocks), list(chain.lines)
+        block = Block(next_header(chain, 0), payload)
+        with pytest.raises(PayloadInvariantViolation, match=reason):
+            append_block(chain, block)
+        assert (chain.blocks, chain.lines) == (blocks, lines)
+        # the line it would have: the decoder refuses it
+        dump = chain_to_jsonl(Chain(blocks=[*blocks, block]))
+        assert verify_chain_dump(dump)[0].startswith(f"Unparseable: line {len(blocks)}: "
+                                                     "expected float, got ")
+
+    def test_bool_nonce(self):
+        chain = new_chain()
+        blocks, lines = list(chain.blocks), list(chain.lines)
+        with pytest.raises(ChainError, match="nonce must be an int"):
+            append_block(chain, Block(next_header(chain, True), _empty_payload("DB")))
+        assert (chain.blocks, chain.lines) == (blocks, lines)
 
 
 class TestMineWinner:

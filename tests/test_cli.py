@@ -365,8 +365,9 @@ class TestExportOnePass:
         blocks = len(dump.read_text().splitlines())
         assert blocks == 4 * 6 + 1
         assert len(hashed) == blocks
-        # one encoding per block in each pass: verify, then dump
-        assert len(encoded) == 2 * blocks
+        # one encoding per block, when it is verified: the dump joins the
+        # lines that verifying kept
+        assert len(encoded) == blocks
 
     def test_good_dump_output_unchanged(self, tmp_path, capsys):
         dump = self._dump(tmp_path)
@@ -422,6 +423,14 @@ class TestExitCodes:
         assert main([verb, "--config", str(cfg), "--set", f"{name}={huge}"]) == 2
         assert capsys.readouterr() == ("", f"relaysim: {name} must be >= 0 and at most "
                                            f"the largest finite float, got {huge}\n")
+
+    def test_simulate_count_too_large_for_a_float_exit_two(self, tmp_path, capsys):
+        # Refused where the config is built: no output directory is made.
+        out = tmp_path / "run"
+        huge = "1" + "0" * 400
+        assert main(["simulate", "--set", f"q_cases={huge}", "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", "relaysim: q_cases is too large for a float\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("verb, override, err", [
         ("check-incentives", "q_deposit=1", "NPA evaluation requires 0 < q_deposit_less "

@@ -1,5 +1,6 @@
 import collections
 import csv
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -86,6 +87,13 @@ class TestConfig:
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(InvalidSimConfig):
             SimConfig(**{field: value})
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SimConfig)
+                                      if f.type in ("int", "float")])
+    def test_number_too_large_for_a_float_rejected(self, name):
+        # Built, never run: a count this large would not finish a run.
+        with pytest.raises(InvalidSimConfig, match=f"^{name} is too large for a float$"):
+            SimConfig(**{name: 10**400})
 
     def test_int_reward_base_builds_the_float_chain(self):
         # An int reward reaches the coinbase as an int, which hashes apart
