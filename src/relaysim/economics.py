@@ -20,14 +20,19 @@ All monetary quantities are expressed in a single real-valued "coins"
 unit. The value of one model-version increment is `coin_unit` coins
 (default 1.0); rewards can never be negative, so solved lower bounds
 clamp at zero.
+
+The result records (`ConditionEntry`, `DominanceRow`, `HalfPlane`,
+`MinerRewardBounds`) are immutable `NamedTuple`s, which a sweep builds
+far more cheaply than frozen dataclasses. Being tuples, they compare
+equal to a plain tuple of the same values.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields, replace
-from typing import Callable
+from dataclasses import dataclass, fields
+from typing import Callable, NamedTuple
 
 
 class EconomicsError(ValueError):
@@ -315,8 +320,7 @@ def strategy_utility(rs: RoleStrategy, p: EconomicParams) -> float:
     return _UTILITY_TABLE[(rs.role, rs.strategy)](p)
 
 
-@dataclass(frozen=True)
-class ConditionEntry:
+class ConditionEntry(NamedTuple):
     """One feasibility condition, evaluated as lhs >= bound (> for strict)."""
 
     condition: str
@@ -362,8 +366,7 @@ class ConditionReport:
         return [e.condition for e in self.entries if not e.satisfied]
 
 
-@dataclass(frozen=True)
-class DominanceRow:
+class DominanceRow(NamedTuple):
     """Utility gap between Normal and one alternative strategy of a role."""
 
     role: str
@@ -463,6 +466,9 @@ def citation_reward_bounds(p: EconomicParams) -> dict[str, float]:
     if p.beta <= 0:
         raise DegenerateDenominator("T2/T8 bounds require beta > 0")
     weight = p.q_selected_t_avg * p.beta
+    if weight == 0.0:  # both factors are positive, but the product can round to zero
+        raise DegenerateDenominator(
+            f"T2/T8 bounds require q_selected_t_avg * beta > 0, got {weight}")
     return {
         "T1": _t1_sides(p)[1] / p.q_selected_mo_avg,
         "T2": _t2_sides(p)[1] / weight,
@@ -480,8 +486,7 @@ def minimal_citation_reward(p: EconomicParams) -> float:
     return max(0.0, *citation_reward_bounds(p).values())
 
 
-@dataclass(frozen=True)
-class HalfPlane:
+class HalfPlane(NamedTuple):
     """Constraint a*x + b*y >= c over two non-negative reward rates."""
 
     a: float
@@ -521,8 +526,7 @@ class HalfPlane:
         }
 
 
-@dataclass(frozen=True)
-class MinerRewardBounds:
+class MinerRewardBounds(NamedTuple):
     """Scalar bounds for T3/T4 and half-plane regions for T5/T6."""
 
     r_deposit_min: float
@@ -570,20 +574,23 @@ def minimal_rewards(p: EconomicParams, margin: float = 0.0) -> EconomicParams:
     T5/T6 requirements are split equally between their two rates. With
     ``margin`` zero the result sits on the feasibility boundary, so the
     strict condition T8 is not yet satisfied; any positive margin lifts
-    all rates strictly inside the region.
+    all rates strictly inside the region. A margin that is negative or not
+    a finite float is refused before any bound is computed.
     """
-    if margin < 0:
-        raise InvalidEconomicParams(f"margin must be >= 0, got {margin}")
+    if not 0 <= margin <= sys.float_info.max:
+        raise InvalidEconomicParams(f"margin must be finite and >= 0, got {margin}")
     miner = minimal_miner_rewards(p)
     r_encrypted_m, r_case = miner.tbm_constraint.equal_split()
     r_verified_m, r_verify = miner.sbm_constraint.equal_split()
-    return replace(
-        p,
-        r_cited=minimal_citation_reward(p) + margin,
-        r_deposit=miner.r_deposit_min + margin,
-        r_hash_m=miner.r_hash_m_min + margin,
-        r_encrypted_m=r_encrypted_m + margin,
-        r_case=r_case + margin,
-        r_verified_m=r_verified_m + margin,
-        r_verify=r_verify + margin,
-    )
+    # One keyword rebuild, cheaper than dataclasses.replace's generic
+    # per-field loop; __post_init__ still validates every field.
+    return EconomicParams(**{
+        **vars(p),
+        "r_cited": minimal_citation_reward(p) + margin,
+        "r_deposit": miner.r_deposit_min + margin,
+        "r_hash_m": miner.r_hash_m_min + margin,
+        "r_encrypted_m": r_encrypted_m + margin,
+        "r_case": r_case + margin,
+        "r_verified_m": r_verified_m + margin,
+        "r_verify": r_verify + margin,
+    })

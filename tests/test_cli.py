@@ -177,6 +177,24 @@ class TestMinRewardsVerb:
         assert data["T5"]["a"] == 64.0 and data["T5"]["b"] == 100.0
 
 
+class TestEconomicsStdoutPinned:
+    # SHA-256 of each economics verb's stdout for ECON_CFG: every byte of
+    # the records' to_dict output, key order and float repr included.
+    GOLDEN = {
+        "check-incentives": "834c5aebf60286285fe704d223fba96db92593d0b53b8c68f0c4d1c87f332531",
+        "min-rewards": "bc8c2fe05586d563361fd9ec54ceb50ba71da419d6a6271441360d5f6888d3c4",
+    }
+
+    @pytest.mark.parametrize("verb", sorted(GOLDEN))
+    def test_stdout_is_pinned(self, verb, tmp_path, capsys):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(ECON_CFG)
+        assert main([verb, "--config", str(cfg)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN[verb]
+
+
 class TestTraceRoundVerb:
     # trace-round --seed 7 with the default config: stdout and the SHA-256
     # of its --out, per mode.
@@ -437,7 +455,10 @@ class TestExitCodes:
          "< q_deposit, got q_deposit_less=16, q_deposit=1"),
         ("min-rewards", "q_deposit=0", "T3 bound requires q_deposit > 0"),
         ("min-rewards", "beta=0", "T2/T8 bounds require beta > 0"),
-    ], ids=["npa-deposit-counts", "zero-deposit-count", "zero-discount-rate"])
+        ("min-rewards", "q_selected_t_avg=5e-324",
+         "T2/T8 bounds require q_selected_t_avg * beta > 0, got 0.0"),
+    ], ids=["npa-deposit-counts", "zero-deposit-count", "zero-discount-rate",
+            "citation-weight-underflow"])
     def test_unevaluable_params_exit_two(self, verb, override, err, tmp_path, capsys):
         # Exit 1 means "unsatisfied"; a set that cannot be evaluated is a
         # bad invocation, with nothing on stdout.

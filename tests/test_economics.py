@@ -3,6 +3,8 @@ import hashlib
 import json
 import math
 import random
+import struct
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -11,12 +13,18 @@ from hypothesis import strategies as st
 from relaysim.cli import BadOverride, coerce_fields
 from relaysim.economics import (
     ROLE_STRATEGIES,
+    ConditionEntry,
     ConditionReport,
     DegenerateDenominator,
     DivergentSeries,
+    DominanceRow,
     EconomicParams,
+    EconomicsError,
+    HalfPlane,
+    IncentiveReport,
     InvalidEconomicParams,
     InvalidStrategyForRole,
+    MinerRewardBounds,
     RoleStrategy,
     check_ic,
     check_ir,
@@ -272,6 +280,11 @@ class TestMinimalCitationReward:
             minimal_citation_reward(dataclasses.replace(BASE, q_selected_t_avg=0.0))
         with pytest.raises(DegenerateDenominator):
             minimal_citation_reward(dataclasses.replace(BASE, beta=0.0))
+        # Both positive, but their product rounds to zero.
+        with pytest.raises(DegenerateDenominator, match=r"q_selected_t_avg \* beta > 0, got 0.0"):
+            minimal_citation_reward(dataclasses.replace(BASE, q_selected_t_avg=5e-324))
+        with pytest.raises(DegenerateDenominator):
+            minimal_rewards(dataclasses.replace(BASE, beta=1e-300, q_selected_t_avg=1e-300))
 
     @settings(max_examples=200)
     @given(data=st.data())
@@ -507,3 +520,115 @@ class TestGoldenEconomics:
         for name in ("T2", "T8"):
             tolerance = 4 * max(math.ulp(bounds[name]), math.ulp(reference[name]))
             assert abs(bounds[name] - reference[name]) <= tolerance
+
+
+def _replace_reference(p: EconomicParams, margin: float) -> EconomicParams:
+    """minimal_rewards written with dataclasses.replace (the reference)."""
+    miner = minimal_miner_rewards(p)
+    r_encrypted_m, r_case = miner.tbm_constraint.equal_split()
+    r_verified_m, r_verify = miner.sbm_constraint.equal_split()
+    return dataclasses.replace(
+        p,
+        r_cited=minimal_citation_reward(p) + margin,
+        r_deposit=miner.r_deposit_min + margin,
+        r_hash_m=miner.r_hash_m_min + margin,
+        r_encrypted_m=r_encrypted_m + margin,
+        r_case=r_case + margin,
+        r_verified_m=r_verified_m + margin,
+        r_verify=r_verify + margin,
+    )
+
+
+def _outcome(solve, p: EconomicParams, margin: float):
+    """Each field's type and bits (floats packed, ints as they are), or the error."""
+    try:
+        solved = solve(p, margin)
+    except EconomicsError as exc:
+        return type(exc), str(exc)
+    values = [getattr(solved, f.name) for f in dataclasses.fields(solved)]
+    return [(type(v), struct.pack("<d", v) if isinstance(v, float) else v) for v in values]
+
+
+class TestMinimalRewardsExact:
+    @settings(max_examples=300, deadline=None)
+    @given(rng=st.randoms(use_true_random=False),
+           margin=st.one_of(st.sampled_from([0.0, sys.float_info.max]),
+                            st.floats(0.0, 0.1), st.floats(0.0, sys.float_info.max)))
+    def test_matches_the_replace_reference_bit_for_bit(self, rng, margin):
+        # Parameter sets drawn as TestGoldenEconomics draws them, so some
+        # raise (a zero beta or count) and the error must match too.
+        p = _golden_params(rng)
+        assert _outcome(minimal_rewards, p, margin) == _outcome(_replace_reference, p, margin)
+
+    def test_overflow_to_inf_raises_the_same_message(self):
+        # r_deposit_min is about 3e306, so adding the largest float gives inf.
+        p = dataclasses.replace(BASE, c_mine=1e308)
+        message = "r_deposit must be >= 0 and at most the largest finite float, got inf"
+        with pytest.raises(InvalidEconomicParams) as info:
+            minimal_rewards(p, sys.float_info.max)
+        assert str(info.value) == message
+        reference = _outcome(_replace_reference, p, sys.float_info.max)
+        assert reference == (InvalidEconomicParams, message)
+
+    @pytest.mark.parametrize("margin", [math.nan, math.inf, -math.inf, -1.0, -5e-324, 10**400],
+                             ids=["nan", "inf", "-inf", "-1", "negative-subnormal", "huge-int"])
+    def test_bad_margin_rejected_before_any_work(self, margin):
+        # q_deposit=0 would fail the T3 bound; the margin is refused first.
+        p = dataclasses.replace(BASE, q_deposit=0, q_deposit_less=0)
+        for params in (BASE, p):
+            with pytest.raises(InvalidEconomicParams) as info:
+                minimal_rewards(params, margin)
+            assert str(info.value) == f"margin must be finite and >= 0, got {margin}"
+
+
+class TestRecords:
+    ENTRY = ConditionEntry("T3", 0.5, 0.25, False)
+    ROW = DominanceRow("DBM", "NPA", -0.125)
+    PLANE = HalfPlane(64.0, 100.0, 0.5, "r_encrypted_m", "r_case")
+    BOUNDS = MinerRewardBounds(0.000625, 0.0, PLANE,
+                               HalfPlane(20.0, 0.0, 0.25, "r_verified_m", "r_verify"))
+    FIELDS = [
+        (ENTRY, ("condition", "lhs", "bound", "strict")),
+        (ROW, ("role", "alternative", "utility_gap")),
+        (PLANE, ("a", "b", "c", "x_name", "y_name")),
+        (BOUNDS, ("r_deposit_min", "r_hash_m_min", "tbm_constraint", "sbm_constraint")),
+    ]
+
+    @pytest.mark.parametrize("record, names", FIELDS, ids=[type(r).__name__ for r, _ in FIELDS])
+    def test_fields_are_read_only(self, record, names):
+        for name in names:
+            before = getattr(record, name)
+            with pytest.raises(AttributeError):
+                setattr(record, name, before)
+            assert getattr(record, name) is before
+
+    def test_to_dict_keys_and_values(self):
+        assert list(self.ENTRY.to_dict().items()) == [
+            ("condition", "T3"), ("lhs", 0.5), ("bound", 0.25), ("slack", 0.25),
+            ("satisfied", True)]
+        assert ConditionEntry("T7", 0.5, 0.5, True).to_dict()["satisfied"] is False
+        assert list(self.ROW.to_dict().items()) == [
+            ("role", "DBM"), ("alternative", "NPA"), ("utility_gap", -0.125),
+            ("normal_dominates", False)]
+        assert list(self.PLANE.to_dict().items()) == [
+            ("a", 64.0), ("b", 100.0), ("c", 0.5), ("x", "r_encrypted_m"), ("y", "r_case"),
+            ("equal_split", {"r_encrypted_m": 0.5 / 128.0, "r_case": 0.5 / 200.0})]
+        assert list(self.BOUNDS.to_dict().items()) == [
+            ("r_deposit_min", 0.000625), ("r_hash_m_min", 0.0),
+            ("T5", self.PLANE.to_dict()),
+            ("T6", {"a": 20.0, "b": 0.0, "c": 0.25, "x": "r_verified_m", "y": "r_verify",
+                    "equal_split": {"r_verified_m": 0.0125, "r_verify": 0.0}})]
+
+    def test_report_lookups(self):
+        ir, ic = check_ir(BASE), check_ic(BASE)
+        assert ir.entry("T3") == ConditionEntry("T3", 0.0, 0.02, False)
+        with pytest.raises(KeyError):
+            ir.entry("T7")
+        assert ir.failed() == ["T1", "T3", "T5", "T6"]
+        assert ic.conditions.failed() == []
+        assert ic.failed() == ["DBM vs NPA", "DBM vs PI", "TBM vs IT", "SBM vs IRa"]
+        report = IncentiveReport(
+            ConditionReport((ConditionEntry("T7", 0.0, 0.0, True),)),
+            (DominanceRow("MO", "NTm", 1.0), self.ROW))
+        assert report.failed() == ["T7", "DBM vs NPA"]
+        assert not report.all_satisfied
