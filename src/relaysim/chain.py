@@ -18,53 +18,53 @@ Each block is encoded and hashed once, when it joins a ``Chain``, whose
 the back links and the round log read the digest at the head of a line
 (``Chain.digest``), and the dump joins the lines.
 
-A block has one encoding, which is hashed, dumped and verified. Its body
-(``block_body``) is the compact JSON object of the header's fields and
-``payload``, the object of the payload's fields, every object's keys in
-sorted order. A record is the JSON array of its fields in declaration
-order, a tuple is an array, and bytes are lower-case hex. ``json`` writes
-the body with ``ensure_ascii=False``, and the block's digest is the
-SHA-256 of its UTF-8 bytes, so a string that is not valid UTF-8 (a lone
-surrogate) cannot be hashed. A dump line is ``{"digest":"<hex>",``
-followed by the body without its opening brace: one line per block, each
-ending in a line feed.
+A block has one encoding, which is hashed, dumped and verified: its body
+(``block_body``) is what ``json`` writes, with ``ensure_ascii=False``,
+compact and with sorted keys, for the header's fields and ``payload``,
+the object of the payload's fields; a record or any tuple is an array,
+and bytes, which JSON has no type for, are lower-case hex (the encoder's
+``default``). The digest is the SHA-256 of the body's UTF-8 bytes, so a
+lone surrogate cannot be hashed. A dump line is ``{"digest":"<hex>",``
+followed by the body without its opening brace, and a line feed.
+``verify_chain_dump`` reads each line, encodes its block again and
+compares the two byte for byte, so only a canonical line verifies (no
+repeated key, space, escaped letter or other spelling of a number), and
+the bytes it compared are the bytes it hashes.
 
-A line is canonical when it is the line its own block encodes to, and
-only a canonical line verifies: ``verify_chain_dump`` decodes each line,
-encodes the block again and compares the two byte for byte, so a repeated
-key, a space, an escaped letter or another spelling of a number is
-reported, and the bytes it compared are the bytes it hashes. The decoder
-rejects the values that re-encode to the same text but are not the
-block's: an integer is not a float or a boolean, a float is not an
-integer or a string, an object holds exactly its keys and a record
-exactly its fields.
+Each field has one declared type and one rule for its values, built per
+field type at import as a pair (``_field_codec``): a value is exactly a
+``str``, ``int``, ``float`` or ``bytes`` (no boolean or float for an
+int, no int for a float, no subclass), a tuple field holds an exact
+tuple, and a record is an exact tuple of its type's width. ``read``
+refuses the JSON values of a line that no value of the type encodes to;
+``append_block`` runs ``check`` on a payload before it encodes the block,
+and ``BlockHeader`` checks its own fields, so no chain that grows by
+``append_block`` holds a block whose line its dump would refuse. A block
+read from a dump is not checked again.
 
-The header, the payloads and the block are dataclasses, and the codec is
-derived from their declarations. The records a payload holds (contracts,
-the coinbase, training records, encrypted-model digests, verified
-records) are exact tuples of scalars, each type declared once as its
-field types annotated with its field names (which round logs use as
-keys). A 200-round chain holds some 64,000 records, and CPython's cyclic
-collector stops tracking an exact tuple of scalars at the first
-collection that sees it, where it would walk a dataclass instance or a
-``NamedTuple`` on every full collection; a tuple of scalars is also
-written by ``json`` as an array with no conversion. A dataclass field's
-name is its key, and a record's order of declaration is the order of its
-array, so renaming or reordering a field of ``BlockHeader``, of a payload
-class or of a record changes the format, and every digest.
+The records a payload holds are exact tuples of scalars, each type
+declared once as its field types annotated with its field names (which
+round logs use as keys). A 200-round chain holds some 64,000 records, and
+CPython's cyclic collector stops tracking an exact tuple of scalars at
+the first collection that sees it, where it would walk a dataclass
+instance or a ``NamedTuple`` on every full collection. A dataclass
+field's name is its key and a record's field order its array's, so
+renaming or reordering a field changes the format, and every digest.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
 import math
 import random
 import typing
+from collections import Counter
 from dataclasses import dataclass, field
-from operator import attrgetter, countOf, itemgetter
+from operator import countOf, itemgetter
 from typing import Annotated, Any, Callable, Sequence
 
 from .serialize import DIGEST_SIZE, ZERO_DIGEST
@@ -104,7 +104,7 @@ class BlockHeader:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ChainError(f"unknown block kind {self.kind!r}")
-        if len(self.prev_digest) != DIGEST_SIZE:
+        if type(self.prev_digest) is not bytes or len(self.prev_digest) != DIGEST_SIZE:
             raise ChainError(f"prev_digest must be {DIGEST_SIZE} bytes")
         for name in ("height", "round", "nonce", "timestamp"):
             value = getattr(self, name)
@@ -188,27 +188,20 @@ class Block:
 
 # --- block codec ---------------------------------------------------------
 #
-# Built once per type at import from its fields and type hints. A converter
-# maps a list of values to a list of JSON values or back, so that a sequence
-# of records is converted one field at a time.
+# Each half of a (read, check) pair takes a column, a list of values of one
+# type, so that a tuple of records is read or checked one field at a time.
 
-_Converter = Callable[[Sequence], Sequence]
-
-
-def _mapped(fn: Callable) -> _Converter:
-    return lambda column: list(map(fn, column))
+_Column = Callable[[Sequence], Any]
 
 
-def _typed(kind: type) -> _Converter:
-    """The check that a column holds only JSON values of exactly ``kind``:
-    no integer for a float, no float or boolean for an integer, no number
-    for a string."""
-    def check(column: Sequence) -> Sequence:
-        if countOf(map(type, column), kind) != len(column):
-            wrong = next(value for value in column if type(value) is not kind)
-            raise TypeError(f"expected {kind.__name__}, got {wrong!r}")
-        return column
-    return check
+def _exact(kind: type, column: Sequence) -> Sequence:
+    """``column``, if every value in it is exactly a ``kind``: no integer
+    for a float, no float or boolean for an integer, no number for a
+    string, no subclass."""
+    if countOf(map(type, column), kind) != len(column):
+        wrong = next(value for value in column if type(value) is not kind)
+        raise TypeError(f"expected {kind.__name__}, got {wrong!r}")
+    return column
 
 
 def _hex(column: Sequence) -> list[bytes]:
@@ -222,99 +215,92 @@ def _hex(column: Sequence) -> list[bytes]:
     return values
 
 
-def _field_codec(hint: Any) -> tuple[_Converter | None, _Converter]:
-    """(encode, decode) for values annotated ``hint``: each maps a list of
-    values to a list of JSON values and back, and ``decode`` rejects any
-    JSON value that ``encode`` does not write. An encode of None stands for
-    values that ``json`` writes as they are (a tuple as an array)."""
-    if hint in (str, int, float):
-        return None, _typed(hint)
-    if hint is bytes:
-        return _mapped(bytes.hex), _hex
+def _field_codec(hint: Any) -> tuple[_Column, _Column]:
+    """(read, check) for values annotated ``hint``."""
+    if hint in (str, int, float, bytes):
+        exact = functools.partial(_exact, hint)
+        return _hex if hint is bytes else exact, exact
     if typing.get_origin(hint) is Annotated:
         return _record_codec(hint)
     args = typing.get_args(hint)
     if typing.get_origin(hint) is not tuple or len(args) != 2 or args[1] is not Ellipsis:
         raise TypeError(f"no block codec for field type {hint!r}")
-    encode, decode = _field_codec(args[0])
-    is_list = _typed(list)
+    read_items, check_items = _field_codec(args[0])
 
-    def decode_tuples(column: Sequence) -> list[tuple]:
-        # One decode of the elements of every list in the column, then one
-        # tuple per list.
-        values = iter(decode(list(itertools.chain.from_iterable(is_list(column)))))
+    def read(column: Sequence) -> list[tuple]:
+        # One read of the items of every list in the column, then one tuple
+        # per list.
+        values = iter(read_items(list(itertools.chain.from_iterable(_exact(list, column)))))
         return [tuple(itertools.islice(values, len(items))) for items in column]
-    return None if encode is None else _mapped(encode), decode_tuples
+
+    def check(column: Sequence) -> None:
+        check_items(list(itertools.chain.from_iterable(_exact(tuple, column))))
+    return read, check
 
 
-def _record_codec(record: Any) -> tuple[_Converter | None, _Converter]:
-    """(encode, decode) for records of type ``record``, each the JSON array
-    of its fields, converted one field column at a time. A record with more
-    or fewer fields than its type is a ``ValueError``."""
+def _record_codec(record: Any) -> tuple[_Column, _Column]:
+    """(read, check) for records of type ``record``, one field column at a
+    time; a record of another width than its type's is a ``ValueError``."""
     kinds = typing.get_args(typing.get_args(record)[0])
     width = len(kinds)
-    encoders, decoders = zip(*map(_field_codec, kinds))
-    is_list = _typed(list)
+    reads, checks = zip(*map(_field_codec, kinds))
 
-    def fields(rows: Sequence) -> list[tuple]:
+    def columns(rows: Sequence) -> zip:
         # zip would cut every row to the shortest one
         if countOf(map(len, rows), width) != len(rows):
             raise ValueError(f"a record of {', '.join(record_keys(record))} must "
                              f"have {width} fields")
-        return list(zip(*rows))
+        return zip(*rows)
 
-    def encode(rows: Sequence) -> list[tuple]:
-        return list(zip(*(column if convert is None else convert(column)
-                          for convert, column in zip(encoders, fields(rows)))))
+    def read(rows: Sequence) -> list[tuple]:
+        return list(zip(*(read_field(column) for read_field, column
+                          in zip(reads, columns(_exact(list, rows))))))
 
-    def decode(rows: Sequence) -> list[tuple]:
-        return list(zip(*(convert(column)
-                          for convert, column in zip(decoders, fields(is_list(rows))))))
-    return None if encoders.count(None) == width else encode, decode
+    def check(rows: Sequence) -> None:
+        for check_field, column in zip(checks, columns(_exact(tuple, rows))):
+            check_field(column)
+    return read, check
 
 
 class _Codec:
-    """JSON encoder and decoder of one block dataclass: an instance is the
-    JSON object of its fields."""
+    """Reader and checker of one block dataclass, whose JSON is the object
+    of its fields."""
 
     def __init__(self, cls: type) -> None:
         hints = typing.get_type_hints(cls, include_extras=True)
         self.cls = cls
         self.names = tuple(f.name for f in dataclasses.fields(cls))
         self.keys = frozenset(self.names)
-        # The field values in declaration order, as a tuple.
-        self.values = attrgetter(*self.names)
-        self.encoders, self.decoders = zip(*(_field_codec(hints[name]) for name in self.names))
+        self.reads, self.checks = zip(*(_field_codec(hints[name]) for name in self.names))
 
-    def encode(self, obj: Any) -> dict:
-        return {name: value if encode is None else encode((value,))[0]
-                for name, encode, value in zip(self.names, self.encoders, self.values(obj))}
-
-    def decode(self, data: Any) -> Any:
+    def read(self, data: Any) -> Any:
         """The instance a JSON object holds; raises on a malformed one, or
         on one that holds a key the codec does not define."""
-        data, = _typed(dict)((data,))
+        data, = _exact(dict, (data,))
         if data.keys() != self.keys:
             raise ValueError(f"keys {sorted(data)} in a {self.cls.__name__}, "
                              f"expected {sorted(self.keys)}")
-        return self.cls(*(decode((data[name],))[0]
-                          for name, decode in zip(self.names, self.decoders)))
+        return self.cls(*(read((data[name],))[0] for name, read in zip(self.names, self.reads)))
+
+    def check(self, obj: Any) -> None:
+        """Raises ``TypeError`` on a value of another type than its field's,
+        and ``ValueError`` on a record of another width than its type's."""
+        for name, check in zip(self.names, self.checks):
+            check((getattr(obj, name),))
 
 
 _HEADER_CODEC = _Codec(BlockHeader)
 _PAYLOAD_CODECS = {kind: _Codec(cls) for cls, kind in _PAYLOAD_KIND.items()}
 # Compact separators: with no whitespace in a line, every byte is semantic,
-# so any single-byte mutation is detectable. The trees the codec builds hold
-# no cycle to check for.
+# so any single-byte mutation is detectable. A block holds no cycle to check
+# for, and its only values that are not JSON are bytes, written as hex.
 _ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":"),
-                            check_circular=False)
+                            check_circular=False, default=bytes.hex)
 
 
 def block_body(block: Block) -> str:
     """The canonical JSON of ``block``: its dump line without the digest."""
-    body = _HEADER_CODEC.encode(block.header)
-    body["payload"] = _PAYLOAD_CODECS[block.header.kind].encode(block.payload)
-    return _ENCODER.encode(body)
+    return _ENCODER.encode({**vars(block.header), "payload": vars(block.payload)})
 
 
 def block_digest(block: Block) -> bytes:
@@ -373,70 +359,52 @@ def new_chain() -> Chain:
     return Chain(blocks=[genesis_block()])
 
 
-def _record_fields(cls: type) -> tuple[tuple[str, int, bool], ...]:
-    """(name, record length, whether it holds one record rather than a
-    tuple of them) of each field of payload ``cls`` that holds records."""
-    hints = typing.get_type_hints(cls, include_extras=True)
-    found = []
-    for f in dataclasses.fields(cls):
-        hint = hints[f.name]
-        lone = typing.get_origin(hint) is Annotated
-        if typing.get_origin(hint) is tuple:
-            hint = typing.get_args(hint)[0]
-        if typing.get_origin(hint) is Annotated:
-            found.append((f.name, len(record_keys(hint)), lone))
-    return tuple(found)
-
-
-_RECORD_FIELDS = {cls: _record_fields(cls) for cls in _PAYLOAD_KIND}
-
-
 def ranked_ids(verified: Sequence[VerifiedRecord]) -> list[str]:
     """The trainer ids of ``verified``, best first: by performance, then by
     trainer id. A settlement block's top set is a prefix of this ranking."""
     return list(map(itemgetter(1), sorted(verified, key=itemgetter(2, 1))))
 
 
+def _last_eb(chain: Chain) -> Block | None:
+    """The last EB on ``chain``, if any."""
+    return next((prev for prev in reversed(chain.blocks)
+                 if isinstance(prev.payload, EncryptionPayload)), None)
+
+
 def validate_block(chain: Chain, block: Block) -> list[str]:
     """Kind-specific payload checks; an empty list means valid.
 
-    Every record must have its type's number of fields; a block with one
-    that does not is checked no further, since the other rules read the
-    records field by field. A float field holds a float, not an int or a
-    boolean its line would not decode to. DB contract and coinbase amounts
-    must be finite and >= 0; EB records must differ from the predecessor
-    model's digest recorded in the previous round's EB; TB input/truth
-    case counts must match; SB performances must be finite, top-set
-    members must be verified, and there are 1 to all of them (none without
-    verified records). An SB that keeps those rules must hold a prefix of
-    ``ranked_ids``; its length, which depends on ``s``, is not checked.
+    The payload must hold values of exactly its fields' types (see
+    ``append_block``), which the rules read. DB contract and coinbase
+    amounts must be finite and >= 0, and no trainer may hold two
+    contracts; EB records must differ from the predecessor model's digest
+    recorded in the previous round's EB; TB input/truth case counts must
+    match; SB verified records must each name a distinct (previous owner,
+    trainer) pair of the same round's EB records, performances must be
+    finite, top-set members must be verified, and there are 1 to all of
+    them (none without verified records). An SB that keeps those rules
+    must hold a prefix of ``ranked_ids``; its length, which depends on
+    ``s``, is not checked.
     """
     violations: list[str] = []
     payload = block.payload
-    for name, width, lone in _RECORD_FIELDS[type(payload)]:
-        records = (getattr(payload, name),) if lone else getattr(payload, name)
-        if countOf(map(len, records), width) != len(records):
-            wrong = next(len(record) for record in records if len(record) != width)
-            violations.append(f"RecordLength: a record in {name} has {wrong} fields, not {width}")
-    if violations:
-        return violations
     if isinstance(payload, DepositPayload):
         for mo_id, trainer_id, mo_amount, t_amount in payload.contracts:
-            if not (type(mo_amount) is type(t_amount) is float
-                    and 0.0 <= mo_amount < math.inf and 0.0 <= t_amount < math.inf):
+            if not (0.0 <= mo_amount < math.inf and 0.0 <= t_amount < math.inf):
                 violations.append(
                     f"InvalidAmount: contract {mo_id}->{trainer_id} escrows "
                     f"{mo_amount!r} and {t_amount!r}"
                 )
         miner_id, amount = payload.coinbase
-        if type(amount) is not float or not 0.0 <= amount < math.inf:
+        if not 0.0 <= amount < math.inf:
             violations.append(f"InvalidAmount: coinbase of {miner_id} is {amount!r}")
+        held = Counter(map(itemgetter(1), payload.contracts))
+        violations.extend(f"DuplicateTrainer: trainer {trainer_id} holds {count} contracts"
+                          for trainer_id, count in held.items() if count > 1)
     elif isinstance(payload, EncryptionPayload):
-        prior: dict[str, bytes] = {}
-        for prev in reversed(chain.blocks):
-            if isinstance(prev.payload, EncryptionPayload):
-                prior = {trainer_id: digest for _, trainer_id, digest in prev.payload.records}
-                break
+        last = _last_eb(chain)
+        # trainer id -> the digest of the model it made
+        prior = dict(record[1:] for record in last.payload.records) if last else {}
         for prev_owner_id, trainer_id, model_digest in payload.records:
             previous_digest = prior.get(prev_owner_id)
             if previous_digest is not None and previous_digest == model_digest:
@@ -445,17 +413,27 @@ def validate_block(chain: Chain, block: Block) -> list[str]:
                     f"digest of {prev_owner_id}'s model"
                 )
     elif isinstance(payload, TestingPayload):
-        cells = list(itertools.chain(*payload.testing_inputs, *payload.testing_truths))
-        if countOf(map(type, cells), float) != len(cells):
-            violations.append("InvalidCase: a testing input or truth is not a float")
         if len(payload.testing_inputs) != len(payload.testing_truths):
             violations.append(
                 f"CaseCountMismatch: {len(payload.testing_inputs)} inputs vs "
                 f"{len(payload.testing_truths)} truths"
             )
     elif isinstance(payload, SettlementPayload):
-        for _, trainer_id, performance in payload.verified:
-            if type(performance) is not float or not math.isfinite(performance):
+        # An SB in its slot after blocks that keep the rules follows its
+        # round's EB; any other breaks a linkage rule or follows one that does.
+        last = _last_eb(chain)
+        recorded = ({record[:2] for record in last.payload.records}
+                    if last and last.header.round == block.header.round else None)
+        seen = set()
+        for prev_owner_id, trainer_id, performance in payload.verified:
+            pair = (prev_owner_id, trainer_id)
+            if pair in seen:
+                violations.append(f"DuplicateVerified: {prev_owner_id}->{trainer_id}")
+            elif recorded is not None and pair not in recorded:
+                violations.append(f"UnrecordedVerified: {prev_owner_id}->{trainer_id} is in "
+                                  f"no EB record of round {block.header.round}")
+            seen.add(pair)
+            if not math.isfinite(performance):
                 violations.append(f"NonFinitePerformance: {trainer_id} has {performance!r}")
         verified_ids = set(map(itemgetter(1), payload.verified))
         for trainer_id in payload.top_set:
@@ -503,15 +481,23 @@ def _violations(chain: Chain, block: Block) -> list[tuple[type, str]]:
 
 
 def append_block(chain: Chain, block: Block) -> Chain:
-    """Extend the chain by one block; raises the class of the first broken
-    rule of ``_violations`` with every message of that class."""
+    """Extend the chain by one block. A payload value of another type than
+    its field's is a ``PayloadInvariantViolation`` (``InvalidType``, or
+    ``RecordLength`` for a record of another width); otherwise raises the
+    class of the first broken rule of ``_violations`` with its messages."""
+    try:
+        _PAYLOAD_CODECS[block.header.kind].check(block.payload)
+    except TypeError as exc:
+        raise PayloadInvariantViolation(f"InvalidType: {exc}") from None
+    except ValueError as exc:
+        raise PayloadInvariantViolation(f"RecordLength: {exc}") from None
+    # Encoded and hashed before either list grows, so a block that fails to
+    # encode or hash leaves the chain as it was.
+    line = block_line(block)
     found = _violations(chain, block)
     if found:
         error = found[0][0]
         raise error("; ".join(message for cls, message in found if cls is error))
-    # Encoded and hashed before either list grows, so a block that fails to
-    # encode or hash leaves the chain as it was.
-    line = block_line(block)
     chain.blocks.append(block)
     chain.lines.append(line)
     return chain
@@ -552,11 +538,11 @@ def chain_to_jsonl(chain: Chain) -> str:
 def _parse_line(line: str) -> tuple[Block, bytes]:
     """The block on one dump line, and the digest the line records. The
     line, like each object within it, holds exactly the codec's keys."""
-    data, = _typed(dict)((json.loads(line),))
+    data, = _exact(dict, (json.loads(line),))
     recorded, = _hex((data.pop("digest"),))
     payload = data.pop("payload")
-    header = _HEADER_CODEC.decode(data)
-    return Block(header, _PAYLOAD_CODECS[header.kind].decode(payload)), recorded
+    header = _HEADER_CODEC.read(data)
+    return Block(header, _PAYLOAD_CODECS[header.kind].read(payload)), recorded
 
 
 def chain_from_jsonl(text: str) -> Chain:

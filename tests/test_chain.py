@@ -619,10 +619,10 @@ class TestExactTypes:
     block's line would not decode to it."""
 
     @pytest.mark.parametrize("payload, reason", [
-        (DepositPayload((("mo", "t", 2, 0.0),), ("m0", 0.0)), "InvalidAmount"),
-        (DepositPayload((), ("m0", True)), "InvalidAmount"),
-        (TestingPayload((), ((1.0, 0),), ((0.5,),)), "InvalidCase"),
-        (SettlementPayload((("g", "t1", 1),), ("t1",)), "NonFinitePerformance"),
+        (DepositPayload((("mo", "t", 2, 0.0),), ("m0", 0.0)), "InvalidType"),
+        (DepositPayload((), ("m0", True)), "InvalidType"),
+        (TestingPayload((), ((1.0, 0),), ((0.5,),)), "InvalidType"),
+        (SettlementPayload((("g", "t1", 1),), ("t1",)), "InvalidType"),
     ], ids=["int-mo-amount", "bool-coinbase", "int-testing-input", "int-performance"])
     def test_int_or_bool_in_a_float_field(self, payload, reason):
         kind = chainmod._PAYLOAD_KIND[type(payload)]
@@ -643,6 +643,147 @@ class TestExactTypes:
         with pytest.raises(ChainError, match="nonce must be an int"):
             append_block(chain, Block(next_header(chain, True), _empty_payload("DB")))
         assert (chain.blocks, chain.lines) == (blocks, lines)
+
+
+def _one_round():
+    """Genesis and a round of blocks that keep every rule, with two records
+    in each record field but the TB's."""
+    chain = new_chain()
+    digest = canonical_digest(["m", 1])
+    for payload in (
+        DepositPayload((("mo", "t1", 0.25, 1.0), ("mo", "t2", 0.5, 0.0)), ("m0", 0.001)),
+        EncryptionPayload(b"pk", (("mo", "t1", digest), ("mo", "t2", digest))),
+        TestingPayload((("t1", digest),), ((0.5, -1.25),), ((2.0,),)),
+        SettlementPayload((("mo", "t1", 0.125), ("mo", "t2", 0.25)), ("t1",)),
+    ):
+        append_block(chain, Block(next_header(chain, 0), payload))
+    return chain.blocks
+
+
+def _paths(value, path=()):
+    """The path of every value inside a dataclass or tuple, at any depth."""
+    if dataclasses.is_dataclass(value):
+        items = [(f.name, getattr(value, f.name)) for f in dataclasses.fields(value)]
+    elif isinstance(value, tuple):
+        items = list(enumerate(value))
+    else:
+        return []
+    return [found for key, item in items
+            for found in [(*path, key), *_paths(item, (*path, key))]]
+
+
+ONE_ROUND = _one_round()
+# (height, path) of each header field, payload field and value within one
+FIELD_PATHS = [(height, path) for height, block in enumerate(ONE_ROUND)
+               for path in _paths(block) if len(path) > 1]
+# A value of each JSON type; no lone surrogate, which no string field can hold.
+JSON_VALUES = st.one_of(
+    st.integers(-2**70, 2**70), st.booleans(), st.none(), st.floats(), st.binary(max_size=33),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=3),
+    st.lists(st.one_of(st.integers(), st.text(max_size=2)), max_size=3))
+
+
+class TestOneTypeRule:
+    """A block with a value of another type in any one field is refused,
+    and the chain left as it was, or its chain's dump verifies: no chain
+    holds a block whose own line its dump would refuse."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(FIELD_PATHS), JSON_VALUES)
+    @example((1, ("payload", "contracts", 0, 0)), 5)
+    @example((1, ("payload", "contracts", 0, 0)), None)
+    @example((2, ("payload", "pk")), "706b")
+    @example((2, ("header", "prev_digest")), "0" * 32)
+    @example((4, ("payload", "verified", 1, 1)), b"t2")
+    def test_refused_or_dumped(self, at, value):
+        height, path = at
+        chain = Chain(blocks=ONE_ROUND[:height])
+        blocks, lines = list(chain.blocks), list(chain.lines)
+        try:
+            append_block(chain, replaced(ONE_ROUND[height], path, value))
+        except ChainError:
+            assert (chain.blocks, chain.lines) == (blocks, lines)
+        else:
+            assert verify_chain_dump(chain_to_jsonl(chain)) == []
+
+    @pytest.mark.parametrize("path, value, reason", [
+        (("payload", "contracts", 0, 1), 5, "InvalidType: expected str, got 5"),
+        (("payload", "contracts", 0, 0), None, "InvalidType: expected str, got None"),
+        (("payload", "contracts"), [], "InvalidType: expected tuple, got []"),
+        (("payload", "coinbase"), ["m0", 0.0], "InvalidType: expected tuple, got ['m0', 0.0]"),
+        (("payload", "coinbase", 1), 0, "InvalidType: expected float, got 0"),
+        (("payload", "contracts", 1), ("mo", "t2", 0.5),
+         "RecordLength: a record of mo_id, trainer_id, mo_amount, t_amount must have 4 fields"),
+    ])
+    def test_reason(self, path, value, reason):
+        chain = Chain(blocks=ONE_ROUND[:1])
+        with pytest.raises(PayloadInvariantViolation) as raised:
+            append_block(chain, replaced(ONE_ROUND[1], path, value))
+        assert str(raised.value) == reason
+
+    @pytest.mark.parametrize("prev_digest", ["0" * 32, bytearray(32), list(range(32))])
+    def test_header_refuses_a_prev_digest_that_is_not_bytes(self, prev_digest):
+        with pytest.raises(ChainError, match="prev_digest must be 32 bytes"):
+            dataclasses.replace(ONE_ROUND[1].header, prev_digest=prev_digest)
+
+
+class TestRoundRecords:
+    """A DB holds at most one contract per trainer, and an SB verifies only
+    records of its round's EB, each once: on append and in a dump."""
+
+    @staticmethod
+    def _first_trainer_in(*indices):
+        def tamper(payload):
+            trainer = payload.contracts[0][1]
+            contracts = list(payload.contracts)
+            for index in indices:
+                contracts[index] = replaced(contracts[index], (1,), trainer)
+            return dataclasses.replace(payload, contracts=tuple(contracts))
+        return 1, ["DuplicateTrainer"], tamper
+
+    @staticmethod
+    def _verify(*extra, reasons):
+        # Each extra record ranks below every engine record, so the top set
+        # stays a prefix of the ranking.
+        def tamper(payload):
+            return dataclasses.replace(payload, verified=(*payload.verified, *extra))
+        return 4, reasons, tamper
+
+    ATTACKS = {
+        "trainer-with-two-contracts": _first_trainer_in(1),
+        "trainer-with-three-contracts": _first_trainer_in(1, 3),
+        "ghost-verified": _verify(("p000", "ghost", 2.0), reasons=["UnrecordedVerified"]),
+        "ghost-verified-twice": _verify(("p000", "ghost", 2.0), ("p000", "ghost", 2.0),
+                                        reasons=["UnrecordedVerified", "DuplicateVerified"]),
+        "record-verified-twice": _verify(("p000", "p006", 2.0), reasons=["DuplicateVerified"]),
+        "owner-and-trainer-swapped": _verify(("p006", "p000", 2.0),
+                                             reasons=["UnrecordedVerified"]),
+    }
+
+    @pytest.mark.parametrize("attack", sorted(ATTACKS))
+    def test_rejected_on_append_and_in_the_dump(self, seed_7_blocks, attack):
+        height, reasons, tamper = self.ATTACKS[attack]
+        blocks = list(seed_7_blocks)
+        blocks[height] = Block(blocks[height].header, tamper(blocks[height].payload))
+        forged = _relinked(blocks)
+        with pytest.raises(PayloadInvariantViolation, match=reasons[0]):
+            append_block(Chain(blocks=forged.blocks[:height]), forged.blocks[height])
+        violations = verify_chain_dump(chain_to_jsonl(forged))
+        assert [v.split(": ")[:3] for v in violations] == [
+            ["PayloadInvariantViolation", f"line {height}", reason] for reason in reasons
+        ]
+
+    def test_a_pair_of_the_previous_round_is_unrecorded(self):
+        blocks = simulate_run(SimConfig(seed=7, rounds=2)).state.chain.blocks
+        # a pair of round 1's EB that round 2's EB does not hold
+        pairs = [{record[:2] for record in blocks[height].payload.records} for height in (2, 6)]
+        prev_owner_id, trainer_id = min(pairs[0] - pairs[1])
+        payload = blocks[8].payload
+        blocks[8] = Block(blocks[8].header, dataclasses.replace(
+            payload, verified=(*payload.verified, (prev_owner_id, trainer_id, 2.0))))
+        violations = verify_chain_dump(chain_to_jsonl(_relinked(blocks)))
+        assert violations == [f"PayloadInvariantViolation: line 8: UnrecordedVerified: "
+                              f"{prev_owner_id}->{trainer_id} is in no EB record of round 2"]
 
 
 class TestMineWinner:
