@@ -34,8 +34,13 @@ transposed into columns, and the truths are flattened. Every submission
 of the round, its claimed outputs (step 10), its verification and its
 mean squared error (step 11), reads that one ``CaseTable``, so each
 submission costs only its tag, its digest, one open of its model, a
-check of the model's dimension against the table's widths, one kernel
-pass, one bytes comparison and one pass of the error.
+check of the model's dimension against the table's widths, one run of
+the kernel (one pass over the cases per four weights), one bytes
+comparison and one pass of the error. What depends only on a key is
+derived once per distinct key: ``_parse_key`` memoizes a key's integrity
+check by its exact bytes and ``_keystream`` the stream by key id and
+length, each for the 8 most recent keys. An exception is never memoized,
+so a malformed or tampered key is refused on every call.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ import math
 import random
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from typing import Sequence
 
@@ -149,17 +155,25 @@ def _outputs(m: ModelWeights, cases: CaseTable) -> list[float]:
     """The one evaluation kernel: the model's output on every case.
 
     The model's dimension is checked against every input width before any
-    arithmetic. The outputs are built one weight at a time across all
-    cases, from the table's columns, so each case still accumulates
-    ``acc = b``, then ``acc += w_i * x_i`` for i = 1..d, left to right: the
-    same floats as a per-case loop.
+    arithmetic. The outputs are built across all cases from the table's
+    columns, up to four weights per pass as
+    ``acc + w1 * x1 + w2 * x2 + w3 * x3 + w4 * x4``, which Python adds left
+    to right; the 0-3 weights left over take a pass each. So each case
+    still accumulates ``acc = b``, then ``acc += w_i * x_i`` for i = 1..d,
+    left to right: the same floats as a per-case loop.
     """
     *ws, bias = m.weights
     bad_widths = cases.widths - {len(ws)}
     if bad_widths:
         raise LengthMismatch(f"model expects {len(ws)} inputs, got {sorted(bad_widths)}")
     accs = [bias] * cases.count
-    for w, column in zip(ws, cases.columns):
+    columns = cases.columns
+    blocked = len(ws) - len(ws) % 4
+    for i in range(0, blocked, 4):
+        w1, w2, w3, w4 = ws[i:i + 4]
+        accs = [acc + w1 * x1 + w2 * x2 + w3 * x3 + w4 * x4
+                for acc, x1, x2, x3, x4 in zip(accs, *columns[i:i + 4])]
+    for w, column in zip(ws[blocked:], columns[blocked:]):
         accs = [acc + w * xi for acc, xi in zip(accs, column)]
     return accs
 
@@ -226,6 +240,7 @@ def fhe_keygen(rng: random.Random) -> FheKeyPair:
     return FheKeyPair(key_id=key_id, pk=pk, sk=sk)
 
 
+@lru_cache(maxsize=8)
 def _parse_key(key: bytes, magic: bytes) -> int:
     if len(key) != len(magic) + 16 or not key.startswith(magic):
         raise UnknownKey("malformed key bytes")
@@ -235,6 +250,7 @@ def _parse_key(key: bytes, magic: bytes) -> int:
     return key_id
 
 
+@lru_cache(maxsize=8)
 def _keystream(key_id: int, length: int) -> bytes:
     blocks = []
     counter = 0

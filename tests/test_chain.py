@@ -560,9 +560,10 @@ def appended_chains(draw):
     for _ in range(draw(st.integers(1, 8))):
         kind = expected_kind(len(chain.blocks))
         if kind == "DB":
-            contracts = st.tuples(EXACT[str], EXACT[str], AMOUNT, AMOUNT)
-            payload = DepositPayload(draw(st.lists(contracts, max_size=4).map(tuple)),
-                                     (draw(EXACT[str]), draw(AMOUNT)))
+            # one contract per trainer
+            contracts = st.lists(st.tuples(EXACT[str], EXACT[str], AMOUNT, AMOUNT), max_size=4,
+                                 unique_by=lambda contract: contract[1])
+            payload = DepositPayload(tuple(draw(contracts)), (draw(EXACT[str]), draw(AMOUNT)))
         elif kind == "EB":
             payload = EncryptionPayload(draw(EXACT[bytes]), draw(records(TrainingRecord)))
         elif kind == "TB":
@@ -572,8 +573,12 @@ def appended_chains(draw):
             payload = TestingPayload(draw(records(EncryptedModelDigest)), draw(cases),
                                      draw(cases))
         else:
-            verified = st.tuples(EXACT[str], EXACT[str], PERFORMANCE)
-            verified = draw(st.lists(verified, max_size=4).map(tuple))
+            # distinct (previous owner, trainer) pairs of the round's EB,
+            # which is two blocks back
+            recorded = sorted({record[:2] for record in chain.blocks[-2].payload.records})
+            pairs = draw(st.lists(st.sampled_from(recorded), max_size=4, unique=True)
+                         if recorded else st.just([]))
+            verified = tuple((*pair, draw(PERFORMANCE)) for pair in pairs)
             size = draw(st.integers(min(1, len(verified)), len(verified)))
             payload = SettlementPayload(verified, tuple(chainmod.ranked_ids(verified)[:size]))
         block = Block(next_header(chain, draw(U64)), payload)

@@ -435,6 +435,11 @@ _WEIGHTS = st.one_of(
     st.integers(1, 5).map(lambda n: [-0.0] * n),
 )
 _ELEMENT = st.one_of(st.floats(-10, 10), st.integers(-5, 5), st.just(-0.0))
+# Values whose products or partial sums overflow to +-inf, or to nan when two
+# infinities of opposite sign meet, and signed zeros and ints.
+_EXTREME = st.sampled_from([1e308, -1e308, 1.7976931348623157e308, 5e-324, 0.0, -0.0])
+_KERNEL_WEIGHT = st.one_of(st.floats(allow_nan=False, allow_infinity=False), _EXTREME)
+_KERNEL_INPUT = st.one_of(st.floats(), st.integers(-2**60, 2**60), st.integers(-3, 3), _EXTREME)
 
 
 class TestVectorVerifier:
@@ -541,6 +546,100 @@ class TestEvaluateCases:
         assert [struct.pack("<d", y) for (y,) in outputs] == [
             struct.pack("<d", y) for (y,) in expected]
         assert [evaluate(model, x) for x in inputs] == list(outputs)
+
+    @settings(max_examples=400, deadline=None)
+    @given(dim=st.integers(0, 9), data=st.data())
+    def test_four_weight_blocks_same_bits_as_per_case_loop(self, dim, data):
+        # 0-9 inputs reach no block, one or two blocks of four weights, each
+        # with 0-3 weights left over
+        weights = data.draw(st.lists(_KERNEL_WEIGHT, min_size=dim + 1, max_size=dim + 1))
+        model = ModelWeights(0, tuple(weights))
+        inputs = data.draw(st.lists(st.tuples(*[_KERNEL_INPUT] * dim), max_size=6))
+        outputs = evaluate_cases(model, case_table(inputs))
+        expected = [_evaluate_one(model, x) for x in inputs]
+        assert [struct.pack("<d", y) for (y,) in outputs] == [
+            struct.pack("<d", y) for (y,) in expected]
+
+    @pytest.mark.parametrize("weights, x, output", [
+        # a sum past the largest double inside a block, then a finite term
+        ((1e308, 1e308, 1.0, 1.0, -0.0), (1.0, 1.0, 1.0, 1.0), "inf"),
+        # +inf from the block, -inf from the weight after it
+        ((1e308, 1e308, 0.0, 0.0, -1e308, 0.0), (1.0, 1.0, 1.0, 1.0, 10), "nan"),
+        # -inf from the first block meets a +inf product in the second
+        ((-1e308, -1e308, 0.0, 0.0, 1e308, 0.0, 0.0, 0.0, 5.0, -0.0),
+         (1, 1, 1, 1, 10, 1, 1, 1, 1), "nan"),
+        # signed zeros throughout: -0.0 + -0.0 * 1 stays -0.0
+        ((-0.0,) * 10, (1,) * 9, "-0.0"),
+        ((-0.0,) * 9 + (0.0,), (1,) * 9, "0.0"),
+    ], ids=["inf-in-block", "nan-in-remainder", "nan-across-blocks", "negative-zero",
+            "positive-zero-bias"])
+    def test_overflow_and_signed_zero_partway(self, weights, x, output):
+        model = ModelWeights(0, weights)
+        ((y,),) = evaluate_cases(model, case_table([x]))
+        assert struct.pack("<d", y) == struct.pack("<d", _evaluate_one(model, x)[0])
+        assert repr(y) == output
+
+
+class TestKeyMemo:
+    """A key's integrity check and keystream are derived once per distinct
+    key, in bounded memos that never hold a refusal."""
+
+    @staticmethod
+    def _flipped(key, i):
+        return key[:i] + bytes([key[i] ^ 1]) + key[i + 1:]
+
+    @pytest.mark.parametrize("where", ["magic", "id", "check"])
+    def test_a_tampered_key_is_refused_on_every_call(self, where):
+        pair = fhe_keygen(random.Random(5))
+        i = {"magic": 0, "id": len(crypto._PK_MAGIC), "check": -1}[where] % len(pair.pk)
+        bad_pk, bad_sk = self._flipped(pair.pk, i), self._flipped(pair.sk, i)
+        ct = fhe_encrypt(pair.pk, ModelWeights(1, (2.0, 1.0)))
+        for _ in range(3):
+            assert case_table([(1.0,)], pk=pair.pk).key_id == pair.key_id
+            with pytest.raises(UnknownKey):
+                fhe_encrypt(bad_pk, (1.0,))
+            assert case_table([(1.0,)], pk=bad_pk).key_id is None
+            with pytest.raises(UnknownKey):
+                fhe_decrypt_model(bad_sk, ct)
+
+    def test_alternating_keys_give_what_no_memo_gives(self, monkeypatch):
+        rng = random.Random(9)
+        a, b = fhe_keygen(rng), fhe_keygen(rng)
+        model = ModelWeights(3, (0.5, -1.0, 2.0))
+
+        def results():
+            out = []
+            for pair in (a, b, a):
+                enc_model, enc_x = fhe_encrypt(pair.pk, model), fhe_encrypt(pair.pk, (1.0, 2.0))
+                out.append((enc_model, enc_x, fhe_decrypt_model(pair.sk, enc_model),
+                            crypto._open(enc_x), fhe_eval(enc_model, enc_x)))
+            return out
+
+        crypto._parse_key.cache_clear()
+        crypto._keystream.cache_clear()
+        memoized, recalled = results(), results()
+        monkeypatch.setattr(crypto, "_parse_key", crypto._parse_key.__wrapped__)
+        monkeypatch.setattr(crypto, "_keystream", crypto._keystream.__wrapped__)
+        assert memoized == recalled == results()
+
+    def test_one_derivation_per_key_and_length(self):
+        pair = fhe_keygen(random.Random(10))
+        crypto._parse_key.cache_clear()
+        crypto._keystream.cache_clear()
+        for i in range(80):
+            fhe_encrypt(pair.pk, ModelWeights(i, (1.0, float(i))))
+        assert crypto._parse_key.cache_info().misses == 1
+        assert crypto._keystream.cache_info().misses == 1
+
+    def test_a_thousand_keys_stay_within_the_bound(self):
+        rng = random.Random(11)
+        model = ModelWeights(1, (1.0, 0.5))
+        for _ in range(1000):
+            pair = fhe_keygen(rng)
+            fhe_decrypt_model(pair.sk, fhe_encrypt(pair.pk, model))
+        for memo in (crypto._parse_key, crypto._keystream):
+            info = memo.cache_info()
+            assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
 class TestUndecodablePlaintext:

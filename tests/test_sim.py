@@ -451,7 +451,13 @@ class TestGoldenOutputs:
          "3b83b3357cd23860259873680137afadd42480fd4544c178e219575c10a0470a"),
         (7, "d96a390dc40b10f1f64d9b8e007b0e20c339bb2c5370d31a189b4fd49ac81157",
          "043ccb93f7da311a62ddb435c814dce56aef427a41b26cf99d40c7f5ba9a85ed"),
-    ], ids=["dim-1", "dim-7"])
+        # the kernel takes the inputs four at a time: one block and one
+        # weight left over, then two blocks and one
+        (5, "32236e022d85901cb81962e1e538f83dfb0b29001b8112558e818f063d536e26",
+         "86408de6426efb327108f909d0fddd695e3eca552bec4eb9b0b376736bd102a0"),
+        (9, "280fe20eb8cdb87c8cc59a76c5e957635db2906c21850bd78d002091f7390938",
+         "d581f1840ce80effbe8b550c3159d250d7c2674054444c9c72508daa3ad3902a"),
+    ], ids=["dim-1", "dim-7", "dim-5", "dim-9"])
     def test_seed_7_concrete_model_dims(self, model_dim, chain_sha, csv_sha):
         self._check(SimConfig(seed=7, rounds=6, mode="concrete", model_dim=model_dim),
                     chain_sha, csv_sha)
