@@ -1,11 +1,12 @@
 """Model digests, a mock homomorphic scheme, and submission verification.
 
 Models are toy linear maps: a weight vector whose last entry is the
-bias, so a model with weights ``(w_1, .., w_d, b)`` maps an input
-``x`` of length d to the single output ``w . x + b``. Training in
-concrete simulations is a deterministic contraction toward a hidden
-target vector, which makes honest training strictly improve test error
-while white-noise perturbation stagnates.
+bias, so a model with weights ``(w_1, .., w_d, b)`` maps an input ``x``
+of length d to the single output ``w . x + b``: outputs and claims are
+one float per case, and ``y`` is the vector ``(y,)`` only as a plaintext
+of the scheme. Training in concrete simulations is a deterministic
+contraction toward a hidden target vector, which makes honest training
+strictly improve test error while white-noise perturbation stagnates.
 
 The encryption scheme is deliberately NOT cryptographically secure: a
 ciphertext is an authenticated, key-bound encoding of the plaintext
@@ -23,24 +24,25 @@ plaintexts are. ``verify_submission`` relies on this: it opens the
 model once, maps it over every testing input with the one evaluation
 kernel (under ``evaluate_cases`` and ``evaluate`` too), and compares the
 packed doubles of all claims with those of all outputs in one bytes
-comparison. That is the same check as comparing ``fhe_encrypt(pk, claim)``
+comparison. That is the same check as comparing ``fhe_encrypt(pk, (claim,))``
 with ``fhe_eval``'s result case by case, without encrypting every case
 twice. The bytes are compared, not the floats, so a claimed ``-0.0``
 still differs from a true ``0.0``.
 
-What depends only on the round is done once per round, in ``case_table``:
-the round key is parsed, the inputs' widths are collected and the inputs
-transposed into columns, and the truths are flattened. Every submission
-of the round, its claimed outputs (step 10), its verification and its
-mean squared error (step 11), reads that one ``CaseTable``, so each
-submission costs only its tag, its digest, one open of its model, a
-check of the model's dimension against the table's widths, one run of
-the kernel (one pass over the cases per four weights), one bytes
-comparison and one pass of the error. What depends only on a key is
-derived once per distinct key: ``_parse_key`` memoizes a key's integrity
-check by its exact bytes and ``_keystream`` the stream by key id and
-length, each for the 8 most recent keys. An exception is never memoized,
-so a malformed or tampered key is refused on every call.
+What depends only on the round is done once per round, in
+``case_table``: the round key is parsed, the inputs' widths are
+collected and the inputs transposed into columns, and the one-component
+truths flattened to one float per case. Every submission of the round,
+its claimed outputs (step 10), its verification and its mean squared
+error (step 11), reads that one ``CaseTable``, so each submission costs
+only its tag, its digest, one open of its model, a check of the model's
+dimension against the table's widths, one run of the kernel (one pass
+over the cases per four weights), one bytes comparison and one pass of
+the error. What depends only on a key is derived once per distinct key:
+``_parse_key`` memoizes a key's integrity check by its exact bytes and
+``_keystream`` the stream by key id and length, each for the 8 most
+recent keys. An exception is never memoized, so a malformed or tampered
+key is refused on every call.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ import random
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 from typing import Sequence
 
 from .serialize import digest as canonical_digest
@@ -119,8 +120,8 @@ class CaseTable:
     """A round's testing cases, prepared once for all of its submissions.
 
     ``columns`` holds the inputs transposed, one tuple per input position,
-    and ``widths`` the distinct input lengths; ``truths`` holds the truths'
-    components in case order, and ``truth_widths`` each truth's length.
+    and ``widths`` the distinct input lengths; ``truths`` holds one float
+    per case, each truth flattened once from its one-component vector.
     ``key_id`` is the id of the round's public key, None when the table was
     made without a well-formed key, so that nothing verifies against it.
     """
@@ -129,7 +130,6 @@ class CaseTable:
     count: int
     widths: frozenset[int]
     columns: tuple[tuple[float, ...], ...]
-    truth_widths: tuple[int, ...]
     truths: tuple[float, ...]
 
 
@@ -138,21 +138,23 @@ def case_table(
     truths: Sequence[Sequence[float]] = (),
     pk: bytes | None = None,
 ) -> CaseTable:
-    """The table of ``inputs`` and ``truths`` under the public key ``pk``."""
+    """The table of ``inputs`` and ``truths`` under the public key ``pk``;
+    a truth of other than one component raises ``LengthMismatch``."""
     key_id = None
     if pk is not None:
         try:
             key_id = _parse_key(pk, _PK_MAGIC)
         except UnknownKey:
             pass
-    return CaseTable(
-        key_id, len(inputs), frozenset(map(len, inputs)), tuple(zip(*inputs)),
-        tuple(map(len, truths)), tuple(chain.from_iterable(truths)),
-    )
+    if any(len(truth) != 1 for truth in truths):
+        raise LengthMismatch("each truth must have exactly one component")
+    return CaseTable(key_id, len(inputs), frozenset(map(len, inputs)), tuple(zip(*inputs)),
+                     tuple([t for (t,) in truths]))
 
 
-def _outputs(m: ModelWeights, cases: CaseTable) -> list[float]:
-    """The one evaluation kernel: the model's output on every case.
+def evaluate_cases(m: ModelWeights, cases: CaseTable) -> list[float]:
+    """The one evaluation kernel: the model's output ``w . x + b`` on every
+    case, one float per case in case order.
 
     The model's dimension is checked against every input width before any
     arithmetic. The outputs are built across all cases from the table's
@@ -178,13 +180,8 @@ def _outputs(m: ModelWeights, cases: CaseTable) -> list[float]:
     return accs
 
 
-def evaluate_cases(m: ModelWeights, cases: CaseTable) -> tuple[Vector, ...]:
-    """Plaintext evaluation of the linear map on every case: ``(w . x + b,)``."""
-    return tuple(zip(_outputs(m, cases)))
-
-
-def evaluate(m: ModelWeights, x: Sequence[float]) -> Vector:
-    """Plaintext evaluation of the linear map on one input: (w . x + b,)."""
+def evaluate(m: ModelWeights, x: Sequence[float]) -> float:
+    """Plaintext evaluation of the linear map on one input: w . x + b."""
     return evaluate_cases(m, case_table((x,)))[0]
 
 
@@ -349,7 +346,7 @@ def fhe_eval(enc_model: Ciphertext, enc_input: Ciphertext) -> Ciphertext:
     x = _open(enc_input)
     if not isinstance(model, ModelWeights) or isinstance(x, ModelWeights):
         raise InvalidCiphertext("eval needs an encrypted model and an encrypted vector")
-    return _encrypt_with_id(enc_model.key_id, evaluate(model, x))
+    return _encrypt_with_id(enc_model.key_id, (evaluate(model, x),))
 
 
 def fhe_decrypt_model(sk: bytes, ct: Ciphertext) -> ModelWeights:
@@ -378,7 +375,7 @@ VERDICT_NO_CASES = "NoCases"
 def verify_submission(
     committed_digest: bytes,
     enc_model: Ciphertext,
-    claimed_outputs: Sequence[Sequence[float]],
+    claimed_outputs: Sequence[float],
     cases: CaseTable,
 ) -> str:
     """Two-part check of a trainer's submission: ``VERDICT_OK``, or the
@@ -392,19 +389,19 @@ def verify_submission(
 
     Part 1 binds the submitted ciphertext to the digest committed in the
     testing block. Part 2 accepts the submission exactly when, for every
-    case, ``fhe_encrypt(pk, claimed) == fhe_eval(enc_model, fhe_encrypt(pk, x))``.
+    case, ``fhe_encrypt(pk, (claimed,)) == fhe_eval(enc_model, fhe_encrypt(pk, x))``.
     Under one key that holds exactly when the canonical packed plaintexts
     of the claim and of the model's output are equal (see the module
-    docstring). A model has one output, so a claim of any other length
-    fails; the rest are checked as one vector: the model is opened once
-    (only if there is a case), its dimension is checked against the
+    docstring). A model has one output, so any claim but one finite float
+    per case fails (a non-finite one has no place in the ranking by mean
+    squared error); the rest are checked as one vector: the model is opened
+    once (only if there is a case), its dimension is checked against the
     table's input widths, the kernel maps it over the table's columns, and
     the packed doubles of all claims are compared with those of all
     outputs in one bytes comparison. With one double per case the
     concatenations are equal exactly when every case is. Bytes, not
     floats: a claimed ``-0.0`` against a true ``0.0`` is rejected, where
-    float ``==`` would accept it. A non-finite claimed output is
-    rejected: it has no place in the ranking by mean squared error.
+    float ``==`` would accept it.
     """
     if enc_model.key_id != cases.key_id or not ciphertext_ok(enc_model):
         return VERDICT_KEY_MISMATCH
@@ -415,40 +412,35 @@ def verify_submission(
     if not cases.count:
         return VERDICT_OK
     try:
-        claims = [claim for (claim,) in claimed_outputs]
-    except ValueError:  # a claim of other than one output
-        return VERDICT_OUTPUT_MISMATCH
-    if not all(map(math.isfinite, claims)):
+        if not all(map(math.isfinite, claimed_outputs)):
+            return VERDICT_OUTPUT_MISMATCH
+    except (TypeError, OverflowError):  # a claim that is not a float
         return VERDICT_OUTPUT_MISMATCH
     try:
         # the tag was checked above
-        actual = _outputs(_model(_decrypt(enc_model)), cases)
+        actual = evaluate_cases(_model(_decrypt(enc_model)), cases)
     except (InvalidCiphertext, LengthMismatch):
         return VERDICT_OUTPUT_MISMATCH
     packing = f"<{cases.count}d"
-    if struct.pack(packing, *claims) != struct.pack(packing, *actual):
+    if struct.pack(packing, *claimed_outputs) != struct.pack(packing, *actual):
         return VERDICT_OUTPUT_MISMATCH
     return VERDICT_OK
 
 
-def performance_index(outputs: Sequence[Sequence[float]], truths: CaseTable) -> float:
-    """Mean squared error over all output components; lower is better.
+def performance_index(outputs: Sequence[float], truths: CaseTable) -> float:
+    """Mean squared error of one output per case; lower is better.
 
-    ``truths`` is the table of the cases' truths. One pass over the float
-    components, case by case and left to right, as ``total += (o - t) ** 2``:
-    a fixed order, so the index has the same bits on every Python version
-    (``sum`` of floats is compensated from Python 3.12 and rounds
-    differently).
+    ``truths`` is the table of the cases' truths, flattened once by
+    ``case_table``. One pass over the cases, left to right, as
+    ``total += (o - t) ** 2``: a fixed order, so the index has the same bits
+    on every Python version (``sum`` of floats is compensated from Python
+    3.12 and rounds differently).
     """
-    if len(outputs) != len(truths.truth_widths):
-        raise LengthMismatch(f"{len(outputs)} outputs vs {len(truths.truth_widths)} truths")
+    if len(outputs) != len(truths.truths):
+        raise LengthMismatch(f"{len(outputs)} outputs vs {len(truths.truths)} truths")
     if not outputs:
         raise EmptyCases("performance index needs at least one case")
-    if tuple(map(len, outputs)) != truths.truth_widths:
-        raise LengthMismatch("case dimensions differ between outputs and truths")
-    if not truths.truths:
-        raise EmptyCases("cases carry no components")
     total = 0.0
-    for o, t in zip(chain.from_iterable(outputs), truths.truths):
+    for o, t in zip(outputs, truths.truths):
         total += (o - t) ** 2
-    return total / len(truths.truths)
+    return total / len(outputs)

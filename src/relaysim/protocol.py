@@ -245,7 +245,7 @@ class Submission:
     trainer_id: str
     committed_digest: bytes
     ciphertext: crypto.Ciphertext
-    claimed_outputs: tuple[crypto.Vector, ...]
+    claimed_outputs: Sequence[float]
 
 
 def collect_verified(
@@ -346,7 +346,8 @@ class ConcreteModels:
             tuple(rng.uniform(-1.0, 1.0) for _ in range(target.input_dim))
             for _ in range(config.q_cases)
         )
-        return inputs, crypto.evaluate_cases(target, crypto.case_table(inputs))
+        # the testing block carries each truth as a one-component vector
+        return inputs, tuple(zip(crypto.evaluate_cases(target, crypto.case_table(inputs))))
 
     def verify(self, sealed: Sequence[tuple], participants, pk: bytes, inputs, truths,
                rng: random.Random) -> tuple[list[chainmod.VerifiedRecord], list[Rejection]]:

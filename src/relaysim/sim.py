@@ -30,6 +30,11 @@ BUCKET_LABELS = tuple(
 )
 # the fewest rounds analyze_accessibility reports on
 ACCESSIBILITY_ROUNDS = 50
+# The largest q_miners + q_mo_and_t: init_state peaks at about 206 B per
+# participant by tracemalloc (2**14 to 2**18 of them), and each round adds a
+# CSV row of about 25 B per participant, so 2**22 keep init_state under 1 GiB
+# (2**22 * 206 B = 824 MiB); a larger pool is refused before its ids are built.
+MAX_PARTICIPANTS = 2**22
 
 
 class SimError(ValueError):
@@ -80,10 +85,11 @@ class SimConfig:
                 object.__setattr__(self, f.name, float(value))
         # the full protocol needs a miner to mine each block and the
         # genesis owner in the owner-and-trainer pool
-        if min(self.q_miners, self.q_mo_and_t) < 1:
+        if min(self.q_miners, self.q_mo_and_t) < 1 or (
+                self.q_miners + self.q_mo_and_t > MAX_PARTICIPANTS):
             raise InvalidSimConfig(
-                "q_miners and q_mo_and_t must be >= 1, got "
-                f"{self.q_miners} and {self.q_mo_and_t}"
+                "q_miners and q_mo_and_t must be >= 1 with a sum of at most "
+                f"{MAX_PARTICIPANTS}, got {self.q_miners} and {self.q_mo_and_t}"
             )
         if not 0 <= self.seed < 2**64:
             raise InvalidSimConfig(f"seed must be in [0, 2**64), got {self.seed}")

@@ -269,7 +269,7 @@ def test_criterion_7_settlement_verification_concrete():
             4, tuple(t + o * scale for t, o in zip(target.weights, offset))
         )
         inputs = [tuple(rng.uniform(-1, 1) for _ in range(dim)) for _ in range(10)]
-        truths = crypto.case_table(truths=[crypto.evaluate(target, x) for x in inputs])
+        truths = crypto.case_table(truths=[(crypto.evaluate(target, x),) for x in inputs])
         cases = crypto.case_table(inputs, pk=pair.pk)
 
         honest = crypto.train_toward(start, target, 0.5)

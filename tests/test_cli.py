@@ -450,6 +450,16 @@ class TestExitCodes:
         assert capsys.readouterr() == ("", "relaysim: q_cases is too large for a float\n")
         assert not out.exists()
 
+    def test_simulate_pool_past_the_cap_exit_two(self, tmp_path, capsys):
+        # Refused where the config is built, before any participant id is made.
+        out = tmp_path / "run"
+        assert main(["simulate", "--set", "q_miners=10000000000", "--rounds", "1",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", "relaysim: q_miners and q_mo_and_t must be >= 1 with a "
+                                           f"sum of at most {sim.MAX_PARTICIPANTS}, got "
+                                           "10000000000 and 128\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("verb, override, err", [
         ("check-incentives", "q_deposit=1", "NPA evaluation requires 0 < q_deposit_less "
          "< q_deposit, got q_deposit_less=16, q_deposit=1"),

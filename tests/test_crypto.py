@@ -154,7 +154,7 @@ class TestEval:
             data.draw(st.floats(-5, 5)) for _ in range(model.input_dim)
         )
         left = fhe_eval(fhe_encrypt(pair.pk, model), fhe_encrypt(pair.pk, x))
-        right = fhe_encrypt(pair.pk, evaluate(model, x))
+        right = fhe_encrypt(pair.pk, (evaluate(model, x),))
         assert left == right
 
 
@@ -165,7 +165,7 @@ class TestTraining:
         trained = train_toward(model, target, 0.25)
         assert trained.version == 2
         inputs = [(0.5, 2.0), (-1.0, 1.0), (3.0, 0.0)]
-        truths = case_table(truths=[evaluate(target, x) for x in inputs])
+        truths = case_table(truths=[(evaluate(target, x),) for x in inputs])
         before = performance_index([evaluate(model, x) for x in inputs], truths)
         after = performance_index([evaluate(trained, x) for x in inputs], truths)
         assert after == pytest.approx(before * 0.75**2)
@@ -224,9 +224,9 @@ class TestVerifySubmission:
             true_out = evaluate(model, (x,))
             for claimed in grid:
                 verdict = verify_submission(
-                    committed, ct, [(claimed,)], case_table([(x,)], pk=pair.pk)
+                    committed, ct, [claimed], case_table([(x,)], pk=pair.pk)
                 )
-                if (claimed,) == true_out:
+                if claimed == true_out:
                     assert verdict == VERDICT_OK
                 else:
                     assert verdict == VERDICT_OUTPUT_MISMATCH
@@ -265,12 +265,40 @@ class TestVerifySubmission:
         with pytest.raises(InvalidCiphertext):
             fhe_eval(bad_tag, fhe_encrypt(pair.pk, inputs[0]))
 
+    @pytest.mark.parametrize("bad", [
+        (0.0,), (0.0, 0.0), None, "0.0", math.nan, math.inf, -math.inf, -0.0, 10**400,
+    ], ids=["one-tuple", "two-tuple", "none", "string", "nan", "inf", "minus-inf",
+            "negative-zero", "huge-int"])
+    def test_claim_other_than_one_finite_float_rejected(self, bad):
+        # every true output is 0.0; one case claims something else
+        pair = fhe_keygen(random.Random(12))
+        ct = fhe_encrypt(pair.pk, ModelWeights(1, (0.0, 0.0, 0.0)))
+        cases = case_table([(1.0, 2.0)] * 3, pk=pair.pk)
+        assert verify_submission(ciphertext_digest(ct), ct, [0.0] * 3, cases) == VERDICT_OK
+        verdict = verify_submission(ciphertext_digest(ct), ct, [0.0, bad, 0.0], cases)
+        assert verdict == VERDICT_OUTPUT_MISMATCH
+
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["too-few", "too-many"])
+    def test_one_claim_too_few_or_too_many_rejected(self, extra):
+        pair, _, _, inputs, ct, committed, outputs = self._setup()
+        claims = outputs[:-1] if extra < 0 else outputs + outputs[:1]
+        verdict = verify_submission(committed, ct, claims, case_table(inputs, pk=pair.pk))
+        assert verdict == VERDICT_OUTPUT_MISMATCH
+
 
 def _forged(pair, plaintext: bytes) -> Ciphertext:
     """An authentic ciphertext over arbitrary plaintext bytes: the mock tag
     hashes only the key id and payload, so anyone can compute it."""
     payload = crypto._xor_stream(plaintext, pair.key_id)
     return Ciphertext(pair.key_id, payload, crypto._tag(pair.key_id, payload))
+
+
+def _finite_number(claimed):
+    """Whether a claim is one finite number, not a vector or anything else."""
+    try:
+        return math.isfinite(claimed)
+    except (TypeError, OverflowError):
+        return False
 
 
 def _reference_verdict(committed, enc_model, claimed_outputs, pk, testing_inputs):
@@ -288,13 +316,14 @@ def _reference_verdict(committed, enc_model, claimed_outputs, pk, testing_inputs
     if len(claimed_outputs) != len(testing_inputs):
         return VERDICT_OUTPUT_MISMATCH
     for claimed, x in zip(claimed_outputs, testing_inputs):
-        if not all(map(math.isfinite, claimed)):
+        if not _finite_number(claimed):
             return VERDICT_OUTPUT_MISMATCH
         try:
             actual = fhe_eval(enc_model, fhe_encrypt(pk, x))
         except (InvalidCiphertext, LengthMismatch):
             return VERDICT_OUTPUT_MISMATCH
-        if fhe_encrypt(pk, claimed) != actual:
+        # a flat claim stands for the one-component vector (claimed,)
+        if fhe_encrypt(pk, (claimed,)) != actual:
             return VERDICT_OUTPUT_MISMATCH
     return VERDICT_OK
 
@@ -302,14 +331,15 @@ def _reference_verdict(committed, enc_model, claimed_outputs, pk, testing_inputs
 def _claim(kind, model, x):
     """A claimed output for case ``x``: honest or altered as ``kind`` says."""
     try:
-        (y,) = evaluate(model, x)
+        y = evaluate(model, x)
     except LengthMismatch:  # the input has the wrong width
-        return (0.0,)
+        return 0.0
     return {
-        "honest": (y,),
-        "one_ulp": (math.nextafter(y, math.inf),),
-        "negated": (-y,),  # -0.0 against a true 0.0 when the output is zero
-        "too_wide": (y, 0.0),
+        "honest": y,
+        "one_ulp": math.nextafter(y, math.inf),
+        "negated": -y,  # -0.0 against a true 0.0 when the output is zero
+        "too_wide": (y, 0.0),  # not a float: a vector, as is "wrapped"
+        "wrapped": (y,),
     }[kind]
 
 
@@ -355,7 +385,7 @@ class TestVerifierEquivalence:
         inputs = data.draw(st.lists(width.flatmap(
             lambda n: st.tuples(*[element] * n)), min_size=cases, max_size=cases))
         kinds = data.draw(st.lists(
-            _mostly("honest", "one_ulp", "negated", "too_wide"),
+            _mostly("honest", "one_ulp", "negated", "too_wide", "wrapped"),
             min_size=len(inputs), max_size=len(inputs)))
         claims = [_claim(kind, model, x) for kind, x in zip(kinds, inputs)]
         if few and claims:
@@ -368,12 +398,12 @@ class TestVerifierEquivalence:
         model = ModelWeights(1, (0.0, 0.0))
         ct = fhe_encrypt(pair.pk, model)
         inputs = [(1.0,)]
-        assert evaluate(model, inputs[0]) == (0.0,) == (-0.0,)
+        assert evaluate(model, inputs[0]) == 0.0 == -0.0
         cases = case_table(inputs, pk=pair.pk)
-        honest = verify_submission(ciphertext_digest(ct), ct, [(0.0,)], cases)
+        honest = verify_submission(ciphertext_digest(ct), ct, [0.0], cases)
         assert honest == VERDICT_OK
         cases = case_table(inputs, pk=pair.pk)
-        verdict = verify_submission(ciphertext_digest(ct), ct, [(-0.0,)], cases)
+        verdict = verify_submission(ciphertext_digest(ct), ct, [-0.0], cases)
         assert verdict == VERDICT_OUTPUT_MISMATCH
 
 
@@ -384,13 +414,13 @@ def _evaluate_one(m, x):
     acc = m.weights[-1]
     for w, xi in zip(m.weights[:-1], x):
         acc += w * xi
-    return (acc,)
+    return acc
 
 
 def _per_case_verdict(committed_digest, enc_model, claimed_outputs, pk, testing_inputs):
     """verify_submission as a loop over the cases: the model is opened on
     the first case, and each case is evaluated on its own and compared as
-    packed plaintext bytes."""
+    packed plaintext bytes of one-component vectors."""
     try:
         key_id = crypto._parse_key(pk, crypto._PK_MAGIC)
     except UnknownKey:
@@ -403,7 +433,7 @@ def _per_case_verdict(committed_digest, enc_model, claimed_outputs, pk, testing_
         return VERDICT_OUTPUT_MISMATCH
     model = None
     for claimed, x in zip(claimed_outputs, testing_inputs):
-        if not all(map(math.isfinite, claimed)):
+        if not _finite_number(claimed):
             return VERDICT_OUTPUT_MISMATCH
         x = tuple(map(float, x))
         try:
@@ -412,7 +442,7 @@ def _per_case_verdict(committed_digest, enc_model, claimed_outputs, pk, testing_
             actual = _evaluate_one(model, x)
         except (InvalidCiphertext, LengthMismatch):
             return VERDICT_OUTPUT_MISMATCH
-        if crypto._encode_plaintext(claimed) != crypto._encode_plaintext(actual):
+        if crypto._encode_plaintext((claimed,)) != crypto._encode_plaintext((actual,)):
             return VERDICT_OUTPUT_MISMATCH
     return VERDICT_OK
 
@@ -474,10 +504,10 @@ class TestVectorVerifier:
         claims = [self._honest(model, x) for x in inputs]
         fault = data.draw(st.sampled_from(["one", "one", "one", "two", "none", "shift", "shift"]))
         if claims and fault == "shift":
-            # a 2-component claim followed by a 0-component one: the same
-            # doubles as two honest cases, laid out differently
+            # a 2-component vector followed by an empty one: the same doubles
+            # as two honest cases, laid out differently
             i = data.draw(st.integers(0, len(claims) - 1))
-            claims[i:i + 2] = [tuple(c for claim in claims[i:i + 2] for c in claim), ()]
+            claims[i:i + 2] = [tuple(claims[i:i + 2]), ()]
             claims = claims[:len(inputs)]
         for _ in range({"one": 1, "two": 2}.get(fault, 0)):
             if claims:
@@ -486,7 +516,7 @@ class TestVectorVerifier:
         if count == "fewer" and claims:
             claims.pop()
         elif count == "more":
-            claims.append((0.0,))
+            claims.append(0.0)
         verdict = verify_submission(committed, enc_model, claims, case_table(inputs, pk=pk))
         assert verdict == _per_case_verdict(committed, enc_model, claims, pk, inputs)
 
@@ -495,16 +525,15 @@ class TestVectorVerifier:
         try:
             return _evaluate_one(model, x)
         except LengthMismatch:
-            return (0.0,)
+            return 0.0
 
     @staticmethod
-    def _altered(data, claim):
-        (y,) = claim
+    def _altered(data, y):
         integral = math.isfinite(y) and y == int(y) and abs(y) <= 2**53
         return data.draw(st.sampled_from([
-            claim, (-y,), (0.0,), (-0.0,), (math.nan,), (math.inf,), (-math.inf,),
-            (int(y),) if integral else (7,), (), (y, y), (y, 0.0),
-        ]) | st.tuples(st.integers(-2**53, 2**53)))
+            y, -y, 0.0, -0.0, math.nan, math.inf, -math.inf,
+            int(y) if integral else 7, (), (y,), (y, y), (y, 0.0), None, repr(y), 10**400,
+        ]) | st.integers(-2**53, 2**53))
 
     def test_negative_zero_claim_in_any_case_rejected(self):
         pair = fhe_keygen(random.Random(4))
@@ -512,8 +541,7 @@ class TestVectorVerifier:
         ct = fhe_encrypt(pair.pk, model)
         inputs = [(1.0, 2.0)] * 3
         cases = case_table(inputs, pk=pair.pk)
-        for claims, accepted in [([(0.0,)] * 3, True), ([(0.0,), (-0.0,), (0.0,)], False),
-                                 ([(0,)] * 3, True)]:
+        for claims, accepted in [([0.0] * 3, True), ([0.0, -0.0, 0.0], False), ([0] * 3, True)]:
             verdict = verify_submission(ciphertext_digest(ct), ct, claims, cases)
             assert (verdict == VERDICT_OK) is accepted
             assert verdict == _per_case_verdict(ciphertext_digest(ct), ct, claims, pair.pk, inputs)
@@ -543,9 +571,10 @@ class TestEvaluateCases:
                 evaluate_cases(model, case_table(inputs))
             return
         outputs = evaluate_cases(model, case_table(inputs))
-        assert [struct.pack("<d", y) for (y,) in outputs] == [
-            struct.pack("<d", y) for (y,) in expected]
-        assert [evaluate(model, x) for x in inputs] == list(outputs)
+        packed = [struct.pack("<d", y) for y in outputs]
+        assert packed == [struct.pack("<d", y) for y in expected]
+        # bits, not floats: an overflow to nan compares unequal to itself
+        assert [struct.pack("<d", evaluate(model, x)) for x in inputs] == packed
 
     @settings(max_examples=400, deadline=None)
     @given(dim=st.integers(0, 9), data=st.data())
@@ -557,8 +586,14 @@ class TestEvaluateCases:
         inputs = data.draw(st.lists(st.tuples(*[_KERNEL_INPUT] * dim), max_size=6))
         outputs = evaluate_cases(model, case_table(inputs))
         expected = [_evaluate_one(model, x) for x in inputs]
-        assert [struct.pack("<d", y) for (y,) in outputs] == [
-            struct.pack("<d", y) for (y,) in expected]
+        assert [struct.pack("<d", y) for y in outputs] == [struct.pack("<d", y) for y in expected]
+
+    def test_outputs_are_exact_floats(self):
+        model = ModelWeights(0, (2.0, -1.0, 0.5))
+        outputs = evaluate_cases(model, case_table([(1, 2), (0.5, -3.0), (0, 0)]))
+        assert [type(y) for y in outputs] == [float] * 3
+        assert outputs == [0.5, 4.5, 0.5]
+        assert type(evaluate(model, (1, 2))) is float
 
     @pytest.mark.parametrize("weights, x, output", [
         # a sum past the largest double inside a block, then a finite term
@@ -575,9 +610,16 @@ class TestEvaluateCases:
             "positive-zero-bias"])
     def test_overflow_and_signed_zero_partway(self, weights, x, output):
         model = ModelWeights(0, weights)
-        ((y,),) = evaluate_cases(model, case_table([x]))
-        assert struct.pack("<d", y) == struct.pack("<d", _evaluate_one(model, x)[0])
+        (y,) = evaluate_cases(model, case_table([x]))
+        assert struct.pack("<d", y) == struct.pack("<d", _evaluate_one(model, x))
         assert repr(y) == output
+
+
+class TestCaseTable:
+    @pytest.mark.parametrize("truth", [(), (1.0, 2.0)], ids=["no-component", "two-components"])
+    def test_truth_of_other_than_one_component_refused(self, truth):
+        with pytest.raises(LengthMismatch):
+            case_table([(1.0,), (2.0,)], [(1.0,), truth])
 
 
 class TestKeyMemo:
@@ -655,7 +697,7 @@ class TestUndecodablePlaintext:
         ct = _forged(pair, self.PAYLOADS[name])
         assert ciphertext_ok(ct)
         verdict = verify_submission(
-            ciphertext_digest(ct), ct, [(0.0,)], case_table([(1.0, 2.0)], pk=pair.pk)
+            ciphertext_digest(ct), ct, [0.0], case_table([(1.0, 2.0)], pk=pair.pk)
         )
         assert verdict == VERDICT_OUTPUT_MISMATCH
         with pytest.raises(InvalidCiphertext):
@@ -699,7 +741,7 @@ class TestNonFiniteOutputs:
         inputs = [(10.0, 10.0), (0.5, -1.0)]
         ct = fhe_encrypt(pair.pk, model)
         outputs = [evaluate(model, x) for x in inputs]
-        assert not math.isfinite(outputs[0][0])
+        assert not math.isfinite(outputs[0])
         cases = case_table(inputs, pk=pair.pk)
         verdict = verify_submission(ciphertext_digest(ct), ct, outputs, cases)
         assert verdict == VERDICT_OUTPUT_MISMATCH
@@ -707,38 +749,36 @@ class TestNonFiniteOutputs:
 
 class TestPerformanceIndex:
     def test_perfect_outputs(self):
-        assert performance_index([(1.0,), (2.0,)], case_table(truths=[(1.0,), (2.0,)])) == 0.0
+        assert performance_index([1.0, 2.0], case_table(truths=[(1.0,), (2.0,)])) == 0.0
 
     def test_hand_mse(self):
         assert performance_index(
-            [(1.0,), (2.0,)], case_table(truths=[(2.0,), (4.0,)])) == pytest.approx(2.5)
+            [1.0, 2.0], case_table(truths=[(2.0,), (4.0,)])) == pytest.approx(2.5)
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            performance_index([(1.0,)] * 3, case_table(truths=[(1.0,)] * 4))
+            performance_index([1.0] * 3, case_table(truths=[(1.0,)] * 4))
 
     def test_empty_cases(self):
         with pytest.raises(EmptyCases):
             performance_index([], case_table())
 
     def test_case_width_mismatch(self):
+        # a truth of other than one component is refused once, by the table
         with pytest.raises(LengthMismatch):
-            performance_index([(1.0,), (1.0, 2.0)], case_table(truths=[(1.0, 2.0), (1.0,)]))
-        with pytest.raises(EmptyCases):
-            performance_index([(), ()], case_table(truths=[(), ()]))
+            performance_index([1.0, 1.0], case_table(truths=[(1.0, 2.0), (1.0,)]))
+        with pytest.raises(LengthMismatch):
+            performance_index([1.0, 1.0], case_table(truths=[(), ()]))
 
-    @given(cases=st.lists(st.integers(0, 3).flatmap(lambda n: st.tuples(
-        st.tuples(*[st.floats(-1e3, 1e3)] * n), st.tuples(*[st.floats(-1e3, 1e3)] * n))),
-        min_size=1, max_size=12).filter(lambda cases: any(o for o, _ in cases)))
+    @given(cases=st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+                          min_size=1, max_size=12))
     def test_same_bits_as_per_case_loop(self, cases):
-        total, count = 0.0, 0
-        for out, truth in cases:
-            for o, t in zip(out, truth):
-                total += (o - t) ** 2
-                count += 1
+        total = 0.0
+        for o, t in cases:
+            total += (o - t) ** 2
         index = performance_index(
-            [o for o, _ in cases], case_table(truths=[t for _, t in cases]))
-        assert struct.pack("<d", index) == struct.pack("<d", total / count)
+            [o for o, _ in cases], case_table(truths=[(t,) for _, t in cases]))
+        assert struct.pack("<d", index) == struct.pack("<d", total / len(cases))
 
     @given(
         pairs=st.lists(
@@ -748,7 +788,7 @@ class TestPerformanceIndex:
         seed=st.integers(0, 2**16),
     )
     def test_permutation_invariant(self, pairs, seed):
-        outputs = [(a,) for a, _ in pairs]
+        outputs = [a for a, _ in pairs]
         truths = [(b,) for _, b in pairs]
         baseline = performance_index(outputs, case_table(truths=truths))
         order = list(range(len(pairs)))

@@ -604,7 +604,7 @@ class TestDishonestExclusion:
         pair = crypto.fhe_keygen(rng)
         target = crypto.ModelWeights(0, (0.8, -0.4, 0.1))
         inputs = [tuple(rng.uniform(-1, 1) for _ in range(2)) for _ in range(8)]
-        truths = [crypto.evaluate(target, x) for x in inputs]
+        truths = [(crypto.evaluate(target, x),) for x in inputs]
         submissions = []
         for i in range(4):
             start = crypto.ModelWeights(3, tuple(rng.uniform(-1, 1) for _ in range(3)))
@@ -704,8 +704,9 @@ class TestRoundVerification:
             ct = _tampered(sealed, data.draw(
                 _mostly("none", "payload", "payload_retagged", "tag", "key")))
             committed = crypto.ciphertext_digest(data.draw(_mostly(ct, sealed)))
-            kinds = data.draw(st.lists(_mostly("honest", "one_ulp", "negated", "too_wide"),
-                                       min_size=cases, max_size=cases))
+            kinds = data.draw(st.lists(
+                _mostly("honest", "one_ulp", "negated", "too_wide", "wrapped"),
+                min_size=cases, max_size=cases))
             claims = tuple(_claim(kind, model, x) for kind, x in zip(kinds, inputs))
             round_subs.append(Submission("mo", f"t{i}", committed, ct, claims))
         reasons = [
@@ -739,5 +740,4 @@ class TestRoundVerification:
                 crypto.evaluate_cases(model, table)
             return
         outputs = crypto.evaluate_cases(model, table)
-        assert [struct.pack("<d", y) for (y,) in outputs] == [
-            struct.pack("<d", y) for (y,) in expected]
+        assert [struct.pack("<d", y) for y in outputs] == [struct.pack("<d", y) for y in expected]

@@ -20,6 +20,7 @@ from relaysim.sim import (
     BUCKET_LABELS,
     InsufficientData,
     InvalidSimConfig,
+    MAX_PARTICIPANTS,
     Metrics,
     SimConfig,
     analyze_accessibility,
@@ -76,6 +77,15 @@ class TestConfig:
     def test_empty_or_negative_pool_rejected(self, q_miners, q_mo_and_t):
         with pytest.raises(InvalidSimConfig):
             SimConfig(q_miners=q_miners, q_mo_and_t=q_mo_and_t)
+
+    @pytest.mark.parametrize("q_miners", [1, MAX_PARTICIPANTS // 2])
+    def test_pool_past_the_cap_rejected(self, q_miners):
+        # Built, never run: only the refusal is checked, at the cap + 1.
+        q_mo_and_t = MAX_PARTICIPANTS + 1 - q_miners
+        with pytest.raises(InvalidSimConfig, match=f"at most {MAX_PARTICIPANTS}, "
+                                                   f"got {q_miners} and {q_mo_and_t}$"):
+            SimConfig(q_miners=q_miners, q_mo_and_t=q_mo_and_t)
+        SimConfig(q_miners=q_miners, q_mo_and_t=q_mo_and_t - 1)
 
     def test_probability_bounds(self):
         with pytest.raises(InvalidSimConfig):
