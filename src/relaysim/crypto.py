@@ -55,9 +55,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .serialize import digest as canonical_digest
+from .serialize import (
+    digest as canonical_digest, encode_bytes, encode_floats, encode_str, encode_uint,
+)
 
 Vector = tuple[float, ...]
+
+# The constant first field of each digest layout, encoded once.
+_MODEL = encode_str("model")
+_CIPHERTEXT = encode_str("ciphertext")
 
 
 class CryptoError(ValueError):
@@ -112,7 +118,7 @@ def model_digest(m: ModelWeights) -> bytes:
     for w in m.weights:
         if not math.isfinite(w):
             raise NonFiniteWeight(f"weight {w!r} is not finite")
-    return canonical_digest(["model", m.version, list(m.weights)])
+    return canonical_digest(_MODEL, encode_uint(m.version), encode_floats(m.weights))
 
 
 @dataclass(frozen=True)
@@ -359,7 +365,9 @@ def fhe_decrypt_model(sk: bytes, ct: Ciphertext) -> ModelWeights:
 
 def ciphertext_digest(ct: Ciphertext) -> bytes:
     """Digest binding a ciphertext for on-chain commitment."""
-    return canonical_digest(["ciphertext", ct.key_id, ct.payload, ct.tag])
+    return canonical_digest(
+        _CIPHERTEXT, encode_uint(ct.key_id), encode_bytes(ct.payload), encode_bytes(ct.tag)
+    )
 
 
 # --- settlement verification ----------------------------------------------

@@ -33,7 +33,7 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from . import auction, chain as chainmod, crypto
-from .serialize import digest as canonical_digest
+from .serialize import digest as canonical_digest, encode_str, encode_uint
 
 GENESIS_VERSION = 1
 
@@ -272,16 +272,24 @@ def collect_verified(
     return verified, rejected
 
 
+# The kind, the first field of each label digest, encoded once.
+_ABSTRACT_MODEL = encode_str("abstract-model")
+_ABSTRACT_ENCRYPTED_MODEL = encode_str("abstract-encrypted-model")
+
+
 class AbstractModels:
     """Label models: a model is its (owner, version) pair, digests hash
-    that label, and each verified performance is a uniform draw."""
+    the label ``[kind, owner, version]``, and each verified performance is
+    a uniform draw."""
 
     def start(self, config, rng: random.Random):
         return None, None
 
     def digest(self, maker: Participant) -> bytes:
         """Digest of the model ``maker`` has just made."""
-        return canonical_digest(["abstract-model", maker.id, maker.model_version])
+        return canonical_digest(
+            _ABSTRACT_MODEL, encode_str(maker.id), encode_uint(maker.model_version)
+        )
 
     def train(self, trainer: Participant, version: int,
               target, config, rng: random.Random) -> bytes:
@@ -291,7 +299,7 @@ class AbstractModels:
 
     def encrypt(self, pk: bytes, trainer: Participant) -> tuple[None, bytes]:
         return None, canonical_digest(
-            ["abstract-encrypted-model", trainer.id, trainer.model_version]
+            _ABSTRACT_ENCRYPTED_MODEL, encode_str(trainer.id), encode_uint(trainer.model_version)
         )
 
     def testing_cases(self, target, config, rng: random.Random):

@@ -48,7 +48,7 @@ from relaysim.chain import (
     verify_chain_dump,
 )
 from relaysim.protocol import participant_ids, rank_and_select
-from relaysim.serialize import ZERO_DIGEST, digest as canonical_digest
+from relaysim.serialize import ZERO_DIGEST, digest as canonical_digest, encode_str, encode_uint
 from relaysim.sim import SimConfig, simulate_run
 
 GENESIS_DIGEST_HEX = "58a7de395f1921208edfd5441abe859fdccdba59c690f9c445d3e9c02e40ede5"
@@ -307,7 +307,7 @@ class TestAppend:
 class TestValidate:
     def test_eb_reusing_predecessor_digest(self):
         chain = new_chain()
-        stale = canonical_digest(["abstract-model", "mo1", 1])
+        stale = canonical_digest(encode_str("abstract-model"), encode_str("mo1"), encode_uint(1))
         build_round(chain, records=[("genesis", "mo1", stale)],
                     verified=[("genesis", "mo1", 0.1)], top=["mo1"])
         append_block(chain, Block(_next_header(chain, "DB"), _empty_payload("DB")))
@@ -654,7 +654,7 @@ def _one_round():
     """Genesis and a round of blocks that keep every rule, with two records
     in each record field but the TB's."""
     chain = new_chain()
-    digest = canonical_digest(["m", 1])
+    digest = canonical_digest(encode_str("m"), encode_uint(1))
     for payload in (
         DepositPayload((("mo", "t1", 0.25, 1.0), ("mo", "t2", 0.5, 0.0)), ("m0", 0.001)),
         EncryptionPayload(b"pk", (("mo", "t1", digest), ("mo", "t2", digest))),
@@ -815,8 +815,8 @@ class TestMineWinner:
 class TestDumpFormat:
     def _sample_chain(self):
         chain = new_chain()
-        d1 = canonical_digest(["m", 1])
-        d2 = canonical_digest(["m", 2])
+        d1 = canonical_digest(encode_str("m"), encode_uint(1))
+        d2 = canonical_digest(encode_str("m"), encode_uint(2))
         append_block(chain, Block(_next_header(chain, "DB"), DepositPayload(
             (("mo", "t1", 0.25, 1.0),), ("m0", 0.001)
         )))

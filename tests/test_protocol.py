@@ -27,6 +27,7 @@ from relaysim.protocol import (
     run_round,
     settle,
 )
+from relaysim.serialize import encode_str, encode_uint
 from relaysim.sim import SimConfig, params_for_simulation, simulate_run
 from test_crypto import _claim, _evaluate_one, _mostly, _reference_verdict, _tampered
 from test_sim import csv_history
@@ -395,9 +396,9 @@ class TestModelDigests:
         calls = []
         original = protocol.canonical_digest
 
-        def counting(obj):
-            calls.append(obj)
-            return original(obj)
+        def counting(*fields):
+            calls.append(fields)
+            return original(*fields)
 
         monkeypatch.setattr(protocol, "canonical_digest", counting)
         run = simulate_run(SimConfig(seed=7, rounds=20, mode="abstract"))
@@ -428,7 +429,8 @@ class TestModelDigests:
                     assert p.model_digest == crypto.model_digest(p.model)
                 else:
                     assert p.model_digest in {
-                        protocol.canonical_digest(["abstract-model", owner, version])
+                        protocol.canonical_digest(
+                            encode_str("abstract-model"), encode_str(owner), encode_uint(version))
                         for owner, version in labels if version == p.model_version
                     }
         assert ebm_copies > 0
