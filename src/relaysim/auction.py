@@ -1,11 +1,13 @@
 """Trainer selection auction and greedy owner-trainer matching.
 
 Model owners publish a per-trainer deposit; prospective trainers submit
-sealed deposit bids, each finite and >= 0. Round matching walks owners
-in rank order, handing each the next block of highest-bidding trainers
-as the deposit block's contracts. By default each matched trainer
-deposits its own bid; with second price it deposits as
-``select_trainers`` does.
+sealed deposit bids, each a ``(trainer_id, amount)`` tuple whose amount
+must be finite and >= 0: ``match_round`` and ``select_trainers`` refuse
+any other amount as they take the bids, before ranking them. Round
+matching walks owners in rank order, handing each the next block of
+highest-bidding trainers as the deposit block's contracts. By default
+each matched trainer deposits its own bid; with second price it deposits
+as ``select_trainers`` does.
 
 ``select_trainers`` is the paper's reference selection rule, a
 second-price rule over bids sorted descending: each selected trainer
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .chain import ContractRecord
@@ -49,15 +52,8 @@ def _check_amount(name: str, value: float) -> None:
         raise AuctionError(f"{name} must be finite and >= 0, got {value}")
 
 
-@dataclass(frozen=True)
-class Bid:
-    """A trainer's sealed deposit bid, in coins."""
-
-    trainer_id: str
-    amount: float
-
-    def __post_init__(self) -> None:
-        _check_amount("bid amount", self.amount)
+# A trainer's sealed deposit bid in coins, an exact tuple like ``protocol.Transfer``.
+Bid = tuple[str, float]
 
 
 @dataclass(frozen=True)
@@ -69,12 +65,17 @@ class SelectionResult:
 
 
 def _sort_bids(bids: Sequence[Bid]) -> list[Bid]:
-    return sorted(bids, key=lambda b: (-b.amount, b.trainer_id))
+    """Checked bids by amount descending, then id ascending (two stable sorts)."""
+    for _, amount in bids:
+        _check_amount("bid amount", amount)
+    ranked = sorted(bids, key=itemgetter(0))
+    ranked.sort(key=itemgetter(1), reverse=True)
+    return ranked
 
 
 def _second_prices(ranked: Sequence[Bid]) -> list[float]:
     """Each ranked bid pays the next one down, and the last pays its own."""
-    amounts = [b.amount for b in ranked]
+    amounts = [amount for _, amount in ranked]
     return amounts[1:] + amounts[-1:]
 
 
@@ -98,7 +99,7 @@ def select_trainers(bids: Sequence[Bid], b_mo: float, budget: float) -> Selectio
     count = int(min(budget // b_mo, len(bids))) if b_mo > 0 else 0
     chosen = _sort_bids(bids)[:count]
     return SelectionResult(
-        tuple(b.trainer_id for b in chosen), tuple(_second_prices(chosen))
+        tuple(trainer_id for trainer_id, _ in chosen), tuple(_second_prices(chosen))
     )
 
 
@@ -144,9 +145,9 @@ def match_round(
     contracts: list[ContractRecord] = []
     for start, mo_id in zip(range(0, len(ranked), selection_limit), ranked_mos):
         block = ranked[start:start + selection_limit]
-        pays = _second_prices(block) if second_price else [b.amount for b in block]
+        pays = _second_prices(block) if second_price else map(itemgetter(1), block)
         contracts.extend(
-            (mo_id, bid.trainer_id, per_mo_deposit[mo_id], pay)
-            for bid, pay in zip(block, pays)
+            (mo_id, trainer_id, per_mo_deposit[mo_id], pay)
+            for (trainer_id, _), pay in zip(block, pays)
         )
     return tuple(contracts)

@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -78,18 +79,25 @@ class Participant:
     model_digest: bytes | None = None
 
 
+# A model: the node (owner, version).
+Node = tuple[str, int]
+
+
 @dataclass
 class Lineage:
     """Parent pointers per trained model, rooted at the genesis initiator.
 
-    A model is the node ``(owner, version)``; the parent of a trained model
-    is the node ``(parents[node], version - 1)``, and genesis-version nodes
-    have none. A node's ancestors are the owners met walking the parent
-    pointers from it back to a genesis-version node; ``citations`` counts
-    a round's ancestors in one pass over the nodes.
+    A model is the node ``(owner, version)``; ``parents`` maps a trained
+    model to its parent node ``(parent owner, version - 1)``, one tuple
+    that the children of a parent share, and genesis-version nodes have
+    none. A node's ancestors are the owners met walking the parent pointers
+    from it to a node without one; ``citations`` counts a round's ancestors
+    in one pass over the nodes.
     """
 
-    parents: dict[tuple[str, int], str] = field(default_factory=dict)
+    parents: dict[Node, Node] = field(default_factory=dict)
+    # each owner's latest node, the tuple its next children share
+    _latest: dict[str, Node] = field(default_factory=dict, repr=False, compare=False)
 
     def record(self, owner_id: str, version: int, parent_id: str) -> None:
         key = (owner_id, version)
@@ -97,39 +105,46 @@ class Lineage:
             raise LineageError(f"model {key} already has a parent")
         if version <= GENESIS_VERSION:
             raise LineageError(f"trained model version must exceed {GENESIS_VERSION}")
-        self.parents[key] = parent_id
+        parent = (parent_id, version - 1)
+        if self._latest.get(parent_id) != parent:
+            self._latest[parent_id] = parent
+        self.parents[key] = self._latest[parent_id]
+        self._latest[owner_id] = key
 
-    def citations(self, heads: Iterable[tuple[str, int]]) -> dict[str, int]:
+    def citations(self, heads: Iterable[Node]) -> dict[str, int]:
         """How often each owner appears across the walks up the parent
         pointers from each of ``heads``, one head after another, keyed in
         order of first appearance.
 
-        Each ``(owner, version)`` node is visited once. A head's walk enters
-        one pass at its parent node and climbs until it reaches a node that
-        an earlier walk covered, where it stops, since the rest of the path
-        is already covered. The owners it skips have all appeared, so the
-        key order is that of the full walks. The passes are then pushed up
-        to the parents in descending version order, so each node adds the
-        number of walks through it to its owner's count.
+        Each node is visited once. A head's walk records its path from its
+        parent node up to a node that an earlier walk covered, where it
+        stops, since the rest is already covered; the owners it skips have
+        all appeared, so the key order is that of the full walks. The walks
+        are then replayed last first, each from child to parent, carrying
+        itself and the later walks that stopped on its path: each node adds
+        what is carried past it to its owner's count, and the walk leaves
+        the total where it stopped, before the walk that covered it runs.
         """
         parents = self.parents
-        passes: dict[tuple[str, int], int] = {}
+        stopped: dict[Node, int] = {}
         counts: dict[str, int] = {}
+        walks: list[tuple[list[Node], Node | None]] = []
         for node in heads:
-            entering = 1
-            while node in parents:
-                node = (parents[node], node[1] - 1)
-                if node in passes:
-                    passes[node] += entering
-                    break
-                passes[node] = entering
-                entering = 0
+            path = []
+            node = parents.get(node)
+            while node is not None and node not in stopped:
+                stopped[node] = 0
                 counts.setdefault(node[0], 0)
-        for node in sorted(passes, key=itemgetter(1), reverse=True):
-            walks = passes[node]
-            counts[node[0]] += walks
-            if node in parents:
-                passes[parents[node], node[1] - 1] += walks
+                path.append(node)
+                node = parents.get(node)
+            walks.append((path, node))
+        for path, stop in reversed(walks):
+            carried = 1
+            for node in path:
+                carried += stopped[node]
+                counts[node[0]] += carried
+            if stop is not None:
+                stopped[stop] += carried
         return counts
 
 
@@ -272,9 +287,11 @@ def collect_verified(
     return verified, rejected
 
 
-# The kind, the first field of each label digest, encoded once.
+# The kind, the first field of each label digest, encoded once, and each
+# owner id, encoded once per run's pool (the memo holds at most 4096).
 _ABSTRACT_MODEL = encode_str("abstract-model")
 _ABSTRACT_ENCRYPTED_MODEL = encode_str("abstract-encrypted-model")
+_encoded_owner = lru_cache(maxsize=4096)(encode_str)
 
 
 class AbstractModels:
@@ -288,7 +305,7 @@ class AbstractModels:
     def digest(self, maker: Participant) -> bytes:
         """Digest of the model ``maker`` has just made."""
         return canonical_digest(
-            _ABSTRACT_MODEL, encode_str(maker.id), encode_uint(maker.model_version)
+            _ABSTRACT_MODEL, _encoded_owner(maker.id), encode_uint(maker.model_version)
         )
 
     def train(self, trainer: Participant, version: int,
@@ -299,7 +316,8 @@ class AbstractModels:
 
     def encrypt(self, pk: bytes, trainer: Participant) -> tuple[None, bytes]:
         return None, canonical_digest(
-            _ABSTRACT_ENCRYPTED_MODEL, encode_str(trainer.id), encode_uint(trainer.model_version)
+            _ABSTRACT_ENCRYPTED_MODEL, _encoded_owner(trainer.id),
+            encode_uint(trainer.model_version),
         )
 
     def testing_cases(self, target, config, rng: random.Random):
@@ -480,7 +498,7 @@ def run_round(
         for mo in assignment.mos
     }
     bids = [
-        auction.Bid(pid, auction.trainer_bid(
+        (pid, auction.trainer_bid(
             participants[pid].coins, v_latest, participants[pid].model_version
         ))
         for pid in assignment.candidates

@@ -13,7 +13,7 @@ import time
 import pytest
 
 from relaysim import crypto
-from relaysim.auction import Bid, select_trainers
+from relaysim.auction import select_trainers
 from relaysim.chain import (
     Block,
     BlockHeader,
@@ -234,9 +234,9 @@ def _selection_oracle(bids, budget):
     k = min(budget, len(bids))
     if k <= 0:
         return [], []
-    ranked = sorted(bids, key=lambda b: (-b.amount, b.trainer_id))
-    ids = [b.trainer_id for b in ranked[:k]]
-    pay = [ranked[i + 1].amount for i in range(k - 1)] + [ranked[k - 1].amount]
+    ranked = sorted(bids, key=lambda b: (-b[1], b[0]))
+    ids = [trainer_id for trainer_id, _ in ranked[:k]]
+    pay = [ranked[i + 1][1] for i in range(k - 1)] + [ranked[k - 1][1]]
     return ids, pay
 
 
@@ -244,7 +244,7 @@ def test_criterion_6_selection_matches_oracle_exhaustively():
     checked = 0
     for size in range(0, 7):
         for combo in itertools.combinations_with_replacement(range(6), size):
-            bids = [Bid(f"t{i}", float(v)) for i, v in enumerate(combo)]
+            bids = [(f"t{i}", float(v)) for i, v in enumerate(combo)]
             for budget in range(0, 7):
                 got = select_trainers(bids, b_mo=1.0, budget=float(budget))
                 want_ids, want_pay = _selection_oracle(bids, budget)

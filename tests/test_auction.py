@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from relaysim.auction import (
     AuctionError,
-    Bid,
     SelectionResult,
     VersionOrder,
     ZeroLimit,
@@ -20,7 +19,7 @@ from relaysim.auction import (
 
 
 def bids_of(mapping):
-    return [Bid(t, a) for t, a in mapping.items()]
+    return list(mapping.items())
 
 
 def selection_oracle(bids, b_mo, budget):
@@ -32,17 +31,42 @@ def selection_oracle(bids, b_mo, budget):
     k = min(int(budget // b_mo), len(bids))
     if k <= 0:
         return [], []
-    ranked = sorted(bids, key=lambda b: (-b.amount, b.trainer_id))
+    ranked = sorted(bids, key=lambda b: (-b[1], b[0]))
     chosen = ranked[:k]
-    payments = [ranked[i + 1].amount for i in range(k - 1)] + [ranked[k - 1].amount]
-    return [b.trainer_id for b in chosen], payments
+    payments = [ranked[i + 1][1] for i in range(k - 1)] + [ranked[k - 1][1]]
+    return [trainer_id for trainer_id, _ in chosen], payments
 
 
-class TestBid:
-    @pytest.mark.parametrize("amount", [math.nan, math.inf, -math.inf, -1.0])
-    def test_amount_must_be_finite_and_non_negative(self, amount):
-        with pytest.raises(AuctionError, match="bid amount"):
-            Bid("A", amount)
+BAD_AMOUNTS = pytest.mark.parametrize("amount", [-1.0, math.nan, math.inf, -math.inf])
+
+
+class UntouchedDeposits(dict):
+    """An owner-deposit mapping that fails the test if a contract reads it."""
+
+    def __getitem__(self, mo_id):
+        raise AssertionError(f"a contract was built for {mo_id}")
+
+
+class TestBidChecks:
+    """A bid amount must be finite and >= 0; both entry points refuse any
+    other before ranking a bid or building a contract or selection."""
+
+    @BAD_AMOUNTS
+    def test_match_round_refuses_before_any_contract(self, amount):
+        bids = [("a", 5.0), ("b", 4.0), ("c", amount)]
+        deposits = UntouchedDeposits(m1=0.5, m2=0.5)
+        with pytest.raises(AuctionError, match="bid amount must be finite and >= 0"):
+            match_round(["m1", "m2"], bids, 2, deposits)
+        with pytest.raises(AuctionError, match="bid amount must be finite and >= 0"):
+            match_round(["m1", "m2"], bids, 2, deposits, second_price=True)
+
+    @BAD_AMOUNTS
+    def test_select_trainers_refuses_before_any_selection(self, amount):
+        # one bid is selected, so a check of the selected bids alone would
+        # let -1.0, nan and -inf through
+        bids = [("a", 5.0), ("b", 4.0), ("c", amount)]
+        with pytest.raises(AuctionError, match="bid amount must be finite and >= 0"):
+            select_trainers(bids, 1.0, 1.0)
 
 
 class TestSelectTrainers:
@@ -52,7 +76,7 @@ class TestSelectTrainers:
         assert result.deposits == (4.0, 4.0)
 
     def test_sole_selected_pays_own_bid(self):
-        result = select_trainers([Bid("A", 5.0)], 1.0, 3.0)
+        result = select_trainers([("A", 5.0)], 1.0, 3.0)
         assert result.selected == ("A",)
         assert result.deposits == (5.0,)
 
@@ -62,7 +86,7 @@ class TestSelectTrainers:
 
     def test_zero_unit_deposit_with_positive_budget(self):
         with pytest.raises(ZeroUnitDeposit):
-            select_trainers([Bid("A", 1.0)], 0.0, 1.0)
+            select_trainers([("A", 1.0)], 0.0, 1.0)
 
     def test_ties_break_by_ascending_id(self):
         result = select_trainers(bids_of({"b": 3, "a": 3, "c": 3}), 1.0, 2.0)
@@ -75,7 +99,7 @@ class TestSelectTrainers:
     ])
     def test_non_finite_or_negative_budget_or_unit_deposit(self, b_mo, budget):
         with pytest.raises(AuctionError, match="must be finite and >= 0"):
-            select_trainers([Bid("A", 1.0)], b_mo, budget)
+            select_trainers([("A", 1.0)], b_mo, budget)
 
     def test_quotient_overflow_selects_every_bidder(self):
         result = select_trainers(bids_of({"A": 5, "B": 4}), 1e-300, 1e300)
@@ -87,7 +111,7 @@ class TestSelectTrainers:
         rng = random.Random(11)
         for _ in range(300):
             n = rng.randrange(0, 7)
-            bids = [Bid(f"t{i}", float(rng.randrange(0, 6))) for i in range(n)]
+            bids = [(f"t{i}", float(rng.randrange(0, 6))) for i in range(n)]
             budget = float(rng.randrange(0, 7))
             got = select_trainers(bids, 1.0, budget)
             want_ids, want_pay = selection_oracle(bids, 1.0, budget)
@@ -102,10 +126,10 @@ class TestSelectTrainers:
     def test_deposits_never_exceed_own_bid_and_are_non_increasing(
         self, amounts, budget, b_mo
     ):
-        bids = [Bid(f"t{i:02d}", a) for i, a in enumerate(amounts)]
+        bids = [(f"t{i:02d}", a) for i, a in enumerate(amounts)]
         result = select_trainers(bids, b_mo, budget)
         assert len(result.selected) == min(int(budget // b_mo), len(bids))
-        by_id = {b.trainer_id: b.amount for b in bids}
+        by_id = dict(bids)
         for trainer, deposit in zip(result.selected, result.deposits):
             assert deposit <= by_id[trainer]
         assert all(
@@ -145,7 +169,7 @@ class TestTrainerBid:
 
 def unmatched(bids, contracts):
     named = {trainer_id for _, trainer_id, _, _ in contracts}
-    return {b.trainer_id for b in bids} - named
+    return {trainer_id for trainer_id, _ in bids} - named
 
 
 class TestMatchRound:
@@ -184,8 +208,8 @@ class TestMatchRound:
     def test_second_price_blocks_match_select_trainers(self):
         for size in range(0, 7):
             for combo in itertools.combinations_with_replacement(range(6), size):
-                bids = [Bid(f"t{i}", float(v)) for i, v in enumerate(combo)]
-                by_id = {b.trainer_id: b for b in bids}
+                bids = [(f"t{i}", float(v)) for i, v in enumerate(combo)]
+                by_id = dict(bids)
                 for mo_count, limit in itertools.product(range(0, 4), range(1, 4)):
                     mos = [f"m{i}" for i in range(mo_count)]
                     deposits = dict.fromkeys(mos, 0.5)
@@ -193,11 +217,11 @@ class TestMatchRound:
                     second = match_round(mos, bids, limit, deposits, second_price=True)
                     assert unmatched(bids, second) == unmatched(bids, first)
                     assert [c[:3] for c in second] == [c[:3] for c in first]
-                    assert all(t_amount == by_id[t].amount for _, t, _, t_amount in first)
+                    assert all(t_amount == by_id[t] for _, t, _, t_amount in first)
                     for mo in mos:
                         block = [(t, t_amount) for mo_id, t, _, t_amount in second if mo_id == mo]
                         want = select_trainers(
-                            [by_id[t] for t, _ in block], 1.0, float(len(block))
+                            [(t, by_id[t]) for t, _ in block], 1.0, float(len(block))
                         )
                         assert tuple(t for t, _ in block) == want.selected
                         assert tuple(t_amount for _, t_amount in block) == want.deposits
@@ -211,7 +235,7 @@ class TestMatchRound:
     def test_permutation_stable_and_totals(self, amounts, mo_count, limit, seed):
         import random
 
-        bids = [Bid(f"t{i:02d}", a) for i, a in enumerate(amounts)]
+        bids = [(f"t{i:02d}", a) for i, a in enumerate(amounts)]
         mos = [f"m{i}" for i in range(mo_count)]
         deposits = dict.fromkeys(mos, 0.0)
         baseline = match_round(mos, bids, limit, deposits)

@@ -307,7 +307,7 @@ def ancestors(lineage, owner_id, version):
     result = []
     key = (owner_id, version)
     while key in lineage.parents:
-        parent = lineage.parents[key]
+        parent, _ = lineage.parents[key]
         result.append(parent)
         key = (parent, key[1] - 1)
     return result
@@ -361,6 +361,30 @@ class TestCitations:
         lineage.record("c", 4, "b")
         heads = [("b", 3), ("c", 4), ("a", 3), ("g", 1)]
         assert list(lineage.citations(heads).items()) == [("a", 3), ("g", 3), ("b", 1)]
+
+    # With 16 participants a lineage gains about a version a round, so after
+    # 300 rounds the walks are hundreds of hops deep and pass the same few
+    # owners again and again. A limit of 2 gives one head a round; a limit
+    # of 4 gives several, whose walks merge.
+    @pytest.mark.parametrize("selection_limit", [2, 4])
+    def test_deep_lineages_match_the_per_hop_walks(self, selection_limit):
+        config = SimConfig(
+            q_miners=8, q_mo_and_t=8,
+            q_selection_limit=selection_limit, q_cases=5, rounds=300, seed=3,
+        )
+        run = simulate_run(config)
+        lineage = run.state.lineage
+        deepest = widest = 0
+        for log in run.logs:
+            versions = {trainer_id: new_version
+                        for trainer_id, _, _, _, new_version in log.training}
+            heads = [(trainer_id, versions[trainer_id]) for trainer_id in log.top_set]
+            expected = per_hop_citations(lineage, heads)
+            assert list(lineage.citations(heads).items()) == list(expected.items())
+            deepest = max(deepest, *(len(ancestors(lineage, *head)) for head in heads))
+            widest = max(widest, len(heads))
+        assert deepest >= 250
+        assert widest >= (2 if selection_limit == 4 else 1)
 
     @pytest.mark.parametrize("coin_unit", [0.1, 0.3, 1 / 3])
     def test_settle_transfers_match_the_per_hop_sums(self, coin_unit):
