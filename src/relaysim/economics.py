@@ -24,7 +24,12 @@ clamp at zero.
 The result records (`ConditionEntry`, `DominanceRow`, `HalfPlane`,
 `MinerRewardBounds`) are immutable `NamedTuple`s, which a sweep builds
 far more cheaply than frozen dataclasses. Being tuples, they compare
-equal to a plain tuple of the same values.
+equal to a plain tuple of the same values. For the same reason
+`minimal_rewards` does not build its solved `EconomicParams` through the
+frozen keyword constructor: it copies the input's field dict with the
+seven rates replaced and then runs `__post_init__`, which checks every
+field, so the result equals the keyword-built set field for field, in
+field order.
 """
 
 from __future__ import annotations
@@ -121,6 +126,11 @@ class EconomicParams:
             if not 0 <= value <= largest:
                 raise InvalidEconomicParams(
                     f"{name} must be >= 0 and at most the largest finite float, got {value}")
+        # T6 multiplies the two counts before any float is made.
+        if self.q_verified_m * self.q_cases > largest:
+            raise InvalidEconomicParams(
+                "q_verified_m * q_cases must be at most the largest finite float, got "
+                f"q_verified_m={self.q_verified_m}, q_cases={self.q_cases}")
         if self.v_rec_m < self.v_now_t:
             raise InvalidEconomicParams(
                 f"v_rec_m ({self.v_rec_m}) cannot be older than v_now_t ({self.v_now_t})"
@@ -582,15 +592,18 @@ def minimal_rewards(p: EconomicParams, margin: float = 0.0) -> EconomicParams:
     miner = minimal_miner_rewards(p)
     r_encrypted_m, r_case = miner.tbm_constraint.equal_split()
     r_verified_m, r_verify = miner.sbm_constraint.equal_split()
-    # One keyword rebuild, cheaper than dataclasses.replace's generic
-    # per-field loop; __post_init__ still validates every field.
-    return EconomicParams(**{
-        **vars(p),
-        "r_cited": minimal_citation_reward(p) + margin,
-        "r_deposit": miner.r_deposit_min + margin,
-        "r_hash_m": miner.r_hash_m_min + margin,
-        "r_encrypted_m": r_encrypted_m + margin,
-        "r_case": r_case + margin,
-        "r_verified_m": r_verified_m + margin,
-        "r_verify": r_verify + margin,
-    })
+    # p's field dict with the seven rates replaced, in field order, not the
+    # frozen __init__ (see the module docstring); __post_init__ checks it all.
+    solved = object.__new__(EconomicParams)
+    vars(solved).update(
+        vars(p),
+        r_cited=minimal_citation_reward(p) + margin,
+        r_deposit=miner.r_deposit_min + margin,
+        r_hash_m=miner.r_hash_m_min + margin,
+        r_encrypted_m=r_encrypted_m + margin,
+        r_case=r_case + margin,
+        r_verified_m=r_verified_m + margin,
+        r_verify=r_verify + margin,
+    )
+    solved.__post_init__()
+    return solved

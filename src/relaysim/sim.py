@@ -35,6 +35,14 @@ ACCESSIBILITY_ROUNDS = 50
 # CSV row of about 25 B per participant, so 2**22 keep init_state under 1 GiB
 # (2**22 * 206 B = 824 MiB); a larger pool is refused before its ids are built.
 MAX_PARTICIPANTS = 2**22
+# The largest q_cases * (model_dim + 1), the values in one round's testing
+# table as concrete mode builds it: q_cases inputs of model_dim values plus
+# q_cases truths. By tracemalloc, building it peaks at about 85 B per value
+# for one-value inputs (abstract mode's two values per case peak at about
+# 80 B) and about 41 B per value at 63 or more, so 2**23 values keep the
+# table under 1 GiB (2**23 * 85 B = 680 MiB) in either mode; a larger table
+# is refused before the run starts.
+MAX_TESTING_VALUES = 2**23
 
 
 class SimError(ValueError):
@@ -115,6 +123,11 @@ class SimConfig:
             )
         if self.model_dim < 1:
             raise InvalidSimConfig("model_dim must be >= 1")
+        if self.q_cases * (self.model_dim + 1) > MAX_TESTING_VALUES:
+            raise InvalidSimConfig(
+                f"q_cases * (model_dim + 1) must be at most {MAX_TESTING_VALUES}, "
+                f"got q_cases={self.q_cases}, model_dim={self.model_dim}"
+            )
         if not 0.0 < self.training_rate < 1.0:
             raise InvalidSimConfig("training_rate must be in (0, 1)")
 

@@ -460,6 +460,35 @@ class TestExitCodes:
                                            "10000000000 and 128\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", ["q_cases", "model_dim"])
+    def test_simulate_testing_table_past_the_cap_exit_two(self, name, tmp_path, capsys):
+        # Each count fits a float, but one round's testing table would not
+        # fit in memory: refused where the config is built, with no output
+        # directory.
+        out = tmp_path / "run"
+        huge = "1" + "0" * 300
+        assert main(["simulate", "--set", f"{name}={huge}", "--rounds", "1",
+                     "--out", str(out)]) == 2
+        config = {"q_cases": 100, "model_dim": 4, name: huge}
+        assert capsys.readouterr() == (
+            "", f"relaysim: q_cases * (model_dim + 1) must be at most {sim.MAX_TESTING_VALUES}, "
+                f"got q_cases={config['q_cases']}, model_dim={config['model_dim']}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["check-incentives", "min-rewards"])
+    def test_count_product_too_large_for_a_float_exit_two(self, verb, tmp_path, capsys):
+        # Each count fits a float on its own, but T6 multiplies them before
+        # any float is made: refused with the parameters, not raised as an
+        # OverflowError mid-evaluation, and nothing on stdout.
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(ECON_CFG)
+        huge = "1" + "0" * 200
+        assert main([verb, "--config", str(cfg), "--set", f"q_verified_m={huge}",
+                     "--set", f"q_cases={huge}"]) == 2
+        assert capsys.readouterr() == (
+            "", "relaysim: q_verified_m * q_cases must be at most the largest finite float, "
+                f"got q_verified_m={huge}, q_cases={huge}\n")
+
     @pytest.mark.parametrize("verb, override, err", [
         ("check-incentives", "q_deposit=1", "NPA evaluation requires 0 < q_deposit_less "
          "< q_deposit, got q_deposit_less=16, q_deposit=1"),

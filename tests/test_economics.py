@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import pickle
 import random
 import struct
 import sys
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from relaysim.cli import BadOverride, coerce_fields
 from relaysim.economics import (
+    _NON_NEGATIVE_FIELDS,
     ROLE_STRATEGIES,
     ConditionEntry,
     ConditionReport,
@@ -73,6 +75,28 @@ BASE = EconomicParams(
 )
 
 
+def _reference_range_error(values: dict) -> tuple[type, str] | None:
+    """The error EconomicParams raises for ``values``, whose beta, s,
+    k_expand and versions are valid: the first field in field order that is
+    not a number in [0, largest float], then the count product; None if
+    neither."""
+    for f in dataclasses.fields(EconomicParams):
+        if f.name in ("beta", "s", "k_expand"):
+            continue
+        value = values[f.name]
+        if isinstance(value, str):
+            return TypeError, "'<=' not supported between instances of 'int' and 'str'"
+        if value != value or value < 0 or value > sys.float_info.max:  # NaN, then the range
+            return InvalidEconomicParams, (
+                f"{f.name} must be >= 0 and at most the largest finite float, got {value}")
+    q_verified_m, q_cases = values["q_verified_m"], values["q_cases"]
+    if q_verified_m * q_cases <= sys.float_info.max:
+        return None
+    return InvalidEconomicParams, (
+        "q_verified_m * q_cases must be at most the largest finite float, "
+        f"got q_verified_m={q_verified_m}, q_cases={q_cases}")
+
+
 class TestParamsInvariants:
     def test_beta_one_diverges(self):
         with pytest.raises(DivergentSeries):
@@ -102,6 +126,43 @@ class TestParamsInvariants:
     def test_nan_rejected(self, field):
         with pytest.raises(InvalidEconomicParams):
             EconomicParams(**{field: math.nan})
+
+    @pytest.mark.parametrize("q_verified_m, q_cases", [
+        (10**200, 10**200), (2, int(sys.float_info.max)), (1e200, 1e200),
+    ], ids=["both-huge", "one-past-the-float-range", "float-counts"])
+    def test_count_product_past_the_float_range_rejected(self, q_verified_m, q_cases):
+        # Each count passes the range check; T6 multiplies the two before
+        # any float is made, which raised OverflowError mid-evaluation.
+        with pytest.raises(InvalidEconomicParams) as info:
+            dataclasses.replace(BASE, q_verified_m=q_verified_m, q_cases=q_cases)
+        assert str(info.value) == (
+            "q_verified_m * q_cases must be at most the largest finite float, "
+            f"got q_verified_m={q_verified_m}, q_cases={q_cases}")
+        # At the largest float the product still converts: every evaluation runs.
+        p = dataclasses.replace(BASE, q_verified_m=1, q_cases=int(sys.float_info.max))
+        check_ir(p), check_ic(p), minimal_rewards(p)
+
+    # One or two of the fields checked in the range loop, each set to a
+    # value that fails it; with no bad field, the two counts may be set
+    # so that only their product is out of range.
+    _BAD_VALUES = [math.nan, math.inf, -math.inf, -1.0, -5e-324, 10**400, "1"]
+
+    @settings(max_examples=300)
+    @given(bad=st.dictionaries(st.sampled_from(_NON_NEGATIVE_FIELDS),
+                               st.sampled_from(_BAD_VALUES), max_size=2),
+           huge_product=st.booleans())
+    def test_range_check_reports_the_first_bad_field(self, bad, huge_product):
+        values = dataclasses.asdict(BASE)
+        if huge_product:
+            values.update(q_verified_m=10**200, q_cases=10**200)
+        values.update(bad)
+        expected = _reference_range_error(values)
+        if expected is None:
+            assert EconomicParams(**values) == BASE
+            return
+        with pytest.raises(expected[0]) as info:
+            EconomicParams(**values)
+        assert (type(info.value), str(info.value)) == expected
 
     def test_cross_role_strategy_rejected(self):
         with pytest.raises(InvalidStrategyForRole):
@@ -559,6 +620,23 @@ class TestMinimalRewardsExact:
         # raise (a zero beta or count) and the error must match too.
         p = _golden_params(rng)
         assert _outcome(minimal_rewards, p, margin) == _outcome(_replace_reference, p, margin)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rng=st.randoms(use_true_random=False),
+           margin=st.one_of(st.just(0.0), st.floats(0.0, 0.1)))
+    def test_cannot_be_told_from_the_keyword_built_set(self, rng, margin):
+        p = _golden_params(rng)
+        try:
+            reference = _replace_reference(p, margin)
+        except EconomicsError:
+            return  # the error is compared in the test above
+        solved = minimal_rewards(p, margin)
+        assert type(solved) is EconomicParams
+        assert list(vars(solved)) == [f.name for f in dataclasses.fields(EconomicParams)]
+        assert solved == reference
+        assert hash(solved) == hash(reference)
+        assert repr(solved) == repr(reference)
+        assert pickle.loads(pickle.dumps(solved)) == reference
 
     def test_overflow_to_inf_raises_the_same_message(self):
         # r_deposit_min is about 3e306, so adding the largest float gives inf.

@@ -21,6 +21,7 @@ from relaysim.sim import (
     InsufficientData,
     InvalidSimConfig,
     MAX_PARTICIPANTS,
+    MAX_TESTING_VALUES,
     Metrics,
     SimConfig,
     analyze_accessibility,
@@ -86,6 +87,27 @@ class TestConfig:
                                                    f"got {q_miners} and {q_mo_and_t}$"):
             SimConfig(q_miners=q_miners, q_mo_and_t=q_mo_and_t)
         SimConfig(q_miners=q_miners, q_mo_and_t=q_mo_and_t - 1)
+
+    @pytest.mark.parametrize("mode", ["abstract", "concrete"])
+    @pytest.mark.parametrize("q_cases, model_dim", [
+        (10**300, 4), (100, 10**300), (MAX_TESTING_VALUES // 5 + 1, 4),
+        (1, MAX_TESTING_VALUES), (2, MAX_TESTING_VALUES // 2),
+    ], ids=["huge-q_cases", "huge-model_dim", "q_cases-past-cap", "model_dim-past-cap",
+            "both-past-cap"])
+    def test_testing_table_past_the_cap_rejected(self, mode, q_cases, model_dim):
+        # Built, never run: only the refusal is checked. Each count alone
+        # fits a float, so only the cap on the table stops the run.
+        with pytest.raises(InvalidSimConfig, match=(
+                fr"^q_cases \* \(model_dim \+ 1\) must be at most {MAX_TESTING_VALUES}, "
+                f"got q_cases={q_cases}, model_dim={model_dim}$")):
+            SimConfig(mode=mode, q_cases=q_cases, model_dim=model_dim)
+
+    @pytest.mark.parametrize("q_cases, model_dim", [
+        (MAX_TESTING_VALUES // 5, 4), (1, MAX_TESTING_VALUES - 1),
+        (MAX_TESTING_VALUES // 2, 1),
+    ])
+    def test_testing_table_at_the_cap_builds(self, q_cases, model_dim):
+        SimConfig(mode="concrete", q_cases=q_cases, model_dim=model_dim)
 
     def test_probability_bounds(self):
         with pytest.raises(InvalidSimConfig):
