@@ -37,12 +37,15 @@ its claimed outputs (step 10), its verification and its mean squared
 error (step 11), reads that one ``CaseTable``, so each submission costs
 only its tag, its digest, one open of its model, a check of the model's
 dimension against the table's widths, one run of the kernel (one pass
-over the cases per four weights), one bytes comparison and one pass of
-the error. What depends only on a key is derived once per distinct key:
-``_parse_key`` memoizes a key's integrity check by its exact bytes and
-``_keystream`` the stream by key id and length, each for the 8 most
-recent keys. An exception is never memoized, so a malformed or tampered
-key is refused on every call.
+over the cases per four weights, the first starting from the bias), one
+bytes comparison and one pass of the error, which squares each error by
+multiplication: ``d * d`` is correctly rounded everywhere, while
+``d ** 2`` goes through the platform's ``pow``, which glibc rounds one
+ulp off for about one square in a thousand. What depends only on a key
+is derived once per distinct key: ``_parse_key`` memoizes a key's
+integrity check by its exact bytes and ``_keystream`` the stream by key
+id and length, each for the 8 most recent keys. An exception is never
+memoized, so a malformed or tampered key is refused on every call.
 """
 
 from __future__ import annotations
@@ -106,7 +109,7 @@ class ModelWeights:
             raise CryptoError(f"version must be >= 0, got {self.version}")
         if len(self.weights) < 1:
             raise CryptoError("a model needs at least a bias weight")
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        object.__setattr__(self, "weights", tuple(map(float, self.weights)))
 
     @property
     def input_dim(self) -> int:
@@ -166,18 +169,25 @@ def evaluate_cases(m: ModelWeights, cases: CaseTable) -> list[float]:
     arithmetic. The outputs are built across all cases from the table's
     columns, up to four weights per pass as
     ``acc + w1 * x1 + w2 * x2 + w3 * x3 + w4 * x4``, which Python adds left
-    to right; the 0-3 weights left over take a pass each. So each case
-    still accumulates ``acc = b``, then ``acc += w_i * x_i`` for i = 1..d,
-    left to right: the same floats as a per-case loop.
+    to right; the first pass starts from the bias itself, as
+    ``bias + w1 * x1 + ...``, and the 0-3 weights left over take a pass
+    each. So each case still accumulates ``acc = b``, then
+    ``acc += w_i * x_i`` for i = 1..d, left to right: the same floats as a
+    per-case loop.
     """
     *ws, bias = m.weights
     bad_widths = cases.widths - {len(ws)}
     if bad_widths:
         raise LengthMismatch(f"model expects {len(ws)} inputs, got {sorted(bad_widths)}")
-    accs = [bias] * cases.count
     columns = cases.columns
     blocked = len(ws) - len(ws) % 4
-    for i in range(0, blocked, 4):
+    if blocked:
+        w1, w2, w3, w4 = ws[:4]
+        accs = [bias + w1 * x1 + w2 * x2 + w3 * x3 + w4 * x4
+                for x1, x2, x3, x4 in zip(*columns[:4])]
+    else:
+        accs = [bias] * cases.count
+    for i in range(4, blocked, 4):
         w1, w2, w3, w4 = ws[i:i + 4]
         accs = [acc + w1 * x1 + w2 * x2 + w3 * x3 + w4 * x4
                 for acc, x1, x2, x3, x4 in zip(accs, *columns[i:i + 4])]
@@ -440,9 +450,11 @@ def performance_index(outputs: Sequence[float], truths: CaseTable) -> float:
 
     ``truths`` is the table of the cases' truths, flattened once by
     ``case_table``. One pass over the cases, left to right, as
-    ``total += (o - t) ** 2``: a fixed order, so the index has the same bits
-    on every Python version (``sum`` of floats is compensated from Python
-    3.12 and rounds differently).
+    ``d = o - t; total += d * d``: a fixed order, so the index has the same
+    bits on every Python version (``sum`` of floats is compensated from
+    Python 3.12 and rounds differently), and a square by multiplication,
+    which is correctly rounded on every platform (``d ** 2`` calls libm's
+    ``pow``, which need not be).
     """
     if len(outputs) != len(truths.truths):
         raise LengthMismatch(f"{len(outputs)} outputs vs {len(truths.truths)} truths")
@@ -450,5 +462,6 @@ def performance_index(outputs: Sequence[float], truths: CaseTable) -> float:
         raise EmptyCases("performance index needs at least one case")
     total = 0.0
     for o, t in zip(outputs, truths.truths):
-        total += (o - t) ** 2
+        d = o - t
+        total += d * d
     return total / len(outputs)

@@ -34,7 +34,6 @@ field order.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
@@ -66,7 +65,9 @@ class EconomicParams:
 
     Defaults give a degenerate but valid zero economy (all costs and
     reward rates zero, unit counts) so callers can set only the fields
-    a given evaluation touches.
+    a given evaluation touches. An int given for a float field is stored
+    as that float once every field has passed its range check, as
+    ``SimConfig`` does, so the set evaluates as one built from floats.
     """
 
     beta: float = 0.5             # future-reward discount rate, in [0, 1)
@@ -114,15 +115,16 @@ class EconomicParams:
             raise DivergentSeries(f"beta must be < 1, got {self.beta}")
         if not 0.0 < self.s < 1.0:
             raise InvalidEconomicParams(f"s must be in (0, 1), got {self.s}")
-        if not 1.0 <= self.k_expand < math.inf:
+        # An integer past the largest float overflows where the bounds use it
+        # as a float.
+        largest = sys.float_info.max
+        if not 1.0 <= self.k_expand <= largest:
             raise InvalidEconomicParams(
                 f"k_expand must be finite and >= 1, got {self.k_expand}"
             )
-        # An integer count past the largest float overflows where the bounds
-        # use it as a float.
-        largest = sys.float_info.max
+        values = vars(self)
         for name in _NON_NEGATIVE_FIELDS:
-            value = getattr(self, name)
+            value = values[name]
             if not 0 <= value <= largest:
                 raise InvalidEconomicParams(
                     f"{name} must be >= 0 and at most the largest finite float, got {value}")
@@ -139,12 +141,19 @@ class EconomicParams:
             raise InvalidEconomicParams(
                 f"v_fhem ({self.v_fhem}) cannot be older than v_now_ebm ({self.v_now_ebm})"
             )
+        # An int in a float field becomes that float, as in SimConfig, so two
+        # of them cannot multiply past the float range before any float is
+        # made. The checks above keep each such int convertible.
+        for name in _FLOAT_FIELDS:
+            if type(values[name]) is int:
+                values[name] = float(values[name])
 
 
 # Every field but the three range-checked above must be a float-sized number >= 0.
 _NON_NEGATIVE_FIELDS = tuple(
     f.name for f in fields(EconomicParams) if f.name not in ("beta", "s", "k_expand")
 )
+_FLOAT_FIELDS = tuple(f.name for f in fields(EconomicParams) if f.type == "float")
 
 
 @dataclass(frozen=True)

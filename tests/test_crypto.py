@@ -775,10 +775,17 @@ class TestPerformanceIndex:
     def test_same_bits_as_per_case_loop(self, cases):
         total = 0.0
         for o, t in cases:
-            total += (o - t) ** 2
+            d = o - t
+            total += d * d
         index = performance_index(
             [o for o, _ in cases], case_table(truths=[(t,) for _, t in cases]))
         assert struct.pack("<d", index) == struct.pack("<d", total / len(cases))
+
+    def test_square_is_correctly_rounded(self):
+        # d * d is one correctly rounded multiplication; glibc's pow, which
+        # d ** 2 calls, returns 7.815454626708844e-31 here, one ulp away
+        index = performance_index([8.840505996100474e-16], case_table(truths=[(0.0,)]))
+        assert struct.pack("<d", index) == struct.pack("<d", 7.815454626708845e-31)
 
     @given(
         pairs=st.lists(

@@ -8,7 +8,7 @@ import struct
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relaysim.cli import BadOverride, coerce_fields
@@ -31,6 +31,7 @@ from relaysim.economics import (
     check_ic,
     check_ir,
     citation_reward_bounds,
+    evaluate_conditions,
     minimal_citation_reward,
     minimal_miner_rewards,
     minimal_rewards,
@@ -95,6 +96,33 @@ def _reference_range_error(values: dict) -> tuple[type, str] | None:
     return InvalidEconomicParams, (
         "q_verified_m * q_cases must be at most the largest finite float, "
         f"got q_verified_m={q_verified_m}, q_cases={q_cases}")
+
+
+_FLOAT_FIELD_NAMES = [f.name for f in dataclasses.fields(EconomicParams) if f.type == "float"]
+# beta < 1, 0 < s < 1 and k_expand >= 1 hold for few ints; the rest take any
+# int up to the largest float.
+_INT_SETTABLE_FLOAT_FIELDS = [name for name in _FLOAT_FIELD_NAMES if name in _NON_NEGATIVE_FIELDS]
+
+
+def _bits(value):
+    """``value`` with every float packed, so NaN, -0.0 and ulps compare."""
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    if isinstance(value, (tuple, list)):
+        return [_bits(v) for v in value]
+    return value
+
+
+def _field_bits(p: EconomicParams) -> list:
+    return [(type(v), _bits(v)) for v in dataclasses.astuple(p)]
+
+
+def _evaluation_bits(p: EconomicParams):
+    """T1-T8 and the dominance table, every float packed; or the error."""
+    try:
+        return _bits([dataclasses.astuple(report) for report in evaluate_conditions(p)])
+    except EconomicsError as exc:
+        return type(exc), str(exc)
 
 
 class TestParamsInvariants:
@@ -163,6 +191,26 @@ class TestParamsInvariants:
         with pytest.raises(expected[0]) as info:
             EconomicParams(**values)
         assert (type(info.value), str(info.value)) == expected
+
+    def test_expand_factor_past_the_float_range_rejected(self):
+        # It passed the check as an int, and overflowed where a cost used it.
+        with pytest.raises(InvalidEconomicParams) as info:
+            EconomicParams(k_expand=10**400)
+        assert str(info.value) == f"k_expand must be finite and >= 1, got {10**400}"
+
+    @settings(max_examples=200)
+    @given(ints=st.dictionaries(st.sampled_from(_INT_SETTABLE_FLOAT_FIELDS),
+                                st.integers(0, int(sys.float_info.max)), max_size=4))
+    # Kept as ints, each pair multiplied past the float range before any
+    # float was made: OverflowError in the training cost and in T1's slack.
+    @example(ints={"p_comp": 10**200, "data_volume": 10**200})
+    @example(ints={"q_selected_mo_avg": 10**200, "r_cited": 10**200})
+    def test_int_in_a_float_field_becomes_that_float(self, ints):
+        p = EconomicParams(**ints)
+        reference = EconomicParams(**{name: float(v) for name, v in ints.items()})
+        assert _field_bits(p) == _field_bits(reference)
+        assert {type(getattr(p, name)) for name in _FLOAT_FIELD_NAMES} == {float}
+        assert _evaluation_bits(p) == _evaluation_bits(reference)
 
     def test_cross_role_strategy_rejected(self):
         with pytest.raises(InvalidStrategyForRole):
