@@ -13,10 +13,11 @@ cycle, height tip+1, back link to the tip's digest, round
 rules of ``validate_block``. ``append_block`` raises on them and
 ``verify_chain_dump`` reports them; ``next_header`` builds a linked header.
 
-Each block is encoded and hashed once, when it joins a ``Chain``, whose
-``lines`` keep each block's dump line beside the append-only ``blocks``:
-the back links and the round log read the digest at the head of a line
-(``Chain.digest``), and the dump joins the lines.
+Each block is encoded and hashed once, when it joins a ``Chain``. A chain
+keeps each block's dump line, and as objects only its tip and its last EB,
+the two blocks the rules of the next block read. The back links read the
+digest at the head of a line (``Chain.digest``), the dump joins the lines,
+and ``Chain.blocks`` decodes a line when its block is read.
 
 A block has one encoding, which is hashed, dumped and verified: its body
 (``block_body``) is what ``json`` writes, with ``ensure_ascii=False``,
@@ -38,18 +39,15 @@ int, no int for a float, no subclass), a tuple field holds an exact
 tuple, and a record is an exact tuple of its type's width. ``read``
 refuses the JSON values of a line that no value of the type encodes to;
 ``append_block`` runs ``check`` on a payload before it encodes the block,
-and ``BlockHeader`` checks its own fields, so no chain that grows by
-``append_block`` holds a block whose line its dump would refuse. A block
-read from a dump is not checked again.
+and ``BlockHeader`` checks its own fields. A chain grows only by
+``append_block`` and by reading a dump, whose blocks are not checked
+again, so no chain holds a block whose line its dump would refuse.
 
 The records a payload holds are exact tuples of scalars, each type
 declared once as its field types annotated with its field names (which
-round logs use as keys). A 200-round chain holds some 64,000 records, and
-CPython's cyclic collector stops tracking an exact tuple of scalars at
-the first collection that sees it, where it would walk a dataclass
-instance or a ``NamedTuple`` on every full collection. A dataclass
-field's name is its key and a record's field order its array's, so
-renaming or reordering a field changes the format, and every digest.
+round logs use as keys). A dataclass field's name is its key and a
+record's field order its array's, so renaming or reordering a field
+changes the format, and every digest.
 """
 
 from __future__ import annotations
@@ -63,7 +61,7 @@ import math
 import random
 import typing
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import countOf, itemgetter
 from typing import Annotated, Any, Callable, Sequence
 
@@ -116,7 +114,7 @@ class BlockHeader:
 #
 # Each record type is the tuple of its field types, annotated with its field
 # names in field order. A record is an exact tuple built in that order, never
-# a subclass, so that the collector untracks it (see the module docstring).
+# a subclass, which ``append_block`` refuses.
 
 # Escrow amounts of one deposit contract as stored on-chain.
 ContractRecord = Annotated[tuple[str, str, float, float],
@@ -328,47 +326,67 @@ def genesis_block() -> Block:
     return Block(BlockHeader(0, 0, "SB", ZERO_DIGEST, 0, 0), SettlementPayload((), ()))
 
 
-@dataclass
-class Chain:
-    """Single-writer block list; reads of committed blocks are safe.
+class Blocks(Sequence[Block]):
+    """The blocks of a chain's ``lines``, read-only: ``blocks[i]`` decodes
+    ``lines[i]`` each time it is read, and a slice decodes each of its
+    lines. Equal to no list; compare ``list(blocks)``."""
 
-    ``blocks`` is append-only, through ``append_block``. ``lines[i]`` is
-    ``block_line(blocks[i])``: the blocks a chain is built with are encoded
-    here, and each appended block once, as it is appended. Only
-    ``verify_chain_dump`` appends to both lists itself, for the partial
-    chain it checks each line against. That chain, the caller's or the new
-    one it makes when given none, keeps every block it parses.
+    __slots__ = ("_lines",)
+
+    def __init__(self, lines: list[str]) -> None:
+        self._lines = lines
+
+    def __len__(self) -> int:
+        return len(self._lines)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [_parse_line(line)[0] for line in self._lines[index]]
+        return _parse_line(self._lines[index])[0]
+
+
+class Chain:
+    """Single-writer chain of dump lines; reads of committed blocks are safe.
+
+    A chain starts empty and grows one (block, line) pair at a time, through
+    ``append_block``, ``verify_chain_dump`` or ``chain_from_jsonl``; it
+    keeps the line, and the block only while it is the ``tip`` or the
+    ``last_eb`` (both ``None`` on an empty chain), which are all that the
+    rules of the next block read. ``lines[i]`` is the dump line of the
+    block at height ``i``, and ``blocks`` decodes it when it is read.
     """
 
-    blocks: list[Block] = field(default_factory=list)
-    lines: list[str] = field(init=False, repr=False, compare=False)
+    __slots__ = ("lines", "tip", "last_eb")
 
-    def __post_init__(self) -> None:
-        self.lines = list(map(block_line, self.blocks))
+    def __init__(self) -> None:
+        self.lines: list[str] = []
+        self.tip: Block | None = None
+        self.last_eb: Block | None = None
 
     @property
-    def tip(self) -> Block:
-        return self.blocks[-1]
+    def blocks(self) -> Blocks:
+        return Blocks(self.lines)
 
     def digest(self, index: int = -1) -> bytes:
         """The digest of ``blocks[index]``: the hex after ``{"digest":"``."""
         return bytes.fromhex(self.lines[index][11:75])
 
+    def _push(self, block: Block, line: str) -> None:
+        """Add ``block``, whose dump line is ``line``, as the new tip."""
+        self.lines.append(line)
+        self.tip = block
+        if block.header.kind == "EB":
+            self.last_eb = block
+
 
 def new_chain() -> Chain:
-    return Chain(blocks=[genesis_block()])
+    return append_block(Chain(), genesis_block())
 
 
 def ranked_ids(verified: Sequence[VerifiedRecord]) -> list[str]:
     """The trainer ids of ``verified``, best first: by performance, then by
     trainer id. A settlement block's top set is a prefix of this ranking."""
     return list(map(itemgetter(1), sorted(verified, key=itemgetter(2, 1))))
-
-
-def _last_eb(chain: Chain) -> Block | None:
-    """The last EB on ``chain``, if any."""
-    return next((prev for prev in reversed(chain.blocks)
-                 if isinstance(prev.payload, EncryptionPayload)), None)
 
 
 def validate_block(chain: Chain, block: Block) -> list[str]:
@@ -402,7 +420,7 @@ def validate_block(chain: Chain, block: Block) -> list[str]:
         violations.extend(f"DuplicateTrainer: trainer {trainer_id} holds {count} contracts"
                           for trainer_id, count in held.items() if count > 1)
     elif isinstance(payload, EncryptionPayload):
-        last = _last_eb(chain)
+        last = chain.last_eb
         # trainer id -> the digest of the model it made
         prior = dict(record[1:] for record in last.payload.records) if last else {}
         for prev_owner_id, trainer_id, model_digest in payload.records:
@@ -421,7 +439,7 @@ def validate_block(chain: Chain, block: Block) -> list[str]:
     elif isinstance(payload, SettlementPayload):
         # An SB in its slot after blocks that keep the rules follows its
         # round's EB; any other breaks a linkage rule or follows one that does.
-        last = _last_eb(chain)
+        last = chain.last_eb
         recorded = ({record[:2] for record in last.payload.records}
                     if last and last.header.round == block.header.round else None)
         seen = set()
@@ -457,8 +475,8 @@ def _violations(chain: Chain, block: Block) -> list[tuple[type, str]]:
     """(error class, message) per rule ``block`` breaks after ``chain``. An
     empty chain has a virtual tip at height -1 with digest ``ZERO_DIGEST``
     and accepts only ``genesis_block()``."""
-    tip = chain.blocks[-1].header if chain.blocks else None
-    tip_digest = chain.digest() if chain.blocks else ZERO_DIGEST
+    tip = chain.tip.header if chain.tip is not None else None
+    tip_digest = chain.digest() if chain.lines else ZERO_DIGEST
     height, header = tip.height + 1 if tip else 0, block.header
     found = []
     if not tip and block != genesis_block():
@@ -491,15 +509,14 @@ def append_block(chain: Chain, block: Block) -> Chain:
         raise PayloadInvariantViolation(f"InvalidType: {exc}") from None
     except ValueError as exc:
         raise PayloadInvariantViolation(f"RecordLength: {exc}") from None
-    # Encoded and hashed before either list grows, so a block that fails to
+    # Encoded and hashed before the chain changes, so a block that fails to
     # encode or hash leaves the chain as it was.
     line = block_line(block)
     found = _violations(chain, block)
     if found:
         error = found[0][0]
         raise error("; ".join(message for cls, message in found if cls is error))
-    chain.blocks.append(block)
-    chain.lines.append(line)
+    chain._push(block, line)
     return chain
 
 
@@ -546,9 +563,16 @@ def _parse_line(line: str) -> tuple[Block, bytes]:
 
 
 def chain_from_jsonl(text: str) -> Chain:
-    """Parse a dump without integrity checking (see ``verify_chain_dump``).
-    Lines are split at line feeds only: an id may hold another line break."""
-    return Chain(blocks=[_parse_line(line)[0] for line in text.split("\n") if line.strip()])
+    """Parse a dump without integrity checking (see ``verify_chain_dump``),
+    one line at a time: each block is encoded and hashed again, and its own
+    line kept. Lines are split at line feeds only: an id may hold another
+    line break."""
+    chain = Chain()
+    for line in text.split("\n"):
+        if line.strip():
+            block = _parse_line(line)[0]
+            chain._push(block, block_line(block))
+    return chain
 
 
 def verify_chain_dump(text: str, partial: Chain | None = None) -> list[str]:
@@ -560,13 +584,17 @@ def verify_chain_dump(text: str, partial: Chain | None = None) -> list[str]:
     split at line feeds only and the dump must end in one. A line must be
     the canonical line of the block it decodes to, so a line feed turned
     into any other byte is reported too. Each parsed block and its line,
-    with the recomputed digest, is appended to ``partial``, an empty chain
-    (a new one if none is given); when the result is empty, ``partial`` is
-    the dumped chain, each of its blocks encoded and hashed once.
+    with the recomputed digest, is added to ``partial``, an empty chain (a
+    new one if none is given; a ``ValueError`` before any line is read if it
+    is not empty); when the result is empty, ``partial`` is the dumped
+    chain, each of its blocks encoded and hashed once.
     """
-    violations: list[str] = []
     if partial is None:
-        partial = Chain(blocks=[])
+        partial = Chain()
+    elif partial.lines:
+        raise ValueError(f"verify_chain_dump needs an empty chain, given one of "
+                         f"{len(partial.lines)} block(s)")
+    violations: list[str] = []
     # Each line ends in a line break; the dump of no blocks is one alone.
     lines = text.removesuffix("\n").split("\n") if text != "\n" else []
     for lineno, line in enumerate(lines):
@@ -589,10 +617,9 @@ def verify_chain_dump(text: str, partial: Chain | None = None) -> list[str]:
         )
         # The line's block, whatever it breaks, and its own digest: the next
         # line's rules are checked against them.
-        partial.blocks.append(block)
-        partial.lines.append(line if actual == recorded else _line(actual, body))
+        partial._push(block, line if actual == recorded else _line(actual, body))
     if not text.endswith("\n"):
         violations.append("Unterminated: the dump does not end in a line break")
-    if not partial.blocks:
+    if not partial.lines:
         violations.append("EmptyChain: no blocks")
     return violations

@@ -314,14 +314,14 @@ def _run_export(cmd: Command) -> int:
     # Read as bytes, so that no line break is translated before the check.
     text = _input_file(cmd, "chain dump").read_bytes().decode("utf-8")
     out = _output_file(cmd)
-    chain = Chain(blocks=[])
+    chain = Chain()
     violations = verify_chain_dump(text, chain)
     if violations:
         for violation in violations:
             print(f"export: {violation}", file=sys.stderr)
         return 1
     out.write_text(chain_to_jsonl(chain), encoding="utf-8")
-    print(f"exported {len(chain.blocks)} block(s) to {out}")
+    print(f"exported {len(chain.lines)} block(s) to {out}")
     return 0
 
 

@@ -5,6 +5,8 @@ import json
 import math
 import random
 import re
+import sys
+import tracemalloc
 import types
 import typing
 
@@ -83,6 +85,16 @@ def build_round(chain, records=(), top=(), verified=()):
     append_block(chain, Block(_next_header(chain, "SB"),
                               SettlementPayload(tuple(verified), tuple(top))))
     return chain
+
+
+def dump_of(blocks):
+    """The dump of ``blocks`` as they are, whatever rules they break."""
+    return "".join(block_line(block) + "\n" for block in blocks)
+
+
+def chain_of(blocks):
+    """The chain read from ``dump_of(blocks)``, with no rule checked."""
+    return chain_from_jsonl(dump_of(blocks))
 
 
 class TestDigest:
@@ -207,7 +219,7 @@ class TestJsonReference:
     def test_digest_and_line_match_the_reference(self, block):
         assert block_body(block) == reference_body(block)
         assert block_digest(block) == hashlib.sha256(reference_body(block).encode()).digest()
-        dump = chain_to_jsonl(Chain(blocks=[block]))
+        dump = dump_of([block])
         assert dump == reference_line(block) + "\n"
         # each block round-trips: parsed, hashed and dumped again
         parsed = chain_from_jsonl(dump)
@@ -228,7 +240,7 @@ class TestJsonReference:
         block = Block(_next_header(chain, kind), payload)
         with pytest.raises(UnicodeEncodeError):
             append_block(chain, block)
-        assert (chain.blocks, chain.lines) == (blocks, lines)
+        assert (list(chain.blocks), chain.lines) == (blocks, lines)
         # its line with the surrogate escaped, and the digest of that text
         dump = chain_to_jsonl(chain) + reference_line(block, ensure_ascii=True) + "\n"
         violations = verify_chain_dump(dump)
@@ -299,7 +311,7 @@ class TestAppend:
         with pytest.raises(PayloadInvariantViolation, match="RecordLength"):
             append_block(chain, Block(_next_header(chain, kind), payload))
         assert len(chain.blocks) == len(chain.lines)
-        assert (chain.blocks, chain.lines) == (blocks, lines)
+        assert (list(chain.blocks), chain.lines) == (blocks, lines)
         # the chain still takes the right block in that slot
         append_block(chain, Block(_next_header(chain, kind), _empty_payload(kind)))
 
@@ -336,18 +348,17 @@ class TestValidate:
 
 @pytest.fixture(scope="module")
 def seed_7_blocks():
-    return simulate_run(SimConfig(seed=7, rounds=1)).state.chain.blocks
+    return list(simulate_run(SimConfig(seed=7, rounds=1)).state.chain.blocks)
 
 
 def _relinked(blocks):
-    """A chain of ``blocks`` with each back link recomputed, as a forger
-    who rewrote a block and every block after it would build it."""
-    chain = Chain(blocks=[blocks[0]])
+    """``blocks`` with each back link recomputed, as a forger who rewrote a
+    block and every block after it would build them."""
+    relinked = [blocks[0]]
     for block in blocks[1:]:
-        header = dataclasses.replace(block.header, prev_digest=chain.digest())
-        chain.blocks.append(Block(header, block.payload))
-        chain.lines.append(block_line(chain.blocks[-1]))
-    return chain
+        header = dataclasses.replace(block.header, prev_digest=block_digest(relinked[-1]))
+        relinked.append(Block(header, block.payload))
+    return relinked
 
 
 class TestImpossibleAmounts:
@@ -400,8 +411,8 @@ class TestImpossibleAmounts:
         blocks[height] = Block(blocks[height].header, tamper(blocks[height].payload))
         forged = _relinked(blocks)
         with pytest.raises(PayloadInvariantViolation, match=reason):
-            append_block(Chain(blocks=forged.blocks[:height]), forged.blocks[height])
-        violations = verify_chain_dump(chain_to_jsonl(forged))
+            append_block(chain_of(forged[:height]), forged[height])
+        violations = verify_chain_dump(dump_of(forged))
         assert [v.split(": ")[:3] for v in violations] == [
             ["PayloadInvariantViolation", f"line {height}", reason]
         ]
@@ -411,7 +422,7 @@ class TestImpossibleAmounts:
         for height, _, tamper in (self._contract(0.0, "mo_amount"), self._coinbase(0.0),
                                   self._performance(-1e300)):
             blocks[height] = Block(blocks[height].header, tamper(blocks[height].payload))
-        assert verify_chain_dump(chain_to_jsonl(_relinked(blocks))) == []
+        assert verify_chain_dump(dump_of(_relinked(blocks))) == []
 
 
 class TestRankedTopSet:
@@ -419,14 +430,14 @@ class TestRankedTopSet:
     performance, then trainer id: the settlement miner cannot mis-rank it."""
 
     def test_top_set_of_outsiders_rejected(self):
-        blocks = simulate_run(SimConfig(seed=7, rounds=20)).state.chain.blocks
+        blocks = list(simulate_run(SimConfig(seed=7, rounds=20)).state.chain.blocks)
         tip = blocks[-1].payload
         outsiders = tuple(t for _, t, _ in tip.verified if t not in tip.top_set)[:40]
         assert len(tip.top_set) == len(outsiders) == 40
         forged = Block(blocks[-1].header, dataclasses.replace(tip, top_set=outsiders))
         with pytest.raises(PayloadInvariantViolation, match="UnrankedTopSet"):
-            append_block(Chain(blocks=blocks[:-1]), forged)
-        violations = verify_chain_dump(chain_to_jsonl(Chain(blocks=[*blocks[:-1], forged])))
+            append_block(chain_of(blocks[:-1]), forged)
+        violations = verify_chain_dump(dump_of([*blocks[:-1], forged]))
         assert [v.split(": ")[:3] for v in violations] == [
             ["PayloadInvariantViolation", "line 80", "UnrankedTopSet"]
         ]
@@ -489,14 +500,14 @@ class TestRuleList:
             append_block(chain, block)
         assert type(raised.value) is error
         assert len(chain.blocks) == 3
-        # The same block in a chain built without append_block.
-        dump = chain_to_jsonl(Chain(blocks=[*chain.blocks, block]))
+        # The same block in a dump written without append_block.
+        dump = dump_of([*chain.blocks, block])
         assert verify_chain_dump(dump) == [f"{error.__name__}: line 3: {raised.value}"]
 
     def test_dump_must_start_from_the_fixed_genesis(self):
         genesis = genesis_block()
         forged = Block(dataclasses.replace(genesis.header, nonce=5, timestamp=9), genesis.payload)
-        chain = build_round(Chain(blocks=[forged]))
+        chain = build_round(chain_of([forged]))
         assert verify_chain_dump(chain_to_jsonl(chain)) == [
             "BrokenLinkage: line 0: height 0 must hold the fixed genesis block"
         ]
@@ -507,7 +518,7 @@ class TestRuleList:
         block = Block(header, _empty_payload("DB"))
         with pytest.raises(BrokenLinkage, match="round 1, got 2.*not after"):
             append_block(chain, block)
-        violations = verify_chain_dump(chain_to_jsonl(Chain(blocks=[*chain.blocks, block])))
+        violations = verify_chain_dump(dump_of([*chain.blocks, block]))
         assert [v.split(":")[0] for v in violations] == ["BrokenLinkage"] * 2
 
 
@@ -528,20 +539,25 @@ class TestHashOnce:
         run, *run_counts = counts(simulate_run, SimConfig(mode="abstract", rounds=20, seed=7))
         chain = run.state.chain
         assert len(chain.blocks) == 81
-        assert run_counts == [81, 81] and encoded == chain.blocks
+        assert run_counts == [81, 81] and encoded == list(chain.blocks)
         dump, *dump_counts = counts(chain_to_jsonl, chain)
         assert dump_counts == [0, 0]
-        partial = Chain(blocks=[])
+        partial = Chain()
         violations, *verify_counts = counts(verify_chain_dump, dump, partial)
         assert violations == [] and verify_counts == [81, 81]
         assert partial.lines == chain.lines == list(map(reference_line, chain.blocks))
         assert dump == "".join(line + "\n" for line in chain.lines)
 
     def test_a_chain_built_from_blocks_hashes_each_of_them(self):
+        # A chain read from a dump encodes and hashes each block again: the
+        # last line records another digest than its block's.
         chain = simulate_run(SimConfig(mode="abstract", rounds=20, seed=7)).state.chain
         header = dataclasses.replace(next_header(chain, 0), prev_digest=ZERO_DIGEST)
         tampered = Block(header, _empty_payload("DB"))
-        dump = chain_to_jsonl(Chain(blocks=[*chain.blocks, tampered]))
+        line = block_line(tampered)
+        stale = line.replace(line[11:75], "0" * 64, 1)
+        dump = chain_to_jsonl(chain_from_jsonl(chain_to_jsonl(chain) + stale + "\n"))
+        assert dump.splitlines()[-1] == line
         assert json.loads(dump.splitlines()[-1])["digest"] == block_digest(tampered).hex()
         assert verify_chain_dump(dump) == [
             "BrokenLinkage: line 81: prev_digest does not match the current tip"
@@ -603,11 +619,11 @@ class TestLines:
 
     def test_a_wrong_digest_is_recomputed_in_the_partial_chain(self, seed_7_blocks):
         # Line 2 keeps its recorded digest but not its nonce.
-        lines = chain_to_jsonl(Chain(blocks=list(seed_7_blocks))).splitlines()
+        lines = dump_of(seed_7_blocks).splitlines()
         nonce = seed_7_blocks[2].header.nonce
         assert lines[2].count(f'"nonce":{nonce},') == 1
         lines[2] = lines[2].replace(f'"nonce":{nonce},', f'"nonce":{nonce ^ 1},')
-        partial = Chain(blocks=[])
+        partial = Chain()
         assert verify_chain_dump("".join(line + "\n" for line in lines), partial) == [
             "DigestMismatch: line 2",
             "BrokenLinkage: line 3: prev_digest does not match the current tip",
@@ -617,6 +633,16 @@ class TestLines:
         assert partial.lines[2] == reference_line(tampered) != lines[2]
         assert partial.digest(2) == block_digest(tampered)
         assert partial.lines[:2] + partial.lines[3:] == lines[:2] + lines[3:]
+
+    def test_a_partial_chain_must_be_empty(self):
+        dump = chain_to_jsonl(simulate_run(SimConfig(seed=7, rounds=2)).state.chain)
+        partial = new_chain()
+        with pytest.raises(ValueError, match="needs an empty chain, given one of 1 block"):
+            verify_chain_dump(dump, partial)
+        # refused before the text is read
+        with pytest.raises(ValueError, match="needs an empty chain"):
+            verify_chain_dump(None, partial)
+        assert partial.lines == [block_line(genesis_block())]
 
 
 class TestExactTypes:
@@ -636,18 +662,27 @@ class TestExactTypes:
         block = Block(next_header(chain, 0), payload)
         with pytest.raises(PayloadInvariantViolation, match=reason):
             append_block(chain, block)
-        assert (chain.blocks, chain.lines) == (blocks, lines)
+        assert (list(chain.blocks), chain.lines) == (blocks, lines)
         # the line it would have: the decoder refuses it
-        dump = chain_to_jsonl(Chain(blocks=[*blocks, block]))
+        dump = dump_of([*blocks, block])
         assert verify_chain_dump(dump)[0].startswith(f"Unparseable: line {len(blocks)}: "
                                                      "expected float, got ")
+
+    def test_a_chain_grows_only_by_checked_blocks(self):
+        chain = new_chain()
+        block = Block(next_header(chain, 0), DepositPayload(((5, "t", 0.0, 0.0),), ("m", 0.0)))
+        with pytest.raises(PayloadInvariantViolation, match="InvalidType: expected str, got 5"):
+            append_block(chain, block)
+        assert chain.lines == [block_line(genesis_block())]
+        with pytest.raises(TypeError):
+            Chain(blocks=[genesis_block(), block])
 
     def test_bool_nonce(self):
         chain = new_chain()
         blocks, lines = list(chain.blocks), list(chain.lines)
         with pytest.raises(ChainError, match="nonce must be an int"):
             append_block(chain, Block(next_header(chain, True), _empty_payload("DB")))
-        assert (chain.blocks, chain.lines) == (blocks, lines)
+        assert (list(chain.blocks), chain.lines) == (blocks, lines)
 
 
 def _one_round():
@@ -662,7 +697,7 @@ def _one_round():
         SettlementPayload((("mo", "t1", 0.125), ("mo", "t2", 0.25)), ("t1",)),
     ):
         append_block(chain, Block(next_header(chain, 0), payload))
-    return chain.blocks
+    return list(chain.blocks)
 
 
 def _paths(value, path=()):
@@ -702,12 +737,12 @@ class TestOneTypeRule:
     @example((4, ("payload", "verified", 1, 1)), b"t2")
     def test_refused_or_dumped(self, at, value):
         height, path = at
-        chain = Chain(blocks=ONE_ROUND[:height])
+        chain = chain_of(ONE_ROUND[:height])
         blocks, lines = list(chain.blocks), list(chain.lines)
         try:
             append_block(chain, replaced(ONE_ROUND[height], path, value))
         except ChainError:
-            assert (chain.blocks, chain.lines) == (blocks, lines)
+            assert (list(chain.blocks), chain.lines) == (blocks, lines)
         else:
             assert verify_chain_dump(chain_to_jsonl(chain)) == []
 
@@ -721,7 +756,7 @@ class TestOneTypeRule:
          "RecordLength: a record of mo_id, trainer_id, mo_amount, t_amount must have 4 fields"),
     ])
     def test_reason(self, path, value, reason):
-        chain = Chain(blocks=ONE_ROUND[:1])
+        chain = new_chain()
         with pytest.raises(PayloadInvariantViolation) as raised:
             append_block(chain, replaced(ONE_ROUND[1], path, value))
         assert str(raised.value) == reason
@@ -772,21 +807,21 @@ class TestRoundRecords:
         blocks[height] = Block(blocks[height].header, tamper(blocks[height].payload))
         forged = _relinked(blocks)
         with pytest.raises(PayloadInvariantViolation, match=reasons[0]):
-            append_block(Chain(blocks=forged.blocks[:height]), forged.blocks[height])
-        violations = verify_chain_dump(chain_to_jsonl(forged))
+            append_block(chain_of(forged[:height]), forged[height])
+        violations = verify_chain_dump(dump_of(forged))
         assert [v.split(": ")[:3] for v in violations] == [
             ["PayloadInvariantViolation", f"line {height}", reason] for reason in reasons
         ]
 
     def test_a_pair_of_the_previous_round_is_unrecorded(self):
-        blocks = simulate_run(SimConfig(seed=7, rounds=2)).state.chain.blocks
+        blocks = list(simulate_run(SimConfig(seed=7, rounds=2)).state.chain.blocks)
         # a pair of round 1's EB that round 2's EB does not hold
         pairs = [{record[:2] for record in blocks[height].payload.records} for height in (2, 6)]
         prev_owner_id, trainer_id = min(pairs[0] - pairs[1])
         payload = blocks[8].payload
         blocks[8] = Block(blocks[8].header, dataclasses.replace(
             payload, verified=(*payload.verified, (prev_owner_id, trainer_id, 2.0))))
-        violations = verify_chain_dump(chain_to_jsonl(_relinked(blocks)))
+        violations = verify_chain_dump(dump_of(_relinked(blocks)))
         assert violations == [f"PayloadInvariantViolation: line 8: UnrecordedVerified: "
                               f"{prev_owner_id}->{trainer_id} is in no EB record of round 2"]
 
@@ -911,48 +946,93 @@ class TestLineBreaks:
         assert not any(v.startswith("Unparseable") for v in violations[1:])
 
     def test_dump_of_no_blocks_reports_only_the_empty_chain(self):
-        assert verify_chain_dump(chain_to_jsonl(Chain(blocks=[]))) == ["EmptyChain: no blocks"]
+        assert verify_chain_dump(chain_to_jsonl(Chain())) == ["EmptyChain: no blocks"]
 
 
-def chain_records(chain):
-    """Every record the payloads of ``chain``'s blocks hold."""
-    found = []
-    for block in chain.blocks:
-        payload = block.payload
-        if isinstance(payload, DepositPayload):
-            found += [*payload.contracts, payload.coinbase]
-        elif isinstance(payload, EncryptionPayload):
-            found += payload.records
-        elif isinstance(payload, TestingPayload):
-            found += payload.encrypted_model_digests
-        else:
-            found += payload.verified
-    return found
+class TestChainMemory:
+    """A chain keeps its dump lines and two blocks, not a block per line."""
 
-
-class TestRecordsLeaveTheCollector:
-    """Records are exact tuples of scalars, which the cyclic collector stops
-    tracking, so a kept chain costs no full collection a walk of them."""
-
-    @staticmethod
-    def _untracked(chain):
+    def test_a_parsed_chain_retains_about_its_lines(self):
+        dump = chain_to_jsonl(simulate_run(SimConfig(seed=7, rounds=200)).state.chain)
         gc.collect()
-        records = chain_records(chain)
-        assert len(records) > 100
-        assert all(type(record) is tuple for record in records)
-        return not any(map(gc.is_tracked, records))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            chain = chain_from_jsonl(dump)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(chain.lines) == 801
+        assert retained <= 1.25 * sum(map(sys.getsizeof, chain.lines))
+
+
+def _last_eb_by_scan(blocks):
+    """The last EB of ``blocks``, found by a scan from the end."""
+    return next((block for block in reversed(blocks)
+                 if isinstance(block.payload, EncryptionPayload)), None)
+
+
+class TestChainState:
+    """The tip and the last EB a chain keeps are those a scan of every block
+    finds, and the blocks it decodes are the blocks it was given."""
 
     @pytest.mark.parametrize("mode", ["abstract", "concrete"])
-    def test_simulated_chain(self, mode):
-        chain = simulate_run(SimConfig(seed=7, rounds=12, mode=mode)).state.chain
-        assert self._untracked(chain)
+    @pytest.mark.parametrize("seed", [7, 1009])
+    def test_state_after_each_append_matches_a_full_scan(self, monkeypatch, seed, mode):
+        append, appended = chainmod.append_block, []
 
-    def test_parsed_and_verified_chains(self):
-        dump = chain_to_jsonl(simulate_run(SimConfig(seed=7, rounds=12)).state.chain)
-        assert self._untracked(chain_from_jsonl(dump))
-        partial = Chain(blocks=[])
-        assert verify_chain_dump(dump, partial) == []
-        assert self._untracked(partial)
+        def recording(chain, block):
+            append(chain, block)
+            appended.append(block)
+            assert list(chain.blocks) == appended
+            assert chain.tip == appended[-1]
+            assert chain.last_eb == _last_eb_by_scan(appended)
+            return chain
+        monkeypatch.setattr(chainmod, "append_block", recording)
+        simulate_run(SimConfig(seed=seed, rounds=6, mode=mode))
+        assert len(appended) == 25
+
+    @pytest.mark.parametrize("attack", sorted(TestRoundRecords.ATTACKS))
+    def test_a_refused_block_leaves_the_state(self, seed_7_blocks, attack):
+        height, reasons, tamper = TestRoundRecords.ATTACKS[attack]
+        blocks = list(seed_7_blocks)
+        blocks[height] = Block(blocks[height].header, tamper(blocks[height].payload))
+        forged = _relinked(blocks)
+        chain = chain_of(forged[:height])
+        state = (list(chain.lines), chain.tip, chain.last_eb)
+        assert state[1:] == (forged[height - 1], _last_eb_by_scan(forged[:height]))
+        with pytest.raises(PayloadInvariantViolation, match=reasons[0]):
+            append_block(chain, forged[height])
+        assert (chain.lines, chain.tip, chain.last_eb) == state
+
+    def test_an_empty_chain_has_no_tip(self):
+        chain = Chain()
+        assert (chain.lines, chain.tip, chain.last_eb, len(chain.blocks)) == ([], None, None, 0)
+
+    @pytest.mark.parametrize("mode", ["abstract", "concrete"])
+    def test_a_run_decodes_no_line(self, monkeypatch, mode):
+        parsed = []
+        parse = chainmod._parse_line
+        monkeypatch.setattr(chainmod, "_parse_line", lambda line: parsed.append(line) or parse(line))
+        chain = simulate_run(SimConfig(seed=7, rounds=6, mode=mode)).state.chain
+        chain_to_jsonl(chain)
+        assert len(chain.lines) == 25 and parsed == []
+        # a read of the blocks decodes their lines
+        assert [block.header.height for block in chain.blocks[-4:]] == [21, 22, 23, 24]
+        assert parsed == chain.lines[-4:]
+
+    def test_blocks_is_a_read_only_sequence(self):
+        chain = simulate_run(SimConfig(seed=7, rounds=2)).state.chain
+        blocks = list(chain.blocks)
+        assert len(chain.blocks) == 9
+        assert chain.blocks[-1] == blocks[-1] == chain.tip
+        assert chain.blocks[2:5] == blocks[2:5] and chain.blocks[::-3] == blocks[::-3]
+        assert list(reversed(chain.blocks)) == blocks[::-1]
+        with pytest.raises(IndexError):
+            chain.blocks[9]
+        with pytest.raises(TypeError):
+            chain.blocks[0] = blocks[0]
 
 
 def sorted_line(line):
@@ -979,13 +1059,13 @@ class TestKeyOrder:
     @example(Block(BlockHeader(3, 1, "TB", ZERO_DIGEST, 0, 3), TestingPayload(
         (("é", b""),), ((math.nan, math.inf, -math.inf), ()), ((), ()))))
     def test_block_lines(self, block):
-        dump = chain_to_jsonl(Chain(blocks=[block]))
+        dump = chain_to_jsonl(chain_of([block]))
         line, end = dump.split("\n")
         assert end == ""
         assert line == sorted_line(line)
 
     def test_dump_of_no_blocks_is_one_empty_line(self):
-        assert chain_to_jsonl(Chain(blocks=[])) == "\n"
+        assert chain_to_jsonl(Chain()) == "\n"
 
 
 class TestTamperedValues:
@@ -1030,7 +1110,7 @@ class TestTamperedValues:
     def test_records_decode_strictly(self, seed_7_blocks, line, old, new):
         # The dump up to the tampered line, which is its tip; each change is
         # rejected before any digest or rule is checked.
-        lines = chain_to_jsonl(Chain(blocks=list(seed_7_blocks))).splitlines(keepends=True)
+        lines = dump_of(seed_7_blocks).splitlines(keepends=True)
         text = "".join(lines[:line + 1])
         assert lines[line].count(old) >= 1 and verify_chain_dump(text) == []
         violations = verify_chain_dump(text.replace(old, new, 1))
@@ -1048,9 +1128,9 @@ class TestTamperedValues:
     def test_non_canonical_line_is_unparseable(self, seed_7_blocks, old, new):
         # Each line decodes to the block of the untampered one, whose digest
         # it records; only its canonical line verifies.
-        lines = chain_to_jsonl(Chain(blocks=list(seed_7_blocks[:2]))).splitlines(keepends=True)
+        lines = dump_of(seed_7_blocks[:2]).splitlines(keepends=True)
         assert lines[1].count(old) == 1 and verify_chain_dump("".join(lines)) == []
-        assert chain_from_jsonl(lines[1].replace(old, new)).blocks == [seed_7_blocks[1]]
+        assert list(chain_from_jsonl(lines[1].replace(old, new)).blocks) == [seed_7_blocks[1]]
         assert verify_chain_dump(lines[0] + lines[1].replace(old, new)) == [
             "Unparseable: line 1: not the canonical line of its block"]
 
@@ -1071,7 +1151,7 @@ class TestTamperedValues:
             "Unparseable: line 1: expected list, got {'amount': 0.0, 'miner_id': 'm0'}"]
 
     def test_deeply_nested_line_is_unparseable(self, seed_7_blocks):
-        lines = chain_to_jsonl(Chain(blocks=list(seed_7_blocks))).splitlines(keepends=True)
+        lines = dump_of(seed_7_blocks).splitlines(keepends=True)
         lines[1] = "[" * 100_000 + "]" * 100_000 + "\n"
         violations = verify_chain_dump("".join(lines))
         assert violations[0].startswith("Unparseable: line 1: maximum recursion depth")

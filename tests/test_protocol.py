@@ -132,7 +132,7 @@ class TestRunRound:
         assert len({state.chain.digest(i) for i in range(5)}) == 5
 
     def test_log_contracts_are_the_deposit_blocks(self):
-        # Escrow debits, settlement and the DB all read the one tuple; a
+        # Escrow debits, settlement and the DB hold the same contracts; a
         # zero deposit (every balance starts at zero) moves no coin.
         state, rng = fresh()
         escrowed = 0
@@ -141,7 +141,7 @@ class TestRunRound:
             db_block = state.chain.blocks[-4]
             assert isinstance(db_block.payload, DepositPayload)
             assert log.contracts
-            assert log.contracts is db_block.payload.contracts
+            assert log.contracts == db_block.payload.contracts
             assert {c[1] for c in log.contracts} <= set(log.assignment.candidates)
             escrow = [t for t in log.transfers if t[2].startswith("deposit_escrow")]
             assert escrow == [
