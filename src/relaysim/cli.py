@@ -146,10 +146,6 @@ def parse_kv_text(text: str) -> dict[str, str]:
     return mapping
 
 
-def load_kv_file(path: str | Path) -> dict[str, str]:
-    return parse_kv_text(Path(path).read_text(encoding="utf-8"))
-
-
 def coerce_fields(cls: type, mapping: dict[str, str]) -> dict[str, Any]:
     """Keyword arguments for dataclass ``cls`` parsed from string values.
 
@@ -196,7 +192,7 @@ def _built(cmd: Command, cls: type) -> Any:
     an undecodable file or a value ``cls`` rejects is a bad invocation."""
     path = None if cmd.config_path is None else _input_file(cmd, "config file")
     try:
-        mapping = {} if path is None else load_kv_file(path)
+        mapping = {} if path is None else parse_kv_text(path.read_text(encoding="utf-8"))
         return cls(**coerce_fields(cls, {**mapping, **cmd.overrides}))
     except ValueError as exc:
         raise BadOverride(str(exc)) from exc

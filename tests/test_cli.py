@@ -1,15 +1,16 @@
-import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
-import textwrap
 import types
 from pathlib import Path
 
 import pytest
 
+import pins
 import relaysim
+from pins import ECON_CFG
 from relaysim import chain, cli, protocol, sim
 from relaysim.cli import (
     BadOverride,
@@ -29,34 +30,6 @@ q_selection_limit = 2
 q_cases = 5
 rounds = 6
 seed = 3
-"""
-
-ECON_CFG = """
-beta = 0.5
-s = 0.5
-b_mo = 0.25
-b_t = 1.5
-k_transmit = 1e-6
-model_size = 10000
-c_mine = 0.02
-q_selected = 4
-q_selected_mo_avg = 2
-q_selected_t_avg = 2
-q_deposit = 32
-q_deposit_less = 16
-q_hash_m = 24
-q_encrypted_m = 64
-q_cases = 100
-q_verified_m = 20
-v_rec_m = 10
-v_now_t = 9
-r_cited = 1.0
-r_deposit = 0.001
-r_hash_m = 0.01
-r_encrypted_m = 0.001
-r_case = 0.001
-r_verified_m = 0.01
-r_verify = 0.001
 """
 
 
@@ -96,18 +69,13 @@ class TestPrecedence:
         assert config.seed == 1        # file beats defaults
         assert config.q_cases == 100   # untouched default
 
-    def test_unknown_file_key_rejected(self, tmp_path):
+    def test_unknown_file_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("roundz = 5\n")
-        cmd = parse_invocation(["simulate", "--config", str(cfg)])
-        assert execute_status(cmd) != 0
-
-
-def execute_status(cmd):
-    try:
-        return execute(cmd)
-    except Exception:
-        return 2
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "relaysim: unknown SimConfig parameter 'roundz'\n"
+        assert not out.exists()
 
 
 class TestSimulateVerb:
@@ -178,78 +146,22 @@ class TestMinRewardsVerb:
 
 
 class TestEconomicsStdoutPinned:
-    # SHA-256 of each economics verb's stdout for ECON_CFG: every byte of
-    # the records' to_dict output, key order and float repr included.
-    GOLDEN = {
-        "check-incentives": "834c5aebf60286285fe704d223fba96db92593d0b53b8c68f0c4d1c87f332531",
-        "min-rewards": "bc8c2fe05586d563361fd9ec54ceb50ba71da419d6a6271441360d5f6888d3c4",
-    }
-
-    @pytest.mark.parametrize("verb", sorted(GOLDEN))
-    def test_stdout_is_pinned(self, verb, tmp_path, capsys):
-        cfg = tmp_path / "p.cfg"
-        cfg.write_text(ECON_CFG)
-        assert main([verb, "--config", str(cfg)]) == 0
-        out, err = capsys.readouterr()
-        assert err == ""
-        assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN[verb]
+    # every byte of each economics verb's stdout for ECON_CFG: an entry of
+    # the pin table, tests/pins.py
+    @pytest.mark.parametrize("verb", ["check-incentives", "min-rewards"])
+    def test_stdout_is_pinned(self, verb, tmp_path):
+        assert pins.differences(verb, tmp_path) == []
 
 
 class TestTraceRoundVerb:
-    # trace-round --seed 7 with the default config: stdout and the SHA-256
-    # of its --out, per mode.
-    GOLDEN = {
-        "abstract": ("""\
-            round 1 trace (mode abstract, seed 7)
-             (1) bidding: 1 MO(s) ['p000'], 127 candidate trainer(s), 128 miner(s)
-             (2) contracts: 4 escrowed
-             (3) deposit block mined by p005: 4 contract(s) packed, digest 2645db2720001eba...
-             (4) transmission: 4 trainer(s) received a model
-             (5) training: 4/4 succeeded
-             (6) hash broadcast: 4 digest(s)
-             (7) encryption block mined by p038: 4 record(s), digest 839d77431f840d65...
-             (8) encryption: 4 model(s) encrypted
-             (9) testing block mined by p199: 100 case(s), digest 56c6d1f2b4c6da55...
-            (10) outputs: 4 submission(s), 0 rejected
-            (11) settlement block mined by p118: 4 verified, top set ['p006', 'p011'], digest 50f60f9de85ced92...
-                 minted 2.516000, forfeited 0.000000, citation coins 2.000000
-            balances before -> after (5 changed):
-              p000: 0.000000 -> 2.000000
-              p005: 0.000000 -> 0.004000
-              p038: 0.000000 -> 0.004000
-              p118: 0.000000 -> 0.404000
-              p199: 0.000000 -> 0.104000
-""", "672ba720d9feb3246d8714cff17da924f3542ac0c4056c77358a0a68d08429c2"),
-        "concrete": ("""\
-            round 1 trace (mode concrete, seed 7)
-             (1) bidding: 1 MO(s) ['p000'], 127 candidate trainer(s), 128 miner(s)
-             (2) contracts: 4 escrowed
-             (3) deposit block mined by p085: 4 contract(s) packed, digest 3ef921fcdc08a694...
-             (4) transmission: 4 trainer(s) received a model
-             (5) training: 3/4 succeeded
-             (6) hash broadcast: 3 digest(s)
-             (7) encryption block mined by p131: 3 record(s), digest 69620beba7de1195...
-             (8) encryption: 3 model(s) encrypted
-             (9) testing block mined by p140: 100 case(s), digest ed7d1bca70e4bb37...
-            (10) outputs: 3 submission(s), 0 rejected
-            (11) settlement block mined by p204: 3 verified, top set ['p006'], digest 4aa233a1d442b0f5...
-                 minted 1.413000, forfeited 0.000000, citation coins 1.000000
-            balances before -> after (5 changed):
-              p000: 0.000000 -> 1.000000
-              p085: 0.000000 -> 0.004000
-              p131: 0.000000 -> 0.003000
-              p140: 0.000000 -> 0.103000
-              p204: 0.000000 -> 0.303000
-""", "bd7cca959d1f4d2dee0ab3ed5869e551ef23614e3e936e6426e8a032deecc915"),
-    }
-
     @pytest.mark.parametrize("mode", ["abstract", "concrete"])
-    def test_seed_7_golden(self, mode, tmp_path, capsys):
-        stdout, out_sha = self.GOLDEN[mode]
-        log_path = tmp_path / "round.json"
-        assert main(["trace-round", "--seed", "7", "--mode", mode, "--out", str(log_path)]) == 0
-        assert capsys.readouterr().out == textwrap.dedent(stdout)
-        assert hashlib.sha256(log_path.read_bytes()).hexdigest() == out_sha
+    def test_seed_7_golden(self, mode, tmp_path):
+        # stdout and the --out file of trace-round --seed 7 with the
+        # default config, pinned in tests/pins.py
+        assert pins.differences(f"trace-round-{mode}", tmp_path) == []
+
+    def test_concrete_seed_1009_golden(self, tmp_path):
+        assert pins.differences("trace-round-concrete-1009", tmp_path) == []
 
     def test_round_one_shows_sole_genesis_mo(self, tmp_path, capsys):
         cfg = tmp_path / "sim.cfg"
@@ -396,17 +308,28 @@ class TestExportOnePass:
         assert copy.read_text() == expected
         assert capsys.readouterr().err == ""
 
-    @pytest.mark.parametrize("tamper", ["flip_byte", "drop_line", "swap_lines", "garbage_line"])
+    @pytest.mark.parametrize("tamper", ["flip_byte", "drop_line", "swap_lines", "garbage_line",
+                                        "space_after_comma", "repeated_key", "float_nonce"])
     def test_tampered_dump_stderr_unchanged(self, tmp_path, capsys, tamper):
-        lines = self._dump(tmp_path).read_text().splitlines(keepends=True)
+        original = self._dump(tmp_path).read_text().splitlines(keepends=True)
+        lines = list(original)
         if tamper == "flip_byte":
             lines[7] = lines[7].replace('"round":2', '"round":3', 1)
         elif tamper == "drop_line":
             del lines[5]
         elif tamper == "swap_lines":
             lines[3], lines[4] = lines[4], lines[3]
-        else:
+        elif tamper == "garbage_line":
             lines.insert(9, "{not json\n")
+        # a line in another form than its block's canonical one, or with a
+        # value of another type than its field's
+        elif tamper == "space_after_comma":
+            lines[1] = lines[1].replace(",", ", ", 1)
+        elif tamper == "repeated_key":
+            lines[1] = lines[1].replace('"height":1,', '"height":1,"height":1,', 1)
+        else:
+            lines[1] = re.sub(r'"nonce":([0-9]+),', r'"nonce":\1.0,', lines[1], count=1)
+        assert lines != original
         bad = tmp_path / "bad.jsonl"
         bad.write_text("".join(lines))
         capsys.readouterr()
@@ -562,6 +485,12 @@ class TestBoundaries:
         assert err == "relaysim: rounds: cannot parse 'abc' as int\n"
         assert not out.exists()
 
+    def test_bad_seed_value(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        err = self._exit_two(["simulate", "--seed", "x", "--out", str(out)], capsys)
+        assert err == "relaysim: seed: cannot parse 'x' as int\n"
+        assert not out.exists()
+
     def test_bad_mode_value(self, tmp_path, capsys):
         out = tmp_path / "run"
         err = self._exit_two(["simulate", "--mode", "quantum", "--out", str(out)], capsys)
@@ -665,6 +594,20 @@ class TestReproduceScript:
             "reproduce_results.py: error: seed must be in [0, 2**64), got -1")
         assert "Traceback" not in result.stderr and result.stdout == ""
         assert not out.exists()
+
+    def test_sixty_rounds(self, tmp_path):
+        out = tmp_path / "results"
+        result = subprocess.run(
+            [sys.executable, str(self.SCRIPT), str(out), "--rounds", "60"],
+            capture_output=True, text=True, env=_package_env(), timeout=120, check=True,
+        )
+        assert result.stderr == ""
+        # the round-robin variant's closed-form check must hold, not just print
+        assert "round-robin variant matches x(x-1)q/2 exactly: True" in result.stdout.splitlines()
+        # its coins CSV and simulate's metrics.csv are one Metrics.to_csv()
+        run = tmp_path / "run"
+        assert main(["simulate", "--rounds", "60", "--seed", "7", "--out", str(run)]) == 0
+        assert (out / "coins_per_participant.csv").read_bytes() == (run / "metrics.csv").read_bytes()
 
 
 class TestNumpyFree:

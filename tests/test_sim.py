@@ -1,7 +1,6 @@
 import collections
 import csv
 import dataclasses
-import hashlib
 import io
 import itertools
 import json
@@ -13,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pins
 from relaysim import protocol
 from relaysim.chain import chain_to_jsonl, verify_chain_dump
 from relaysim.cli import BadOverride, coerce_fields
@@ -447,119 +447,37 @@ class TestMetricsCsv:
 
 
 class TestGoldenOutputs:
-    """Fixed-seed outputs stay byte-identical across refactors."""
+    """Fixed-seed outputs stay byte-identical across refactors: each test
+    runs the entries of the pin table, tests/pins.py, that it names."""
 
-    @pytest.mark.parametrize("mode, rounds, chain_sha, csv_sha", [
-        ("abstract", 20,
-         "051b0a0f2cb568c20ab7e5d9cc71ba9b3e3022b14d1bcb78a49ad9fe5a18b206",
-         "b2a8f59364173e6907a174b691ed4b0e5445087c16f1d9bda224e9559efdff2c"),
-        ("concrete", 4,
-         "3ed6e3c8e0c3868b841ab5d4568a5d4772030c0d623797b8ec0932065758dd94",
-         "767159e21f7aaa19798c020652e675f6b50133b9974b36623631053cc045eda6"),
-    ], ids=["abstract-20", "concrete-4"])
-    def test_seed_7_digests(self, mode, rounds, chain_sha, csv_sha):
-        self._check(SimConfig(seed=7, rounds=rounds, mode=mode), chain_sha, csv_sha)
+    @pytest.mark.parametrize("name", ["abstract-20", "concrete-4"])
+    def test_seed_7_digests(self, name, tmp_path):
+        assert pins.differences(name, tmp_path) == []
 
-    @pytest.mark.parametrize("mode, rounds, toggle, chain_sha, csv_sha", [
-        ("abstract", 20, dict(second_price_deposits=True),
-         "a9e0d1daf6450fdd5d24d626b8cc01722ca54b04f3793a548f2475bc420336dd",
-         "18a65a440a8d219fdd4c93a620c702a58c5e10d864f5504a092bf64aebe8099d"),
-        ("abstract", 20, dict(distinct_miners_per_round=False),
-         "73fa2af29835f7723f4c8bc62a59fc043ee16a84c5432d69d446403caad4bad9",
-         "215c9959a7530c720835586337cc9c5dfc2574a2804aba7f279a98484844a6e9"),
-        ("concrete", 4, dict(second_price_deposits=True),
-         "51a78c5a4c14b4b9535c0460aaf88dcb7147d89ec2f737d3f77a98f28f3701da",
-         "b4975f773aff5d0639049929f13227c64c6e3a9f3429ab0ed044306b46032823"),
-        ("abstract", 40, dict(coin_unit=0.1),
-         "0fd64488c985d509f83fe196b52bcfd48f876792048d68c0eb0912948f391ad5",
-         "2a129623e462a4d41a5821d4f558efcaa7b3430fa7390e31f00bf5dc0899d84f"),
-    ], ids=["abstract-second-price", "abstract-shared-miners", "concrete-second-price",
-            "abstract-coin-unit-0.1"])
-    def test_seed_7_toggle_digests(self, mode, rounds, toggle, chain_sha, csv_sha):
-        self._check(SimConfig(seed=7, rounds=rounds, mode=mode, **toggle), chain_sha, csv_sha)
+    @pytest.mark.parametrize("name", ["abstract-second-price", "abstract-shared-miners",
+                                      "concrete-second-price", "abstract-coin-unit-0.1"])
+    def test_seed_7_toggle_digests(self, name, tmp_path):
+        assert pins.differences(name, tmp_path) == []
 
-    @pytest.mark.parametrize("model_dim, chain_sha, csv_sha", [
-        (1, "9fc66e4b2e143563efd4605eac03350dbb6ccc58665f03f4ae5b6bbc51f707bc",
-         "3b83b3357cd23860259873680137afadd42480fd4544c178e219575c10a0470a"),
-        (7, "d96a390dc40b10f1f64d9b8e007b0e20c339bb2c5370d31a189b4fd49ac81157",
-         "043ccb93f7da311a62ddb435c814dce56aef427a41b26cf99d40c7f5ba9a85ed"),
-        # the kernel takes the inputs four at a time: one block and one
-        # weight left over, then two blocks and one
-        (5, "32236e022d85901cb81962e1e538f83dfb0b29001b8112558e818f063d536e26",
-         "86408de6426efb327108f909d0fddd695e3eca552bec4eb9b0b376736bd102a0"),
-        (9, "280fe20eb8cdb87c8cc59a76c5e957635db2906c21850bd78d002091f7390938",
-         "d581f1840ce80effbe8b550c3159d250d7c2674054444c9c72508daa3ad3902a"),
-    ], ids=["dim-1", "dim-7", "dim-5", "dim-9"])
-    def test_seed_7_concrete_model_dims(self, model_dim, chain_sha, csv_sha):
-        self._check(SimConfig(seed=7, rounds=6, mode="concrete", model_dim=model_dim),
-                    chain_sha, csv_sha)
+    @pytest.mark.parametrize("model_dim", [1, 7, 5, 9], ids=lambda dim: f"dim-{dim}")
+    def test_seed_7_concrete_model_dims(self, model_dim, tmp_path):
+        assert pins.differences(f"concrete-dim-{model_dim}", tmp_path) == []
 
-    # Rounds 8-20 of these runs verify 74-86 submissions each: the steady
-    # state of the reference setting, past the cold start the pins above
-    # stop in. CI's determinism job checks its 3.10 runs of both seeds
-    # against these pins; re-pin in both places together.
-    @pytest.mark.parametrize("seed, chain_sha, csv_sha", [
-        (7, "7ad7d1524cfb941a2d1c590ad234e954a4b8032cab1c9d1f793369cb0918996c",
-         "d2f80abfc159280454a84f796402b437a222543461046ac1e6930c8ada93662b"),
-        (1009, "fe838964e7e0ce45980cf1ea274d5e9a1c2d59e00ad4207e246a6b8ba73a22d5",
-         "39f3e36bba2c2ae2666eadab82bf8935bb4f287bcd8002715cd23d9402f72fd7"),
-    ], ids=["seed-7", "seed-1009"])
-    def test_concrete_steady_state_digests(self, seed, chain_sha, csv_sha):
-        self._check(SimConfig(seed=seed, rounds=20, mode="concrete"), chain_sha, csv_sha)
+    @pytest.mark.parametrize("seed", [7, 1009], ids=lambda seed: f"seed-{seed}")
+    def test_concrete_steady_state_digests(self, seed, tmp_path):
+        assert pins.differences(f"concrete-20-seed-{seed}", tmp_path) == []
 
-    # The summary.json that `simulate --mode concrete --rounds 20 --seed 1009`
-    # writes. CI's determinism job checks its 3.10 run against this pin and
-    # the seed-1009 pins above; re-pin in both places together.
-    def test_concrete_1009_summary_digest(self):
-        run = simulate_run(SimConfig(seed=1009, rounds=20, mode="concrete"))
-        assert self._sha(summary_json(run) + "\n") == (
-            "64e1c0510a293b60951ff26bbd5a5a95e0f3cedcd7a77651449ea3ccc3cdca70")
-
-    # The same for `--seed 7`, checked by CI's determinism job with the
-    # seed-7 pins above; re-pin in both places together.
-    def test_concrete_7_summary_digest(self):
-        run = simulate_run(SimConfig(seed=7, rounds=20, mode="concrete"))
-        assert self._sha(summary_json(run) + "\n") == (
-            "dbc57633b54dd6599b3bbb021057d3b46030a4d70dad18119efe8894f8de713c")
-
-    # The benchmark's abstract-ref setting: the reference config for 200
-    # rounds, and all three files `simulate` writes (summary.json ends in a
-    # newline). CI's determinism job checks its 3.10 seed-7 run against the
-    # seed-7 pins; re-pin in both places together.
-    @pytest.mark.parametrize("seed, chain_sha, csv_sha, summary_sha", [
-        (7, "69a498e630d5494ebf81ed70834a2372f91a6e5fe78a9988689ed61dda96984a",
-         "f254ce630fae3396ddd10466252d0fff8fab47884638f8c81fb0efdfecb77878",
-         "157dbe1717ef489639c8b83cf8441b1b48602a2a91da3a7b20f592c513ab0c4d"),
-        (1009, "3bbcc053d2b09dfce267f08c5dd696c91100296dcd4fd0be62e37ed2f8ba5372",
-         "273b60c968ac322fb09486f9f40c1c6da644aa662db496a75d26a743f68b6be7",
-         "345f174f1c6c42868662b2fee13a53826de84d10ef57fa184cb9db7adfce5c15"),
-    ], ids=["seed-7", "seed-1009"])
-    def test_abstract_reference_digests(self, seed, chain_sha, csv_sha, summary_sha):
-        run = self._check(SimConfig(seed=seed, rounds=200), chain_sha, csv_sha)
-        assert self._sha(summary_json(run) + "\n") == summary_sha
-
-    @staticmethod
-    def _sha(text):
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-    @classmethod
-    def _check(cls, config, chain_sha, csv_sha):
-        run = simulate_run(config)
-        assert cls._sha(chain_to_jsonl(run.state.chain)) == chain_sha
-        assert cls._sha(run.metrics.to_csv()) == csv_sha
-        return run
+    @pytest.mark.parametrize("seed", [7, 1009], ids=lambda seed: f"seed-{seed}")
+    def test_abstract_reference_digests(self, seed, tmp_path):
+        assert pins.differences(f"abstract-200-seed-{seed}", tmp_path) == []
 
 
 class TestGoldenSummary:
     """summary.json of seed 7, abstract mode, 60 rounds, pinned exactly."""
 
     @pytest.fixture(scope="class")
-    def text(self):
-        return summary_json(simulate_run(SimConfig(seed=7, rounds=60)))
-
-    @pytest.fixture(scope="class")
-    def summary(self, text):
-        return json.loads(text)
+    def summary(self):
+        return json.loads(summary_json(simulate_run(SimConfig(seed=7, rounds=60))))
 
     def test_accessibility_exact(self, summary):
         assert summary["accessibility"] == {
@@ -583,8 +501,5 @@ class TestGoldenSummary:
             "closed_form_exact": None,
         }
 
-    def test_whole_summary_exact(self, text):
-        # summary.json as `relaysim simulate --seed 7 --rounds 60` writes it:
-        # this text and a line break.
-        assert hashlib.sha256(text.encode("utf-8") + b"\n").hexdigest() == (
-            "6060979c0c75c334715dd454ced0c2811ac3788c0347406c18246de8134778c6")
+    def test_whole_summary_exact(self, tmp_path):
+        assert pins.differences("abstract-60", tmp_path) == []
