@@ -12,9 +12,11 @@ whole condition set satisfiable.
 T1-T6 are the roles' "Normal utility >= 0" in cross-multiplied form
 (times 1 - beta where citations are discounted, no count divided out),
 so each cost is written once and shared by a utility and its condition,
-and the DBM/TBM/SBM Normal utilities are lhs - bound of T3/T5/T6. T1,
-T2 and T8 are linear in r_cited: the rate-form citation bounds are
-derived as each condition's bound over its r_cited coefficient.
+and the DBM/TBM/SBM Normal utilities are lhs - bound of T3/T5/T6. Each
+block's coinbase is written once too, in ``MINER_REVENUE``: T3-T6's left
+sides and the round engine's miner pay both read it. T1, T2 and T8 are
+linear in r_cited: the rate-form citation bounds are derived as each
+condition's bound over its r_cited coefficient.
 
 All monetary quantities are expressed in a single real-valued "coins"
 unit. The value of one model-version increment is `coin_unit` coins
@@ -211,6 +213,16 @@ def _ebm_cost(p: EconomicParams) -> float:
     return p.c_mine + p.k_transmit * p.k_expand * p.model_size + p.c_gen_fhe_key
 
 
+# Each block's coinbase for n packed records and the TB's testing cases: T3-T6's
+# left sides at the params' counts, the round engine's miner pay at its blocks'.
+MINER_REVENUE: dict[str, Callable[[EconomicParams, int, int], float]] = {
+    "DB": lambda p, n, cases: n * p.r_deposit,
+    "EB": lambda p, n, cases: n * p.r_hash_m,
+    "TB": lambda p, n, cases: n * p.r_encrypted_m + cases * p.r_case,
+    "SB": lambda p, n, cases: n * p.r_verified_m + n * cases * p.r_verify,
+}
+
+
 def _t1_sides(p: EconomicParams) -> tuple[float, float]:
     return p.q_selected_mo_avg * p.r_cited, (1.0 - p.beta) * _mo_cost(p)
 
@@ -222,22 +234,22 @@ def _t2_sides(p: EconomicParams) -> tuple[float, float]:
 
 
 def _t3_sides(p: EconomicParams) -> tuple[float, float]:
-    return p.q_deposit * p.r_deposit, p.c_mine
+    return MINER_REVENUE["DB"](p, p.q_deposit, p.q_cases), p.c_mine
 
 
 def _t4_sides(p: EconomicParams) -> tuple[float, float]:
     version_gain = (p.v_fhem - p.v_now_ebm) * p.coin_unit
-    return p.q_hash_m * p.r_hash_m, _ebm_cost(p) - version_gain
+    return MINER_REVENUE["EB"](p, p.q_hash_m, p.q_cases), _ebm_cost(p) - version_gain
 
 
 def _t5_sides(p: EconomicParams) -> tuple[float, float]:
-    lhs = p.q_encrypted_m * p.r_encrypted_m + p.q_cases * p.r_case
+    lhs = MINER_REVENUE["TB"](p, p.q_encrypted_m, p.q_cases)
     bound = p.c_mine + p.q_cases * p.c_gen_td_case_unit
     return lhs, bound
 
 
 def _t6_sides(p: EconomicParams) -> tuple[float, float]:
-    lhs = p.q_verified_m * p.r_verified_m + p.q_verified_m * p.q_cases * p.r_verify
+    lhs = MINER_REVENUE["SB"](p, p.q_verified_m, p.q_cases)
     bound = (
         p.c_mine
         + p.q_verified_m * p.k_transmit * p.k_expand * p.model_size
@@ -284,12 +296,12 @@ def _u_dbm_not_packing_all(p: EconomicParams) -> float:
             "NPA evaluation requires 0 < q_deposit_less < q_deposit, got "
             f"q_deposit_less={p.q_deposit_less}, q_deposit={p.q_deposit}"
         )
-    return p.q_deposit_less * p.r_deposit - p.c_mine
+    return MINER_REVENUE["DB"](p, p.q_deposit_less, p.q_cases) - p.c_mine
 
 
 def _u_ebm_normal(p: EconomicParams) -> float:
-    revenue = p.q_hash_m * p.r_hash_m + (p.v_fhem - p.v_now_ebm) * p.coin_unit
-    return revenue - _ebm_cost(p)
+    version_gain = (p.v_fhem - p.v_now_ebm) * p.coin_unit
+    return MINER_REVENUE["EB"](p, p.q_hash_m, p.q_cases) + version_gain - _ebm_cost(p)
 
 
 def _u_mining_loss(p: EconomicParams) -> float:

@@ -8,8 +8,8 @@ encryption and the testing block with published cases, (10) output
 computation, and (11) the settlement block: verification, ranking,
 deposit return or forfeit, the citation cascade up each winner's
 lineage, and minted miner rewards. Each block's miner is paid the coinbase
-made where the block is mined; the deposit block carries its coinbase on
-the chain.
+that ``economics.MINER_REVENUE`` gives at the block's own counts, as the
+block is mined; the deposit block carries its coinbase on the chain.
 
 What a model is comes from one of two backends in ``MODELS``, chosen by
 ``config.mode``: ``AbstractModels`` stands for a model by its owner and
@@ -33,7 +33,7 @@ from itertools import accumulate, repeat
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from . import auction, chain as chainmod, crypto
+from . import auction, chain as chainmod, crypto, economics
 from .serialize import digest as canonical_digest, encode_str, encode_uint
 
 GENESIS_VERSION = 1
@@ -522,15 +522,15 @@ def run_round(
         block = chainmod.Block(chainmod.next_header(state.chain, rng.getrandbits(64)), payload)
         chainmod.append_block(state.chain, block)
 
-    def pay(kind: str, amount: float) -> chainmod.Coinbase:
-        """The reward of the miner of the round's ``kind`` block."""
-        coinbases.append((miners[kind], amount))
+    def pay(kind: str, packed: int, cases: int = 0) -> chainmod.Coinbase:
+        """The reward of the miner of the round's ``kind`` block, at its counts."""
+        coinbases.append((miners[kind], economics.MINER_REVENUE[kind](params, packed, cases)))
         return coinbases[-1]
 
     # (3) deposit block
     miners["DB"] = _draw_miner(miner_pool, rng, config.distinct_miners_per_round)
     mine(chainmod.DepositPayload(
-        contracts=contracts, coinbase=pay("DB", len(contracts) * params.r_deposit),
+        contracts=contracts, coinbase=pay("DB", len(contracts)),
     ))
 
     # (4) model transmission: possession updates before training; an equal
@@ -570,7 +570,7 @@ def run_round(
         if success and new_digests[trainer_id] != participants[mo_id].model_digest
     )
     mine(chainmod.EncryptionPayload(pk=keypair.pk, records=eb_records))
-    pay("EB", len(eb_records) * params.r_hash_m)
+    pay("EB", len(eb_records))
 
     # (8-9) encryption and the testing block; a sealed entry is
     # (EB record, ciphertext or None, committed encrypted-model digest)
@@ -586,7 +586,7 @@ def run_round(
         testing_inputs=testing_inputs,
         testing_truths=testing_truths,
     ))
-    pay("TB", len(enc_digests) * params.r_encrypted_m + config.q_cases * params.r_case)
+    pay("TB", len(enc_digests), len(testing_inputs))
 
     # (10-11) outputs, then the settlement block: verify, rank, settle
     miners["SB"] = _draw_miner(miner_pool, rng, config.distinct_miners_per_round)
@@ -597,8 +597,7 @@ def run_round(
     mine(chainmod.SettlementPayload(
         verified=tuple(verified), top_set=tuple(top_set)
     ))
-    pay("SB", len(verified) * params.r_verified_m
-        + len(verified) * config.q_cases * params.r_verify)
+    pay("SB", len(verified), len(testing_inputs))
 
     settle_transfers, minted, forfeited, citation_coins = settle(
         participants, top_set, contracts, state.lineage, params.coin_unit, coinbases

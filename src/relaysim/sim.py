@@ -87,7 +87,7 @@ class SimConfig:
         # done in floats, so a number past the largest float cannot be.
         for f in fields(self):
             value = getattr(self, f.name)
-            if type(value) is int and value > sys.float_info.max:
+            if type(value) is int and abs(value) > sys.float_info.max:
                 raise InvalidSimConfig(f"{f.name} is too large for a float")
             if f.type == "float" and type(value) is int:
                 object.__setattr__(self, f.name, float(value))
@@ -373,7 +373,7 @@ def analyze_accessibility(metrics: Metrics, config: SimConfig) -> AccessibilityR
     # The integer sum is exact, so this is one correctly rounded division,
     # the same bits as numpy's float64 mean of the same counts.
     mean_count = sum(tail) / len(tail)
-    deviation = abs(mean_count - fixed) / fixed if fixed > 0 else float("inf")
+    deviation = abs(mean_count - fixed) / fixed
     return AccessibilityReport(
         fixed_point=fixed,
         mean_trainer_count=mean_count,

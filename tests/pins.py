@@ -153,6 +153,12 @@ PINS: dict[str, Pin] = {
         "--seed 7 --rounds 4 --mode concrete --set second_price_deposits=true",
         chain="51a78c5a4c14b4b9535c0460aaf88dcb7147d89ec2f737d3f77a98f28f3701da",
         csv="b4975f773aff5d0639049929f13227c64c6e3a9f3429ab0ed044306b46032823"),
+    # the TB's and SB's coinbases at a case count and a reward not the defaults
+    "abstract-q-cases-7": simulate(
+        "--seed 7 --rounds 20 --set q_cases=7 --set reward_base=0.0025",
+        chain="b8b8204982fc5cc0ba62ad823c41fa9cbfe38adde9804550c3d79e808d406984",
+        csv="c7910cd49903d15187c83493cfdd8c75175be1c6b542e0fa296906f377db93e8",
+        summary="b5dd8c8c1bd4fa8419ee3594dd9628d57c5d8483f5b390b695d3660c84463f49"),
     "abstract-coin-unit-0.1": simulate(
         "--seed 7 --rounds 40 --set coin_unit=0.1",
         chain="0fd64488c985d509f83fe196b52bcfd48f876792048d68c0eb0912948f391ad5",

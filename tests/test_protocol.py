@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import random
@@ -543,20 +544,44 @@ class TestRunInvariants:
             assert path[-1] == genesis_id
 
     @pytest.mark.parametrize("mode", ["abstract", "concrete"])
-    def test_db_coinbase_is_the_db_miner_credit(self, mode):
+    def test_each_coinbase_is_the_miner_credit_at_its_block_counts(self, mode):
+        # Six distinct powers of two, so each pay is exact and a rate paid
+        # for another block's records shows; the params' q_cases is neither
+        # the TB's case count nor 100.
         config = SimConfig(
             q_miners=8, q_mo_and_t=8,
-            q_selection_limit=2, q_cases=5, rounds=12, seed=6, mode=mode,
+            q_selection_limit=2, q_cases=7, rounds=0, seed=6, mode=mode,
         )
-        run = simulate_run(config)
-        deposit_blocks = [b for b in run.state.chain.blocks if b.header.kind == "DB"]
-        for log, block in zip(run.logs, deposit_blocks, strict=True):
-            miner_id, coinbase_amount = block.payload.coinbase
-            credits = [(pid, amount) for pid, amount, reason in log.transfers
-                       if reason == "miner_reward_db"]
-            assert miner_id == log.miners["DB"]
-            assert credits == ([(miner_id, coinbase_amount)] if coinbase_amount else [])
-        assert sum(bool(b.payload.coinbase[1]) for b in deposit_blocks) > 1
+        r_deposit, r_hash_m, r_encrypted_m, r_case, r_verified_m, r_verify = (
+            2.0**-1, 2.0**-2, 2.0**-3, 2.0**-4, 2.0**-5, 2.0**-6)
+        params = dataclasses.replace(
+            params_for_simulation(config), q_cases=3,
+            r_deposit=r_deposit, r_hash_m=r_hash_m, r_encrypted_m=r_encrypted_m,
+            r_case=r_case, r_verified_m=r_verified_m, r_verify=r_verify,
+        )
+        state, rng = fresh(config, seed=6)
+        paid = set()
+        for _ in range(12):
+            state, log = run_round(state, params, config, rng)
+            blocks = state.chain.blocks[-4:]
+            assert [b.header.kind for b in blocks] == list(KINDS)
+            db, eb, tb, sb = (b.payload for b in blocks)
+            cases = len(tb.testing_inputs)
+            packed = {"DB": len(db.contracts), "EB": len(eb.records),
+                      "TB": len(tb.encrypted_model_digests), "SB": len(sb.verified)}
+            pay = {
+                "DB": packed["DB"] * r_deposit,
+                "EB": packed["EB"] * r_hash_m,
+                "TB": packed["TB"] * r_encrypted_m + cases * r_case,
+                "SB": packed["SB"] * r_verified_m + packed["SB"] * cases * r_verify,
+            }
+            assert db.coinbase == (log.miners["DB"], pay["DB"])
+            for kind in KINDS:
+                credits = [(pid, amount) for pid, amount, reason in log.transfers
+                           if reason == f"miner_reward_{kind.lower()}"]
+                assert credits == ([(log.miners[kind], pay[kind])] if pay[kind] else [])
+            paid.update(kind for kind, n in packed.items() if n)
+        assert paid == set(KINDS)
 
     def test_identical_seeds_identical_round_logs(self):
         config = SimConfig(

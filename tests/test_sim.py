@@ -124,8 +124,9 @@ class TestConfig:
                                       if f.type in ("int", "float")])
     def test_number_too_large_for_a_float_rejected(self, name):
         # Built, never run: a count this large would not finish a run.
-        with pytest.raises(InvalidSimConfig, match=f"^{name} is too large for a float$"):
-            SimConfig(**{name: 10**400})
+        for value in (10**400, -10**400):
+            with pytest.raises(InvalidSimConfig, match=f"^{name} is too large for a float$"):
+                SimConfig(**{name: value})
 
     def test_int_reward_base_builds_the_float_chain(self):
         # An int reward reaches the coinbase as an int, which hashes apart
@@ -455,7 +456,8 @@ class TestGoldenOutputs:
         assert pins.differences(name, tmp_path) == []
 
     @pytest.mark.parametrize("name", ["abstract-second-price", "abstract-shared-miners",
-                                      "concrete-second-price", "abstract-coin-unit-0.1"])
+                                      "concrete-second-price", "abstract-coin-unit-0.1",
+                                      "abstract-q-cases-7"])
     def test_seed_7_toggle_digests(self, name, tmp_path):
         assert pins.differences(name, tmp_path) == []
 
