@@ -575,7 +575,7 @@ def chain_from_jsonl(text: str) -> Chain:
     return chain
 
 
-def verify_chain_dump(text: str, partial: Chain | None = None) -> list[str]:
+def verify_chain_dump(text: str) -> list[str]:
     """Revalidate a serialized chain; an empty list means intact.
 
     Detects any single-byte mutation: unparseable lines, recorded digests
@@ -583,17 +583,11 @@ def verify_chain_dump(text: str, partial: Chain | None = None) -> list[str]:
     ``_violations`` as ``<error class>: line N: <message>``. Lines are
     split at line feeds only and the dump must end in one. A line must be
     the canonical line of the block it decodes to, so a line feed turned
-    into any other byte is reported too. Each parsed block and its line,
-    with the recomputed digest, is added to ``partial``, an empty chain (a
-    new one if none is given; a ``ValueError`` before any line is read if it
-    is not empty); when the result is empty, ``partial`` is the dumped
-    chain, each of its blocks encoded and hashed once.
+    into any other byte is reported too, and a dump with no violation is
+    exactly the canonical lines of its blocks. Each block is encoded and
+    hashed once.
     """
-    if partial is None:
-        partial = Chain()
-    elif partial.lines:
-        raise ValueError(f"verify_chain_dump needs an empty chain, given one of "
-                         f"{len(partial.lines)} block(s)")
+    chain = Chain()
     violations: list[str] = []
     # Each line ends in a line break; the dump of no blocks is one alone.
     lines = text.removesuffix("\n").split("\n") if text != "\n" else []
@@ -613,13 +607,13 @@ def verify_chain_dump(text: str, partial: Chain | None = None) -> list[str]:
             violations.append(f"DigestMismatch: line {lineno}")
         violations.extend(
             f"{cls.__name__}: line {lineno}: {message}"
-            for cls, message in _violations(partial, block)
+            for cls, message in _violations(chain, block)
         )
         # The line's block, whatever it breaks, and its own digest: the next
         # line's rules are checked against them.
-        partial._push(block, line if actual == recorded else _line(actual, body))
+        chain._push(block, line if actual == recorded else _line(actual, body))
     if not text.endswith("\n"):
         violations.append("Unterminated: the dump does not end in a line break")
-    if not partial.lines:
+    if not chain.lines:
         violations.append("EmptyChain: no blocks")
     return violations

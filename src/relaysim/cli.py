@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Any, Callable, get_type_hints
 
 from . import economics, sim
-from .chain import Chain, chain_to_jsonl, verify_chain_dump
+from .chain import chain_to_jsonl, verify_chain_dump
 
 
 class CliError(ValueError):
@@ -307,17 +307,24 @@ def _run_export(cmd: Command) -> int:
         raise MissingConfig("export requires --config with the chain dump to read")
     if cmd.output_path is None:
         raise MissingConfig("export requires --out for the re-serialized dump")
-    # Read as bytes, so that no line break is translated before the check.
-    text = _input_file(cmd, "chain dump").read_bytes().decode("utf-8")
     out = _output_file(cmd)
-    chain = Chain()
-    violations = verify_chain_dump(text, chain)
+    # Read as bytes, so that no line break is translated before the check.
+    raw = _input_file(cmd, "chain dump").read_bytes()
+    try:
+        violations = verify_chain_dump(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        # the bad byte's line is the count of line feeds before it
+        line = raw.count(b"\n", 0, exc.start)
+        violations = [f"Unparseable: line {line}: {exc}"]
     if violations:
         for violation in violations:
             print(f"export: {violation}", file=sys.stderr)
         return 1
-    out.write_text(chain_to_jsonl(chain), encoding="utf-8")
-    print(f"exported {len(chain.lines)} block(s) to {out}")
+    # A dump with no violation is exactly its blocks' canonical lines, one
+    # line feed after each.
+    out.write_bytes(raw)
+    blocks = raw.count(b"\n")
+    print(f"exported {blocks} block(s) to {out}")
     return 0
 
 

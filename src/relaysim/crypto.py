@@ -17,17 +17,19 @@ ciphertexts, so the idealized functional contract is simulated behind
 a small interface (keygen / encrypt / eval / decrypt) that a real
 backend could replace.
 
-Encryption XORs the packed plaintext with a keystream fixed by the key,
-and an opened payload decodes only from its canonical packing, so two
-ciphertexts under one key are equal exactly when their packed
-plaintexts are. ``verify_submission`` relies on this: it opens the
-model once, maps it over every testing input with the one evaluation
-kernel (under ``evaluate_cases`` and ``evaluate`` too), and compares the
-packed doubles of all claims with those of all outputs in one bytes
-comparison. That is the same check as comparing ``fhe_encrypt(pk, (claim,))``
-with ``fhe_eval``'s result case by case, without encrypting every case
-twice. The bytes are compared, not the floats, so a claimed ``-0.0``
-still differs from a true ``0.0``.
+A ciphertext's payload is the canonical packing of its plaintext, bound
+to its key id by a tag, and a payload decodes only from its canonical
+packing, so two ciphertexts under one key are equal exactly when their
+packed plaintexts are. The key id is part of the public key that the
+round publishes, so masking the payload with anything derived from it
+would hide nothing from any participant. ``verify_submission`` relies
+on this equality: it opens the model once, maps it over every testing
+input with the one evaluation kernel (under ``evaluate_cases`` and
+``evaluate`` too), and compares the packed doubles of all claims with
+those of all outputs in one bytes comparison. That is the same check as
+comparing ``fhe_encrypt(pk, (claim,))`` with ``fhe_eval``'s result case
+by case, without encrypting every case twice. The bytes are compared,
+not the floats, so a claimed ``-0.0`` still differs from a true ``0.0``.
 
 What depends only on the round is done once per round, in
 ``case_table``: the round key is parsed, the inputs' widths are
@@ -43,9 +45,9 @@ multiplication: ``d * d`` is correctly rounded everywhere, while
 ``d ** 2`` goes through the platform's ``pow``, which glibc rounds one
 ulp off for about one square in a thousand. What depends only on a key
 is derived once per distinct key: ``_parse_key`` memoizes a key's
-integrity check by its exact bytes and ``_keystream`` the stream by key
-id and length, each for the 8 most recent keys. An exception is never
-memoized, so a malformed or tampered key is refused on every call.
+integrity check by its exact bytes, for the 8 most recent keys. An
+exception is never memoized, so a malformed or tampered key is refused
+on every call.
 """
 
 from __future__ import annotations
@@ -263,19 +265,6 @@ def _parse_key(key: bytes, magic: bytes) -> int:
     return key_id
 
 
-@lru_cache(maxsize=8)
-def _keystream(key_id: int, length: int) -> bytes:
-    blocks = []
-    counter = 0
-    id_bytes = key_id.to_bytes(8, "big")
-    while len(blocks) * 32 < length:
-        blocks.append(
-            hashlib.sha256(b"mockfhe-stream" + id_bytes + counter.to_bytes(8, "big")).digest()
-        )
-        counter += 1
-    return b"".join(blocks)[:length]
-
-
 def _encode_plaintext(value: ModelWeights | Sequence[float]) -> bytes:
     if isinstance(value, ModelWeights):
         body = struct.pack("<QQ", value.version, len(value.weights))
@@ -286,7 +275,7 @@ def _encode_plaintext(value: ModelWeights | Sequence[float]) -> bytes:
 
 
 def _decode_plaintext(raw: bytes) -> ModelWeights | Vector:
-    """Parse an opened payload; the tag is forgeable, so any bytes may arrive.
+    """Parse a payload; the tag is forgeable, so any bytes may arrive.
     Only the canonical encoding, with no bytes after the weights, decodes."""
     if not raw:
         raise InvalidCiphertext("empty plaintext encoding")
@@ -303,13 +292,6 @@ def _decode_plaintext(raw: bytes) -> ModelWeights | Vector:
     raise InvalidCiphertext(f"unknown plaintext kind {kind!r}")
 
 
-def _xor_stream(data: bytes, key_id: int) -> bytes:
-    stream = _keystream(key_id, len(data))
-    return (
-        int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")
-    ).to_bytes(len(data), "big")
-
-
 def _tag(key_id: int, payload: bytes) -> bytes:
     return hashlib.sha256(
         b"mockfhe-tag" + key_id.to_bytes(8, "big") + payload
@@ -317,7 +299,7 @@ def _tag(key_id: int, payload: bytes) -> bytes:
 
 
 def _encrypt_with_id(key_id: int, value: ModelWeights | Sequence[float]) -> Ciphertext:
-    payload = _xor_stream(_encode_plaintext(value), key_id)
+    payload = _encode_plaintext(value)
     return Ciphertext(key_id=key_id, payload=payload, tag=_tag(key_id, payload))
 
 
@@ -332,15 +314,10 @@ def ciphertext_ok(ct: Ciphertext) -> bool:
     return _tag(ct.key_id, ct.payload) == ct.tag
 
 
-def _decrypt(ct: Ciphertext) -> ModelWeights | Vector:
-    """The plaintext of a ciphertext whose tag the caller has checked."""
-    return _decode_plaintext(_xor_stream(ct.payload, ct.key_id))
-
-
 def _open(ct: Ciphertext) -> ModelWeights | Vector:
     if not ciphertext_ok(ct):
         raise InvalidCiphertext("authentication tag does not verify")
-    return _decrypt(ct)
+    return _decode_plaintext(ct.payload)
 
 
 def _model(value: ModelWeights | Vector) -> ModelWeights:
@@ -436,7 +413,7 @@ def verify_submission(
         return VERDICT_OUTPUT_MISMATCH
     try:
         # the tag was checked above
-        actual = evaluate_cases(_model(_decrypt(enc_model)), cases)
+        actual = evaluate_cases(_model(_decode_plaintext(enc_model.payload)), cases)
     except (InvalidCiphertext, LengthMismatch):
         return VERDICT_OUTPUT_MISMATCH
     packing = f"<{cases.count}d"

@@ -57,6 +57,10 @@ class InsufficientData(SimError):
     """The analysis needs more executed rounds."""
 
 
+# The types each SimConfig field takes, by the annotation's name.
+_FIELD_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Simulation parameters; defaults reproduce the reference setting."""
@@ -82,11 +86,15 @@ class SimConfig:
     training_rate: float = 0.25
 
     def __post_init__(self) -> None:
-        # An int in a float field would reach the chain as an int, which
-        # hashes apart from the float that the dump decodes. Settlement is
-        # done in floats, so a number past the largest float cannot be.
+        # Each field takes exactly its annotated type (no bool for an int),
+        # and a float field an int too, stored as the float: an int would
+        # reach the chain as an int, which hashes apart from the float that
+        # the dump decodes. Settlement is done in floats, so a number past
+        # the largest float cannot be.
         for f in fields(self):
             value = getattr(self, f.name)
+            if type(value) not in _FIELD_TYPES[f.type]:
+                raise InvalidSimConfig(f"{f.name} must be of type {f.type}, got {value!r}")
             if type(value) is int and abs(value) > sys.float_info.max:
                 raise InvalidSimConfig(f"{f.name} is too large for a float")
             if f.type == "float" and type(value) is int:

@@ -118,9 +118,9 @@ round 1 trace (mode concrete, seed 7)
  (6) hash broadcast: 3 digest(s)
  (7) encryption block mined by p131: 3 record(s), digest 69620beba7de1195...
  (8) encryption: 3 model(s) encrypted
- (9) testing block mined by p140: 100 case(s), digest ed7d1bca70e4bb37...
+ (9) testing block mined by p140: 100 case(s), digest b21be24b8669abcf...
 (10) outputs: 3 submission(s), 0 rejected
-(11) settlement block mined by p204: 3 verified, top set ['p006'], digest 4aa233a1d442b0f5...
+(11) settlement block mined by p204: 3 verified, top set ['p006'], digest f1a95eabb214b142...
      minted 1.413000, forfeited 0.000000, citation coins 1.000000
 balances before -> after (5 changed):
   p000: 0.000000 -> 1.000000
@@ -138,7 +138,7 @@ PINS: dict[str, Pin] = {
         csv="b2a8f59364173e6907a174b691ed4b0e5445087c16f1d9bda224e9559efdff2c"),
     "concrete-4": simulate(
         "--seed 7 --rounds 4 --mode concrete",
-        chain="3ed6e3c8e0c3868b841ab5d4568a5d4772030c0d623797b8ec0932065758dd94",
+        chain="557b913763de735d0c99a98cb8bcbec8d85d5834937291a86f3947623a91489d",
         csv="767159e21f7aaa19798c020652e675f6b50133b9974b36623631053cc045eda6"),
     # the engine's toggles
     "abstract-second-price": simulate(
@@ -151,7 +151,7 @@ PINS: dict[str, Pin] = {
         csv="215c9959a7530c720835586337cc9c5dfc2574a2804aba7f279a98484844a6e9"),
     "concrete-second-price": simulate(
         "--seed 7 --rounds 4 --mode concrete --set second_price_deposits=true",
-        chain="51a78c5a4c14b4b9535c0460aaf88dcb7147d89ec2f737d3f77a98f28f3701da",
+        chain="230922dc77cee65aa1c191f991b00105f85214954ba1fad00bd200857954bb25",
         csv="b4975f773aff5d0639049929f13227c64c6e3a9f3429ab0ed044306b46032823"),
     # the TB's and SB's coinbases at a case count and a reward not the defaults
     "abstract-q-cases-7": simulate(
@@ -167,30 +167,30 @@ PINS: dict[str, Pin] = {
     # weight left over, 9 two blocks and one.
     "concrete-dim-1": simulate(
         "--seed 7 --rounds 6 --mode concrete --set model_dim=1",
-        chain="9fc66e4b2e143563efd4605eac03350dbb6ccc58665f03f4ae5b6bbc51f707bc",
+        chain="95a4e4276944bd94dd772a8511c229121285226c87d1abdd53c176842f490f9b",
         csv="3b83b3357cd23860259873680137afadd42480fd4544c178e219575c10a0470a"),
     "concrete-dim-7": simulate(
         "--seed 7 --rounds 6 --mode concrete --set model_dim=7",
-        chain="d96a390dc40b10f1f64d9b8e007b0e20c339bb2c5370d31a189b4fd49ac81157",
+        chain="f700c44f4c01ca54e37198ca5a330bc6d6f9c311924d9bbd559030751f9ccb77",
         csv="043ccb93f7da311a62ddb435c814dce56aef427a41b26cf99d40c7f5ba9a85ed"),
     "concrete-dim-5": simulate(
         "--seed 7 --rounds 6 --mode concrete --set model_dim=5",
-        chain="32236e022d85901cb81962e1e538f83dfb0b29001b8112558e818f063d536e26",
+        chain="330e2edbed09f7a57b4268593024a008a56acfca7180bac7a1ee49965bc28ec2",
         csv="86408de6426efb327108f909d0fddd695e3eca552bec4eb9b0b376736bd102a0"),
     "concrete-dim-9": simulate(
         "--seed 7 --rounds 6 --mode concrete --set model_dim=9",
-        chain="280fe20eb8cdb87c8cc59a76c5e957635db2906c21850bd78d002091f7390938",
+        chain="749b59fb747eb65c541fc7954d8e56fca1d0d1ea6062915d7c97939cef1760e0",
         csv="d581f1840ce80effbe8b550c3159d250d7c2674054444c9c72508daa3ad3902a"),
     # Rounds 8-20 verify 74-86 submissions each: the steady state of the
     # reference setting, past the cold start the runs above stop in.
     "concrete-20-seed-7": simulate(
         "--seed 7 --rounds 20 --mode concrete",
-        chain="7ad7d1524cfb941a2d1c590ad234e954a4b8032cab1c9d1f793369cb0918996c",
+        chain="0912679a5f038ade1ac83c49633d561f050d4a579e4b5ad24e60c4bfb761c35a",
         csv="d2f80abfc159280454a84f796402b437a222543461046ac1e6930c8ada93662b",
         summary="dbc57633b54dd6599b3bbb021057d3b46030a4d70dad18119efe8894f8de713c"),
     "concrete-20-seed-1009": simulate(
         "--seed 1009 --rounds 20 --mode concrete",
-        chain="fe838964e7e0ce45980cf1ea274d5e9a1c2d59e00ad4207e246a6b8ba73a22d5",
+        chain="458ae94050aab9fecde4341cf8d27a78d92786641fa456b48efd3c8e5d79597a",
         csv="39f3e36bba2c2ae2666eadab82bf8935bb4f287bcd8002715cd23d9402f72fd7",
         summary="64e1c0510a293b60951ff26bbd5a5a95e0f3cedcd7a77651449ea3ccc3cdca70"),
     # the benchmark's abstract-ref setting: the reference config, 200 rounds
@@ -227,7 +227,7 @@ PINS: dict[str, Pin] = {
     "trace-round-concrete-1009": Pin(
         ("trace-round --seed 1009 --mode concrete --out log.json",),
         {"log.json": "d6e142475006c9eef6ca603927c12409cd69e4846c0dd972ba99a4fbef846b4f",
-         "stdout": "38d9683fccabbe2b71efa0120b9b7d3626e70fa58939dd5faa79316acb5cd2e1"}),
+         "stdout": "ff211a7bfe31ca37739ec29ee99ad546d45ee9d33f6a186adfba9675392d0cfc"}),
 }
 
 

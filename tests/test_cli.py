@@ -262,10 +262,26 @@ class TestExportVerb:
         assert capsys.readouterr().err.startswith("export: Unparseable: line 1: ")
         assert not out.exists()
 
+    def test_non_utf8_dump_reported_as_one_unparseable_line(self, tmp_path, capsys):
+        # The bad byte opens line 3: three line feeds come before it.
+        assert main(["simulate", "--rounds", "1", "--seed", "7",
+                     "--out", str(tmp_path / "run")]) == 0
+        lines = (tmp_path / "run" / "chain.jsonl").read_bytes().splitlines(keepends=True)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b"".join(lines[:3]) + b"\xff" + b"".join(lines[3:]))
+        capsys.readouterr()
+        out = tmp_path / "x.jsonl"
+        assert main(["export", "--config", str(bad), "--out", str(out)]) == 1
+        position = sum(map(len, lines[:3]))
+        assert capsys.readouterr() == ("", "export: Unparseable: line 3: 'utf-8' codec can't "
+                                           f"decode byte 0xff in position {position}: invalid "
+                                           "start byte\n")
+        assert not out.exists()
+
 
 class TestExportOnePass:
-    """export writes the chain its verifying pass built: one hash per block,
-    and the file, exit code and stderr of verifying, then re-parsing."""
+    """export writes the dump its verifying pass accepted: one hash per
+    block, and the file, exit code and stderr of verifying, then re-parsing."""
 
     @staticmethod
     def _dump(tmp_path):
@@ -295,8 +311,8 @@ class TestExportOnePass:
         blocks = len(dump.read_text().splitlines())
         assert blocks == 4 * 6 + 1
         assert len(hashed) == blocks
-        # one encoding per block, when it is verified: the dump joins the
-        # lines that verifying kept
+        # one encoding per block, when it is verified: export writes the
+        # bytes that verifying accepted
         assert len(encoded) == blocks
 
     def test_good_dump_output_unchanged(self, tmp_path, capsys):
@@ -460,6 +476,14 @@ class TestBoundaries:
         out = tmp_path / "missing" / "out.json"
         self._exit_two([verb, *config, "--out", str(out)], capsys)
         assert not out.parent.exists()
+
+    def test_export_out_checked_before_the_dump_is_read(self, tmp_path, capsys):
+        # A dump that is not UTF-8 would fail its decoding with exit 1.
+        dump = tmp_path / "chain.jsonl"
+        dump.write_bytes(b"\xff\n")
+        out = tmp_path / "missing" / "out.jsonl"
+        err = self._exit_two(["export", "--config", str(dump), "--out", str(out)], capsys)
+        assert err == f"relaysim: --out must name a file in an existing directory, got {out}\n"
 
     def test_trace_round_out_is_a_directory(self, tmp_path, capsys):
         self._exit_two(["trace-round", "--out", str(tmp_path)], capsys)

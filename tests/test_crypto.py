@@ -88,11 +88,24 @@ class TestEncrypt:
         assert fhe_encrypt(pair.pk, v) == fhe_encrypt(pair.pk, v)
 
     def test_two_keys_differ_everywhere(self):
+        # One plaintext under two keys: the key ids and tags differ, and
+        # neither key's round accepts the other's ciphertext.
         rng = random.Random(5)
         a, b = fhe_keygen(rng), fhe_keygen(rng)
-        ca, cb = fhe_encrypt(a.pk, (1.0,)), fhe_encrypt(b.pk, (1.0,))
-        assert ca.key_id != cb.key_id
-        assert ca.payload != cb.payload
+        model = ModelWeights(1, (0.5, 1.0))
+        ca, cb = fhe_encrypt(a.pk, model), fhe_encrypt(b.pk, model)
+        assert ca.key_id != cb.key_id and ca.tag != cb.tag
+        assert ca != cb
+        for ct, own, other in ((ca, a, b), (cb, b, a)):
+            for pair, verdict in ((own, VERDICT_OK), (other, VERDICT_KEY_MISMATCH)):
+                cases = case_table([(2.0,)], [(2.0,)], pk=pair.pk)
+                assert verify_submission(ciphertext_digest(ct), ct, [2.0], cases) == verdict
+
+    @pytest.mark.parametrize("value", [ModelWeights(3, (0.5, -1.0, 2.0)), (1.0, -0.0, 2.5)],
+                             ids=["model", "vector"])
+    def test_payload_is_the_packed_plaintext(self, value):
+        pair = fhe_keygen(random.Random(5))
+        assert fhe_encrypt(pair.pk, value).payload == crypto._encode_plaintext(value)
 
     def test_tampered_tag_fails_self_check(self):
         pair = fhe_keygen(random.Random(5))
@@ -289,8 +302,7 @@ class TestVerifySubmission:
 def _forged(pair, plaintext: bytes) -> Ciphertext:
     """An authentic ciphertext over arbitrary plaintext bytes: the mock tag
     hashes only the key id and payload, so anyone can compute it."""
-    payload = crypto._xor_stream(plaintext, pair.key_id)
-    return Ciphertext(pair.key_id, payload, crypto._tag(pair.key_id, payload))
+    return Ciphertext(pair.key_id, plaintext, crypto._tag(pair.key_id, plaintext))
 
 
 def _finite_number(claimed):
@@ -623,8 +635,8 @@ class TestCaseTable:
 
 
 class TestKeyMemo:
-    """A key's integrity check and keystream are derived once per distinct
-    key, in bounded memos that never hold a refusal."""
+    """A key's integrity check is derived once per distinct key, in a
+    bounded memo that never holds a refusal."""
 
     @staticmethod
     def _flipped(key, i):
@@ -658,20 +670,16 @@ class TestKeyMemo:
             return out
 
         crypto._parse_key.cache_clear()
-        crypto._keystream.cache_clear()
         memoized, recalled = results(), results()
         monkeypatch.setattr(crypto, "_parse_key", crypto._parse_key.__wrapped__)
-        monkeypatch.setattr(crypto, "_keystream", crypto._keystream.__wrapped__)
         assert memoized == recalled == results()
 
-    def test_one_derivation_per_key_and_length(self):
+    def test_one_derivation_per_key(self):
         pair = fhe_keygen(random.Random(10))
         crypto._parse_key.cache_clear()
-        crypto._keystream.cache_clear()
         for i in range(80):
             fhe_encrypt(pair.pk, ModelWeights(i, (1.0, float(i))))
         assert crypto._parse_key.cache_info().misses == 1
-        assert crypto._keystream.cache_info().misses == 1
 
     def test_a_thousand_keys_stay_within_the_bound(self):
         rng = random.Random(11)
@@ -679,9 +687,8 @@ class TestKeyMemo:
         for _ in range(1000):
             pair = fhe_keygen(rng)
             fhe_decrypt_model(pair.sk, fhe_encrypt(pair.pk, model))
-        for memo in (crypto._parse_key, crypto._keystream):
-            info = memo.cache_info()
-            assert info.maxsize is not None and info.currsize <= info.maxsize
+        info = crypto._parse_key.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
 class TestUndecodablePlaintext:

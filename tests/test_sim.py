@@ -128,6 +128,19 @@ class TestConfig:
             with pytest.raises(InvalidSimConfig, match=f"^{name} is too large for a float$"):
                 SimConfig(**{name: value})
 
+    @pytest.mark.parametrize("name, value", [
+        ("rounds", 2.5), ("q_cases", 2.5), ("q_miners", 3.5), ("q_selection_limit", 1.5),
+        ("model_dim", 2.0), ("seed", True), ("second_price_deposits", "no"),
+        ("budget_mo", "1"), ("budget_mo", True), ("mode", np.str_("concrete")),
+    ], ids=["float-rounds", "float-q_cases", "float-q_miners", "float-q_selection_limit",
+            "float-model_dim", "bool-seed", "str-second_price_deposits", "str-budget_mo",
+            "bool-budget_mo", "str-subclass-mode"])
+    def test_value_of_another_type_rejected(self, name, value):
+        # Each of these passes every range check, then crashes the run,
+        # silently changes it or reaches summary.json as another type.
+        with pytest.raises(InvalidSimConfig, match=f"^{name} must be of type "):
+            SimConfig(**{"mode": "concrete", name: value})
+
     def test_int_reward_base_builds_the_float_chain(self):
         # An int reward reaches the coinbase as an int, which hashes apart
         # from the float that the dump decodes.
